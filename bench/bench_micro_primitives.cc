@@ -78,10 +78,12 @@ void BM_HashJoin(benchmark::State& state) {
   JoinGraph graph;
   graph.edges.push_back(JoinEdge{ColumnRef{0, 0}, ColumnRef{1, 0}, 1.0, 1.0});
   NormalizeJoinGraph(&graph, {});
-  Materializer m(&repo);
   MaterializeOptions options;
   options.max_intermediate_rows = 100'000'000;
   for (auto _ : state) {
+    // A fresh instance per iteration: a kept one would reuse its cached
+    // build side and time only probe + projection.
+    Materializer m(&repo);
     Result<Table> view = m.Materialize(
         graph, {ColumnRef{0, 1}, ColumnRef{1, 1}}, options, "v");
     benchmark::DoNotOptimize(view);

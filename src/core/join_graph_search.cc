@@ -1,6 +1,7 @@
 #include "core/join_graph_search.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <unordered_set>
 
@@ -56,6 +57,9 @@ JoinGraphSearchResult SearchJoinGraphs(
   std::set<std::vector<int32_t>> joinable_groups;
   // Dedup of (graph, projection) candidates.
   std::unordered_set<std::string> seen_candidates;
+  // Graph signature of each kept candidate: computed once, for the dedup
+  // key and then the ranking tie-break.
+  std::vector<std::string> signatures;
 
   for (CombinationIterator it(sizes); !it.done(); it.Next()) {
     if (result.num_combinations >= options.max_combinations) break;
@@ -107,7 +111,8 @@ JoinGraphSearchResult SearchJoinGraphs(
       cand.projection = combo;
       cand.score = g.score;
       cand.graph = std::move(g);
-      std::string key = cand.graph.Signature() + "|";
+      std::string signature = cand.graph.Signature();
+      std::string key = signature + "|";
       std::vector<uint64_t> proj;
       for (const ColumnRef& c : cand.projection) proj.push_back(c.Encode());
       std::sort(proj.begin(), proj.end());
@@ -115,8 +120,9 @@ JoinGraphSearchResult SearchJoinGraphs(
         key += std::to_string(p);
         key.push_back(',');
       }
-      if (seen_candidates.insert(key).second) {
+      if (seen_candidates.insert(std::move(key)).second) {
         result.candidates.push_back(std::move(cand));
+        signatures.push_back(std::move(signature));
       }
     }
   }
@@ -124,12 +130,21 @@ JoinGraphSearchResult SearchJoinGraphs(
   result.num_joinable_groups = static_cast<int64_t>(joinable_groups.size());
   result.num_join_graphs = static_cast<int64_t>(result.candidates.size());
 
-  // Step 2: rank and materialize top-k.
-  std::sort(result.candidates.begin(), result.candidates.end(),
-            [](const ViewCandidate& a, const ViewCandidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.graph.Signature() < b.graph.Signature();
-            });
+  // Step 2: rank and materialize top-k. Sorting a permutation makes the
+  // same comparisons std::sort would make on the candidates themselves, so
+  // candidates with equal (score, signature) keep the same relative order.
+  std::vector<size_t> order(result.candidates.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const double sa = result.candidates[a].score;
+    const double sb = result.candidates[b].score;
+    if (sa != sb) return sa > sb;
+    return signatures[a] < signatures[b];
+  });
+  std::vector<ViewCandidate> ranked;
+  ranked.reserve(order.size());
+  for (size_t i : order) ranked.push_back(std::move(result.candidates[i]));
+  result.candidates = std::move(ranked);
 
   if (options.materialize_views) {
     result.views =

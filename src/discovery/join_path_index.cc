@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -453,8 +454,10 @@ std::vector<JoinGraph> JoinPathIndex::GenerateJoinGraphs(
     partial = std::move(next);
   }
 
-  // Normalize, dedupe by signature, sort by score.
+  // Normalize, dedupe by signature, sort by score (ties by signature, each
+  // computed once).
   std::unordered_set<std::string> seen;
+  std::vector<std::string> signatures;
   for (JoinGraph& g : partial) {
     // Drop duplicate edges introduced by composing overlapping segments.
     std::sort(g.edges.begin(), g.edges.end(),
@@ -468,16 +471,24 @@ std::vector<JoinGraph> JoinPathIndex::GenerateJoinGraphs(
                               }),
                   g.edges.end());
     NormalizeJoinGraph(&g, unique_tables);
-    if (seen.insert(g.Signature()).second) {
+    std::string signature = g.Signature();
+    if (seen.insert(signature).second) {
       graphs.push_back(std::move(g));
+      signatures.push_back(std::move(signature));
     }
   }
-  std::sort(graphs.begin(), graphs.end(),
-            [](const JoinGraph& a, const JoinGraph& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.Signature() < b.Signature();
-            });
-  return graphs;
+  std::vector<size_t> order(graphs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (graphs[a].score != graphs[b].score) {
+      return graphs[a].score > graphs[b].score;
+    }
+    return signatures[a] < signatures[b];
+  });
+  std::vector<JoinGraph> ranked;
+  ranked.reserve(order.size());
+  for (size_t i : order) ranked.push_back(std::move(graphs[i]));
+  return ranked;
 }
 
 }  // namespace ver

@@ -2,44 +2,81 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
+#include <utility>
 
 #include "table/csv.h"
 #include "util/check.h"
-#include "util/flat_multimap.h"
-#include "util/hash.h"
 
 namespace ver {
 
-namespace {
-
-// Intermediate join state: for every table bound so far, the row index each
-// output tuple takes from that table.
-struct Bindings {
-  std::vector<int32_t> tables;                 // bound tables, in bind order
-  std::vector<std::vector<int64_t>> tuples;    // tuples[i][t] = row in tables[t]
-
-  int IndexOfTable(int32_t table) const {
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (tables[i] == table) return static_cast<int>(i);
-    }
-    return -1;
+int Materializer::BoundIndex(int32_t table) const {
+  for (size_t i = 0; i < bound_tables_.size(); ++i) {
+    if (bound_tables_[i] == table) return static_cast<int>(i);
   }
-};
+  return -1;
+}
 
-}  // namespace
+void Materializer::Bind(int32_t table, std::vector<int64_t>* rows) {
+  const size_t slot = bound_tables_.size();
+  bound_tables_.push_back(table);
+  if (bound_rows_.size() <= slot) bound_rows_.emplace_back();
+  bound_rows_[slot].swap(*rows);
+}
+
+void Materializer::CompactToKeep() {
+  // keep_ ascends, so keep_[j] >= j and every column compacts in place.
+  for (size_t t = 0; t < bound_tables_.size(); ++t) {
+    std::vector<int64_t>& rows = bound_rows_[t];
+    for (size_t j = 0; j < keep_.size(); ++j) rows[j] = rows[keep_[j]];
+    rows.resize(keep_.size());
+  }
+}
+
+const FlatU64MultiMap& Materializer::BuildSide(const ColumnRef& col,
+                                               int64_t max_cached_rows) {
+  auto it = builds_.find(col.Encode());
+  if (it != builds_.end()) return it->second;
+  // Bulk-hash the key column through the blocked kernel (dictionary
+  // columns answer from cached entry hashes, never touching string bytes),
+  // then load a flat open-addressing multimap. Null keys are masked out via
+  // the validity bitmap — null keys never join — and each group keeps its
+  // rows in ascending row order.
+  const Table& table = repo_->table(col.table_id);
+  const ColumnData& data = table.column_data(col.column_index);
+  hashes_.resize(static_cast<size_t>(table.num_rows()));
+  data.CellHashesInto(hashes_.data(), table.num_rows());
+  FlatU64MultiMap build;
+  build.Build(hashes_.data(), data.validity_words(), table.num_rows());
+  // Bound the cache without a knob of its own: a rebuild is always
+  // correct, so drop every cached build rather than grow past the
+  // intermediate-row limit.
+  const int64_t rows = static_cast<int64_t>(build.num_rows());
+  if (cached_build_rows_ + rows > max_cached_rows) {
+    builds_.clear();
+    cached_build_rows_ = 0;
+  }
+  cached_build_rows_ += rows;
+  return builds_.emplace(col.Encode(), std::move(build)).first->second;
+}
 
 Result<Table> Materializer::Materialize(
     const JoinGraph& graph, const std::vector<ColumnRef>& projection,
-    const MaterializeOptions& options, std::string view_name) const {
+    const MaterializeOptions& options, std::string view_name) {
   if (projection.empty()) {
     return Status::InvalidArgument("projection must not be empty");
   }
+  if (graph.edges.empty() && graph.tables.size() != 1) {
+    return Status::InvalidArgument(
+        "edgeless join graph must cover exactly one table");
+  }
 
   // Anti-thrash residency accounting for paged repositories: pin the
-  // touched tables' mapped extents for the duration of this
-  // materialization so concurrent queries' faults do not evict pages a
-  // join is mid-scan over. Correctness never depends on the pin (an
-  // evicted frame transparently refaults); released on every return path.
+  // touched tables' mapped extents for the whole call — joins and the
+  // projection gather, which copies dictionary bytes out of the extents —
+  // so concurrent queries' faults do not evict pages mid-scan.
+  // Correctness never depends on the pin (an evicted frame transparently
+  // refaults); released on every return path.
   PagePin pin;
   if (repo_->pager() != nullptr) {
     pin = PagePin(repo_->pager()->pool().get());
@@ -50,36 +87,15 @@ Result<Table> Materializer::Materialize(
     }
   }
 
-  // Single-table graph: plain projection.
-  if (graph.edges.empty()) {
-    if (graph.tables.size() != 1) {
-      return Status::InvalidArgument(
-          "edgeless join graph must cover exactly one table");
-    }
-    int32_t t = graph.tables[0];
-    std::vector<int> cols;
-    for (const ColumnRef& p : projection) {
-      if (p.table_id != t) {
-        return Status::InvalidArgument(
-            "projection column " + p.ToString() +
-            " outside single-table graph over table " + std::to_string(t));
-      }
-      cols.push_back(p.column_index);
-    }
-    return repo_->table(t).Project(cols, options.distinct,
-                                   std::move(view_name));
-  }
-
-  // Seed bindings with the first edge's left table, then BFS join edges
-  // whose endpoint tables become reachable.
-  Bindings state;
-  int32_t seed = graph.edges.front().left.table_id;
-  state.tables.push_back(seed);
-  const Table& seed_table = repo_->table(seed);
-  state.tuples.reserve(static_cast<size_t>(seed_table.num_rows()));
-  for (int64_t r = 0; r < seed_table.num_rows(); ++r) {
-    state.tuples.push_back({r});
-  }
+  // Seed the join state with every row of the first edge's left table (or
+  // of the single table of an edgeless graph), then BFS join edges whose
+  // endpoint tables become reachable.
+  bound_tables_.clear();
+  const int32_t seed = graph.edges.empty() ? graph.tables.front()
+                                           : graph.edges.front().left.table_id;
+  gathered_.resize(static_cast<size_t>(repo_->table(seed).num_rows()));
+  std::iota(gathered_.begin(), gathered_.end(), 0);
+  Bind(seed, &gathered_);
 
   std::vector<bool> edge_done(graph.edges.size(), false);
   size_t remaining = graph.edges.size();
@@ -88,8 +104,8 @@ Result<Table> Materializer::Materialize(
     int chosen = -1;
     for (size_t i = 0; i < graph.edges.size(); ++i) {
       if (edge_done[i]) continue;
-      if (state.IndexOfTable(graph.edges[i].left.table_id) >= 0 ||
-          state.IndexOfTable(graph.edges[i].right.table_id) >= 0) {
+      if (BoundIndex(graph.edges[i].left.table_id) >= 0 ||
+          BoundIndex(graph.edges[i].right.table_id) >= 0) {
         chosen = static_cast<int>(i);
         break;
       }
@@ -102,86 +118,66 @@ Result<Table> Materializer::Materialize(
     edge_done[chosen] = true;
     --remaining;
 
-    int left_idx = state.IndexOfTable(edge.left.table_id);
-    int right_idx = state.IndexOfTable(edge.right.table_id);
+    const int left_idx = BoundIndex(edge.left.table_id);
+    const int right_idx = BoundIndex(edge.right.table_id);
+    const size_t num_tuples = bound_rows_[0].size();
 
     if (left_idx >= 0 && right_idx >= 0) {
-      // Both sides bound: filter tuples where the key values agree.
-      const ColumnData& lc =
-          repo_->table(edge.left.table_id).column_data(edge.left.column_index);
-      const ColumnData& rc = repo_->table(edge.right.table_id)
-                                 .column_data(edge.right.column_index);
-      std::vector<std::vector<int64_t>> kept;
-      for (auto& tuple : state.tuples) {
-        // Every tuple carries one row index per bound table, in bind order;
-        // a shorter tuple would read a stale slot below.
-        VER_DCHECK(tuple.size() == state.tables.size())
-            << "tuple width " << tuple.size() << " != " << state.tables.size()
-            << " bound tables";
-        CellView lv = lc.cell(tuple[left_idx]);
-        CellView rv = rc.cell(tuple[right_idx]);
-        if (!lv.is_null() && lv == rv) kept.push_back(std::move(tuple));
+      // Both sides bound: keep the tuples whose key cells agree.
+      const ColumnData& lc = repo_->column_data(edge.left);
+      const ColumnData& rc = repo_->column_data(edge.right);
+      const std::vector<int64_t>& lrows = bound_rows_[left_idx];
+      const std::vector<int64_t>& rrows = bound_rows_[right_idx];
+      keep_.clear();
+      for (size_t t = 0; t < num_tuples; ++t) {
+        CellView lv = lc.cell(lrows[t]);
+        if (!lv.is_null() && lv == rc.cell(rrows[t])) {
+          keep_.push_back(static_cast<int64_t>(t));
+        }
       }
-      state.tuples = std::move(kept);
+      CompactToKeep();
       continue;
     }
 
-    // One side bound: hash join to extend bindings with the new table.
+    // One side bound: hash join, emitting (parent tuple, build row) pairs
+    // in tuple order, each group's build rows ascending.
     const ColumnRef& bound_col = left_idx >= 0 ? edge.left : edge.right;
     const ColumnRef& new_col = left_idx >= 0 ? edge.right : edge.left;
-    int bound_idx = left_idx >= 0 ? left_idx : right_idx;
+    const std::vector<int64_t>& bound =
+        bound_rows_[left_idx >= 0 ? left_idx : right_idx];
+    const ColumnData& bound_data = repo_->column_data(bound_col);
+    const ColumnData& new_data = repo_->column_data(new_col);
+    const FlatU64MultiMap& build =
+        BuildSide(new_col, options.max_intermediate_rows);
 
-    const Table& new_table = repo_->table(new_col.table_id);
-    const ColumnData& new_data = new_table.column_data(new_col.column_index);
-    // Build side: bulk-hash the key column through the blocked kernel
-    // (dictionary columns answer from cached entry hashes, never touching
-    // string bytes), then load a flat open-addressing multimap. Null keys
-    // are masked out via the validity bitmap — null keys never join —
-    // and each group keeps its rows in ascending row order, preserving
-    // the extension order of the unordered_map + vector build it replaces.
-    std::vector<uint64_t> build_keys(
-        static_cast<size_t>(new_table.num_rows()));
-    new_data.CellHashesInto(build_keys.data(), new_table.num_rows());
-    FlatU64MultiMap build;
-    build.Build(build_keys.data(), new_data.validity_words(),
-                new_table.num_rows());
-
-    const ColumnData& bound_data =
-        repo_->table(bound_col.table_id).column_data(bound_col.column_index);
-    std::vector<std::vector<int64_t>> next;
+    parents_.clear();
+    matches_.clear();
     // Probe in batches of 8: hash the batch's keys and prefetch their home
     // buckets first, so the dependent slot loads of the probe loop hit
     // cache instead of stalling one miss at a time.
     constexpr size_t kProbeBatch = 8;
     uint64_t probe_keys[kProbeBatch];
-    const size_t num_tuples = state.tuples.size();
     for (size_t batch = 0; batch < num_tuples; batch += kProbeBatch) {
       const size_t batch_len = std::min(kProbeBatch, num_tuples - batch);
       for (size_t i = 0; i < batch_len; ++i) {
-        const std::vector<int64_t>& tuple = state.tuples[batch + i];
-        VER_DCHECK(static_cast<size_t>(bound_idx) < tuple.size())
-            << "bound slot " << bound_idx << " outside tuple of "
-            << tuple.size();
-        int64_t bound_row = tuple[bound_idx];
+        const int64_t bound_row = bound[batch + i];
         if (bound_data.is_null(bound_row)) continue;
         probe_keys[i] = bound_data.CellHash(bound_row);
         build.PrefetchBucket(probe_keys[i]);
       }
       for (size_t i = 0; i < batch_len; ++i) {
-        const std::vector<int64_t>& tuple = state.tuples[batch + i];
-        int64_t bound_row = tuple[bound_idx];
+        const int64_t bound_row = bound[batch + i];
         if (bound_data.is_null(bound_row)) continue;
         FlatU64MultiMap::Group group = build.Find(probe_keys[i]);
         if (group.size == 0) continue;
         CellView v = bound_data.cell(bound_row);
         for (size_t k = 0; k < group.size; ++k) {
-          int64_t r = group.begin[k];
+          const int64_t r = group.begin[k];
           // Hash equality is not value equality; verify to be exact.
           if (!(new_data.cell(r) == v)) continue;
-          std::vector<int64_t> extended = tuple;
-          extended.push_back(r);
-          next.push_back(std::move(extended));
-          if (static_cast<int64_t>(next.size()) >
+          parents_.push_back(static_cast<int64_t>(batch + i));
+          matches_.push_back(r);
+          if (static_cast<int64_t>(parents_.size()) >
               options.max_intermediate_rows) {
             return Status::OutOfRange(
                 "intermediate join result exceeded max_intermediate_rows (" +
@@ -190,80 +186,74 @@ Result<Table> Materializer::Materialize(
         }
       }
     }
-    state.tables.push_back(new_col.table_id);
-    state.tuples = std::move(next);
+    // Extend: gather every bound column by parent, then bind the build rows
+    // as the new table's column.
+    for (size_t t = 0; t < bound_tables_.size(); ++t) {
+      const std::vector<int64_t>& rows = bound_rows_[t];
+      gathered_.resize(parents_.size());
+      for (size_t j = 0; j < parents_.size(); ++j) {
+        gathered_[j] = rows[parents_[j]];
+      }
+      bound_rows_[t].swap(gathered_);
+    }
+    Bind(new_col.table_id, &matches_);
   }
 
   // Project with optional distinct. Resolve each projected column to its
-  // tuple slot and typed storage once, outside the row loop.
+  // join-state column and typed storage once.
   Schema schema;
-  for (const ColumnRef& p : projection) {
-    schema.AddAttribute(repo_->attribute(p));
-  }
   std::vector<int> slots;
   std::vector<const ColumnData*> cols;
   slots.reserve(projection.size());
   cols.reserve(projection.size());
   for (const ColumnRef& p : projection) {
-    int idx = state.IndexOfTable(p.table_id);
+    const int idx = BoundIndex(p.table_id);
     if (idx < 0) {
       return Status::InvalidArgument("projection column " + p.ToString() +
                                      " not covered by join graph");
     }
+    schema.AddAttribute(repo_->attribute(p));
     slots.push_back(idx);
-    cols.push_back(&repo_->table(p.table_id).column_data(p.column_index));
+    cols.push_back(&repo_->column_data(p));
   }
-  Table out(std::move(view_name), std::move(schema));
-  // Distinct hashes the projected cells first (cached dictionary hashes,
-  // no Value materialization) and only confirms collisions cell-by-cell
-  // through the shared RowDeduper — duplicate tuples are skipped without
-  // ever building a row.
-  RowDeduper deduper;
-  auto tuple_cell = [&](int64_t tuple_index, int p) {
-    return cols[p]->cell(state.tuples[tuple_index][slots[p]]);
-  };
-  // Tuple hashes are precomputed column-major through the gathered combine
-  // kernel (same seed and per-tuple HashCombine chain as the old per-cell
-  // loop, bit-identical), so distinct never hashes inside the row loop.
-  std::vector<uint64_t> tuple_hashes;
-  if (options.distinct && !state.tuples.empty()) {
-    const int64_t n = static_cast<int64_t>(state.tuples.size());
-    tuple_hashes.assign(static_cast<size_t>(n), 0x726f7768617368ULL);
-    std::vector<int64_t> gather_rows(static_cast<size_t>(n));
+  if (options.distinct) {
+    // Tuple hashes stream column-major straight off the row-id columns
+    // through the gathered combine kernel (same seed and per-tuple
+    // HashCombine chain as Table::RowHash); the shared RowDeduper then
+    // confirms collisions cell by cell, keeping first occurrences.
+    const int64_t n = static_cast<int64_t>(bound_rows_[0].size());
+    hashes_.assign(static_cast<size_t>(n), 0x726f7768617368ULL);
     for (size_t p = 0; p < projection.size(); ++p) {
-      for (int64_t ti = 0; ti < n; ++ti) {
-        gather_rows[ti] = state.tuples[ti][slots[p]];
-      }
-      cols[p]->CombineCellHashesInto(tuple_hashes.data(), gather_rows.data(),
-                                     n);
+      cols[p]->CombineCellHashesInto(hashes_.data(),
+                                     bound_rows_[slots[p]].data(), n);
     }
-  }
-  std::vector<CellView> row;
-  row.reserve(projection.size());
-  for (size_t ti = 0; ti < state.tuples.size(); ++ti) {
-    const std::vector<int64_t>& tuple = state.tuples[ti];
-    VER_DCHECK(tuple.size() == state.tables.size())
-        << "tuple width " << tuple.size() << " != " << state.tables.size()
-        << " bound tables at projection";
-    if (options.distinct) {
-      if (!deduper.Insert(tuple_hashes[ti], static_cast<int64_t>(ti),
-                          static_cast<int>(projection.size()), tuple_cell)) {
-        continue;
+    auto tuple_cell = [&](int64_t tuple, int p) {
+      return cols[p]->cell(bound_rows_[slots[p]][tuple]);
+    };
+    deduper_.Reset(n);
+    keep_.clear();
+    for (int64_t t = 0; t < n; ++t) {
+      if (deduper_.Insert(hashes_[t], t, static_cast<int>(projection.size()),
+                          tuple_cell)) {
+        keep_.push_back(t);
       }
     }
-    row.clear();
-    for (size_t p = 0; p < projection.size(); ++p) {
-      row.push_back(cols[p]->cell(tuple[slots[p]]));
-    }
-    VER_RETURN_IF_ERROR(out.AppendCells(row));
+    if (static_cast<int64_t>(keep_.size()) < n) CompactToKeep();
   }
-  out.DropInternMaps();
-  return out;
+  const int64_t num_rows = static_cast<int64_t>(bound_rows_[0].size());
+  std::vector<ColumnData> columns;
+  columns.reserve(projection.size());
+  for (size_t p = 0; p < projection.size(); ++p) {
+    columns.push_back(ColumnData::Gather(
+        *cols[p], bound_rows_[slots[p]].data(), num_rows));
+  }
+  return Table(std::move(view_name), std::move(schema), std::move(columns),
+               num_rows);
 }
 
 Result<View> Materializer::MaterializeView(
     const JoinGraph& graph, const std::vector<ColumnRef>& projection,
-    const MaterializeOptions& options, int64_t view_id) const {
+    const MaterializeOptions& options, int64_t view_id) {
   std::string name = "view_" + std::to_string(view_id);
   VER_ASSIGN_OR_RETURN(Table table,
                        Materialize(graph, projection, options, name));

@@ -36,6 +36,38 @@ Status LoadArray(SerdeReader* r, const PagerBinding* binding,
   return Status::OK();
 }
 
+// Source dictionary code -> output code for one Gather. Open addressing
+// over at most min(selected rows, source dictionary) keys, so a gather
+// costs O(selected rows) however large the source dictionary is.
+class CodeRemap {
+ public:
+  static constexpr uint32_t kUnmapped = UINT32_MAX;
+
+  explicit CodeRemap(size_t max_keys) {
+    size_t cap = 16;
+    while (cap < max_keys * 2) cap <<= 1;
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+  }
+
+  /// The output code of source `code`; kUnmapped until the caller sets it.
+  uint32_t& operator[](uint32_t code) {
+    const uint32_t key = code + 1;  // 0 marks an empty slot
+    size_t i = Mix64(code) & mask_;
+    while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask_;
+    slots_[i].key = key;
+    return slots_[i].value;
+  }
+
+ private:
+  struct Slot {
+    uint32_t key = 0;
+    uint32_t value = kUnmapped;
+  };
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+};
+
 }  // namespace
 
 const char* ColumnEncodingToString(ColumnEncoding e) {
@@ -333,6 +365,125 @@ void ColumnData::PromoteToDict() {
   num_bits_ = std::vector<uint64_t>();
   int_tag_words_ = std::vector<uint64_t>();
   enc_ = ColumnEncoding::kDict;
+}
+
+ColumnData ColumnData::Gather(const ColumnData& src, const int64_t* rows,
+                              int64_t n) {
+  VER_DCHECK(n >= 0) << "negative gather length " << n;
+  ColumnData out;
+  out.num_rows_ = n;
+  const size_t words = static_cast<size_t>(n + 63) / 64;
+  std::vector<uint64_t> valid(words, 0);
+  for (int64_t i = 0; i < n; ++i) {
+    if (!src.is_null(rows[i])) valid[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  out.valid_words_ = std::move(valid);
+  out.num_nulls_ = n;
+  for (uint64_t w : out.valid_words_) out.num_nulls_ -= __builtin_popcountll(w);
+
+  if (src.is_dict()) {
+    // Remap each selected code, copying its entry on first sight: the
+    // dictionary Intern() would build, in first-occurrence order.
+    std::vector<uint32_t> codes(static_cast<size_t>(n), 0);
+    std::vector<uint8_t> types;
+    std::vector<uint64_t> payload;
+    std::vector<uint32_t> lens;
+    std::vector<uint64_t> hashes;
+    std::string arena;
+    CodeRemap remap(std::min(static_cast<size_t>(n), src.dict_size()));
+    for (int64_t i = 0; i < n; ++i) {
+      if (out.is_null(i)) continue;
+      const uint32_t code = src.codes_[rows[i]];
+      uint32_t& mapped = remap[code];
+      if (mapped == CodeRemap::kUnmapped) {
+        mapped = static_cast<uint32_t>(types.size());
+        const uint8_t type = src.entry_types_[code];
+        types.push_back(type);
+        hashes.push_back(src.entry_hashes_[code]);
+        if (static_cast<ValueType>(type) == ValueType::kString) {
+          payload.push_back(arena.size());
+          lens.push_back(src.entry_lens_[code]);
+          arena.append(src.arena_.data() + src.entry_payload_[code],
+                       src.entry_lens_[code]);
+        } else {
+          payload.push_back(src.entry_payload_[code]);
+          lens.push_back(0);
+        }
+      }
+      codes[i] = mapped;
+      switch (static_cast<ValueType>(src.entry_types_[code])) {
+        case ValueType::kInt:
+          ++out.num_ints_;
+          break;
+        case ValueType::kDouble:
+          ++out.num_doubles_;
+          break;
+        default:
+          ++out.num_strings_;
+          break;
+      }
+    }
+    if (out.num_strings_ > 0) {
+      out.enc_ = ColumnEncoding::kDict;
+      out.codes_ = std::move(codes);
+      out.entry_types_ = std::move(types);
+      out.entry_payload_ = std::move(payload);
+      out.entry_lens_ = std::move(lens);
+      out.entry_hashes_ = std::move(hashes);
+      out.arena_ = std::move(arena);
+      return out;
+    }
+    // Only numbers selected: appending them never leaves the numeric
+    // lattice, so the tallies above pick the encoding below.
+  } else {
+    const int64_t non_null = n - out.num_nulls_;
+    if (src.enc_ == ColumnEncoding::kInt64) {
+      out.num_ints_ = non_null;
+    } else if (src.enc_ == ColumnEncoding::kDouble) {
+      out.num_doubles_ = non_null;
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        if (!out.is_null(i) && src.cell(rows[i]).type() == ValueType::kInt) {
+          ++out.num_ints_;
+        }
+      }
+      out.num_doubles_ = non_null - out.num_ints_;
+    }
+  }
+
+  // The encoding appends reach: ints and doubles together need the mixed
+  // layout whatever their order; doubles alone (nulls aside) stay double.
+  if (out.num_ints_ > 0 && out.num_doubles_ > 0) {
+    out.enc_ = ColumnEncoding::kNumeric;
+    std::vector<uint64_t> bits(static_cast<size_t>(n), 0);
+    std::vector<uint64_t> int_tags(words, 0);
+    for (int64_t i = 0; i < n; ++i) {
+      if (out.is_null(i)) continue;
+      CellView v = src.cell(rows[i]);
+      if (v.type() == ValueType::kInt) {
+        int_tags[i >> 6] |= uint64_t{1} << (i & 63);
+        bits[i] = static_cast<uint64_t>(v.AsInt());
+      } else {
+        bits[i] = DoubleBits(v.AsDouble());
+      }
+    }
+    out.num_bits_ = std::move(bits);
+    out.int_tag_words_ = std::move(int_tags);
+  } else if (out.num_doubles_ > 0) {
+    out.enc_ = ColumnEncoding::kDouble;
+    std::vector<double> doubles(static_cast<size_t>(n), 0.0);
+    for (int64_t i = 0; i < n; ++i) {
+      if (!out.is_null(i)) doubles[i] = src.cell(rows[i]).AsDouble();
+    }
+    out.doubles_ = std::move(doubles);
+  } else {
+    std::vector<int64_t> ints(static_cast<size_t>(n), 0);
+    for (int64_t i = 0; i < n; ++i) {
+      if (!out.is_null(i)) ints[i] = src.cell(rows[i]).AsInt();
+    }
+    out.ints_ = std::move(ints);
+  }
+  return out;
 }
 
 bool ColumnData::EntryEquals(uint32_t code, const CellView& v) const {
@@ -662,10 +813,6 @@ void ColumnData::Seal() {
   entry_hashes_.mut().shrink_to_fit();
   arena_.mut().shrink_to_fit();
   sealed_ = true;
-}
-
-void ColumnData::DropInternMap() {
-  std::unordered_map<uint64_t, std::vector<uint32_t>>().swap(lookup_);
 }
 
 size_t ColumnData::ApproxBytes() const {

@@ -37,6 +37,7 @@
 #include "pager/paged_view.h"
 #include "table/value.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/serde.h"
 
 namespace ver {
@@ -133,31 +134,63 @@ static_assert(sizeof(CellView) == 16, "CellView must stay 16 bytes");
 /// materializer's projection, so the two "bit-identical" paths cannot
 /// diverge. Rows are identified by an opaque token; `cell_at(token, c)`
 /// returns the c-th projected cell of that row.
+///
+/// One flat open-addressing array of {row hash, token} slots, sized by
+/// Reset() for the rows about to be offered: Insert never allocates, and a
+/// deduper reused across calls keeps its capacity. Rows sharing a hash sit
+/// in separate slots along one linear-probe chain, so Insert confirms a
+/// duplicate against every earlier row with that hash, as the per-hash
+/// token lists this replaces did.
 class RowDeduper {
  public:
+  /// Forgets every kept row and sizes the table for up to `max_rows`
+  /// Insert calls (load factor <= 1/2).
+  void Reset(int64_t max_rows) {
+    size_t cap = 16;
+    while (cap < static_cast<size_t>(max_rows) * 2) cap <<= 1;
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+    max_rows_ = max_rows;
+    num_rows_ = 0;
+  }
+
   /// Returns true (and records the token) when the row is new; false when
   /// an equal row was inserted before. `row_hash` must be the combined
-  /// hash of exactly the cells `cell_at` exposes.
+  /// hash of exactly the cells `cell_at` exposes; tokens are >= 0.
   template <typename CellAt>
   bool Insert(uint64_t row_hash, int64_t token, int num_cells,
               const CellAt& cell_at) {
-    std::vector<int64_t>& kept = seen_[row_hash];
-    for (int64_t prev : kept) {
+    VER_DCHECK(num_rows_ < max_rows_)
+        << "RowDeduper sized for " << max_rows_ << " rows by Reset()";
+    size_t i = Mix64(row_hash) & mask_;
+    for (;; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.token < 0) break;
+      if (s.hash != row_hash) continue;
       bool equal = true;
       for (int c = 0; c < num_cells; ++c) {
-        if (cell_at(prev, c).Compare(cell_at(token, c)) != 0) {
+        if (cell_at(s.token, c).Compare(cell_at(token, c)) != 0) {
           equal = false;
           break;
         }
       }
       if (equal) return false;
     }
-    kept.push_back(token);
+    slots_[i] = Slot{row_hash, token};
+    ++num_rows_;
     return true;
   }
 
  private:
-  std::unordered_map<uint64_t, std::vector<int64_t>> seen_;
+  struct Slot {
+    uint64_t hash = 0;
+    int64_t token = -1;  // -1 = empty slot
+  };
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int64_t max_rows_ = 0;
+  int64_t num_rows_ = 0;
 };
 
 /// One typed column. Append-only during ingest (Append / Reserve), then
@@ -176,6 +209,18 @@ class ColumnData {
 
   void Append(const Value& v) { Append(CellView::Of(v)); }
   void Append(const CellView& v);
+
+  /// The column holding src's cells at rows[0..n) (repeats allowed), equal
+  /// to Append()ing them one by one to an empty column: same encoding on
+  /// the int -> double -> numeric -> dict lattice, same type tallies and
+  /// payload layout, and a dictionary in first-occurrence order. Payloads
+  /// are copied typed and dictionary sources remap their codes, copying
+  /// each selected entry (bytes and cached hash) once, so no cell is
+  /// re-hashed or re-interned. The result owns its storage (paged sources
+  /// are copied out of the mapped extents) and has no intern map; a later
+  /// Append rebuilds it.
+  static ColumnData Gather(const ColumnData& src, const int64_t* rows,
+                           int64_t n);
 
   /// Zero-copy read of one cell.
   CellView cell(int64_t row) const;
@@ -272,11 +317,6 @@ class ColumnData {
   /// and all query results are unaffected. Repository tables get this via
   /// TableRepository::AddTable.
   void Seal();
-
-  /// Frees only the ingest intern map — the cheap compaction for transient
-  /// tables (materialized views) that skips Seal()'s dictionary sort and
-  /// shrink reallocations. A later Append transparently rebuilds the map.
-  void DropInternMap();
 
   /// Resident bytes of this column's storage (capacities, arena, intern
   /// map estimate).

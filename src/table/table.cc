@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/hash.h"
 
@@ -9,6 +10,21 @@ namespace ver {
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
   columns_.resize(schema_.num_attributes());
+}
+
+Table::Table(std::string name, Schema schema, std::vector<ColumnData> columns,
+             int64_t num_rows)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      num_rows_(num_rows) {
+  VER_DCHECK(static_cast<int>(columns_.size()) == schema_.num_attributes())
+      << columns_.size() << " columns for " << schema_.num_attributes()
+      << " attributes";
+  for (const ColumnData& c : columns_) {
+    VER_DCHECK(c.size() == num_rows_)
+        << "column of " << c.size() << " rows in a table of " << num_rows_;
+  }
 }
 
 void Table::Reserve(int64_t rows) {
@@ -82,36 +98,39 @@ Table Table::Project(const std::vector<int>& col_indices, bool distinct,
                      std::string new_name) const {
   Schema schema;
   for (int c : col_indices) schema.AddAttribute(schema_.attribute(c));
-  Table out(std::move(new_name), std::move(schema));
-  // Distinct dedups on the row hash and confirms collisions by comparing
-  // the source cells of the previously kept rows — no materialized row
-  // copies, and hash collisions cannot silently drop distinct rows.
-  RowDeduper deduper;
-  auto cell_at = [&](int64_t row, int c) { return cell(row, col_indices[c]); };
-  // Projected-row hashes are precomputed column-major through the blocked
-  // kernel (same HashCombine chain as the old per-row loop, bit-identical).
-  std::vector<uint64_t> hashes;
+  std::vector<int64_t> rows;
   if (distinct) {
-    hashes.assign(static_cast<size_t>(num_rows_), 0x726f7768617368ULL);
+    // Distinct dedups on the row hash and confirms collisions by comparing
+    // the source cells of the previously kept rows. Projected-row hashes
+    // are precomputed column-major through the blocked kernel (same
+    // HashCombine chain as RowHash over the projected columns).
+    std::vector<uint64_t> hashes(static_cast<size_t>(num_rows_),
+                                 0x726f7768617368ULL);
     for (int c : col_indices) {
       columns_[c].CombineCellHashesInto(hashes.data(), num_rows_);
     }
-  }
-  std::vector<CellView> row;
-  row.reserve(col_indices.size());
-  for (int64_t r = 0; r < num_rows_; ++r) {
-    if (distinct) {
-      if (!deduper.Insert(hashes[r], r, static_cast<int>(col_indices.size()),
-                          cell_at)) {
-        continue;
+    auto cell_at = [&](int64_t row, int c) {
+      return cell(row, col_indices[c]);
+    };
+    RowDeduper deduper;
+    deduper.Reset(num_rows_);
+    for (int64_t r = 0; r < num_rows_; ++r) {
+      if (deduper.Insert(hashes[r], r, static_cast<int>(col_indices.size()),
+                         cell_at)) {
+        rows.push_back(r);
       }
     }
-    row.clear();
-    for (int c : col_indices) row.push_back(cell(r, c));
-    (void)out.AppendCells(row);  // arity always matches by construction
+  } else {
+    rows.resize(static_cast<size_t>(num_rows_));
+    std::iota(rows.begin(), rows.end(), 0);
   }
-  out.DropInternMaps();
-  return out;
+  const int64_t n = static_cast<int64_t>(rows.size());
+  std::vector<ColumnData> columns;
+  columns.reserve(col_indices.size());
+  for (int c : col_indices) {
+    columns.push_back(ColumnData::Gather(columns_[c], rows.data(), n));
+  }
+  return Table(std::move(new_name), std::move(schema), std::move(columns), n);
 }
 
 void Table::InferColumnTypes() {
@@ -134,10 +153,6 @@ void Table::InferColumnTypes() {
 
 void Table::Seal() {
   for (ColumnData& c : columns_) c.Seal();
-}
-
-void Table::DropInternMaps() {
-  for (ColumnData& c : columns_) c.DropInternMap();
 }
 
 size_t Table::ApproxBytes() const {

@@ -24,6 +24,10 @@ class Table {
  public:
   Table() = default;
   Table(std::string name, Schema schema);
+  /// Adopts prebuilt columns, one per schema attribute, each `num_rows`
+  /// long (the gather-projection path).
+  Table(std::string name, Schema schema, std::vector<ColumnData> columns,
+        int64_t num_rows);
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -81,8 +85,8 @@ class Table {
 
   /// Projects to `col_indices` (in that order), optionally de-duplicating
   /// rows. PJ-views use distinct=true (set semantics). Dedup is row-hash
-  /// based with exact cell comparison on hash collisions, and skips
-  /// duplicate rows without materializing them.
+  /// based with exact cell comparison on hash collisions; the kept rows
+  /// are then gathered column by column (ColumnData::Gather).
   Table Project(const std::vector<int>& col_indices, bool distinct,
                 std::string new_name) const;
 
@@ -95,11 +99,6 @@ class Table {
   /// done (CSV reader and TableRepository::AddTable do). Appending later
   /// transparently unseals the touched columns.
   void Seal();
-
-  /// Frees only the ingest intern maps — the cheap per-query compaction
-  /// for transient tables (materialized views, projections) that skips
-  /// Seal()'s dictionary sort and shrink reallocations.
-  void DropInternMaps();
 
   /// Resident bytes across all column storage.
   size_t ApproxBytes() const;

@@ -282,13 +282,15 @@ TEST(ColumnDataTest, SerdeRoundTripsEveryEncoding) {
   }
 }
 
-TEST(ColumnDataTest, DropInternMapKeepsDedupOnLaterAppends) {
-  ColumnData col;
-  col.Append(CellView::String("a"));
-  col.Append(CellView::String("b"));
-  col.DropInternMap();
-  EXPECT_FALSE(col.sealed());  // unlike Seal(), no re-layout happened
-  // The rebuilt intern map must dedupe against the existing dictionary.
+TEST(ColumnDataTest, GatheredDictKeepsDedupOnLaterAppends) {
+  ColumnData src;
+  src.Append(CellView::String("a"));
+  src.Append(CellView::String("b"));
+  const std::vector<int64_t> rows = {0, 1};
+  ColumnData col = ColumnData::Gather(src, rows.data(), 2);
+  EXPECT_FALSE(col.sealed());
+  // A gathered column has no intern map; the one rebuilt on append must
+  // dedupe against the gathered dictionary.
   col.Append(CellView::String("a"));
   EXPECT_EQ(col.dict_size(), 2u);
   EXPECT_EQ(col.code(0), col.code(2));
@@ -398,6 +400,26 @@ TEST(ColumnDataTest, ProjectDistinctSurvivesHashCollisionSemantics) {
   EXPECT_EQ(p.num_rows(), 3);
 }
 
+TEST(RowDeduperTest, ConfirmsEqualHashesCellByCell) {
+  // Every row offered under one hash: only exact cell comparison tells
+  // distinct rows from duplicates, along one long probe chain.
+  const std::vector<CellView> cells = {
+      CellView::String("a"), CellView::String("b"), CellView::String("a"),
+      CellView::Int(2),      CellView::Double(2.0), CellView::String("c")};
+  auto cell_at = [&cells](int64_t token, int) { return cells[token]; };
+  RowDeduper deduper;
+  deduper.Reset(static_cast<int64_t>(cells.size()));
+  std::vector<bool> kept;
+  for (int64_t t = 0; t < static_cast<int64_t>(cells.size()); ++t) {
+    kept.push_back(deduper.Insert(/*row_hash=*/42, t, 1, cell_at));
+  }
+  // "a" repeats; Int(2) and Double(2.0) compare equal.
+  EXPECT_EQ(kept, (std::vector<bool>{true, true, false, true, false, true}));
+  // Reset forgets every kept row.
+  deduper.Reset(1);
+  EXPECT_TRUE(deduper.Insert(42, 2, 1, cell_at));
+}
+
 TEST(ColumnDataTest, ApproxBytesShrinksForRepetitiveStrings) {
   Schema schema;
   schema.AddAttribute(Attribute{"s", ValueType::kString});
@@ -412,6 +434,176 @@ TEST(ColumnDataTest, ApproxBytesShrinksForRepetitiveStrings) {
   // be far below one owned std::string per cell.
   size_t seed_floor = 1000 * sizeof(Value);
   EXPECT_LT(t.ApproxBytes(), seed_floor);
+}
+
+// -------------------------------- Gather ---------------------------------
+
+std::string Serialized(const ColumnData& col) {
+  SerdeWriter w;
+  col.SaveTo(&w);
+  return w.buffer();
+}
+
+// Gather must equal Append()ing the selected cells one by one to an empty
+// column: encoding, tallies, dictionary entries in first-occurrence order,
+// and every cell with its hash — and, as a catch-all, the serialized bytes.
+void ExpectGatherEqualsAppends(const ColumnData& src,
+                               const std::vector<int64_t>& rows,
+                               const std::string& what) {
+  SCOPED_TRACE(what);
+  ColumnData want;
+  for (int64_t r : rows) want.Append(src.cell(r));
+  ColumnData got = ColumnData::Gather(src, rows.data(),
+                                      static_cast<int64_t>(rows.size()));
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.encoding(), want.encoding());
+  EXPECT_EQ(got.null_count(), want.null_count());
+  EXPECT_EQ(got.int_count(), want.int_count());
+  EXPECT_EQ(got.double_count(), want.double_count());
+  EXPECT_EQ(got.string_count(), want.string_count());
+  ASSERT_EQ(got.dict_size(), want.dict_size());
+  for (uint32_t c = 0; c < got.dict_size(); ++c) {
+    EXPECT_EQ(got.dict_entry(c).type(), want.dict_entry(c).type()) << c;
+    EXPECT_EQ(got.dict_entry(c).Compare(want.dict_entry(c)), 0) << c;
+    EXPECT_EQ(got.dict_entry_hash(c), want.dict_entry_hash(c)) << c;
+  }
+  for (int64_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got.cell(r).type(), want.cell(r).type()) << r;
+    EXPECT_EQ(got.cell(r).Compare(want.cell(r)), 0) << r;
+    EXPECT_EQ(got.CellHash(r), want.CellHash(r)) << r;
+  }
+  EXPECT_EQ(Serialized(got), Serialized(want));
+}
+
+ColumnData MakeColumn(int n, CellView (*cell_at)(int)) {
+  ColumnData col;
+  for (int i = 0; i < n; ++i) col.Append(cell_at(i));
+  return col;
+}
+
+// String cells view this table of literals, so they outlive every column.
+const std::string& Text(int i) {
+  static const std::vector<std::string> texts = [] {
+    std::vector<std::string> t;
+    for (int k = 0; k < 16; ++k) t.push_back("s" + std::to_string(k));
+    t.push_back("");
+    t.push_back(std::string(100, 'x'));
+    return t;
+  }();
+  return texts[static_cast<size_t>(i) % texts.size()];
+}
+
+TEST(ColumnGatherTest, EqualsPerCellAppendForEveryEncodingAndSelection) {
+  constexpr int kRows = 150;  // spans three bitmap words
+  struct Source {
+    std::string name;
+    ColumnData col;
+  };
+  std::vector<Source> sources;
+  sources.push_back({"ints", MakeColumn(kRows, [](int i) {
+                       return i % 7 == 0 ? CellView::Null()
+                                         : CellView::Int(i * 3 - 50);
+                     })});
+  sources.push_back({"doubles", MakeColumn(kRows, [](int i) {
+                       return i % 5 == 0 ? CellView::Null()
+                                         : CellView::Double(i * 0.5 - 3);
+                     })});
+  sources.push_back({"numeric", MakeColumn(kRows, [](int i) {
+                       if (i % 6 == 0) return CellView::Null();
+                       if (i % 11 == 1) return CellView::Double(-0.0);
+                       return i % 2 ? CellView::Int(i % 9)
+                                    : CellView::Double(i % 9 + 0.25);
+                     })});
+  sources.push_back({"strings", MakeColumn(kRows, [](int i) {
+                       return i % 9 == 0 ? CellView::Null()
+                                         : CellView::String(Text(i % 13));
+                     })});
+  sources.push_back({"dict_mixed", MakeColumn(kRows, [](int i) {
+                       switch (i % 4) {
+                         case 0:
+                           return CellView::Int(i % 5);
+                         case 1:
+                           return CellView::Double(i % 3 + 0.5);
+                         case 2:
+                           return CellView::String(Text(i % 7));
+                       }
+                       return CellView::Null();
+                     })});
+  sources.push_back({"all_null", MakeColumn(kRows, [](int) {
+                       return CellView::Null();
+                     })});
+  // Sealed dictionaries are sorted, so source code order differs from the
+  // first-occurrence order a gather must produce.
+  for (size_t i = 0, n = sources.size(); i < n; ++i) {
+    Source sealed{sources[i].name + "_sealed", sources[i].col};
+    sealed.col.Seal();
+    sources.push_back(std::move(sealed));
+  }
+  ASSERT_EQ(sources[0].col.encoding(), ColumnEncoding::kInt64);
+  ASSERT_EQ(sources[1].col.encoding(), ColumnEncoding::kDouble);
+  ASSERT_EQ(sources[2].col.encoding(), ColumnEncoding::kNumeric);
+  ASSERT_EQ(sources[3].col.encoding(), ColumnEncoding::kDict);
+  ASSERT_EQ(sources[4].col.encoding(), ColumnEncoding::kDict);
+
+  for (const Source& s : sources) {
+    const ColumnData& col = s.col;
+    std::vector<std::pair<std::string, std::vector<int64_t>>> selections;
+    std::vector<int64_t> all, reversed, strided, nulls;
+    for (int64_t r = 0; r < col.size(); ++r) {
+      all.push_back(r);
+      reversed.push_back(col.size() - 1 - r);
+      if (r % 3 == 1) strided.push_back(r);
+      if (col.is_null(r)) nulls.push_back(r);
+    }
+    selections.push_back({"all", all});
+    selections.push_back({"reversed", reversed});
+    selections.push_back({"strided", strided});
+    selections.push_back({"repeated", {3, 3, 1, 3, 1, 0, 2, 2, 149, 3}});
+    selections.push_back({"empty", {}});
+    selections.push_back({"all_null", nulls});
+    // One selection per cell type and for ints with doubles (with and
+    // without nulls): a dictionary source whose selected rows hold no
+    // string must leave the dictionary encoding.
+    for (ValueType t : {ValueType::kInt, ValueType::kDouble,
+                        ValueType::kString}) {
+      std::vector<int64_t> only;
+      for (int64_t r = 0; r < col.size(); ++r) {
+        if (col.cell(r).type() == t) only.push_back(r);
+      }
+      selections.push_back({std::string("only_") + ValueTypeToString(t),
+                            only});
+    }
+    std::vector<int64_t> numbers, numbers_and_nulls;
+    for (int64_t r = 0; r < col.size(); ++r) {
+      if (col.cell(r).type() != ValueType::kString) {
+        numbers_and_nulls.push_back(r);
+        if (!col.is_null(r)) numbers.push_back(r);
+      }
+    }
+    selections.push_back({"numbers", numbers});
+    selections.push_back({"numbers_and_nulls", numbers_and_nulls});
+    for (const auto& [name, rows] : selections) {
+      ExpectGatherEqualsAppends(col, rows, s.name + "/" + name);
+    }
+  }
+}
+
+TEST(ColumnGatherTest, DictSourceWithoutSelectedStringsLeavesDict) {
+  ColumnData src;
+  src.Append(CellView::String("a"));
+  src.Append(CellView::Int(4));
+  src.Append(CellView::Double(1.5));
+  src.Append(CellView::Null());
+  ASSERT_TRUE(src.is_dict());
+  auto gather = [&src](std::vector<int64_t> rows) {
+    return ColumnData::Gather(src, rows.data(),
+                              static_cast<int64_t>(rows.size()));
+  };
+  EXPECT_EQ(gather({1, 3}).encoding(), ColumnEncoding::kInt64);
+  EXPECT_EQ(gather({3, 2}).encoding(), ColumnEncoding::kDouble);
+  EXPECT_EQ(gather({2, 1}).encoding(), ColumnEncoding::kNumeric);
+  EXPECT_EQ(gather({3}).encoding(), ColumnEncoding::kInt64);
+  EXPECT_EQ(gather({1, 0}).encoding(), ColumnEncoding::kDict);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/join_graph_search.h"
 
 namespace ver {
@@ -130,15 +132,53 @@ TEST_F(JoinGraphSearchTest, MaterializationSplitDefersViews) {
   EXPECT_FALSE(views.empty());
 }
 
+// Ranked by score descending, ties by graph signature ascending. Returns
+// how many adjacent pairs tie on score with different signatures.
+int ExpectRanked(const std::vector<ViewCandidate>& candidates) {
+  int ties = 0;
+  for (size_t i = 1; i < candidates.size(); ++i) {
+    const ViewCandidate& prev = candidates[i - 1];
+    const ViewCandidate& cur = candidates[i];
+    EXPECT_GE(prev.score, cur.score) << i;
+    if (prev.score != cur.score) continue;
+    EXPECT_LE(prev.graph.Signature(), cur.graph.Signature()) << i;
+    if (prev.graph.Signature() != cur.graph.Signature()) ++ties;
+  }
+  return ties;
+}
+
 TEST_F(JoinGraphSearchTest, CandidatesSortedByScore) {
   std::vector<ColumnSelectionResult> per_attr = {
       Candidates(*repo_, {{0, 0}, {0, 1}}),
       Candidates(*repo_, {{1, 1}})};
   JoinGraphSearchResult result =
       SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
-  for (size_t i = 1; i < result.candidates.size(); ++i) {
-    EXPECT_GE(result.candidates[i - 1].score, result.candidates[i].score);
+  ExpectRanked(result.candidates);
+
+  // Three tables over one key domain: every spanning pair of the triangle
+  // a-b-c is a two-edge graph of the same score, so ranking must fall back
+  // to the signature order.
+  TableRepository triangle;
+  for (const char* name : {"a", "b", "c"}) {
+    Schema schema;
+    schema.AddAttribute(Attribute{"k", ValueType::kString});
+    schema.AddAttribute(Attribute{std::string("v_") + name,
+                                  ValueType::kString});
+    Table t(name, schema);
+    for (int i = 0; i < 12; ++i) {
+      (void)t.AppendRow({Value::String("x" + std::to_string(i)),
+                         Value::String(name + std::to_string(i))});
+    }
+    t.InferColumnTypes();
+    ASSERT_TRUE(triangle.AddTable(std::move(t)).ok());
   }
+  std::unique_ptr<DiscoveryEngine> engine = DiscoveryEngine::Build(triangle);
+  std::vector<ColumnSelectionResult> spanning = {
+      Candidates(triangle, {{0, 1}}), Candidates(triangle, {{1, 1}}),
+      Candidates(triangle, {{2, 1}})};
+  JoinGraphSearchResult tied =
+      SearchJoinGraphs(*engine, spanning, JoinGraphSearchOptions());
+  EXPECT_GE(ExpectRanked(tied.candidates), 2);
 }
 
 TEST_F(JoinGraphSearchTest, CombinationGuardStopsEnumeration) {

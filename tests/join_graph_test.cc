@@ -119,11 +119,21 @@ TEST_F(JoinPathTest, GraphsAreDeduplicated) {
 }
 
 TEST_F(JoinPathTest, ScoresAreSortedDescending) {
-  std::vector<JoinGraph> graphs =
-      engine_->GenerateJoinGraphs({Tid("a"), Tid("c")}, 2);
-  for (size_t i = 1; i < graphs.size(); ++i) {
-    EXPECT_GE(graphs[i - 1].score, graphs[i].score);
+  // Ties on score must rank by signature ascending. {a, c} has no tie;
+  // {a, b, c} spans the triangle with three two-edge graphs of one score.
+  int ties = 0;
+  for (const std::vector<int32_t>& tables :
+       {std::vector<int32_t>{Tid("a"), Tid("c")},
+        std::vector<int32_t>{Tid("a"), Tid("b"), Tid("c")}}) {
+    std::vector<JoinGraph> graphs = engine_->GenerateJoinGraphs(tables, 2);
+    for (size_t i = 1; i < graphs.size(); ++i) {
+      EXPECT_GE(graphs[i - 1].score, graphs[i].score);
+      if (graphs[i - 1].score != graphs[i].score) continue;
+      EXPECT_LT(graphs[i - 1].Signature(), graphs[i].Signature());
+      ++ties;
+    }
   }
+  EXPECT_GE(ties, 2);
 }
 
 TEST_F(JoinPathTest, FewerHopsRankHigher) {
