@@ -1,9 +1,9 @@
 #include "core/join_graph_search.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
-#include <unordered_set>
+
+#include "util/hash.h"
 
 namespace ver {
 
@@ -45,8 +45,9 @@ JoinGraphSearchResult SearchJoinGraphs(
     const JoinGraphSearchOptions& options) {
   JoinGraphSearchResult result;
 
+  const size_t arity = per_attribute.size();
   std::vector<size_t> sizes;
-  sizes.reserve(per_attribute.size());
+  sizes.reserve(arity);
   for (const auto& attr : per_attribute) {
     sizes.push_back(attr.candidates.size());
   }
@@ -55,24 +56,24 @@ JoinGraphSearchResult SearchJoinGraphs(
   std::set<std::pair<int32_t, int32_t>> non_joinable;
   // Joinable table groups seen (funnel statistic).
   std::set<std::vector<int32_t>> joinable_groups;
-  // Dedup of (graph, projection) candidates.
-  std::unordered_set<std::string> seen_candidates;
-  // Graph signature of each kept candidate: computed once, for the dedup
-  // key and then the ranking tie-break.
-  std::vector<std::string> signatures;
+  // Step 1's join graphs in enumeration order, each with the index of its
+  // column combination; combination c is combos[c * arity, (c + 1) * arity).
+  std::vector<JoinGraph> graphs;
+  std::vector<size_t> graph_combo;
+  std::vector<ColumnRef> combos;
+  std::vector<int32_t> tables;
 
   for (CombinationIterator it(sizes); !it.done(); it.Next()) {
     if (result.num_combinations >= options.max_combinations) break;
     ++result.num_combinations;
 
-    std::vector<ColumnRef> combo;
-    combo.reserve(per_attribute.size());
-    for (size_t a = 0; a < per_attribute.size(); ++a) {
-      combo.push_back(per_attribute[a].candidates[it.indices()[a]].ref);
+    const size_t combo_begin = combos.size();
+    tables.clear();
+    for (size_t a = 0; a < arity; ++a) {
+      const ColumnRef& c = per_attribute[a].candidates[it.indices()[a]].ref;
+      combos.push_back(c);
+      tables.push_back(c.table_id);
     }
-
-    std::vector<int32_t> tables;
-    for (const ColumnRef& c : combo) tables.push_back(c.table_id);
     std::sort(tables.begin(), tables.end());
     tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
 
@@ -86,15 +87,21 @@ JoinGraphSearchResult SearchJoinGraphs(
         }
       }
     }
-    if (pruned) continue;
+    if (pruned) {
+      combos.resize(combo_begin);
+      continue;
+    }
 
-    std::vector<JoinGraph> graphs =
+    std::vector<JoinGraph> found =
         engine.GenerateJoinGraphs(tables, options.max_hops);
-    if (graphs.empty()) {
+    if (found.empty()) {
+      combos.resize(combo_begin);
       // Record which pair is unreachable so future combinations skip it.
+      // A 2-table set is its own only pair, so its empty result answers it.
       for (size_t i = 0; i < tables.size(); ++i) {
         for (size_t j = i + 1; j < tables.size(); ++j) {
-          if (engine
+          if (tables.size() == 2 ||
+              engine
                   .GenerateJoinGraphs({tables[i], tables[j]},
                                       options.max_hops)
                   .empty()) {
@@ -106,45 +113,66 @@ JoinGraphSearchResult SearchJoinGraphs(
     }
 
     joinable_groups.insert(tables);
-    for (JoinGraph& g : graphs) {
-      ViewCandidate cand;
-      cand.projection = combo;
-      cand.score = g.score;
-      cand.graph = std::move(g);
-      std::string signature = cand.graph.Signature();
-      std::string key = signature + "|";
-      std::vector<uint64_t> proj;
-      for (const ColumnRef& c : cand.projection) proj.push_back(c.Encode());
-      std::sort(proj.begin(), proj.end());
-      for (uint64_t p : proj) {
-        key += std::to_string(p);
-        key.push_back(',');
-      }
-      if (seen_candidates.insert(std::move(key)).second) {
-        result.candidates.push_back(std::move(cand));
-        signatures.push_back(std::move(signature));
-      }
+    for (JoinGraph& g : found) {
+      graphs.push_back(std::move(g));
+      graph_combo.push_back(combo_begin / arity);
+    }
+  }
+
+  // Dedupe (graph, projection) candidates, keeping first occurrences: a
+  // duplicate has an equal signature and an equal multiset of projection
+  // columns. Sorted projections and their hashes are per combination.
+  const size_t num_combos = arity == 0 ? 0 : combos.size() / arity;
+  std::vector<uint64_t> sorted_projections(combos.size());
+  std::vector<uint64_t> projection_hashes(num_combos);
+  for (size_t c = 0; c < num_combos; ++c) {
+    uint64_t* p = sorted_projections.data() + c * arity;
+    for (size_t a = 0; a < arity; ++a) p[a] = combos[c * arity + a].Encode();
+    std::sort(p, p + arity);
+    uint64_t h = 0;
+    for (size_t a = 0; a < arity; ++a) h = HashCombine(h, p[a]);
+    projection_hashes[c] = h;
+  }
+  SignatureKeys keys;
+  for (const JoinGraph& g : graphs) keys.Append(g);
+  RowDeduper deduper;
+  deduper.Reset(static_cast<int64_t>(graphs.size()));
+  auto same_candidate = [&](int64_t a, int64_t b) {
+    const uint64_t* pa = sorted_projections.data() + graph_combo[a] * arity;
+    const uint64_t* pb = sorted_projections.data() + graph_combo[b] * arity;
+    return std::equal(pa, pa + arity, pb) &&
+           keys.Compare(static_cast<size_t>(a), static_cast<size_t>(b)) == 0;
+  };
+  std::vector<size_t> kept;
+  for (size_t k = 0; k < graphs.size(); ++k) {
+    const uint64_t hash = HashCombine(SignatureHash(graphs[k]),
+                                      projection_hashes[graph_combo[k]]);
+    if (deduper.Insert(hash, static_cast<int64_t>(k), same_candidate)) {
+      kept.push_back(k);
     }
   }
 
   result.num_joinable_groups = static_cast<int64_t>(joinable_groups.size());
-  result.num_join_graphs = static_cast<int64_t>(result.candidates.size());
+  result.num_join_graphs = static_cast<int64_t>(kept.size());
 
-  // Step 2: rank and materialize top-k. Sorting a permutation makes the
+  // Step 2: rank and materialize top-k. Sorting the kept indices makes the
   // same comparisons std::sort would make on the candidates themselves, so
   // candidates with equal (score, signature) keep the same relative order.
-  std::vector<size_t> order(result.candidates.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double sa = result.candidates[a].score;
-    const double sb = result.candidates[b].score;
+  std::sort(kept.begin(), kept.end(), [&](size_t a, size_t b) {
+    const double sa = graphs[a].score;
+    const double sb = graphs[b].score;
     if (sa != sb) return sa > sb;
-    return signatures[a] < signatures[b];
+    return keys.Compare(a, b) < 0;
   });
-  std::vector<ViewCandidate> ranked;
-  ranked.reserve(order.size());
-  for (size_t i : order) ranked.push_back(std::move(result.candidates[i]));
-  result.candidates = std::move(ranked);
+  result.candidates.reserve(kept.size());
+  for (size_t k : kept) {
+    ViewCandidate cand;
+    const ColumnRef* combo = combos.data() + graph_combo[k] * arity;
+    cand.projection.assign(combo, combo + arity);
+    cand.score = graphs[k].score;
+    cand.graph = std::move(graphs[k]);
+    result.candidates.push_back(std::move(cand));
+  }
 
   if (options.materialize_views) {
     result.views =
@@ -169,11 +197,18 @@ bool CandidateMaterializer::Materialize(const ViewCandidate& candidate) {
   // Views with identical content are still distinct candidates (the 4C
   // stage is what merges compatible views); dedupe only exact
   // graph+projection duplicates produced by symmetric enumeration.
-  std::string key = candidate.graph.Signature();
+  uint64_t hash = SignatureHash(candidate.graph);
   for (const ColumnRef& c : candidate.projection) {
-    key += "|" + std::to_string(c.Encode());
+    hash = HashCombine(hash, c.Encode());
   }
-  if (!seen_views_.insert(key).second) return false;
+  auto same_view = [&](int64_t kept, int64_t) {
+    const View& v = views_[static_cast<size_t>(kept)];
+    return v.projection == candidate.projection &&
+           CompareSignatures(v.graph, candidate.graph) == 0;
+  };
+  const int64_t token = static_cast<int64_t>(views_.size());
+  seen_views_.Reserve(token + 1);
+  if (!seen_views_.Insert(hash, token, same_view)) return false;
   ++next_id_;
   views_.push_back(std::move(view).value());
   return true;

@@ -10,14 +10,13 @@
 #ifndef VER_CORE_JOIN_GRAPH_SEARCH_H_
 #define VER_CORE_JOIN_GRAPH_SEARCH_H_
 
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/column_selection.h"
 #include "core/query.h"
 #include "discovery/engine.h"
 #include "engine/materializer.h"
+#include "util/row_deduper.h"
 
 namespace ver {
 
@@ -93,6 +92,8 @@ class CandidateMaterializer {
   bool Materialize(const ViewCandidate& candidate);
 
   const std::vector<View>& views() const { return views_; }
+  /// Moves the kept views out; the instance must not be used afterwards
+  /// (its duplicate check reads the kept views).
   std::vector<View> TakeViews() { return std::move(views_); }
   int64_t num_failures() const { return num_failures_; }
 
@@ -106,7 +107,8 @@ class CandidateMaterializer {
   Materializer materializer_;
   MaterializeOptions options_;
   std::vector<View> views_;
-  std::unordered_set<std::string> seen_views_;
+  // Kept views by graph signature and projection; tokens index views_.
+  RowDeduper seen_views_;
   int64_t next_id_ = 0;
   int64_t num_failures_ = 0;
 };

@@ -1,8 +1,27 @@
 #include "discovery/join_graph.h"
 
 #include <algorithm>
+#include <array>
+
+#include "util/hash.h"
 
 namespace ver {
+
+namespace {
+
+// 10^k for k = 0..19; 10^19 is the largest power of ten in a uint64_t.
+constexpr std::array<uint64_t, 20> Pow10Table() {
+  std::array<uint64_t, 20> table{};
+  uint64_t p = 1;
+  for (uint64_t& t : table) {
+    t = p;
+    p *= 10;  // wraps, unused, after the last entry
+  }
+  return table;
+}
+constexpr std::array<uint64_t, 20> kPow10 = Pow10Table();
+
+}  // namespace
 
 std::string JoinGraph::Signature() const {
   std::vector<std::pair<uint64_t, uint64_t>> encs;
@@ -25,6 +44,93 @@ std::string JoinGraph::Signature() const {
     }
   }
   return sig;
+}
+
+SignatureKeys::Token SignatureKeys::MakeToken(uint64_t magnitude,
+                                              bool negative,
+                                              bool high_terminator) {
+  int digits = 1;
+  while (digits < 20 && magnitude >= kPow10[digits]) ++digits;
+  // The digits padded to 20 with the terminator's pad digit, split into
+  // the first 18 (< 10^18 < 2^60) and the last 2.
+  uint64_t first18 = 0, last2 = 0;
+  if (digits <= 18) {
+    const uint64_t scale = kPow10[18 - digits];
+    first18 = magnitude * scale + (high_terminator ? scale - 1 : 0);
+    last2 = high_terminator ? 99 : 0;
+  } else if (digits == 19) {
+    first18 = magnitude / 10;
+    last2 = magnitude % 10 * 10 + (high_terminator ? 9 : 0);
+  } else {
+    first18 = magnitude / 100;
+    last2 = magnitude % 100;
+  }
+  // Equal padded digits: the shorter number's terminator meets a digit of
+  // the longer one, so a shorter number before ',' sorts first and one
+  // before ':' or ';' sorts last. Equal numbers order ',' before ':' and
+  // ';', which never meet each other at one token position.
+  const uint64_t tie_break =
+      static_cast<uint64_t>(high_terminator ? 41 - digits : digits);
+  return Token{(negative ? 0 : uint64_t{1} << 63) | first18,
+               last2 * 64 + tie_break};
+}
+
+void SignatureKeys::Append(const JoinGraph& graph) {
+  if (graph.edges.empty()) {
+    for (int32_t t : graph.tables) {
+      const int64_t id = t;
+      tokens_.push_back(MakeToken(static_cast<uint64_t>(id < 0 ? -id : id),
+                                  id < 0, /*high_terminator=*/false));
+    }
+  } else {
+    encodings_.clear();
+    for (const JoinEdge& e : graph.edges) {
+      encodings_.push_back(e.CanonicalEncoding());
+    }
+    std::sort(encodings_.begin(), encodings_.end());
+    for (const auto& [a, b] : encodings_) {
+      tokens_.push_back(MakeToken(a, false, /*high_terminator=*/true));
+      tokens_.push_back(MakeToken(b, false, /*high_terminator=*/true));
+    }
+  }
+  ends_.push_back(tokens_.size());
+}
+
+int SignatureKeys::Compare(size_t a, size_t b) const {
+  const Token* x = tokens_.data() + (a == 0 ? 0 : ends_[a - 1]);
+  const Token* x_end = tokens_.data() + ends_[a];
+  const Token* y = tokens_.data() + (b == 0 ? 0 : ends_[b - 1]);
+  const Token* y_end = tokens_.data() + ends_[b];
+  for (; x != x_end && y != y_end; ++x, ++y) {
+    if (*x != *y) return *x < *y ? -1 : 1;
+  }
+  // A signature that is a proper prefix of the other sorts first.
+  return (x != x_end) - (y != y_end);
+}
+
+int CompareSignatures(const JoinGraph& a, const JoinGraph& b) {
+  SignatureKeys keys;
+  keys.Append(a);
+  keys.Append(b);
+  return keys.Compare(0, 1);
+}
+
+uint64_t SignatureHash(const JoinGraph& graph) {
+  if (graph.edges.empty()) {
+    uint64_t h = 0;
+    for (int32_t t : graph.tables) {
+      h = HashCombine(h, static_cast<uint32_t>(t));
+    }
+    return h;
+  }
+  // Signature() sorts the edges, so sum per-edge hashes: the sum does not
+  // depend on edge order or orientation.
+  uint64_t sum = 0;
+  for (const JoinEdge& e : graph.edges) {
+    auto [a, b] = e.CanonicalEncoding();
+    sum += Mix64(HashCombine(Mix64(a), b));
+  }
+  return HashCombine(sum, graph.edges.size());
 }
 
 std::string JoinGraph::ToString(const TableRepository& repo) const {

@@ -1,15 +1,48 @@
 #include "discovery/join_path_index.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
-#include <unordered_set>
 
 #include "util/check.h"
+#include "util/row_deduper.h"
 
 namespace ver {
 
 namespace {
+
+// Lists stored back to back in one vector: list k is
+// items[begin(k), ends[k]).
+template <typename T>
+struct FlatLists {
+  std::vector<T> items;
+  std::vector<size_t> ends;
+
+  size_t size() const { return ends.size(); }
+  size_t begin(size_t k) const { return k == 0 ? 0 : ends[k - 1]; }
+  size_t length(size_t k) const { return ends[k] - begin(k); }
+  const T* data(size_t k) const { return items.data() + begin(k); }
+  T* data(size_t k) { return items.data() + begin(k); }
+  void EndList() { ends.push_back(items.size()); }
+  void Append(const T* first, size_t n) {
+    items.insert(items.end(), first, first + n);
+  }
+  void Truncate(size_t n) {
+    if (n >= size()) return;
+    ends.resize(n);
+    items.resize(n == 0 ? 0 : ends.back());
+  }
+  void clear() {
+    items.clear();
+    ends.clear();
+  }
+};
+
+bool CanonicalLess(const JoinEdge& a, const JoinEdge& b) {
+  return a.CanonicalEncoding() < b.CanonicalEncoding();
+}
+
+bool CanonicalEqual(const JoinEdge& a, const JoinEdge& b) {
+  return a.CanonicalEncoding() == b.CanonicalEncoding();
+}
 
 std::pair<int32_t, int32_t> TableKey(int32_t a, int32_t b) {
   return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
@@ -333,19 +366,24 @@ void JoinPathIndex::AppendFlatEdge(uint32_t o,
 std::vector<JoinEdge> JoinPathIndex::EdgesBetween(int32_t table_a,
                                                   int32_t table_b) const {
   std::vector<JoinEdge> out;
+  AppendEdgesBetween(table_a, table_b, &out);
+  return out;
+}
+
+void JoinPathIndex::AppendEdgesBetween(int32_t table_a, int32_t table_b,
+                                       std::vector<JoinEdge>* out) const {
   std::pair<int32_t, int32_t> key = TableKey(table_a, table_b);
   if (!flat_edges_.pair_keys.empty()) {
     ptrdiff_t i = flat_edges_.find(PairKey(key));
     if (i >= 0) {
       auto [b, e] = flat_edges_.edge_range(static_cast<size_t>(i));
-      for (uint32_t o = b; o < e; ++o) AppendFlatEdge(o, &out);
+      for (uint32_t o = b; o < e; ++o) AppendFlatEdge(o, out);
     }
   }
   auto it = pair_edges_.find(key);
   if (it != pair_edges_.end()) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    out->insert(out->end(), it->second.begin(), it->second.end());
   }
-  return out;
 }
 
 std::vector<int32_t> JoinPathIndex::AdjacentTables(int32_t table) const {
@@ -353,60 +391,82 @@ std::vector<int32_t> JoinPathIndex::AdjacentTables(int32_t table) const {
   return it == adjacency_.end() ? std::vector<int32_t>{} : it->second;
 }
 
-std::vector<std::vector<int32_t>> JoinPathIndex::TablePaths(
-    int32_t from, int32_t to, int max_hops) const {
-  std::vector<std::vector<int32_t>> paths;
-  std::vector<int32_t> current{from};
-  std::unordered_set<int32_t> on_path{from};
+struct JoinPathIndex::Scratch {
+  FlatLists<int32_t> paths;     // table paths of the current chain link
+  FlatLists<JoinEdge> choices;  // ExpandPath: column pairs per hop
+  std::vector<size_t> pick;     // ExpandPath: the product's odometer
+  FlatLists<JoinEdge> segment;  // join graphs of the current chain link
+};
 
-  // Depth-first enumeration of simple paths with at most max_hops edges.
-  std::function<void(int32_t, int)> dfs = [&](int32_t node, int hops_left) {
-    if (node == to) {
-      paths.push_back(current);
-      return;
-    }
-    if (hops_left == 0) return;
+void JoinPathIndex::TablePaths(int32_t from, int32_t to, int max_hops,
+                               Scratch* scratch) const {
+  FlatLists<int32_t>& paths = scratch->paths;
+  paths.clear();
+  std::vector<int32_t> current{from};
+  auto emit = [&] {
+    paths.Append(current.data(), current.size());
+    paths.items.push_back(to);
+    paths.EndList();
+  };
+  // Visits `node` (!= to) with hops_left >= 1 edges still allowed.
+  auto dfs = [&](auto& self, int32_t node, int hops_left) -> void {
     auto it = adjacency_.find(node);
     if (it == adjacency_.end()) return;
-    for (int32_t next : it->second) {
-      if (on_path.count(next)) continue;
+    const std::vector<int32_t>& neighbors = it->second;
+    if (hops_left == 1) {
+      // At the last hop only `to` can end a path.
+      if (std::binary_search(neighbors.begin(), neighbors.end(), to)) emit();
+      return;
+    }
+    for (int32_t next : neighbors) {
+      if (next == to) {
+        emit();
+        continue;
+      }
+      // The path holds at most max_hops + 1 tables: a linear scan is the
+      // cheapest on-path test.
+      if (std::find(current.begin(), current.end(), next) != current.end()) {
+        continue;
+      }
       current.push_back(next);
-      on_path.insert(next);
-      dfs(next, hops_left - 1);
-      on_path.erase(next);
+      self(self, next, hops_left - 1);
       current.pop_back();
     }
   };
-  if (from == to) {
-    paths.push_back(current);
-    return paths;
-  }
-  dfs(from, max_hops);
-  return paths;
+  dfs(dfs, from, max_hops);
 }
 
-void JoinPathIndex::ExpandPath(const std::vector<int32_t>& path,
-                               std::vector<JoinGraph>* out) const {
-  if (path.size() < 2) return;
-  // Cartesian product of column-pair choices along the path, capped.
-  std::vector<JoinGraph> partial{JoinGraph{}};
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const std::vector<JoinEdge> choices = EdgesBetween(path[i], path[i + 1]);
-    if (choices.empty()) return;  // path not realizable
-    std::vector<JoinGraph> next;
-    for (const JoinGraph& g : partial) {
-      for (const JoinEdge& e : choices) {
-        if (static_cast<int>(next.size()) >= options_.max_graphs_per_path) {
-          break;
-        }
-        JoinGraph g2 = g;
-        g2.edges.push_back(e);
-        next.push_back(std::move(g2));
-      }
-    }
-    partial = std::move(next);
+void JoinPathIndex::ExpandPath(const int32_t* path, size_t num_tables,
+                               Scratch* scratch) const {
+  VER_DCHECK(num_tables >= 2);
+  const size_t hops = num_tables - 1;
+  FlatLists<JoinEdge>& choices = scratch->choices;
+  choices.clear();
+  const size_t cap =
+      static_cast<size_t>(std::max(0, options_.max_graphs_per_path));
+  size_t total = 1;
+  for (size_t h = 0; h < hops; ++h) {
+    AppendEdgesBetween(path[h], path[h + 1], &choices.items);
+    choices.EndList();
+    if (choices.length(h) == 0) return;  // path not realizable
+    total = std::min(cap, total * choices.length(h));
   }
-  for (JoinGraph& g : partial) out->push_back(std::move(g));
+  // Capping after every hop keeps a lexicographic prefix of that hop's
+  // product, so the capped product is the first `total` choice tuples in
+  // lexicographic order, the last hop varying fastest.
+  std::vector<size_t>& pick = scratch->pick;
+  pick.assign(hops, 0);
+  FlatLists<JoinEdge>& out = scratch->segment;
+  for (size_t n = 0; n < total; ++n) {
+    for (size_t h = 0; h < hops; ++h) {
+      out.items.push_back(choices.data(h)[pick[h]]);
+    }
+    out.EndList();
+    for (size_t h = hops; h-- > 0;) {
+      if (++pick[h] < choices.length(h)) break;
+      pick[h] = 0;
+    }
+  }
 }
 
 std::vector<JoinGraph> JoinPathIndex::GenerateJoinGraphs(
@@ -425,70 +485,77 @@ std::vector<JoinGraph> JoinPathIndex::GenerateJoinGraphs(
     graphs.push_back(std::move(g));
     return graphs;
   }
+  if (max_hops < 1) return graphs;  // no route may use an edge
 
   // Pairwise paths composed along a spanning chain t0-t1, t1-t2, ...
   // For tau = 2 (the common QBE case) this is exact path enumeration; for
   // tau > 2 it is a spanning-tree approximation of Steiner enumeration.
-  std::vector<JoinGraph> partial{JoinGraph{}};
+  // Graphs stay flat edge lists until every cap and composition is done.
+  const size_t max_total =
+      static_cast<size_t>(std::max(0, options_.max_total_graphs));
+  Scratch scratch;
+  FlatLists<JoinEdge> composed, next;
   for (size_t i = 0; i + 1 < unique_tables.size(); ++i) {
-    std::vector<std::vector<int32_t>> paths =
-        TablePaths(unique_tables[i], unique_tables[i + 1], max_hops);
-    if (paths.empty()) return {};  // pair not connectable within rho
-    std::vector<JoinGraph> segment_graphs;
-    for (const auto& path : paths) {
-      ExpandPath(path, &segment_graphs);
-      if (static_cast<int>(segment_graphs.size()) >=
-          options_.max_total_graphs) {
-        break;
+    TablePaths(unique_tables[i], unique_tables[i + 1], max_hops, &scratch);
+    const FlatLists<int32_t>& paths = scratch.paths;
+    if (paths.size() == 0) return graphs;  // pair not connectable within rho
+    FlatLists<JoinEdge>& segment = scratch.segment;
+    segment.clear();
+    for (size_t p = 0; p < paths.size() && segment.size() < max_total; ++p) {
+      ExpandPath(paths.data(p), paths.length(p), &scratch);
+    }
+    if (i == 0) {
+      composed = std::move(segment);
+      composed.Truncate(max_total);
+      continue;
+    }
+    // Every (composed, segment) pair in lexicographic order, capped.
+    next.clear();
+    for (size_t g = 0; g < composed.size() && next.size() < max_total; ++g) {
+      for (size_t t = 0; t < segment.size() && next.size() < max_total; ++t) {
+        next.Append(composed.data(g), composed.length(g));
+        next.Append(segment.data(t), segment.length(t));
+        next.EndList();
       }
     }
-    std::vector<JoinGraph> next;
-    for (const JoinGraph& g : partial) {
-      for (const JoinGraph& seg : segment_graphs) {
-        if (static_cast<int>(next.size()) >= options_.max_total_graphs) break;
-        JoinGraph g2 = g;
-        g2.edges.insert(g2.edges.end(), seg.edges.begin(), seg.edges.end());
-        next.push_back(std::move(g2));
-      }
-    }
-    partial = std::move(next);
+    std::swap(composed, next);
   }
 
-  // Normalize, dedupe by signature, sort by score (ties by signature, each
-  // computed once).
-  std::unordered_set<std::string> seen;
-  std::vector<std::string> signatures;
-  for (JoinGraph& g : partial) {
-    // Drop duplicate edges introduced by composing overlapping segments.
-    std::sort(g.edges.begin(), g.edges.end(),
-              [](const JoinEdge& a, const JoinEdge& b) {
-                return a.CanonicalEncoding() < b.CanonicalEncoding();
-              });
-    g.edges.erase(std::unique(g.edges.begin(), g.edges.end(),
-                              [](const JoinEdge& a, const JoinEdge& b) {
-                                return a.CanonicalEncoding() ==
-                                       b.CanonicalEncoding();
-                              }),
-                  g.edges.end());
+  // Normalize each graph, allocating it once at its final size: sort its
+  // edges canonically and drop the duplicates that composing overlapping
+  // segments introduces. Then dedupe by signature, keeping first
+  // occurrences, and sort by score, ties by signature.
+  std::vector<JoinGraph> all;
+  all.reserve(composed.size());
+  SignatureKeys keys;
+  RowDeduper deduper;
+  deduper.Reset(static_cast<int64_t>(composed.size()));
+  auto same_signature = [&keys](int64_t a, int64_t b) {
+    return keys.Compare(static_cast<size_t>(a), static_cast<size_t>(b)) == 0;
+  };
+  std::vector<size_t> kept;
+  for (size_t k = 0; k < composed.size(); ++k) {
+    JoinEdge* first = composed.data(k);
+    JoinEdge* last = first + composed.length(k);
+    std::sort(first, last, CanonicalLess);
+    last = std::unique(first, last, CanonicalEqual);
+    JoinGraph g;
+    g.edges.assign(first, last);
     NormalizeJoinGraph(&g, unique_tables);
-    std::string signature = g.Signature();
-    if (seen.insert(signature).second) {
-      graphs.push_back(std::move(g));
-      signatures.push_back(std::move(signature));
+    keys.Append(g);
+    if (deduper.Insert(SignatureHash(g), static_cast<int64_t>(k),
+                       same_signature)) {
+      kept.push_back(k);
     }
+    all.push_back(std::move(g));
   }
-  std::vector<size_t> order(graphs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (graphs[a].score != graphs[b].score) {
-      return graphs[a].score > graphs[b].score;
-    }
-    return signatures[a] < signatures[b];
+  std::sort(kept.begin(), kept.end(), [&](size_t a, size_t b) {
+    if (all[a].score != all[b].score) return all[a].score > all[b].score;
+    return keys.Compare(a, b) < 0;
   });
-  std::vector<JoinGraph> ranked;
-  ranked.reserve(order.size());
-  for (size_t i : order) ranked.push_back(std::move(graphs[i]));
-  return ranked;
+  graphs.reserve(kept.size());
+  for (size_t k : kept) graphs.push_back(std::move(all[k]));
+  return graphs;
 }
 
 }  // namespace ver

@@ -30,8 +30,11 @@ struct JoinPathOptions {
   /// cartesian blowup of alternate keys along multi-hop paths. Units:
   /// graphs; default 64. No paper counterpart (implementation guard).
   int max_graphs_per_path = 64;
-  /// Cap on total join graphs per query. Units: graphs; default 4096.
-  /// No paper counterpart (implementation guard).
+  /// Cap on the join graphs of one GenerateJoinGraphs call, i.e. of one
+  /// column combination's table set. A query makes one call per
+  /// combination, so it can rank up to max_combinations (see
+  /// JoinGraphSearchOptions) x max_total_graphs candidates. Units: graphs;
+  /// default 4096. No paper counterpart (implementation guard).
   int max_total_graphs = 4096;
 };
 
@@ -69,8 +72,9 @@ class JoinPathIndex {
                       const std::vector<std::pair<int, int>>& pairs);
 
   /// All join graphs connecting `tables` where every inter-table route uses
-  /// at most `max_hops` join edges. With a single input table, returns the
-  /// single-table graph. Results are deduplicated and sorted by score.
+  /// at most `max_hops` join edges; `max_hops` < 1 allows no route. With a
+  /// single input table, returns the single-table graph. Results are
+  /// deduplicated and sorted by score descending, then by Signature().
   std::vector<JoinGraph> GenerateJoinGraphs(
       const std::vector<int32_t>& tables, int max_hops) const;
 
@@ -164,14 +168,27 @@ class JoinPathIndex {
   void MaybeAddEdge(const ColumnProfile& a, const ColumnProfile& b);
   void RebuildAdjacency();
 
-  // Simple table paths a -> b with <= max_hops edges (excluding cycles).
-  std::vector<std::vector<int32_t>> TablePaths(int32_t from, int32_t to,
-                                               int max_hops) const;
+  // EdgesBetween, appended to `out`.
+  void AppendEdgesBetween(int32_t table_a, int32_t table_b,
+                          std::vector<JoinEdge>* out) const;
 
-  // Expands one table path into concrete join graphs (one column pair per
-  // consecutive table pair), capped at options_.max_graphs_per_path.
-  void ExpandPath(const std::vector<int32_t>& path,
-                  std::vector<JoinGraph>* out) const;
+  // Working storage of one GenerateJoinGraphs call (defined in the .cc).
+  // It lives on the caller's stack: the index holds no mutable state, so
+  // concurrent calls stay data-race-free.
+  struct Scratch;
+
+  // Sets scratch->paths to every simple table path from -> to (from != to)
+  // with at most max_hops >= 1 edges, in depth-first order over ascending
+  // neighbours.
+  void TablePaths(int32_t from, int32_t to, int max_hops,
+                  Scratch* scratch) const;
+
+  // Appends the concrete join graphs of one table path (one column pair per
+  // consecutive table pair) to scratch->segment: the cartesian product of
+  // the hops' choices in lexicographic order, first hop most significant,
+  // capped at options_.max_graphs_per_path.
+  void ExpandPath(const int32_t* path, size_t num_tables,
+                  Scratch* scratch) const;
 };
 
 }  // namespace ver

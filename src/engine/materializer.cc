@@ -227,16 +227,19 @@ Result<Table> Materializer::Materialize(
       cols[p]->CombineCellHashesInto(hashes_.data(),
                                      bound_rows_[slots[p]].data(), n);
     }
-    auto tuple_cell = [&](int64_t tuple, int p) {
-      return cols[p]->cell(bound_rows_[slots[p]][tuple]);
+    auto same_tuple = [&](int64_t a, int64_t b) {
+      for (size_t p = 0; p < projection.size(); ++p) {
+        const std::vector<int64_t>& rows = bound_rows_[slots[p]];
+        if (cols[p]->cell(rows[a]).Compare(cols[p]->cell(rows[b])) != 0) {
+          return false;
+        }
+      }
+      return true;
     };
     deduper_.Reset(n);
     keep_.clear();
     for (int64_t t = 0; t < n; ++t) {
-      if (deduper_.Insert(hashes_[t], t, static_cast<int>(projection.size()),
-                          tuple_cell)) {
-        keep_.push_back(t);
-      }
+      if (deduper_.Insert(hashes_[t], t, same_tuple)) keep_.push_back(t);
     }
     if (static_cast<int64_t>(keep_.size()) < n) CompactToKeep();
   }

@@ -21,6 +21,7 @@
 #include "storage/repository.h"
 #include "util/flat_multimap.h"
 #include "util/result.h"
+#include "util/row_deduper.h"
 
 namespace ver {
 

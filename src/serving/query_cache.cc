@@ -24,15 +24,21 @@ void QueryCache::Insert(const std::string& key,
                         std::shared_ptr<const QueryResult> result,
                         bool early_terminated) {
   if (capacity_ == 0) return;
+  // The result this call drops (evicted or overwritten) may be its last
+  // owner, and freeing a result frees thousands of candidates and views.
+  // Declared before the lock, it is destroyed after the unlock, so
+  // concurrent Lookups never wait for those frees.
+  std::shared_ptr<const QueryResult> dropped;
   MutexLock lock(&mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->result = std::move(result);
+    dropped = std::exchange(it->second->result, std::move(result));
     it->second->early_terminated = early_terminated;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   if (lru_.size() >= capacity_) {
+    dropped = std::move(lru_.back().result);
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++counters_.evictions;
@@ -42,9 +48,11 @@ void QueryCache::Insert(const std::string& key,
 }
 
 void QueryCache::Clear() {
+  // Destroyed after the unlock, as in Insert.
+  std::list<Entry> dropped;
   MutexLock lock(&mu_);
   index_.clear();
-  lru_.clear();
+  dropped.swap(lru_);
 }
 
 QueryCache::Counters QueryCache::counters() const {

@@ -129,70 +129,6 @@ class CellView {
 
 static_assert(sizeof(CellView) == 16, "CellView must stay 16 bytes");
 
-/// Hash-bucketed row dedup with exact cell confirmation on collisions —
-/// the one distinct-row algorithm shared by Table::Project and the
-/// materializer's projection, so the two "bit-identical" paths cannot
-/// diverge. Rows are identified by an opaque token; `cell_at(token, c)`
-/// returns the c-th projected cell of that row.
-///
-/// One flat open-addressing array of {row hash, token} slots, sized by
-/// Reset() for the rows about to be offered: Insert never allocates, and a
-/// deduper reused across calls keeps its capacity. Rows sharing a hash sit
-/// in separate slots along one linear-probe chain, so Insert confirms a
-/// duplicate against every earlier row with that hash, as the per-hash
-/// token lists this replaces did.
-class RowDeduper {
- public:
-  /// Forgets every kept row and sizes the table for up to `max_rows`
-  /// Insert calls (load factor <= 1/2).
-  void Reset(int64_t max_rows) {
-    size_t cap = 16;
-    while (cap < static_cast<size_t>(max_rows) * 2) cap <<= 1;
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-    max_rows_ = max_rows;
-    num_rows_ = 0;
-  }
-
-  /// Returns true (and records the token) when the row is new; false when
-  /// an equal row was inserted before. `row_hash` must be the combined
-  /// hash of exactly the cells `cell_at` exposes; tokens are >= 0.
-  template <typename CellAt>
-  bool Insert(uint64_t row_hash, int64_t token, int num_cells,
-              const CellAt& cell_at) {
-    VER_DCHECK(num_rows_ < max_rows_)
-        << "RowDeduper sized for " << max_rows_ << " rows by Reset()";
-    size_t i = Mix64(row_hash) & mask_;
-    for (;; i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
-      if (s.token < 0) break;
-      if (s.hash != row_hash) continue;
-      bool equal = true;
-      for (int c = 0; c < num_cells; ++c) {
-        if (cell_at(s.token, c).Compare(cell_at(token, c)) != 0) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return false;
-    }
-    slots_[i] = Slot{row_hash, token};
-    ++num_rows_;
-    return true;
-  }
-
- private:
-  struct Slot {
-    uint64_t hash = 0;
-    int64_t token = -1;  // -1 = empty slot
-  };
-
-  std::vector<Slot> slots_;
-  size_t mask_ = 0;
-  int64_t max_rows_ = 0;
-  int64_t num_rows_ = 0;
-};
-
 /// One typed column. Append-only during ingest (Append / Reserve), then
 /// read through cell()/CellHash(). Seal() sorts the dictionary and drops
 /// the intern map once loading is done; appending to a sealed column

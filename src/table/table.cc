@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/hash.h"
+#include "util/row_deduper.h"
 
 namespace ver {
 
@@ -109,16 +110,16 @@ Table Table::Project(const std::vector<int>& col_indices, bool distinct,
     for (int c : col_indices) {
       columns_[c].CombineCellHashesInto(hashes.data(), num_rows_);
     }
-    auto cell_at = [&](int64_t row, int c) {
-      return cell(row, col_indices[c]);
+    auto same_row = [&](int64_t a, int64_t b) {
+      for (int c : col_indices) {
+        if (cell(a, c).Compare(cell(b, c)) != 0) return false;
+      }
+      return true;
     };
     RowDeduper deduper;
     deduper.Reset(num_rows_);
     for (int64_t r = 0; r < num_rows_; ++r) {
-      if (deduper.Insert(hashes[r], r, static_cast<int>(col_indices.size()),
-                         cell_at)) {
-        rows.push_back(r);
-      }
+      if (deduper.Insert(hashes[r], r, same_row)) rows.push_back(r);
     }
   } else {
     rows.resize(static_cast<size_t>(num_rows_));

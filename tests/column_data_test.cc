@@ -10,6 +10,7 @@
 
 #include "table/column_data.h"
 #include "table/table.h"
+#include "util/row_deduper.h"
 #include "util/serde.h"
 #include "util/check.h"
 
@@ -406,18 +407,43 @@ TEST(RowDeduperTest, ConfirmsEqualHashesCellByCell) {
   const std::vector<CellView> cells = {
       CellView::String("a"), CellView::String("b"), CellView::String("a"),
       CellView::Int(2),      CellView::Double(2.0), CellView::String("c")};
-  auto cell_at = [&cells](int64_t token, int) { return cells[token]; };
+  auto same_cell = [&cells](int64_t a, int64_t b) {
+    return cells[a].Compare(cells[b]) == 0;
+  };
   RowDeduper deduper;
   deduper.Reset(static_cast<int64_t>(cells.size()));
   std::vector<bool> kept;
   for (int64_t t = 0; t < static_cast<int64_t>(cells.size()); ++t) {
-    kept.push_back(deduper.Insert(/*row_hash=*/42, t, 1, cell_at));
+    kept.push_back(deduper.Insert(/*hash=*/42, t, same_cell));
   }
   // "a" repeats; Int(2) and Double(2.0) compare equal.
   EXPECT_EQ(kept, (std::vector<bool>{true, true, false, true, false, true}));
   // Reset forgets every kept row.
   deduper.Reset(1);
-  EXPECT_TRUE(deduper.Insert(42, 2, 1, cell_at));
+  EXPECT_TRUE(deduper.Insert(42, 2, same_cell));
+}
+
+TEST(RowDeduperTest, ReserveKeepsEveryKeptRow) {
+  // Reserving one more row before each Insert, as a caller that learns its
+  // count one row at a time does: every growth must re-place the kept rows.
+  // Seven hashes for 300 distinct values keep the probe chains long.
+  std::vector<int> values;
+  for (int i = 0; i < 1000; ++i) values.push_back((i * 37) % 300);
+  auto same = [&values](int64_t a, int64_t b) {
+    return values[a] == values[b];
+  };
+  RowDeduper deduper;
+  std::vector<int64_t> kept;
+  for (int64_t t = 0; t < static_cast<int64_t>(values.size()); ++t) {
+    deduper.Reserve(t + 1);
+    if (deduper.Insert(static_cast<uint64_t>(values[t] % 7), t, same)) {
+      kept.push_back(t);
+    }
+  }
+  ASSERT_EQ(kept.size(), 300u);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i], static_cast<int64_t>(i));
+  }
 }
 
 TEST(ColumnDataTest, ApproxBytesShrinksForRepetitiveStrings) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -718,6 +720,62 @@ TEST(ServingTest, QueryCacheEvictsLeastRecentlyUsed) {
   disabled.Insert("a", r1);
   EXPECT_EQ(disabled.Lookup("a"), nullptr);
   EXPECT_EQ(disabled.size(), 0u);
+}
+
+// Hands out results whose deleter checks, from a second thread, whether
+// the cache's lock is free while the result is destroyed: the probe calls
+// size() and waits up to 5 s for it to return. A deleter running under the
+// lock cannot see it return, so its probe thread only finishes once the
+// cache call that dropped the result has unlocked; Join() after that call.
+class CacheLockProbe {
+ public:
+  explicit CacheLockProbe(const QueryCache* cache) : cache_(cache) {}
+
+  std::shared_ptr<const QueryResult> NewResult() {
+    return std::shared_ptr<const QueryResult>(
+        new QueryResult(), [this](const QueryResult* result) {
+          auto returned = std::make_shared<std::atomic<bool>>(false);
+          threads_.emplace_back([cache = cache_, returned] {
+            cache->size();
+            *returned = true;
+          });
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (!*returned && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          ++(*returned ? lock_free_ : lock_held_);
+          delete result;
+        });
+  }
+
+  void Join() {
+    for (std::thread& t : threads_) t.join();
+    threads_.clear();
+  }
+  int lock_free() const { return lock_free_; }
+  int lock_held() const { return lock_held_; }
+
+ private:
+  const QueryCache* cache_;
+  std::vector<std::thread> threads_;
+  int lock_free_ = 0;
+  int lock_held_ = 0;
+};
+
+TEST(ServingTest, QueryCacheDestroysDroppedResultsOutsideItsLock) {
+  QueryCache cache(1);
+  CacheLockProbe probe(&cache);
+  cache.Insert("a", probe.NewResult());
+  cache.Insert("a", probe.NewResult());  // overwrites the first result
+  probe.Join();
+  cache.Insert("b", probe.NewResult());  // evicts the second
+  probe.Join();
+  cache.Clear();  // drops the third
+  probe.Join();
+  EXPECT_EQ(probe.lock_free(), 3);
+  EXPECT_EQ(probe.lock_held(), 0);
+  EXPECT_EQ(cache.counters().evictions, 1);
 }
 
 }  // namespace
