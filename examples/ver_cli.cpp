@@ -2,13 +2,10 @@
 //
 // Subcommands (the production snapshot workflow):
 //
-//   ver_cli build-index [--parallelism=N] [--shards=N] --index-path=PATH <csv-dir>
+//   ver_cli build-index [--parallelism=N] --index-path=PATH <csv-dir>
 //       Profiles and indexes the repository offline, then persists the
 //       discovery snapshot to PATH (versioned binary format, atomic write).
-//       --shards=N hash-partitions the tables into N discovery shards that
-//       build (and later answer queries) in parallel; results are
-//       bit-identical to --shards=1, and the snapshot records the layout
-//       (format v4, one section group per shard).
+//       Rerun it to rewrite a snapshot saved in an older format version.
 //
 //   ver_cli query --index-path=PATH [<csv-dir>] <examples-A> [<examples-B> ...]
 //       Loads the snapshot (no rebuild) and runs one QBE query, where each
@@ -36,13 +33,8 @@
 //                              theta= rho= k= stop= deadline= nodistill
 //                              ('opts clear' resets, bare 'opts' prints)
 //         stats                print server statistics (queue depth, cache,
-//                              per-knob override usage, per-shard scatter
-//                              counters and swap epochs)
+//                              per-knob override usage, latency, pool)
 //         swap <snapshot>      hot-swap to a newer snapshot (zero downtime)
-//         swap-shard <s> <dir> re-profile + re-index only shard <s> against
-//                              the CSVs in <dir> (same table shapes) and
-//                              swap the result in; other shards are shared,
-//                              in-flight queries finish on the old engine
 //         quit                 exit (EOF works too)
 //
 //   ver_cli demo-data <output-dir>
@@ -246,8 +238,8 @@ bool LoadRepo(const std::string& dir, TableRepository* repo) {
 }
 
 // With a CSV directory: parse it. Without one: reconstruct the repository
-// from the snapshot's columnar table sections (format v2) — the zero-CSV
-// cold-start path.
+// from the snapshot's columnar table section — the zero-CSV cold-start
+// path.
 bool LoadRepoFromDirOrSnapshot(const std::string& dir,
                                const std::string& index_path,
                                TableRepository* repo,
@@ -306,13 +298,12 @@ void PrintResult(const TableRepository& repo, const QueryResult& result) {
 }
 
 int BuildIndex(const std::string& dir, const std::string& index_path,
-               int parallelism, int num_shards) {
+               int parallelism) {
   TableRepository repo;
   if (!LoadRepo(dir, &repo)) return 1;
 
   DiscoveryOptions options;
   options.parallelism = parallelism;
-  options.num_shards = num_shards;
   WallTimer timer;
   std::unique_ptr<DiscoveryEngine> engine = DiscoveryEngine::Build(repo, options);
   double build_s = timer.ElapsedSeconds();
@@ -325,10 +316,9 @@ int BuildIndex(const std::string& dir, const std::string& index_path,
   }
   std::error_code ec;
   uintmax_t bytes = std::filesystem::file_size(index_path, ec);
-  std::printf("indexed %lld joinable column pairs (%d shard%s) in %.2fs; "
+  std::printf("indexed %lld joinable column pairs in %.2fs; "
               "wrote %s (%lld bytes) in %.3fs\n",
               static_cast<long long>(engine->num_joinable_column_pairs()),
-              engine->num_shards(), engine->num_shards() == 1 ? "" : "s",
               build_s, index_path.c_str(),
               ec ? 0LL : static_cast<long long>(bytes),
               timer.ElapsedSeconds());
@@ -417,9 +407,6 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
   }
   ServingOptions serving_options;
   serving_options.memory_budget_bytes = memory_budget;
-  // Repositories brought in by swap-shard; engines swapped in reference
-  // them, so they must outlive the server (declared before it).
-  std::vector<std::unique_ptr<TableRepository>> swapped_repos;
   VerServer server(std::make_shared<const Ver>(&repo, VerConfig(),
                                                std::move(engine).value()),
                    serving_options);
@@ -431,7 +418,6 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
                "serving %s from snapshot %s; enter queries as "
                "a1,a2|b1,b2 — 'opts k=v ...' sets per-request knobs, "
                "'stats' prints counters, 'swap <path>' hot-swaps, "
-               "'swap-shard <s> <dir>' rebuilds one shard, "
                "'quit' exits\n",
                dir.empty() ? "snapshot-embedded tables" : dir.c_str(),
                index_path.c_str());
@@ -500,17 +486,6 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
                     static_cast<long long>(stats.override_uses[k]));
       }
     }
-    if (stats.shards.size() > 1) {
-      std::printf("shards:\n");
-      for (size_t s = 0; s < stats.shards.size(); ++s) {
-        std::printf(
-            "  shard %zu: scatter_queries=%llu candidates=%llu "
-            "swap_epoch=%llu\n",
-            s, static_cast<unsigned long long>(stats.shards[s].scatter_queries),
-            static_cast<unsigned long long>(stats.shards[s].candidates),
-            static_cast<unsigned long long>(stats.shards[s].swap_epoch));
-      }
-    }
   };
 
   std::string line;
@@ -534,40 +509,6 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
       }
       std::fprintf(stderr, "request options: %s\n",
                    session_flags.Describe().c_str());
-      continue;
-    }
-    if (line.rfind("swap-shard ", 0) == 0) {
-      std::vector<std::string> parts;
-      for (std::string& token : Split(Trim(line.substr(11)), ' ')) {
-        std::string trimmed = Trim(token);
-        if (!trimmed.empty()) parts.push_back(std::move(trimmed));
-      }
-      int shard = -1;
-      if (parts.size() != 2 || !ParseInt(parts[0], &shard)) {
-        std::fprintf(stderr, "usage: swap-shard <shard> <csv-dir>\n");
-        continue;
-      }
-      auto next_repo = std::make_unique<TableRepository>();
-      if (!LoadRepo(parts[1], next_repo.get())) continue;
-      // Rebuild just the named shard against the refreshed tables; every
-      // other shard is shared by reference with the serving engine, so the
-      // rebuild costs O(shard), not O(repository).
-      std::shared_ptr<const Ver> current = server.snapshot();
-      Result<std::unique_ptr<DiscoveryEngine>> next =
-          current->engine().WithRebuiltShard(*next_repo, shard);
-      if (!next.ok()) {
-        std::fprintf(stderr, "swap-shard failed: %s\n",
-                     next.status().ToString().c_str());
-        continue;
-      }
-      server.SwapSnapshot(
-          std::make_shared<const Ver>(next_repo.get(), VerConfig(),
-                                      std::move(next).value()),
-          shard);
-      swapped_repos.push_back(std::move(next_repo));
-      std::fprintf(stderr, "rebuilt shard %d from %s and swapped it in "
-                           "(in-flight queries finish on the old engine)\n",
-                   shard, parts[1].c_str());
       continue;
     }
     if (line.rfind("swap ", 0) == 0) {
@@ -652,7 +593,7 @@ int SelfDemo(int parallelism) {
   int rc = WriteDemoData(dir.string(), &query);
   if (rc != 0) return rc;
   std::string index_path = (dir / "index.versnap").string();
-  rc = BuildIndex(dir.string(), index_path, parallelism, /*num_shards=*/1);
+  rc = BuildIndex(dir.string(), index_path, parallelism);
   if (rc == 0) {
     rc = RunQueryOverDirectory(dir.string(), query, parallelism, index_path,
                                RequestFlags());
@@ -665,7 +606,6 @@ int SelfDemo(int parallelism) {
 
 int main(int argc, char** argv) {
   int parallelism = 0;  // default: offline indexing on every core
-  int num_shards = 1;   // default: monolithic discovery engine
   std::string index_path;
   uint64_t memory_budget = 0;  // 0 = resident serving
   RequestFlags request_flags;
@@ -700,18 +640,6 @@ int main(int argc, char** argv) {
                              "(got '%s')\n", value.c_str());
         return 2;
       }
-    } else if (arg.rfind("--shards", 0) == 0) {
-      std::string value;
-      if (arg.rfind("--shards=", 0) == 0) {
-        value = arg.substr(9);
-      } else if (arg == "--shards" && i + 1 < argc) {
-        value = argv[++i];
-      }
-      if (!ParseInt(value, &num_shards) || num_shards < 1) {
-        std::fprintf(stderr, "error: --shards needs a positive integer "
-                             "(got '%s')\n", value.c_str());
-        return 2;
-      }
     } else if (arg.rfind("--index-path=", 0) == 0) {
       index_path = arg.substr(13);
     } else if (arg == "--index-path") {
@@ -742,7 +670,7 @@ int main(int argc, char** argv) {
     if (cmd == "build-index") {
       if (args.size() != 2 || index_path.empty()) {
         std::fprintf(stderr, "usage: ver_cli build-index [--parallelism=N] "
-                             "[--shards=N] --index-path=PATH <csv-dir>\n");
+                             "--index-path=PATH <csv-dir>\n");
         return 2;
       }
       if (request_flags.any()) {
@@ -751,10 +679,10 @@ int main(int argc, char** argv) {
                      request_flags.Describe().c_str());
         return 2;
       }
-      return BuildIndex(args[1], index_path, parallelism, num_shards);
+      return BuildIndex(args[1], index_path, parallelism);
     }
     if (cmd == "query") {
-      // The csv-dir is optional when the (v2) snapshot embeds the tables:
+      // The csv-dir is optional because the snapshot embeds the tables:
       // an argument that is not a directory is treated as the first
       // example column and the repository loads from the snapshot.
       bool has_dir = args.size() >= 2 &&

@@ -130,10 +130,6 @@ DiscoveryResponse Ver::ExecuteInternal(
     if (!st.ok()) return fail(std::move(st));
     run_stage(PipelineStage::kColumnSelection,
               &result.timing.column_selection_s, [&] {
-                // Candidate discovery scatters this query across every
-                // engine shard; count it before the fan-out so the
-                // per-shard counters include queries that fail later.
-                engine_->NoteCandidateDiscovery();
                 result.selection = SelectColumnsForQuery(
                     *engine_, request.query, merged.selection);
               });

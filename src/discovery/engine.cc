@@ -1,163 +1,30 @@
 #include "discovery/engine.h"
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 
-#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace ver {
-
-namespace {
-
-// Shard assignment is a pure function of the table *name* (not its id), so
-// a table keeps its shard across re-indexes and repository reloads.
-int ShardOfName(std::string_view name, size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  return static_cast<int>(HashString(name) % num_shards);
-}
-
-}  // namespace
-
-void DiscoveryEngine::PartitionTables(int num_shards) {
-  shards_.clear();
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    auto shard = std::make_shared<Shard>();
-    shard->built_profiles = profiles_;
-    shards_.push_back(std::move(shard));
-  }
-  shard_of_table_.assign(static_cast<size_t>(repo_->num_tables()), 0);
-  for (int32_t t = 0; t < repo_->num_tables(); ++t) {
-    int s = ShardOfName(repo_->table(t).name(), shards_.size());
-    shard_of_table_[static_cast<size_t>(t)] = s;
-    shards_[static_cast<size_t>(s)]->table_ids.push_back(t);
-  }
-}
-
-std::vector<std::vector<int>> DiscoveryEngine::ShardMemberProfiles() const {
-  std::vector<std::vector<int>> members(shards_.size());
-  const auto& ps = *profiles_;
-  // Profiles are in build order (table 0..N-1), so each shard's member
-  // list comes out ascending — the order the subset build requires.
-  for (size_t i = 0; i < ps.size(); ++i) {
-    int s = shard_of_table_[static_cast<size_t>(ps[i].ref.table_id)];
-    members[static_cast<size_t>(s)].push_back(static_cast<int>(i));
-  }
-  return members;
-}
-
-void DiscoveryEngine::BuildShardIndexes(ThreadPool* pool) {
-  std::vector<std::vector<int>> members = ShardMemberProfiles();
-  if (shards_.size() == 1) {
-    // Monolithic path, kept exactly: the pool parallelizes *inside* the
-    // single similarity build (bit-identical chunk merge).
-    shards_[0]->keywords.Build(*repo_);
-    shards_[0]->similarity.BuildMembers(profiles_.get(), members[0],
-                                        options_.similarity, pool);
-    return;
-  }
-  // One task per shard, serial inside: shards are the unit of parallelism
-  // and each shard's indexes depend only on its own member list, so
-  // scheduling order cannot change any result.
-  TaskGroup group(pool);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Run([this, s, &members] {
-      shards_[s]->keywords.BuildTables(*repo_, shards_[s]->table_ids);
-      shards_[s]->similarity.BuildMembers(profiles_.get(), members[s],
-                                          options_.similarity, nullptr);
-    });
-  }
-  group.Wait();
-}
-
-std::vector<std::pair<int, int>> DiscoveryEngine::ComputeJoinCandidatePairs(
-    ThreadPool* pool) const {
-  if (shards_.size() == 1) {
-    // Exactly the monolithic join build's input (already sorted, deduped).
-    return shards_[0]->similarity.AllCandidatePairs();
-  }
-  // One slot per task — per-shard pair lists first, then one per shard
-  // pair (s < t) of cross-shard probes. Tasks write only their slot and
-  // the final sort+dedup canonicalizes, so the result is independent of
-  // scheduling. Probing t's buckets with s's member profiles tests the
-  // same shared-bucket condition the monolith's AllCandidatePairs tests,
-  // so the union reproduces the monolithic pair set (a superset only when
-  // a value's posting list overflows max_posting_length in the monolith —
-  // see docs/ARCHITECTURE.md).
-  size_t n = shards_.size();
-  std::vector<std::vector<int>> members = ShardMemberProfiles();
-  std::vector<std::vector<std::pair<int, int>>> slots(n + n * (n - 1) / 2);
-  TaskGroup group(pool);
-  for (size_t s = 0; s < n; ++s) {
-    group.Run(
-        [this, s, &slots] { slots[s] = shards_[s]->similarity.AllCandidatePairs(); });
-  }
-  size_t slot = n;
-  for (size_t s = 0; s < n; ++s) {
-    for (size_t t = s + 1; t < n; ++t, ++slot) {
-      group.Run([this, s, t, slot, &slots, &members] {
-        std::vector<std::pair<int, int>>& out = slots[slot];
-        for (int i : members[s]) {
-          for (int j : shards_[t]->similarity.Candidates(*profiles_, i)) {
-            out.emplace_back(std::min(i, j), std::max(i, j));
-          }
-        }
-      });
-    }
-  }
-  group.Wait();
-  size_t total = 0;
-  for (const auto& v : slots) total += v.size();
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(total);
-  for (const auto& v : slots) pairs.insert(pairs.end(), v.begin(), v.end());
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
-}
-
-void DiscoveryEngine::SetupScatterPool() {
-  scatter_pool_.reset();
-  if (shards_.size() <= 1) return;
-  int workers = ResolveParallelism(options_.parallelism);
-  if (workers <= 1) return;
-  scatter_pool_ = std::make_unique<ThreadPool>(
-      std::min(workers, static_cast<int>(shards_.size())));
-}
-
-void DiscoveryEngine::InitCounters() {
-  counters_.clear();
-  counters_.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    counters_.push_back(std::make_unique<ShardCounters>());
-  }
-}
 
 std::unique_ptr<DiscoveryEngine> DiscoveryEngine::Build(
     const TableRepository& repo, const DiscoveryOptions& options) {
   std::unique_ptr<DiscoveryEngine> engine(new DiscoveryEngine());
   engine->repo_ = &repo;
   engine->options_ = options;
-  engine->options_.num_shards = std::max(1, options.num_shards);
   int workers = ResolveParallelism(options.parallelism);
   std::unique_ptr<ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  engine->profiles_ = std::make_shared<std::vector<ColumnProfile>>(
-      ProfileRepository(repo, options.profiler, pool.get()));
-  engine->profile_index_.reserve(engine->profiles_->size());
-  for (size_t i = 0; i < engine->profiles_->size(); ++i) {
-    engine->profile_index_.emplace((*engine->profiles_)[i].ref.Encode(),
+  engine->profiles_ = ProfileRepository(repo, options.profiler, pool.get());
+  engine->profile_index_.reserve(engine->profiles_.size());
+  for (size_t i = 0; i < engine->profiles_.size(); ++i) {
+    engine->profile_index_.emplace(engine->profiles_[i].ref.Encode(),
                                    static_cast<int>(i));
   }
-  engine->PartitionTables(engine->options_.num_shards);
-  engine->BuildShardIndexes(pool.get());
-  engine->join_paths_.Build(engine->profiles_.get(),
-                            engine->ComputeJoinCandidatePairs(pool.get()),
-                            engine->options_.join_paths, pool.get());
-  engine->InitCounters();
-  engine->SetupScatterPool();
+  engine->keywords_.Build(repo);
+  engine->similarity_.Build(&engine->profiles_, options.similarity,
+                            pool.get());
+  engine->join_paths_.Build(&engine->profiles_, engine->similarity_,
+                            options.join_paths, pool.get());
   return engine;
 }
 
@@ -166,183 +33,44 @@ Status DiscoveryEngine::IndexNewTable(int32_t table_id) {
     return Status::InvalidArgument("table id " + std::to_string(table_id) +
                                    " not in repository");
   }
-  for (const std::shared_ptr<Shard>& shard : shards_) {
-    if (shard.use_count() > 1) {
-      return Status::InvalidArgument(
-          "engine shares shards with another engine (WithRebuiltShard); "
-          "index new tables on a freshly built or loaded engine");
-    }
-  }
   if (profile_index_.count(ColumnRef{table_id, 0}.Encode()) ||
       repo_->table(table_id).num_columns() == 0) {
     if (repo_->table(table_id).num_columns() == 0) return Status::OK();
     return Status::AlreadyExists("table " + std::to_string(table_id) +
                                  " is already indexed");
   }
-  size_t first_new = profiles_->size();
+  size_t first_new = profiles_.size();
   std::vector<ColumnProfile> fresh =
       ProfileTable(*repo_, table_id, options_.profiler);
   for (ColumnProfile& p : fresh) {
-    profile_index_.emplace(p.ref.Encode(),
-                           static_cast<int>(profiles_->size()));
-    profiles_->push_back(std::move(p));
+    profile_index_.emplace(p.ref.Encode(), static_cast<int>(profiles_.size()));
+    profiles_.push_back(std::move(p));
   }
-  // Route the table to its hash shard (the same function Build used).
-  int s = ShardOfName(repo_->table(table_id).name(), shards_.size());
-  if (shard_of_table_.size() <= static_cast<size_t>(table_id)) {
-    shard_of_table_.resize(static_cast<size_t>(table_id) + 1, -1);
-  }
-  shard_of_table_[static_cast<size_t>(table_id)] = s;
-  Shard& owner = *shards_[static_cast<size_t>(s)];
-  owner.table_ids.insert(std::lower_bound(owner.table_ids.begin(),
-                                          owner.table_ids.end(), table_id),
-                         table_id);
-  owner.keywords.AddTable(*repo_, table_id);
-  owner.similarity.AddProfiles(first_new);
-  // Other shards gain no postings, but their eligibility flags must keep
-  // covering every profile (the snapshot invariant); AddProfiles past the
-  // end inserts nothing and refreshes the flags.
-  for (size_t o = 0; o < shards_.size(); ++o) {
-    if (static_cast<int>(o) != s) {
-      shards_[o]->similarity.AddProfiles(profiles_->size());
-    }
-  }
-  if (shards_.size() == 1) {
-    join_paths_.AddColumns(profiles_.get(), shards_[0]->similarity,
-                           first_new);
-  } else {
-    // Probe every shard for the new columns' join partners, preserving
-    // the single-shard AddColumns order: for each new column i ascending,
-    // its partners j < i ascending.
-    std::vector<std::pair<int, int>> pairs;
-    for (size_t i = first_new; i < profiles_->size(); ++i) {
-      std::vector<int> js;
-      for (const std::shared_ptr<Shard>& shard : shards_) {
-        for (int j :
-             shard->similarity.Candidates(*profiles_, static_cast<int>(i))) {
-          if (static_cast<size_t>(j) >= first_new &&
-              static_cast<size_t>(j) >= i) {
-            continue;
-          }
-          js.push_back(j);
-        }
-      }
-      std::sort(js.begin(), js.end());
-      for (int j : js) pairs.emplace_back(static_cast<int>(i), j);
-    }
-    join_paths_.AddColumnPairs(profiles_.get(), pairs);
-  }
+  keywords_.AddTable(*repo_, table_id);
+  similarity_.AddProfiles(first_new);
+  join_paths_.AddColumns(&profiles_, similarity_, first_new);
   return Status::OK();
-}
-
-Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::WithRebuiltShard(
-    const TableRepository& repo, int shard) const {
-  if (shard < 0 || shard >= num_shards()) {
-    return Status::InvalidArgument(
-        "shard " + std::to_string(shard) + " out of range; engine has " +
-        std::to_string(num_shards()) + " shards");
-  }
-  // Global profile indices (and with them every index posting) stay valid
-  // only while the repository keeps its shape; anything else needs a full
-  // rebuild.
-  if (repo.num_tables() != repo_->num_tables()) {
-    return Status::InvalidArgument(
-        "per-shard rebuild needs the same table count (" +
-        std::to_string(repo.num_tables()) + " vs " +
-        std::to_string(repo_->num_tables()) +
-        "); schema-shape changes need a full rebuild");
-  }
-  for (int32_t t = 0; t < repo.num_tables(); ++t) {
-    if (repo.table(t).num_columns() != repo_->table(t).num_columns()) {
-      return Status::InvalidArgument(
-          "per-shard rebuild needs identical per-table column counts "
-          "(table " +
-          std::to_string(t) +
-          " changed); schema-shape changes need a full rebuild");
-    }
-  }
-  std::unique_ptr<DiscoveryEngine> out(new DiscoveryEngine());
-  out->repo_ = &repo;
-  out->options_ = options_;
-  out->shard_of_table_ = shard_of_table_;
-  out->profiles_ = std::make_shared<std::vector<ColumnProfile>>(*profiles_);
-  out->profile_index_ = profile_index_;
-  int workers = ResolveParallelism(options_.parallelism);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  // Re-profile only the swapped shard's tables against the new repository
-  // and overwrite their global slots; every other profile is carried over.
-  for (int32_t t : shards_[static_cast<size_t>(shard)]->table_ids) {
-    std::vector<ColumnProfile> fresh = ProfileTable(repo, t, options_.profiler);
-    for (ColumnProfile& p : fresh) {
-      auto it = out->profile_index_.find(p.ref.Encode());
-      if (it == out->profile_index_.end()) {
-        return Status::InvalidArgument(
-            "table " + std::to_string(t) +
-            " gained columns the engine never profiled; run a full rebuild");
-      }
-      (*out->profiles_)[static_cast<size_t>(it->second)] = std::move(p);
-    }
-  }
-  // Untouched shards are shared by reference; the rebuilt one is built
-  // fresh over its member subset (never incrementally — the incremental
-  // path discovers pairs in a different orientation).
-  out->shards_ = shards_;
-  auto rebuilt = std::make_shared<Shard>();
-  rebuilt->table_ids = shards_[static_cast<size_t>(shard)]->table_ids;
-  rebuilt->built_profiles = out->profiles_;
-  rebuilt->keywords.BuildTables(repo, rebuilt->table_ids);
-  rebuilt->similarity.BuildMembers(
-      out->profiles_.get(), out->ShardMemberProfiles()[static_cast<size_t>(shard)],
-      options_.similarity, pool.get());
-  out->shards_[static_cast<size_t>(shard)] = std::move(rebuilt);
-  out->join_paths_.Build(out->profiles_.get(),
-                         out->ComputeJoinCandidatePairs(pool.get()),
-                         options_.join_paths, pool.get());
-  out->InitCounters();
-  out->SetupScatterPool();
-  // Shared shards may borrow extents from this engine's mmapped snapshot;
-  // the successor keeps that map alive.
-  out->pager_ = pager_;
-  return out;
 }
 
 namespace {
 
-// Section ids of the snapshot file. New sections get new ids; changing the
-// payload of an existing section requires a kSnapshotFormatVersion bump.
+// Section ids of the snapshot file, written in this order. Changing any
+// section's payload, or adding or removing a section, requires a
+// kSnapshotFormatVersion bump.
 constexpr uint32_t kSectionRepoFingerprint = 1;
 constexpr uint32_t kSectionOptions = 2;
 constexpr uint32_t kSectionProfiles = 3;
-// v1-v3: the monolithic engine's single keyword/similarity index. v4
-// files carry per-shard sections instead (see kSectionShardLayout).
 constexpr uint32_t kSectionKeywordIndex = 4;
 constexpr uint32_t kSectionSimilarityIndex = 5;
 constexpr uint32_t kSectionJoinPathIndex = 6;
-// v2: the repository's tables in columnar form (per column: null bitmap,
-// typed payload or dictionary + codes + arena — see ColumnData::SaveTo).
-// Absent from v1 files; Load() never needs it (the caller supplies the
-// repository), LoadRepository() reconstructs a repository from it so a
-// server can cold-start without re-parsing CSVs.
+// The repository's tables in columnar form (per column: null bitmap, typed
+// payload or dictionary + codes + arena — see ColumnData::SaveTo). Load()
+// never needs it (the caller supplies the repository); LoadRepository()
+// reconstructs a repository from it so a server can cold-start without
+// re-parsing CSVs.
 constexpr uint32_t kSectionRepoTables = 7;
-// v4: the shard layout — shard count, then each shard's table-id array.
-// Loads take the partition from here and never re-hash.
-constexpr uint32_t kSectionShardLayout = 8;
-// v4: per-shard index sections at 100 + shard*2 + {0 keyword,
-// 1 similarity}. Independent sections are what make per-shard builds
-// saveable in parallel-friendly units and per-shard residency spaces
-// possible under paging.
-constexpr uint32_t kShardSectionBase = 100;
 
-uint32_t ShardKeywordSectionId(size_t s) {
-  return kShardSectionBase + static_cast<uint32_t>(s) * 2;
-}
-uint32_t ShardSimilaritySectionId(size_t s) {
-  return kShardSectionBase + static_cast<uint32_t>(s) * 2 + 1;
-}
-
-void SaveOptions(const DiscoveryOptions& o, uint32_t format_version,
-                 SerdeWriter* w) {
+void SaveOptions(const DiscoveryOptions& o, SerdeWriter* w) {
   w->WriteI32(o.profiler.minhash_permutations);
   w->WriteU64(o.profiler.seed);
   w->WriteI64(o.profiler.exact_set_max);
@@ -356,12 +84,9 @@ void SaveOptions(const DiscoveryOptions& o, uint32_t format_version,
   w->WriteDouble(o.similarity_cluster_threshold);
   w->WriteI32(o.fuzzy_max_edits);
   w->WriteI32(o.parallelism);
-  // Pre-v4 readers stop here; their engines are single-shard by format.
-  if (format_version >= 4) w->WriteI32(o.num_shards);
 }
 
-Status LoadOptions(SerdeReader* r, uint32_t format_version,
-                   DiscoveryOptions* o) {
+Status LoadOptions(SerdeReader* r, DiscoveryOptions* o) {
   VER_RETURN_IF_ERROR(r->ReadI32(&o->profiler.minhash_permutations));
   VER_RETURN_IF_ERROR(r->ReadU64(&o->profiler.seed));
   VER_RETURN_IF_ERROR(r->ReadI64(&o->profiler.exact_set_max));
@@ -377,8 +102,6 @@ Status LoadOptions(SerdeReader* r, uint32_t format_version,
   VER_RETURN_IF_ERROR(r->ReadDouble(&o->similarity_cluster_threshold));
   VER_RETURN_IF_ERROR(r->ReadI32(&o->fuzzy_max_edits));
   VER_RETURN_IF_ERROR(r->ReadI32(&o->parallelism));
-  o->num_shards = 1;
-  if (format_version >= 4) VER_RETURN_IF_ERROR(r->ReadI32(&o->num_shards));
   return Status::OK();
 }
 
@@ -441,13 +164,13 @@ Status CheckRepoFingerprint(SerdeReader* r, const TableRepository& repo) {
   return Status::OK();
 }
 
-// The bytes behind one snapshot load: section views backed either by owned
-// buffers (the checksum-verified resident read) or by a pager runtime's
-// mmapped file (framing parsed, content paged in on demand).
+// The bytes behind one snapshot load: section payloads backed either by
+// owned buffers (the checksum-verified resident read) or by a pager
+// runtime's mmapped file (framing parsed, content paged in on demand).
 struct SnapshotSource {
+  std::string path;
   std::vector<SnapshotSection> owned;     // resident reads only
   std::shared_ptr<PagerRuntime> runtime;  // paged opens only
-  uint32_t version = 0;
   PagerBinding binding_value;
 
   struct View {
@@ -456,24 +179,39 @@ struct SnapshotSource {
   };
   std::vector<View> views;
 
-  bool paged() const { return runtime != nullptr; }
   /// Binding for LoadFrom calls; null when resident.
   const PagerBinding* binding() const {
-    return paged() ? &binding_value : nullptr;
+    return runtime != nullptr ? &binding_value : nullptr;
   }
-  /// Per-shard binding (own buffer-pool space); null when resident.
-  const PagerBinding* shard_binding(size_t shard) const {
-    return paged() ? runtime->ShardBinding(shard) : nullptr;
+
+  /// A reader over the one section with `id`; errors on duplicates or
+  /// absence.
+  Result<SerdeReader> Section(uint32_t id, const char* name) const {
+    const View* found = nullptr;
+    for (const View& v : views) {
+      if (v.id != id) continue;
+      if (found != nullptr) {
+        return Status::IOError("snapshot " + path + " has duplicate " +
+                               std::string(name) + " sections");
+      }
+      found = &v;
+    }
+    if (found == nullptr) {
+      return Status::IOError("snapshot " + path + " is missing the " +
+                             std::string(name) + " section");
+    }
+    return SerdeReader(found->payload, std::string(name) + " section of " +
+                                           path);
   }
 };
 
 // Opens `path` paged when requested (reusing `reuse` if it already maps
-// this file), resident otherwise. Structural can't-page conditions
-// (pre-v3 file, no mmap) fall back to the resident read; real errors
-// propagate.
+// this file), resident otherwise. A host that cannot page (NotImplemented)
+// falls back to the resident read; real errors propagate.
 Status OpenSnapshotSource(const std::string& path, const PagingOptions& paging,
                           const std::shared_ptr<PagerRuntime>& reuse,
                           SnapshotSource* out) {
+  out->path = path;
   if (paging.enabled) {
     std::shared_ptr<PagerRuntime> runtime;
     if (reuse != nullptr && reuse->path() == path) {
@@ -489,7 +227,6 @@ Status OpenSnapshotSource(const std::string& path, const PagingOptions& paging,
     }
     if (runtime != nullptr) {
       out->runtime = runtime;
-      out->version = runtime->map().format_version();
       out->binding_value = runtime->binding();
       out->views.reserve(runtime->map().sections().size());
       for (const SnapshotSectionEntry& e : runtime->map().sections()) {
@@ -498,7 +235,7 @@ Status OpenSnapshotSource(const std::string& path, const PagingOptions& paging,
       return Status::OK();
     }
   }
-  VER_RETURN_IF_ERROR(ReadSnapshotFile(path, &out->owned, &out->version));
+  VER_RETURN_IF_ERROR(ReadSnapshotFile(path, &out->owned));
   out->views.reserve(out->owned.size());
   for (const SnapshotSection& s : out->owned) {
     out->views.push_back({s.id, s.payload});
@@ -506,111 +243,50 @@ Status OpenSnapshotSource(const std::string& path, const PagingOptions& paging,
   return Status::OK();
 }
 
-// First (and only) view with `id`; errors on duplicates or absence.
-Result<const SnapshotSource::View*> FindSectionView(const SnapshotSource& src,
-                                                    const std::string& path,
-                                                    uint32_t id,
-                                                    const char* name) {
-  const SnapshotSource::View* found = nullptr;
-  for (const SnapshotSource::View& v : src.views) {
-    if (v.id != id) continue;
-    if (found != nullptr) {
-      return Status::IOError("snapshot " + path + " has duplicate " +
-                             std::string(name) + " sections");
-    }
-    found = &v;
-  }
-  if (found == nullptr) {
-    return Status::IOError("snapshot " + path + " is missing the " +
-                           std::string(name) + " section");
-  }
-  return found;
-}
-
 }  // namespace
 
-Status DiscoveryEngine::Save(const std::string& path,
-                             uint32_t format_version) const {
-  if (format_version < kSnapshotMinReadVersion ||
-      format_version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "cannot save snapshot format version " +
-        std::to_string(format_version) + "; supported range is " +
-        std::to_string(kSnapshotMinReadVersion) + ".." +
-        std::to_string(kSnapshotFormatVersion));
-  }
-  if (format_version < 4 && shards_.size() > 1) {
-    return Status::InvalidArgument(
-        "snapshot format version " + std::to_string(format_version) +
-        " is single-shard; a " + std::to_string(shards_.size()) +
-        "-shard engine needs format version 4 or newer");
-  }
-  // Pre-v3 formats carry unaligned array payloads; the writer's padding
-  // must match what a reader of that version expects.
-  const bool align = format_version >= 3;
-  auto section_writer = [align] {
-    SerdeWriter w;
-    w.set_align_arrays(align);
-    return w;
-  };
+Status DiscoveryEngine::Save(const std::string& path) const {
   std::vector<SnapshotSection> sections;
   {
-    SerdeWriter w = section_writer();
+    SerdeWriter w;
     SaveRepoFingerprint(*repo_, &w);
     sections.push_back({kSectionRepoFingerprint, w.TakeBuffer()});
   }
   {
-    SerdeWriter w = section_writer();
-    SaveOptions(options_, format_version, &w);
+    SerdeWriter w;
+    SaveOptions(options_, &w);
     sections.push_back({kSectionOptions, w.TakeBuffer()});
   }
   {
-    SerdeWriter w = section_writer();
-    w.WriteU64(profiles_->size());
-    for (const ColumnProfile& p : *profiles_) p.SaveTo(&w);
+    SerdeWriter w;
+    w.WriteU64(profiles_.size());
+    for (const ColumnProfile& p : profiles_) p.SaveTo(&w);
     sections.push_back({kSectionProfiles, w.TakeBuffer()});
   }
-  if (format_version >= 4) {
-    {
-      SerdeWriter w = section_writer();
-      w.WriteU64(shards_.size());
-      for (const std::shared_ptr<Shard>& shard : shards_) {
-        w.WriteI32Array(shard->table_ids.data(), shard->table_ids.size());
-      }
-      sections.push_back({kSectionShardLayout, w.TakeBuffer()});
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      SerdeWriter kw = section_writer();
-      VER_RETURN_IF_ERROR(shards_[s]->keywords.SaveTo(&kw));
-      sections.push_back({ShardKeywordSectionId(s), kw.TakeBuffer()});
-      SerdeWriter sw = section_writer();
-      VER_RETURN_IF_ERROR(shards_[s]->similarity.SaveTo(&sw));
-      sections.push_back({ShardSimilaritySectionId(s), sw.TakeBuffer()});
-    }
-  } else {
-    // Legacy single-shard layout: shard 0 *is* the monolithic index, so
-    // these bytes are identical to what a pre-sharding engine wrote.
-    SerdeWriter kw = section_writer();
-    VER_RETURN_IF_ERROR(shards_[0]->keywords.SaveTo(&kw));
-    sections.push_back({kSectionKeywordIndex, kw.TakeBuffer()});
-    SerdeWriter sw = section_writer();
-    VER_RETURN_IF_ERROR(shards_[0]->similarity.SaveTo(&sw));
-    sections.push_back({kSectionSimilarityIndex, sw.TakeBuffer()});
+  {
+    SerdeWriter w;
+    VER_RETURN_IF_ERROR(keywords_.SaveTo(&w));
+    sections.push_back({kSectionKeywordIndex, w.TakeBuffer()});
   }
   {
-    SerdeWriter w = section_writer();
+    SerdeWriter w;
+    VER_RETURN_IF_ERROR(similarity_.SaveTo(&w));
+    sections.push_back({kSectionSimilarityIndex, w.TakeBuffer()});
+  }
+  {
+    SerdeWriter w;
     join_paths_.SaveTo(&w);
     sections.push_back({kSectionJoinPathIndex, w.TakeBuffer()});
   }
-  if (format_version >= 2) {
-    SerdeWriter w = section_writer();
+  {
+    SerdeWriter w;
     w.WriteI32(repo_->num_tables());
     for (int32_t t = 0; t < repo_->num_tables(); ++t) {
       repo_->table(t).SaveTo(&w);
     }
     sections.push_back({kSectionRepoTables, w.TakeBuffer()});
   }
-  return WriteSnapshotFile(path, sections, format_version);
+  return WriteSnapshotFile(path, sections);
 }
 
 Result<TableRepository> DiscoveryEngine::LoadRepository(
@@ -622,26 +298,8 @@ Result<TableRepository> DiscoveryEngine::LoadRepository(
     const std::string& path, const PagingOptions& paging) {
   SnapshotSource src;
   VER_RETURN_IF_ERROR(OpenSnapshotSource(path, paging, nullptr, &src));
-  const SnapshotSource::View* tables = nullptr;
-  for (const SnapshotSource::View& v : src.views) {
-    if (v.id == kSectionRepoTables) {
-      if (tables != nullptr) {
-        return Status::IOError("snapshot " + path +
-                               " has duplicate repo-tables sections");
-      }
-      tables = &v;
-    }
-  }
-  if (tables == nullptr) {
-    return Status::NotFound(
-        "snapshot " + path + " (format version " +
-        std::to_string(src.version) +
-        ") carries no table data; re-run build-index to write a version " +
-        std::to_string(kSnapshotFormatVersion) +
-        " snapshot, or load the repository from its CSV directory");
-  }
-  SerdeReader r(tables->payload, "repo tables section of " + path);
-  r.set_aligned(src.version >= 3);
+  VER_ASSIGN_OR_RETURN(SerdeReader r,
+                       src.Section(kSectionRepoTables, "repo tables"));
   int32_t num_tables;
   VER_RETURN_IF_ERROR(r.ReadI32(&num_tables));
   if (num_tables < 0) {
@@ -677,178 +335,64 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::Load(
     const PagingOptions& paging) {
   SnapshotSource src;
   VER_RETURN_IF_ERROR(OpenSnapshotSource(path, paging, repo.pager(), &src));
-  const uint32_t version = src.version;
-
-  auto find_section =
-      [&](uint32_t id, const char* name) -> Result<const SnapshotSource::View*> {
-    return FindSectionView(src, path, id, name);
-  };
-  auto reader_for = [&](const SnapshotSource::View& s, const char* name) {
-    SerdeReader r(s.payload, std::string(name) + " section of " + path);
-    // Legacy (pre-v3) payloads carry no array-alignment padding.
-    r.set_aligned(version >= 3);
-    return r;
-  };
-
-  VER_ASSIGN_OR_RETURN(const SnapshotSource::View* fingerprint,
-                       find_section(kSectionRepoFingerprint, "fingerprint"));
   {
-    SerdeReader r = reader_for(*fingerprint, "fingerprint");
+    VER_ASSIGN_OR_RETURN(SerdeReader r,
+                         src.Section(kSectionRepoFingerprint, "fingerprint"));
     VER_RETURN_IF_ERROR(CheckRepoFingerprint(&r, repo));
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
 
   std::unique_ptr<DiscoveryEngine> engine(new DiscoveryEngine());
   engine->repo_ = &repo;
-
-  VER_ASSIGN_OR_RETURN(const SnapshotSource::View* options,
-                       find_section(kSectionOptions, "options"));
   {
-    SerdeReader r = reader_for(*options, "options");
-    VER_RETURN_IF_ERROR(LoadOptions(&r, version, &engine->options_));
+    VER_ASSIGN_OR_RETURN(SerdeReader r,
+                         src.Section(kSectionOptions, "options"));
+    VER_RETURN_IF_ERROR(LoadOptions(&r, &engine->options_));
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
-
-  VER_ASSIGN_OR_RETURN(const SnapshotSource::View* profiles,
-                       find_section(kSectionProfiles, "profiles"));
-  engine->profiles_ = std::make_shared<std::vector<ColumnProfile>>();
   {
-    SerdeReader r = reader_for(*profiles, "profiles");
+    VER_ASSIGN_OR_RETURN(SerdeReader r,
+                         src.Section(kSectionProfiles, "profiles"));
     uint64_t count;
     VER_RETURN_IF_ERROR(r.ReadU64(&count));
     // A serialized profile is >= 57 bytes (ref + name length + stats +
     // sketch + hash-set length); 8 is a safe floor for the count guard.
     VER_RETURN_IF_ERROR(r.CheckCount(count, 8, "profile count"));
-    engine->profiles_->reserve(static_cast<size_t>(count));
+    engine->profiles_.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
       ColumnProfile p;
       VER_RETURN_IF_ERROR(p.LoadFrom(&r));
-      engine->profiles_->push_back(std::move(p));
+      engine->profiles_.push_back(std::move(p));
     }
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
-  engine->profile_index_.reserve(engine->profiles_->size());
-  for (size_t i = 0; i < engine->profiles_->size(); ++i) {
-    engine->profile_index_.emplace((*engine->profiles_)[i].ref.Encode(),
+  engine->profile_index_.reserve(engine->profiles_.size());
+  for (size_t i = 0; i < engine->profiles_.size(); ++i) {
+    engine->profile_index_.emplace(engine->profiles_[i].ref.Encode(),
                                    static_cast<int>(i));
   }
-
-  if (version >= 4) {
-    // The shard layout is authoritative: loads never re-hash table names,
-    // so a snapshot round-trips its partition even if the hash ever
-    // changes.
-    VER_ASSIGN_OR_RETURN(const SnapshotSource::View* layout,
-                         find_section(kSectionShardLayout, "shard layout"));
-    SerdeReader r = reader_for(*layout, "shard layout");
-    uint64_t num_shards;
-    VER_RETURN_IF_ERROR(r.ReadU64(&num_shards));
-    if (num_shards == 0) {
-      return Status::IOError("snapshot " + path + " declares zero shards");
-    }
-    VER_RETURN_IF_ERROR(r.CheckCount(num_shards, 8, "shard count"));
-    engine->shard_of_table_.assign(static_cast<size_t>(repo.num_tables()),
-                                   -1);
-    engine->shards_.reserve(static_cast<size_t>(num_shards));
-    for (uint64_t s = 0; s < num_shards; ++s) {
-      const char* raw = nullptr;
-      uint64_t n = 0;
-      VER_RETURN_IF_ERROR(
-          r.ReadArrayExtent(sizeof(int32_t), "shard table ids", &raw, &n));
-      auto shard = std::make_shared<Shard>();
-      shard->built_profiles = engine->profiles_;
-      shard->table_ids.resize(static_cast<size_t>(n));
-      if (n > 0) {
-        std::memcpy(shard->table_ids.data(), raw,
-                    static_cast<size_t>(n) * sizeof(int32_t));
-      }
-      int32_t prev = -1;
-      for (int32_t t : shard->table_ids) {
-        if (t < 0 || t >= repo.num_tables() || t <= prev ||
-            engine->shard_of_table_[static_cast<size_t>(t)] != -1) {
-          return Status::IOError(
-              "snapshot " + path +
-              " has a corrupt shard layout (table ids must be ascending, "
-              "in range, and assigned to exactly one shard)");
-        }
-        prev = t;
-        engine->shard_of_table_[static_cast<size_t>(t)] =
-            static_cast<int>(s);
-      }
-      engine->shards_.push_back(std::move(shard));
-    }
-    VER_RETURN_IF_ERROR(r.ExpectEnd());
-    for (size_t s = 0; s < engine->shards_.size(); ++s) {
-      // Per-shard residency spaces only pay off when there is more than
-      // one shard; a 1-shard v4 snapshot pages exactly like v3 (one
-      // space), which keeps single-shard serving's pool accounting
-      // unchanged.
-      const PagerBinding* binding =
-          engine->shards_.size() > 1 ? src.shard_binding(s) : src.binding();
-      VER_ASSIGN_OR_RETURN(
-          const SnapshotSource::View* kw,
-          find_section(ShardKeywordSectionId(s), "shard keyword index"));
-      {
-        SerdeReader kr = reader_for(*kw, "shard keyword index");
-        VER_RETURN_IF_ERROR(
-            engine->shards_[s]->keywords.LoadFrom(&kr, repo, binding));
-        VER_RETURN_IF_ERROR(kr.ExpectEnd());
-      }
-      VER_ASSIGN_OR_RETURN(
-          const SnapshotSource::View* sim,
-          find_section(ShardSimilaritySectionId(s), "shard similarity index"));
-      {
-        SerdeReader sr = reader_for(*sim, "shard similarity index");
-        VER_RETURN_IF_ERROR(engine->shards_[s]->similarity.LoadFrom(
-            &sr, engine->profiles_.get(), engine->options_.similarity,
-            binding));
-        VER_RETURN_IF_ERROR(sr.ExpectEnd());
-      }
-    }
-  } else {
-    // Pre-v4 snapshots are monolithic: load them as one shard owning
-    // every table.
-    auto shard = std::make_shared<Shard>();
-    shard->built_profiles = engine->profiles_;
-    shard->table_ids.reserve(static_cast<size_t>(repo.num_tables()));
-    for (int32_t t = 0; t < repo.num_tables(); ++t) {
-      shard->table_ids.push_back(t);
-    }
-    engine->shard_of_table_.assign(static_cast<size_t>(repo.num_tables()), 0);
-    engine->shards_.push_back(std::move(shard));
-
-    VER_ASSIGN_OR_RETURN(const SnapshotSource::View* keywords,
-                         find_section(kSectionKeywordIndex, "keyword index"));
-    {
-      SerdeReader r = reader_for(*keywords, "keyword index");
-      VER_RETURN_IF_ERROR(
-          engine->shards_[0]->keywords.LoadFrom(&r, repo, src.binding()));
-      VER_RETURN_IF_ERROR(r.ExpectEnd());
-    }
-
-    VER_ASSIGN_OR_RETURN(
-        const SnapshotSource::View* similarity,
-        find_section(kSectionSimilarityIndex, "similarity index"));
-    {
-      SerdeReader r = reader_for(*similarity, "similarity index");
-      VER_RETURN_IF_ERROR(engine->shards_[0]->similarity.LoadFrom(
-          &r, engine->profiles_.get(), engine->options_.similarity,
-          src.binding()));
-      VER_RETURN_IF_ERROR(r.ExpectEnd());
-    }
-  }
-  engine->options_.num_shards = static_cast<int>(engine->shards_.size());
-
-  VER_ASSIGN_OR_RETURN(const SnapshotSource::View* join_paths,
-                       find_section(kSectionJoinPathIndex, "join path index"));
   {
-    SerdeReader r = reader_for(*join_paths, "join path index");
+    VER_ASSIGN_OR_RETURN(SerdeReader r,
+                         src.Section(kSectionKeywordIndex, "keyword index"));
+    VER_RETURN_IF_ERROR(engine->keywords_.LoadFrom(&r, repo, src.binding()));
+    VER_RETURN_IF_ERROR(r.ExpectEnd());
+  }
+  {
+    VER_ASSIGN_OR_RETURN(
+        SerdeReader r,
+        src.Section(kSectionSimilarityIndex, "similarity index"));
+    VER_RETURN_IF_ERROR(engine->similarity_.LoadFrom(
+        &r, &engine->profiles_, engine->options_.similarity, src.binding()));
+    VER_RETURN_IF_ERROR(r.ExpectEnd());
+  }
+  {
+    VER_ASSIGN_OR_RETURN(
+        SerdeReader r, src.Section(kSectionJoinPathIndex, "join path index"));
     VER_RETURN_IF_ERROR(engine->join_paths_.LoadFrom(
         &r, repo, engine->options_.join_paths, src.binding()));
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
   engine->pager_ = src.runtime;
-  engine->InitCounters();
-  engine->SetupScatterPool();
   return engine;
 }
 
@@ -857,71 +401,27 @@ void DiscoveryEngine::PinInto(PagePin* pin) const {
   for (int32_t t = 0; t < repo_->num_tables(); ++t) {
     repo_->table(t).PinInto(pin);
   }
-  for (const std::shared_ptr<Shard>& shard : shards_) {
-    shard->keywords.PinInto(pin);
-    shard->similarity.PinInto(pin);
-  }
+  keywords_.PinInto(pin);
+  similarity_.PinInto(pin);
   join_paths_.PinInto(pin);
 }
 
 std::vector<KeywordHit> DiscoveryEngine::SearchKeyword(
     const std::string& keyword, KeywordTarget target, bool fuzzy) const {
-  const int max_edits = fuzzy ? options_.fuzzy_max_edits : 0;
-  if (shards_.size() == 1) {
-    std::vector<KeywordHit> hits =
-        shards_[0]->keywords.Search(keyword, target, max_edits);
-    counters_[0]->candidates.fetch_add(hits.size(),
-                                       std::memory_order_relaxed);
-    return hits;
-  }
-  // Scatter: every shard searches its own postings in parallel.
-  std::vector<std::vector<KeywordHit>> per(shards_.size());
-  TaskGroup group(scatter_pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Run([this, &per, &keyword, target, max_edits, s] {
-      per[s] = shards_[s]->keywords.Search(keyword, target, max_edits);
-    });
-  }
-  group.Wait();
-  // Gather: columns partition across shards and every hit's fields are
-  // computed from its own column alone, so concatenating and re-sorting
-  // by the monolithic Search's key — (table, column, matched-attribute),
-  // unique per hit — reproduces the 1-shard hit list exactly.
-  size_t total = 0;
-  for (size_t s = 0; s < per.size(); ++s) {
-    counters_[s]->candidates.fetch_add(per[s].size(),
-                                       std::memory_order_relaxed);
-    total += per[s].size();
-  }
-  std::vector<KeywordHit> out;
-  out.reserve(total);
-  for (std::vector<KeywordHit>& v : per) {
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const KeywordHit& a, const KeywordHit& b) {
-              if (a.column.table_id != b.column.table_id) {
-                return a.column.table_id < b.column.table_id;
-              }
-              if (a.column.column_index != b.column.column_index) {
-                return a.column.column_index < b.column.column_index;
-              }
-              return a.matched_attribute < b.matched_attribute;
-            });
-  return out;
+  return keywords_.Search(keyword, target,
+                          fuzzy ? options_.fuzzy_max_edits : 0);
 }
 
 namespace {
 
-// Gathered neighbor lists merge under the same order every per-shard list
-// already has — (score desc, profile index asc). Profile indices are
-// unique across shards, so the sort is a total order and the merged list
-// equals the monolithic one.
-void SortNeighbors(std::vector<Neighbor>* out) {
-  std::sort(out->begin(), out->end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.profile_index < b.profile_index;
-  });
+std::vector<ColumnRef> NeighborRefs(const std::vector<ColumnProfile>& profiles,
+                                    const std::vector<Neighbor>& neighbors) {
+  std::vector<ColumnRef> out;
+  out.reserve(neighbors.size());
+  for (const Neighbor& n : neighbors) {
+    out.push_back(profiles[static_cast<size_t>(n.profile_index)].ref);
+  }
+  return out;
 }
 
 }  // namespace
@@ -930,81 +430,21 @@ std::vector<ColumnRef> DiscoveryEngine::Neighbors(const ColumnRef& column,
                                                   double threshold) const {
   auto it = profile_index_.find(column.Encode());
   if (it == profile_index_.end()) return {};
-  const int idx = it->second;
-  std::vector<std::vector<Neighbor>> per(shards_.size());
-  TaskGroup group(scatter_pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Run([this, &per, idx, threshold, s] {
-      per[s] = shards_[s]->similarity.ContainmentNeighbors(*profiles_, idx,
-                                                           threshold);
-    });
-  }
-  group.Wait();
-  std::vector<Neighbor> merged;
-  for (size_t s = 0; s < per.size(); ++s) {
-    counters_[s]->candidates.fetch_add(per[s].size(),
-                                       std::memory_order_relaxed);
-    merged.insert(merged.end(), per[s].begin(), per[s].end());
-  }
-  if (shards_.size() > 1) SortNeighbors(&merged);
-  std::vector<ColumnRef> out;
-  out.reserve(merged.size());
-  for (const Neighbor& n : merged) {
-    out.push_back((*profiles_)[static_cast<size_t>(n.profile_index)].ref);
-  }
-  return out;
+  return NeighborRefs(profiles_,
+                      similarity_.ContainmentNeighbors(it->second, threshold));
 }
 
 std::vector<ColumnRef> DiscoveryEngine::SimilarColumns(
     const ColumnRef& column, double jaccard_threshold) const {
   auto it = profile_index_.find(column.Encode());
   if (it == profile_index_.end()) return {};
-  const int idx = it->second;
-  std::vector<std::vector<Neighbor>> per(shards_.size());
-  TaskGroup group(scatter_pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Run([this, &per, idx, jaccard_threshold, s] {
-      per[s] = shards_[s]->similarity.JaccardNeighbors(*profiles_, idx,
-                                                       jaccard_threshold);
-    });
-  }
-  group.Wait();
-  std::vector<Neighbor> merged;
-  for (size_t s = 0; s < per.size(); ++s) {
-    counters_[s]->candidates.fetch_add(per[s].size(),
-                                       std::memory_order_relaxed);
-    merged.insert(merged.end(), per[s].begin(), per[s].end());
-  }
-  if (shards_.size() > 1) SortNeighbors(&merged);
-  std::vector<ColumnRef> out;
-  out.reserve(merged.size());
-  for (const Neighbor& n : merged) {
-    out.push_back((*profiles_)[static_cast<size_t>(n.profile_index)].ref);
-  }
-  return out;
+  return NeighborRefs(profiles_, similarity_.JaccardNeighbors(
+                                     it->second, jaccard_threshold));
 }
 
 std::vector<JoinGraph> DiscoveryEngine::GenerateJoinGraphs(
     const std::vector<int32_t>& tables, int max_hops) const {
   return join_paths_.GenerateJoinGraphs(tables, max_hops);
-}
-
-void DiscoveryEngine::NoteCandidateDiscovery() const {
-  for (const std::unique_ptr<ShardCounters>& c : counters_) {
-    c->scatter_queries.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<DiscoveryEngine::ShardCounterSnapshot>
-DiscoveryEngine::shard_counters() const {
-  std::vector<ShardCounterSnapshot> out(counters_.size());
-  for (size_t s = 0; s < counters_.size(); ++s) {
-    out[s].scatter_queries =
-        counters_[s]->scatter_queries.load(std::memory_order_relaxed);
-    out[s].candidates =
-        counters_[s]->candidates.load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 }  // namespace ver

@@ -3,21 +3,15 @@
 // functions Ver consumes (Appendix A): SEARCH-KEYWORD, NEIGHBORS and
 // GENERATE-JOIN-GRAPHS, plus profile access.
 //
-// The engine is internally sharded: tables are hash-partitioned across N
-// shards (DiscoveryOptions::num_shards), each owning its own keyword and
-// similarity index built over just its tables, while column profiles and
-// the join-path index stay global. Queries scatter across the shards (in
-// parallel when the engine was built with parallelism > 1) and gather the
-// per-shard results with deterministic merges, so every answer is
-// bit-identical to a 1-shard engine over the same repository.
+// One engine holds one set of indices over the whole repository: column
+// profiles, a keyword index, a similarity index and a join-path index.
+// It persists as one snapshot file in one format (util/serde.h).
 
 #ifndef VER_DISCOVERY_ENGINE_H_
 #define VER_DISCOVERY_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "discovery/join_path_index.h"
@@ -28,7 +22,6 @@
 #include "storage/repository.h"
 #include "util/result.h"
 #include "util/serde.h"
-#include "util/thread_pool.h"
 
 namespace ver {
 
@@ -49,18 +42,11 @@ struct DiscoveryOptions {
   /// fuzzy=true). Units: edits; default 2; 0 disables fuzzy matching.
   int fuzzy_max_edits = 2;
   /// Worker threads for offline index construction (profiling, LSH banding,
-  /// join-path candidate scoring) and, when num_shards > 1, for query-time
-  /// scatter across shards. Units: threads; default 1 = serial;
-  /// 0 = all hardware threads. No paper counterpart (the paper builds
-  /// indices with Aurum). Output is bit-identical to serial for any value.
+  /// join-path candidate scoring); queries never use them. Units: threads;
+  /// default 1 = serial; 0 = all hardware threads. No paper counterpart
+  /// (the paper builds indices with Aurum). Output is bit-identical to
+  /// serial for any value.
   int parallelism = 1;
-  /// Number of hash-partitioned shards the engine splits the repository
-  /// into. Tables are assigned by a fingerprint of their name, each shard
-  /// builds its own keyword + similarity index (in parallel when
-  /// parallelism > 1), and snapshots persist every shard as its own
-  /// section group (format v4). Queries scatter-gather across shards and
-  /// answer bit-identically to 1 shard. Units: shards; default 1.
-  int num_shards = 1;
   /// Paged snapshot serving (mmap + buffer-pool residency). A load-time,
   /// per-process choice — NOT serialized into snapshots, and ignored by
   /// Build()/Save(). See PagingOptions for the knobs.
@@ -76,12 +62,12 @@ struct DiscoveryOptions {
 /// IndexNewTable() are exclusive writers. Every const method —
 /// SearchKeyword, Neighbors, SimilarColumns, GenerateJoinGraphs, profile
 /// access and the index accessors — only reads state built beforehand;
-/// there are no lazily-populated caches or memoization on the read path
-/// (the per-shard scatter counters are plain atomics). Concurrent const
-/// calls are therefore data-race-free and return results identical to
-/// serial execution. IndexNewTable must not run concurrently with any
-/// other call; callers that need online maintenance under traffic must
-/// serialize it externally (VerServer never calls it).
+/// there are no lazily-populated caches, memoization or counters on the
+/// read path. Concurrent const calls are therefore data-race-free and
+/// return results identical to serial execution. IndexNewTable must not
+/// run concurrently with any other call; callers that need online
+/// maintenance under traffic must serialize it externally (VerServer never
+/// calls it).
 class DiscoveryEngine {
  public:
   /// Profiles all columns and constructs all indices.
@@ -89,27 +75,25 @@ class DiscoveryEngine {
       const TableRepository& repo,
       const DiscoveryOptions& options = DiscoveryOptions());
 
-  /// Persists the engine — options, column profiles (with sketches), the
-  /// shard layout with every shard's keyword + similarity index, the
-  /// global join-path index, plus a fingerprint of the repository's table
-  /// names, row counts and schemas — as one versioned snapshot file (see
-  /// util/serde.h for the format). The write is atomic (temp + rename).
-  /// `format_version` defaults to the current format; passing an older
-  /// version emits a genuine legacy file for downgrade paths and
-  /// compatibility tests (pre-v4 formats are single-shard: saving a
-  /// multi-shard engine at version <= 3 is an InvalidArgument).
-  Status Save(const std::string& path,
-              uint32_t format_version = kSnapshotFormatVersion) const;
+  DiscoveryEngine(const DiscoveryEngine&) = delete;
+  DiscoveryEngine& operator=(const DiscoveryEngine&) = delete;
+
+  /// Persists the engine — a fingerprint of the repository's table names,
+  /// row counts and schemas, options, column profiles (with sketches), the
+  /// keyword, similarity and join-path indices, and the repository's
+  /// tables in columnar form — as one kSnapshotFormatVersion snapshot file
+  /// (see util/serde.h and docs/ARCHITECTURE.md for the layout). The write
+  /// is atomic (temp + rename).
+  Status Save(const std::string& path) const;
 
   /// Restores an engine from a snapshot written by Save(). `repo` must be
   /// the repository the snapshot was built over (checked against the
   /// stored fingerprint) and must outlive the engine. A loaded engine
   /// answers every query bit-identically to the freshly built engine it
-  /// was saved from, and supports IndexNewTable exactly like one. The
-  /// shard layout comes from the file (never re-hashed); v1-v3 files load
-  /// as one shard. On any corruption (bad magic, version skew,
-  /// truncation, checksum mismatch) returns a descriptive error and
-  /// constructs nothing.
+  /// was saved from, and supports IndexNewTable exactly like one. On any
+  /// corruption (bad magic, a format version other than
+  /// kSnapshotFormatVersion, truncation, checksum mismatch) returns a
+  /// descriptive error and constructs nothing.
   static Result<std::unique_ptr<DiscoveryEngine>> Load(
       const TableRepository& repo, const std::string& path);
 
@@ -119,48 +103,42 @@ class DiscoveryEngine {
   /// queries answer bit-identically, cold start touches O(pages read)
   /// instead of O(file), and checksum verification is skipped (the
   /// paged trust model: framing validated, content bounds-guarded at
-  /// query time). When the snapshot is multi-shard, each shard's sections
-  /// register as their own buffer-pool space against the shared budget,
-  /// so residency is accounted per shard (single-shard snapshots keep the
-  /// one-space layout). When `repo` was itself paged from the same path, the engine
-  /// shares the repository's runtime (one map, one budget). Snapshots
-  /// that cannot be paged (pre-v3 format, platforms without mmap)
-  /// silently fall back to the resident path.
+  /// query time). When `repo` was itself paged from the same path, the
+  /// engine shares the repository's runtime (one map, one space, one
+  /// budget). On hosts that cannot page (no mmap, big-endian) the load
+  /// silently falls back to the resident path.
   static Result<std::unique_ptr<DiscoveryEngine>> Load(
       const TableRepository& repo, const std::string& path,
       const PagingOptions& paging);
 
   /// Reconstructs the repository a snapshot was built over from the
-  /// snapshot's columnar table sections (format version >= 2): every
-  /// column's dictionary, codes and null bitmap memcpy-load, so a server
-  /// cold-starts without re-parsing a single CSV. The result passes the
-  /// snapshot's own fingerprint check, i.e. Load(LoadRepository(path),
-  /// path) answers queries bit-identically to the engine that was saved.
-  /// v1 snapshots (no table data) return NotFound with guidance.
+  /// snapshot's columnar table section: every column's dictionary, codes
+  /// and null bitmap memcpy-load, so a server cold-starts without
+  /// re-parsing a single CSV. The result passes the snapshot's own
+  /// fingerprint check, i.e. Load(LoadRepository(path), path) answers
+  /// queries bit-identically to the engine that was saved.
   static Result<TableRepository> LoadRepository(const std::string& path);
 
   /// LoadRepository() with an explicit paging choice: column payloads
   /// (codes, null bitmaps, dictionary arenas) stay in the mmapped file
   /// and page in on demand under the budget. The returned repository
   /// holds the runtime (repo.pager()); pass the same path to Load() to
-  /// share it. Falls back to the resident path when the snapshot cannot
-  /// be paged structurally (pre-v3 format, no mmap).
+  /// share it. Falls back to the resident path on hosts that cannot page.
   static Result<TableRepository> LoadRepository(const std::string& path,
                                                 const PagingOptions& paging);
 
   const TableRepository& repo() const { return *repo_; }
   const DiscoveryOptions& options() const { return options_; }
 
-  /// SEARCH-KEYWORD(target, fuzzy): columns containing `keyword`.
-  /// Scattered across shards; gathered hits are re-sorted by
-  /// (table, column, matched-attribute) — the monolithic index's order.
+  /// SEARCH-KEYWORD(target, fuzzy): columns containing `keyword`, sorted
+  /// by (table, column, matched-attribute).
   std::vector<KeywordHit> SearchKeyword(const std::string& keyword,
                                         KeywordTarget target,
                                         bool fuzzy = false) const;
 
   /// NEIGHBORS(threshold): columns whose containment with `column` is at
-  /// least `threshold` (inclusion-dependency neighbors). Scattered across
-  /// shards; gathered neighbors merge by (score desc, profile index asc).
+  /// least `threshold` (inclusion-dependency neighbors), sorted by
+  /// (score desc, profile index asc).
   std::vector<ColumnRef> Neighbors(const ColumnRef& column,
                                    double threshold) const;
 
@@ -168,74 +146,28 @@ class DiscoveryEngine {
   std::vector<ColumnRef> SimilarColumns(const ColumnRef& column,
                                         double jaccard_threshold) const;
 
-  /// GENERATE-JOIN-GRAPHS(tables, rho). The join-path index is global
-  /// (join graphs span shards by nature), built from the deterministic
-  /// union of per-shard and cross-shard candidate pairs.
+  /// GENERATE-JOIN-GRAPHS(tables, rho).
   std::vector<JoinGraph> GenerateJoinGraphs(const std::vector<int32_t>& tables,
                                             int max_hops) const;
 
   const ColumnProfile& profile(const ColumnRef& ref) const {
-    return (*profiles_)[static_cast<size_t>(
-        profile_index_.at(ref.Encode()))];
+    return profiles_[static_cast<size_t>(profile_index_.at(ref.Encode()))];
   }
-  const std::vector<ColumnProfile>& profiles() const { return *profiles_; }
+  const std::vector<ColumnProfile>& profiles() const { return profiles_; }
   const JoinPathIndex& join_path_index() const { return join_paths_; }
-  /// Shard 0's indexes — for a 1-shard engine (the default) these are the
-  /// whole engine; multi-shard callers should query through the engine.
-  const KeywordIndex& keyword_index() const { return shards_[0]->keywords; }
-  const SimilarityIndex& similarity_index() const {
-    return shards_[0]->similarity;
-  }
+  const KeywordIndex& keyword_index() const { return keywords_; }
+  const SimilarityIndex& similarity_index() const { return similarity_; }
 
   /// Table I statistic: total joinable column pairs discovered offline.
   int64_t num_joinable_column_pairs() const {
     return join_paths_.num_joinable_column_pairs();
   }
 
-  // --- Shard topology & observability ---------------------------------
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// Tables owned by shard `s`, ascending.
-  const std::vector<int32_t>& shard_tables(int s) const {
-    return shards_[static_cast<size_t>(s)]->table_ids;
-  }
-  /// Shard owning table `t`.
-  int shard_of_table(int32_t t) const {
-    return shard_of_table_[static_cast<size_t>(t)];
-  }
-
-  /// Point-in-time copy of one shard's scatter counters.
-  struct ShardCounterSnapshot {
-    uint64_t scatter_queries = 0;  // discovery queries scattered into it
-    uint64_t candidates = 0;       // hits + neighbors it contributed
-  };
-  std::vector<ShardCounterSnapshot> shard_counters() const;
-
-  /// Records that one pipeline query entered candidate discovery and will
-  /// scatter across all shards; called by the query driver, counted in
-  /// shard_counters(). Thread-safe (relaxed atomics).
-  void NoteCandidateDiscovery() const;
-
   /// Online index maintenance: indexes a table that was appended to the
-  /// repository after Build(). The table is routed to its hash shard and
-  /// all indices (keyword, similarity, join paths) update incrementally;
-  /// queries afterwards behave as if the engine had been built from
-  /// scratch over the grown repository. Fails with InvalidArgument on
-  /// an engine whose shards are shared with another engine (after
-  /// WithRebuiltShard) — mutating a shared shard would corrupt the other
-  /// engine's answers.
+  /// repository after Build(). All indices (keyword, similarity, join
+  /// paths) update incrementally; queries afterwards behave as if the
+  /// engine had been built from scratch over the grown repository.
   Status IndexNewTable(int32_t table_id);
-
-  /// Per-shard re-index for hot swaps: returns a new engine over `repo`
-  /// (which must have the same table count and per-table column counts as
-  /// the current repository — schema-shape changes need a full rebuild)
-  /// where shard `shard`'s tables are re-profiled and its keyword +
-  /// similarity indexes rebuilt, every other shard is shared by reference
-  /// with this engine, and the global join-path index is recomputed. The
-  /// returned engine serves `repo`; this engine keeps serving its own
-  /// repository untouched, so a server can swap one shard under traffic.
-  Result<std::unique_ptr<DiscoveryEngine>> WithRebuiltShard(
-      const TableRepository& repo, int shard) const;
 
   /// The pager runtime this engine's indices borrow from (null when
   /// loaded resident). Shared with the repository when both were paged
@@ -248,64 +180,18 @@ class DiscoveryEngine {
   void PinInto(PagePin* pin) const;
 
  private:
-  /// One hash partition of the repository: its table set plus the keyword
-  /// and similarity indexes over exactly those tables. Postings stay
-  /// keyed by *global* table/profile ids, which is what makes gathered
-  /// results mergeable with the monolithic order. Shards are shared by
-  /// shared_ptr between an engine and its WithRebuiltShard successors;
-  /// `built_profiles` keeps the profile vector the similarity index was
-  /// built against alive across that sharing.
-  struct Shard {
-    std::vector<int32_t> table_ids;  // ascending
-    KeywordIndex keywords;
-    SimilarityIndex similarity;
-    std::shared_ptr<const std::vector<ColumnProfile>> built_profiles;
-  };
-
-  /// Per-shard query counters (relaxed atomics; heap-allocated so the
-  /// shard vector stays movable).
-  struct ShardCounters {
-    std::atomic<uint64_t> scatter_queries{0};
-    std::atomic<uint64_t> candidates{0};
-  };
-
   DiscoveryEngine() = default;
-
-  /// Assigns every repository table to a shard by name fingerprint and
-  /// fills shard_of_table_ + per-shard table id lists.
-  void PartitionTables(int num_shards);
-  /// Ascending global profile indices per shard.
-  std::vector<std::vector<int>> ShardMemberProfiles() const;
-  /// Builds every shard's keyword + similarity index; with a pool and
-  /// num_shards > 1, one task per shard.
-  void BuildShardIndexes(ThreadPool* pool);
-  /// The global join candidate pair set: the sorted, deduplicated union
-  /// of per-shard AllCandidatePairs plus cross-shard probes. For one
-  /// shard this is exactly AllCandidatePairs (the monolithic input).
-  std::vector<std::pair<int, int>> ComputeJoinCandidatePairs(
-      ThreadPool* pool) const;
-  /// Creates the query-time scatter pool when sharded and parallel.
-  void SetupScatterPool();
-  void InitCounters();
 
   const TableRepository* repo_ = nullptr;
   DiscoveryOptions options_;
-  /// Global profiles in build order (table 0..N-1, columns in schema
-  /// order) regardless of shard count — every profile index and
-  /// Encode-keyed sort is shard-invariant because of this. Shared so a
-  /// WithRebuiltShard successor's shards can pin the vector they were
-  /// built against.
-  std::shared_ptr<std::vector<ColumnProfile>> profiles_;
+  /// Profiles in build order (table 0..N-1, columns in schema order). The
+  /// similarity and join-path indices point at this vector, which is why
+  /// the engine is neither copyable nor movable.
+  std::vector<ColumnProfile> profiles_;
   std::unordered_map<uint64_t, int> profile_index_;  // ColumnRef -> index
-  std::vector<std::shared_ptr<Shard>> shards_;
-  std::vector<int> shard_of_table_;
+  KeywordIndex keywords_;
+  SimilarityIndex similarity_;
   JoinPathIndex join_paths_;
-  std::vector<std::unique_ptr<ShardCounters>> counters_;
-  /// Scatter pool for query-time fan-out; created when num_shards > 1 and
-  /// the engine was configured with parallelism > 1. Shared by all
-  /// concurrent queries — each query tracks only its own tasks with a
-  /// TaskGroup, never ThreadPool::Wait.
-  std::unique_ptr<ThreadPool> scatter_pool_;
   std::shared_ptr<PagerRuntime> pager_;
 };
 

@@ -181,12 +181,7 @@ void JoinPathIndex::RebuildAdjacency() {
 void JoinPathIndex::Build(const std::vector<ColumnProfile>* profiles,
                           const SimilarityIndex& similarity,
                           const JoinPathOptions& options, ThreadPool* pool) {
-  Build(profiles, similarity.AllCandidatePairs(), options, pool);
-}
-
-void JoinPathIndex::Build(const std::vector<ColumnProfile>* profiles,
-                          const std::vector<std::pair<int, int>>& pairs,
-                          const JoinPathOptions& options, ThreadPool* pool) {
+  const std::vector<std::pair<int, int>> pairs = similarity.AllCandidatePairs();
   options_ = options;
   pair_edges_.clear();
   flat_edges_ = FlatEdges{};
@@ -200,7 +195,7 @@ void JoinPathIndex::Build(const std::vector<ColumnProfile>* profiles,
     RebuildAdjacency();
     return;
   }
-  // Candidate scoring (the containment computations) dominates Build; shard
+  // Candidate scoring (the containment computations) dominates Build; split
   // the sorted pair list into contiguous chunks scored on workers. Each
   // chunk emits edges in pair order, and chunks merge in chunk order, so
   // pair_edges_ content and per-key edge order match the serial pass.
@@ -241,16 +236,6 @@ void JoinPathIndex::AddColumns(const std::vector<ColumnProfile>* profiles,
       }
       MaybeAddEdge(ps[i], ps[static_cast<size_t>(j)]);
     }
-  }
-  RebuildAdjacency();
-}
-
-void JoinPathIndex::AddColumnPairs(
-    const std::vector<ColumnProfile>* profiles,
-    const std::vector<std::pair<int, int>>& pairs) {
-  const auto& ps = *profiles;
-  for (auto [i, j] : pairs) {
-    MaybeAddEdge(ps[static_cast<size_t>(i)], ps[static_cast<size_t>(j)]);
   }
   RebuildAdjacency();
 }

@@ -42,34 +42,16 @@ struct JoinPathOptions {
 class JoinPathIndex {
  public:
   /// Discovers all joinable column pairs and builds table adjacency.
-  /// With a pool, candidate-pair scoring shards across workers; per-chunk
+  /// With a pool, candidate-pair scoring splits across workers; per-chunk
   /// edges merge in chunk order, so the index equals a serial build.
   void Build(const std::vector<ColumnProfile>* profiles,
              const SimilarityIndex& similarity, const JoinPathOptions& options,
              ThreadPool* pool = nullptr);
 
-  /// Pair-list build for sharded engines: scores an explicit candidate
-  /// pair list (ascending (i, j), i < j, deduplicated) instead of asking
-  /// one similarity index. A monolithic engine's pair list is exactly
-  /// similarity.AllCandidatePairs(), so the overload above delegates here
-  /// — and a sharded engine passing the sorted union of per-shard and
-  /// cross-shard pairs produces the identical index.
-  void Build(const std::vector<ColumnProfile>* profiles,
-             const std::vector<std::pair<int, int>>& pairs,
-             const JoinPathOptions& options, ThreadPool* pool = nullptr);
-
   /// Incrementally discovers join edges for profiles appended after
   /// Build() (starting at `first_new`) and refreshes table adjacency.
   void AddColumns(const std::vector<ColumnProfile>* profiles,
                   const SimilarityIndex& similarity, size_t first_new);
-
-  /// Pair-list variant of AddColumns for sharded engines: evaluates the
-  /// given (new_column, existing_column) pairs in order. Callers must
-  /// present pairs the way AddColumns discovers them — for each new column
-  /// i ascending, its partners j < i ascending — so overlay edge order
-  /// matches the single-shard incremental path.
-  void AddColumnPairs(const std::vector<ColumnProfile>* profiles,
-                      const std::vector<std::pair<int, int>>& pairs);
 
   /// All join graphs connecting `tables` where every inter-table route uses
   /// at most `max_hops` join edges; `max_hops` < 1 allows no route. With a

@@ -99,6 +99,13 @@ Status KeywordIndex::FlatPostings::LoadFrom(SerdeReader* r,
   return Status::OK();
 }
 
+bool KeywordIndex::FlatColumnInRange(const ColumnRef& ref) const {
+  return ref.table_id >= 0 &&
+         static_cast<size_t>(ref.table_id) < table_num_columns_.size() &&
+         ref.column_index >= 0 &&
+         ref.column_index < table_num_columns_[ref.table_id];
+}
+
 int64_t KeywordIndex::vocabulary_size() const {
   int64_t size = static_cast<int64_t>(flat_values_.num_keys());
   for (const auto& [text, cols] : value_postings_) {
@@ -116,18 +123,6 @@ void KeywordIndex::Build(const TableRepository& repo) {
   flat_values_ = FlatPostings();
   flat_attrs_ = FlatPostings();
   for (int32_t t = 0; t < repo.num_tables(); ++t) {
-    IndexTable(repo, t);
-  }
-  RebuildVocabBuckets();
-}
-
-void KeywordIndex::BuildTables(const TableRepository& repo,
-                               const std::vector<int32_t>& table_ids) {
-  value_postings_.clear();
-  attr_postings_.clear();
-  flat_values_ = FlatPostings();
-  flat_attrs_ = FlatPostings();
-  for (int32_t t : table_ids) {
     IndexTable(repo, t);
   }
   RebuildVocabBuckets();
@@ -229,6 +224,18 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
     }
   };
 
+  // Query-time guard replacing the skipped paged validation scan: a flat
+  // posting that addresses no column is dropped, never handed to the
+  // pipeline (which dereferences hits against the repository).
+  auto add_flat_hits = [&](const FlatPostings& flat, size_t key,
+                           bool attribute, bool exact) {
+    auto [pb, pe] = flat.posting_range(key);
+    for (uint32_t p = pb; p < pe; ++p) {
+      ColumnRef ref = DecodeColumnRef(flat.columns[p]);
+      if (FlatColumnInRange(ref)) add_hit(ref, attribute, exact);
+    }
+  };
+
   auto search_postings =
       [&](const std::unordered_map<std::string, std::vector<ColumnRef>>&
               postings,
@@ -245,11 +252,8 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
         }
         ptrdiff_t fi = flat.find(needle);
         if (fi >= 0) {
-          auto [pb, pe] = flat.posting_range(static_cast<size_t>(fi));
-          for (uint32_t p = pb; p < pe; ++p) {
-            add_hit(DecodeColumnRef(flat.columns[p]), attribute,
-                    /*exact=*/true);
-          }
+          add_flat_hits(flat, static_cast<size_t>(fi), attribute,
+                        /*exact=*/true);
         }
         if (max_edits <= 0) return;
         int lo = std::max<int>(0, static_cast<int>(needle.size()) - max_edits);
@@ -264,12 +268,8 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
                 add_hit(ref, attribute, /*exact=*/false);
               }
             } else {
-              auto [pb, pe] = flat.posting_range(
-                  static_cast<size_t>(entry.flat_index));
-              for (uint32_t p = pb; p < pe; ++p) {
-                add_hit(DecodeColumnRef(flat.columns[p]), attribute,
-                        /*exact=*/false);
-              }
+              add_flat_hits(flat, static_cast<size_t>(entry.flat_index),
+                            attribute, /*exact=*/false);
             }
           }
         }
@@ -369,17 +369,20 @@ Status KeywordIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
                               const PagerBinding* binding) {
   VER_RETURN_IF_ERROR(flat_values_.LoadFrom(r, binding));
   VER_RETURN_IF_ERROR(flat_attrs_.LoadFrom(r, binding));
+  table_num_columns_.clear();
+  table_num_columns_.reserve(static_cast<size_t>(repo.num_tables()));
+  for (int32_t t = 0; t < repo.num_tables(); ++t) {
+    table_num_columns_.push_back(repo.table(t).num_columns());
+  }
   // Every posting must address a real column: hits flow straight into the
   // pipeline, which dereferences them against the repository. Paged loads
-  // skip the scan (it would fault in every posting page); the snapshot's
-  // framing was validated and postings came from this repository's save.
+  // skip the scan (it would fault in every posting page); Search checks
+  // each flat posting it reads instead.
   if (binding == nullptr || binding->pool == nullptr) {
     for (const FlatPostings* flat : {&flat_values_, &flat_attrs_}) {
       for (uint64_t encoded : flat->columns) {
         ColumnRef ref = DecodeColumnRef(encoded);
-        if (ref.table_id < 0 || ref.table_id >= repo.num_tables() ||
-            ref.column_index < 0 ||
-            ref.column_index >= repo.table(ref.table_id).num_columns()) {
+        if (!FlatColumnInRange(ref)) {
           return Status::IOError(
               "corrupt keyword index: posting addresses nonexistent column " +
               ref.ToString());

@@ -49,13 +49,6 @@ class KeywordIndex {
   /// lowercased; numeric values are indexed by their canonical text.
   void Build(const TableRepository& repo);
 
-  /// Shard-subset build: indexes only `table_ids` (ascending). Postings
-  /// keep their global ColumnRefs, so a sharded engine concatenating the
-  /// per-shard Search results and re-sorting by (table, column, attribute)
-  /// reproduces the monolithic index's hit list exactly.
-  void BuildTables(const TableRepository& repo,
-                   const std::vector<int32_t>& table_ids);
-
   /// Incrementally indexes one table that was appended to the repository
   /// after Build() or LoadFrom() (online index maintenance).
   void AddTable(const TableRepository& repo, int32_t table_id);
@@ -82,7 +75,8 @@ class KeywordIndex {
   /// extents and the O(keys)/O(postings) validation scans are skipped
   /// (they would fault in the whole store); the accessors below instead
   /// bounds-guard each slice they take, so a corrupt offset yields an
-  /// empty result, never an out-of-range read.
+  /// empty result, never an out-of-range read, and Search drops any flat
+  /// posting that addresses no column of `repo`.
   Status SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const TableRepository& repo,
                   const PagerBinding* binding = nullptr);
@@ -147,6 +141,8 @@ class KeywordIndex {
 
   void IndexTable(const TableRepository& repo, int32_t table_id);
   void RebuildVocabBuckets();
+  /// True when `ref` addresses a column of the repository LoadFrom saw.
+  bool FlatColumnInRange(const ColumnRef& ref) const;
 
   // Mutable store: lowercased text -> columns containing it (deduped).
   std::unordered_map<std::string, std::vector<ColumnRef>> value_postings_;
@@ -154,6 +150,10 @@ class KeywordIndex {
   // Immutable store (snapshot-loaded base).
   FlatPostings flat_values_;
   FlatPostings flat_attrs_;
+  // Column counts per table, captured at LoadFrom: flat postings are
+  // range-checked against them (at load when resident, per posting in
+  // Search when paged) without touching the repository.
+  std::vector<int32_t> table_num_columns_;
   // Vocabulary of both stores bucketed by length for banded fuzzy scans.
   std::vector<std::vector<VocabEntry>> vocab_by_length_;
   std::vector<std::vector<VocabEntry>> attr_vocab_by_length_;

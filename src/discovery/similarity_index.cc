@@ -82,15 +82,6 @@ void SimilarityIndex::SetupBands() {
 void SimilarityIndex::Build(const std::vector<ColumnProfile>* profiles,
                             const SimilarityOptions& options,
                             ThreadPool* pool) {
-  std::vector<int> all(profiles->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  BuildMembers(profiles, all, options, pool);
-}
-
-void SimilarityIndex::BuildMembers(const std::vector<ColumnProfile>* profiles,
-                                   const std::vector<int>& member_ids,
-                                   const SimilarityOptions& options,
-                                   ThreadPool* pool) {
   profiles_ = profiles;
   options_ = options;
   value_postings_.clear();
@@ -99,7 +90,7 @@ void SimilarityIndex::BuildMembers(const std::vector<ColumnProfile>* profiles,
   flat_band_buckets_.clear();
   eligible_.clear();
   SetupBands();
-  InsertProfiles(member_ids, pool);
+  AddProfiles(0, pool);
 }
 
 void SimilarityIndex::AddProfiles(size_t first_new, ThreadPool* pool) {
@@ -114,10 +105,9 @@ void SimilarityIndex::AddProfiles(size_t first_new, ThreadPool* pool) {
 void SimilarityIndex::InsertProfiles(const std::vector<int>& ids,
                                      ThreadPool* pool) {
   const auto& ps = *profiles_;
-  // Eligibility spans the *whole* profile vector, members and non-members
-  // alike: it is a pure function of per-column stats, and covering every
-  // column lets any global profile probe this shard's buckets and lets the
-  // snapshot section keep its "one flag per profile" invariant.
+  // Eligibility is a pure function of per-column stats; refreshing it over
+  // the whole vector keeps the snapshot section's "one flag per profile"
+  // invariant.
   eligible_.resize(ps.size(), false);
   for (size_t i = 0; i < ps.size(); ++i) {
     eligible_[i] = ps[i].stats.num_distinct >= options_.min_distinct;
@@ -205,17 +195,8 @@ uint64_t SimilarityIndex::BandHash(const MinHashSignature& sig,
 }
 
 std::vector<int> SimilarityIndex::Candidates(int profile_index) const {
-  return Candidates(*profiles_, profile_index);
-}
-
-std::vector<int> SimilarityIndex::Candidates(
-    const std::vector<ColumnProfile>& profiles, int profile_index) const {
+  const std::vector<ColumnProfile>& profiles = *profiles_;
   const ColumnProfile& p = profiles[static_cast<size_t>(profile_index)];
-  // The gate is recomputed from the caller's profile, not read from
-  // eligible_: the stored bits describe the vector this index was built
-  // against, which after a per-shard hot swap is not necessarily the one
-  // the caller is serving. Same formula, so for the build-time vector the
-  // answer is identical.
   if (p.stats.num_distinct < options_.min_distinct) return {};
   // Union the posting lists into a packed bitset over the profile universe
   // — word-level set bits instead of unordered_set nodes — then drain it
@@ -266,15 +247,10 @@ std::vector<int> SimilarityIndex::Candidates(
 
 std::vector<Neighbor> SimilarityIndex::ContainmentNeighbors(
     int profile_index, double threshold) const {
-  return ContainmentNeighbors(*profiles_, profile_index, threshold);
-}
-
-std::vector<Neighbor> SimilarityIndex::ContainmentNeighbors(
-    const std::vector<ColumnProfile>& profiles, int profile_index,
-    double threshold) const {
+  const std::vector<ColumnProfile>& profiles = *profiles_;
   std::vector<Neighbor> out;
   const ColumnProfile& query = profiles[static_cast<size_t>(profile_index)];
-  for (int other : Candidates(profiles, profile_index)) {
+  for (int other : Candidates(profile_index)) {
     double c = ProfileContainment(query, profiles[static_cast<size_t>(other)]);
     if (c >= threshold) out.push_back(Neighbor{other, c});
   }
@@ -287,15 +263,10 @@ std::vector<Neighbor> SimilarityIndex::ContainmentNeighbors(
 
 std::vector<Neighbor> SimilarityIndex::JaccardNeighbors(
     int profile_index, double threshold) const {
-  return JaccardNeighbors(*profiles_, profile_index, threshold);
-}
-
-std::vector<Neighbor> SimilarityIndex::JaccardNeighbors(
-    const std::vector<ColumnProfile>& profiles, int profile_index,
-    double threshold) const {
+  const std::vector<ColumnProfile>& profiles = *profiles_;
   std::vector<Neighbor> out;
   const ColumnProfile& query = profiles[static_cast<size_t>(profile_index)];
-  for (int other : Candidates(profiles, profile_index)) {
+  for (int other : Candidates(profile_index)) {
     double j = ProfileJaccard(query, profiles[static_cast<size_t>(other)]);
     if (j >= threshold) out.push_back(Neighbor{other, j});
   }

@@ -43,20 +43,10 @@ struct Neighbor {
 class SimilarityIndex {
  public:
   /// Builds both tiers from the profiles. Profiles must outlive the index.
-  /// With a pool, banding and posting construction shard across workers;
+  /// With a pool, banding and posting construction split across workers;
   /// the merged index is identical to a serial build.
   void Build(const std::vector<ColumnProfile>* profiles,
              const SimilarityOptions& options, ThreadPool* pool = nullptr);
-
-  /// Shard-subset build: indexes only `member_ids` (ascending indices into
-  /// `profiles`) while keeping postings keyed by those global indices, so a
-  /// probe with *any* global profile — member or not — works unchanged.
-  /// With member_ids == [0, N) this produces byte-for-byte the monolithic
-  /// Build: same chunk boundaries, same posting order, same cap decisions.
-  void BuildMembers(const std::vector<ColumnProfile>* profiles,
-                    const std::vector<int>& member_ids,
-                    const SimilarityOptions& options,
-                    ThreadPool* pool = nullptr);
 
   /// Indexes profiles appended to the vector after Build(), starting at
   /// index `first_new` (incremental index maintenance).
@@ -72,23 +62,6 @@ class SimilarityIndex {
 
   /// Candidate profile indices for a query column (union of both tiers).
   std::vector<int> Candidates(int profile_index) const;
-
-  /// Explicit-profiles variants for sharded engines: the query profile and
-  /// verification scores come from the *caller's* vector, not the one this
-  /// index was built against. A shard index shared between an old and a
-  /// hot-swapped engine answers for both this way — each engine passes its
-  /// own (shape-identical) profile vector, so scores and the query
-  /// eligibility gate always reflect the caller's data, never a stale
-  /// build. `profile_index` may be any global index, member of this shard
-  /// or not (cross-shard probe).
-  std::vector<int> Candidates(const std::vector<ColumnProfile>& profiles,
-                              int profile_index) const;
-  std::vector<Neighbor> ContainmentNeighbors(
-      const std::vector<ColumnProfile>& profiles, int profile_index,
-      double threshold) const;
-  std::vector<Neighbor> JaccardNeighbors(
-      const std::vector<ColumnProfile>& profiles, int profile_index,
-      double threshold) const;
 
   /// All unordered candidate pairs (i < j), for offline edge construction.
   std::vector<std::pair<int, int>> AllCandidatePairs() const;

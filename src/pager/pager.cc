@@ -16,13 +16,6 @@ Result<std::shared_ptr<PagerRuntime>> PagerRuntime::Open(
   auto mapped = SnapshotMap::Open(path);
   if (!mapped.ok()) return mapped.status();
   std::unique_ptr<SnapshotMap> map = std::move(mapped).value();
-  if (map->format_version() < 3) {
-    return Status::NotImplemented(
-        "snapshot " + path + " is format v" +
-        std::to_string(map->format_version()) +
-        "; only v3+ aligned snapshots can be paged — load resident or "
-        "re-save to upgrade");
-  }
   std::shared_ptr<BufferPool> pool = options.pool;
   if (pool == nullptr) {
     BufferPoolOptions po;
@@ -36,28 +29,9 @@ Result<std::shared_ptr<PagerRuntime>> PagerRuntime::Open(
       new PagerRuntime(std::move(pool), std::move(map), space));
 }
 
-const PagerBinding* PagerRuntime::ShardBinding(size_t shard) {
-  while (shard_bindings_.size() <= shard) {
-    // Overlapping registrations over one mapping are safe: correctness
-    // never depends on residency (an evicted page refaults identically),
-    // so the worst case of two spaces covering the same bytes is a frame
-    // of double-charged budget, not a wrong answer.
-    uint32_t space = pool_->RegisterSpace(map_->data(), map_->size(),
-                                          /*evictable=*/true);
-    auto b = std::make_unique<PagerBinding>();
-    b->pool = pool_.get();
-    b->space = space;
-    b->space_base = map_->data();
-    shard_spaces_.push_back(space);
-    shard_bindings_.push_back(std::move(b));
-  }
-  return shard_bindings_[shard].get();
-}
-
 PagerRuntime::~PagerRuntime() {
   // Every borrower is gone (they hold shared_ptrs to this runtime), so no
-  // pins against the spaces remain and retirement drops all their frames.
-  for (uint32_t space : shard_spaces_) pool_->RetireSpace(space);
+  // pins against the space remain and retirement drops all its frames.
   pool_->RetireSpace(space_);
 }
 

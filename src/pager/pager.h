@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "pager/buffer_pool.h"
 #include "pager/paged_view.h"
@@ -46,10 +45,10 @@ struct PagingOptions {
 class PagerRuntime {
  public:
   /// Maps `path` and registers it with the pool. Fails with NotImplemented
-  /// when the snapshot cannot be paged for structural reasons the caller
-  /// should fall back to a resident load on: a pre-v3 (unaligned) file, a
-  /// big-endian host, or a platform without mmap. Real I/O and parse
-  /// errors come back as their own codes and should propagate.
+  /// when the host cannot page at all, which the caller should answer with
+  /// a resident load: a big-endian host or a platform without mmap. Real
+  /// I/O and parse errors (a wrong format version among them) come back as
+  /// their own codes and should propagate.
   static Result<std::shared_ptr<PagerRuntime>> Open(
       const std::string& path, const PagingOptions& options);
 
@@ -71,19 +70,6 @@ class PagerRuntime {
     return b;
   }
 
-  /// Binding whose pins charge a dedicated per-shard buffer-pool space:
-  /// lazily registers one more space over the same mapped file (shared
-  /// budget, separate residency accounting) per shard index, so a sharded
-  /// engine's paged extents are attributable shard by shard. The returned
-  /// pointer stays valid for the runtime's lifetime; all shard spaces are
-  /// retired with the runtime. Not thread-safe — call only from
-  /// (single-threaded) snapshot loading.
-  const PagerBinding* ShardBinding(size_t shard);
-
-  /// Buffer-pool space ids registered via ShardBinding, in shard order
-  /// (empty when the engine never asked for per-shard accounting).
-  const std::vector<uint32_t>& shard_spaces() const { return shard_spaces_; }
-
   BufferPoolStats pool_stats() const { return pool_->stats(); }
 
  private:
@@ -94,8 +80,6 @@ class PagerRuntime {
   std::shared_ptr<BufferPool> pool_;
   std::unique_ptr<SnapshotMap> map_;
   uint32_t space_ = 0;
-  std::vector<std::unique_ptr<PagerBinding>> shard_bindings_;
-  std::vector<uint32_t> shard_spaces_;
 };
 
 }  // namespace ver

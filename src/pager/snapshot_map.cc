@@ -45,7 +45,7 @@ Result<std::unique_ptr<SnapshotMap>> SnapshotMap::Open(
   out->size_ = size;
   Status parsed = ParseSnapshotLayout(
       std::string_view(out->data_, static_cast<size_t>(size)), path,
-      &out->sections_, &out->format_version_);
+      &out->sections_);
   if (!parsed.ok()) return parsed;  // dtor unmaps
   return out;
 #else

@@ -1,7 +1,7 @@
 // SnapshotMap: RAII read-only mmap of a snapshot file plus its parsed
 // section layout.
 //
-// Opening a map reads only the snapshot header (magic, version, v3 section
+// Opening a map reads only the snapshot header (magic, version, section
 // table) — payload bytes stay untouched on disk until something faults
 // them in, which is what makes a paged cold start O(touched pages) instead
 // of O(snapshot bytes). Section checksums are deliberately NOT verified on
@@ -28,8 +28,8 @@ class SnapshotMap {
  public:
   /// Maps `path` read-only (PROT_READ, MAP_PRIVATE, advised for random
   /// access) and parses its section layout. Fails on non-POSIX builds, on
-  /// I/O errors and on malformed headers; succeeds for any readable format
-  /// version — callers gate paged serving on format_version() >= 3.
+  /// I/O errors, and on malformed headers or a format version other than
+  /// kSnapshotFormatVersion.
   static Result<std::unique_ptr<SnapshotMap>> Open(const std::string& path);
 
   ~SnapshotMap();
@@ -39,7 +39,6 @@ class SnapshotMap {
   const std::string& path() const { return path_; }
   const char* data() const { return data_; }
   uint64_t size() const { return size_; }
-  uint32_t format_version() const { return format_version_; }
 
   const std::vector<SnapshotSectionEntry>& sections() const {
     return sections_;
@@ -61,7 +60,6 @@ class SnapshotMap {
   std::string path_;
   const char* data_ = nullptr;
   uint64_t size_ = 0;
-  uint32_t format_version_ = 0;
   std::vector<SnapshotSectionEntry> sections_;
 };
 

@@ -70,59 +70,14 @@ VerServer::VerServer(std::shared_ptr<const Ver> ver, ServingOptions options)
       ver_(std::move(ver)) {
   MutexLock lock(&mu_);
   pool_ = std::make_unique<ThreadPool>(resolved_workers_);
-  if (ver_ != nullptr) {
-    shard_swap_epochs_.assign(
-        static_cast<size_t>(ver_->engine().num_shards()), 0);
-    retired_shard_counters_.resize(shard_swap_epochs_.size());
-  }
 }
 
 bool VerServer::SwapSnapshot(std::shared_ptr<const Ver> ver) {
-  return SwapSnapshotInternal(std::move(ver), /*swapped_shard=*/-1);
-}
-
-bool VerServer::SwapSnapshot(std::shared_ptr<const Ver> ver,
-                             int swapped_shard) {
-  if (ver == nullptr || swapped_shard < 0 ||
-      swapped_shard >= ver->engine().num_shards()) {
-    return false;
-  }
-  return SwapSnapshotInternal(std::move(ver), swapped_shard);
-}
-
-bool VerServer::SwapSnapshotInternal(std::shared_ptr<const Ver> ver,
-                                     int swapped_shard) {
   if (ver == nullptr) return false;
   {
     MutexLock lock(&mu_);
     if (!accepting_) return false;
-    // Bank the outgoing snapshot's scatter counters so stats().shards
-    // stays cumulative across swaps (the incoming engine's counters start
-    // at zero).
-    if (ver_ != nullptr) {
-      std::vector<DiscoveryEngine::ShardCounterSnapshot> outgoing =
-          ver_->engine().shard_counters();
-      if (retired_shard_counters_.size() < outgoing.size()) {
-        retired_shard_counters_.resize(outgoing.size());
-      }
-      for (size_t s = 0; s < outgoing.size(); ++s) {
-        retired_shard_counters_[s].scatter_queries +=
-            outgoing[s].scatter_queries;
-        retired_shard_counters_[s].candidates += outgoing[s].candidates;
-      }
-    }
     ver_ = std::move(ver);
-    const size_t num_shards =
-        static_cast<size_t>(ver_->engine().num_shards());
-    shard_swap_epochs_.resize(num_shards, 0);
-    if (retired_shard_counters_.size() < num_shards) {
-      retired_shard_counters_.resize(num_shards);
-    }
-    if (swapped_shard >= 0) {
-      ++shard_swap_epochs_[static_cast<size_t>(swapped_shard)];
-    } else {
-      for (uint64_t& e : shard_swap_epochs_) ++e;
-    }
     const uint64_t prev_epoch = snapshot_epoch_;
     ++snapshot_epoch_;
     // The cache-correctness argument below hinges on epochs never reusing
@@ -602,29 +557,11 @@ ServerStats VerServer::stats() const {
   s.pipeline = pipeline_recorder_.Snapshot();
   s.total = total_recorder_.Snapshot();
   std::shared_ptr<const Ver> snap;
-  std::vector<uint64_t> shard_epochs;
-  std::vector<ServerStats::ShardStats> retired;
   {
     MutexLock lock(&mu_);
     s.current_queue_depth = static_cast<int64_t>(queue_.size());
     s.peak_queue_depth = peak_queue_depth_;
     snap = ver_;
-    shard_epochs = shard_swap_epochs_;
-    retired = retired_shard_counters_;
-  }
-  if (snap != nullptr) {
-    std::vector<DiscoveryEngine::ShardCounterSnapshot> live =
-        snap->engine().shard_counters();
-    s.shards.resize(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      s.shards[i].scatter_queries = live[i].scatter_queries;
-      s.shards[i].candidates = live[i].candidates;
-      if (i < retired.size()) {
-        s.shards[i].scatter_queries += retired[i].scatter_queries;
-        s.shards[i].candidates += retired[i].candidates;
-      }
-      if (i < shard_epochs.size()) s.shards[i].swap_epoch = shard_epochs[i];
-    }
   }
   if (snap != nullptr && snap->engine().pager() != nullptr) {
     const PagerRuntime& pager = *snap->engine().pager();

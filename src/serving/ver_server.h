@@ -181,20 +181,6 @@ struct ServerStats {
   LatencyStats pipeline;    // Ver::Execute wall clock, actual runs only
   LatencyStats total;       // submit -> completion, every worker-completed
                             // request (Submit-time rejects excluded)
-  // --- per-shard scatter activity (sharded discovery engines; a single
-  //     entry for the default 1-shard engine) ---
-  struct ShardStats {
-    uint64_t scatter_queries = 0;  // discovery queries scattered into it
-    uint64_t candidates = 0;       // hits + neighbors it contributed
-    /// Swaps that replaced this shard's index since the server started:
-    /// full SwapSnapshot bumps every shard's epoch, the per-shard overload
-    /// bumps only the swapped shard's.
-    uint64_t swap_epoch = 0;
-  };
-  /// One entry per shard of the *current* snapshot's engine. Counters are
-  /// cumulative over every snapshot this server served (the engine's own
-  /// counters reset per snapshot; epochs tell the two apart).
-  std::vector<ShardStats> shards;
 };
 
 /// Concurrent discovery serving over one repository.
@@ -272,14 +258,6 @@ class VerServer {
   /// rejected (returns false); swapping after Shutdown is a no-op.
   bool SwapSnapshot(std::shared_ptr<const Ver> ver);
 
-  /// SwapSnapshot for a per-shard rollout (an engine built with
-  /// DiscoveryEngine::WithRebuiltShard): identical swap semantics — the
-  /// whole Ver is still replaced atomically and the cache epoch advances —
-  /// but stats() records only `swapped_shard`'s swap epoch as bumped, so
-  /// operators can see which shard rolled. Rejects (returns false) a null
-  /// `ver` or a shard index outside `ver`'s engine.
-  bool SwapSnapshot(std::shared_ptr<const Ver> ver, int swapped_shard);
-
   /// The currently served snapshot (for engine statistics, presentation
   /// sessions). Holding the returned pointer keeps that snapshot alive
   /// across later swaps — exactly the guarantee in-flight queries rely on.
@@ -327,9 +305,6 @@ class VerServer {
   void Finish(const std::shared_ptr<QueryTicket>& ticket, ServedResult out);
   /// Extracts and clears the follower group registered under `key`.
   std::vector<FlightFollower> TakeFollowers(const std::string& key);
-  /// Shared body of both SwapSnapshot overloads; `swapped_shard` < 0 means
-  /// a full swap (every shard's epoch bumps).
-  bool SwapSnapshotInternal(std::shared_ptr<const Ver> ver, int swapped_shard);
 
   ServingOptions options_;
   /// ResolveParallelism(options_.num_workers), fixed at construction; the
@@ -348,14 +323,6 @@ class VerServer {
   // monotonic (VER_CHECKed in SwapSnapshot) — a reused epoch would let an
   // old snapshot's cached result answer a post-swap query.
   uint64_t snapshot_epoch_ VER_GUARDED_BY(mu_) = 0;
-  /// Per-shard swap epochs of the served engine (stats-only; sized to the
-  /// current snapshot's shard count on construction and every swap).
-  std::vector<uint64_t> shard_swap_epochs_ VER_GUARDED_BY(mu_);
-  /// Scatter counters accumulated from snapshots already swapped out, so
-  /// stats().shards stays cumulative across hot swaps (the engine's own
-  /// counters start at zero per snapshot).
-  std::vector<ServerStats::ShardStats> retired_shard_counters_
-      VER_GUARDED_BY(mu_);
   std::set<QueuedTicket> queue_ VER_GUARDED_BY(mu_);
   uint64_t next_seq_ VER_GUARDED_BY(mu_) = 0;
   int64_t peak_queue_depth_ VER_GUARDED_BY(mu_) = 0;

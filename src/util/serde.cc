@@ -1,6 +1,5 @@
 #include "util/serde.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -12,6 +11,9 @@ namespace {
 
 // 8-byte magic at offset 0 of every snapshot file.
 constexpr char kMagic[8] = {'V', 'E', 'R', 'S', 'N', 'A', 'P', '\0'};
+
+// One section-table entry: u32 id, u64 offset, u64 size, u64 checksum.
+constexpr size_t kSectionEntryBytes = 4 + 8 + 8 + 8;
 
 void AppendLE(std::string* buf, uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
@@ -63,7 +65,6 @@ void SerdeWriter::WriteU32(uint32_t v) { AppendLE(&buf_, v, 4); }
 void SerdeWriter::WriteU64(uint64_t v) { AppendLE(&buf_, v, 8); }
 
 void SerdeWriter::AlignForArray() {
-  if (!align_arrays_) return;
   buf_.append(ArrayPadAt(buf_.size()), '\0');
 }
 
@@ -345,7 +346,6 @@ Status SerdeReader::ReadArrayExtent(size_t elem_width, const char* what,
 }
 
 Status SerdeReader::SkipArrayPadding() {
-  if (!aligned_) return Status::OK();
   size_t pad = ArrayPadAt(pos_);
   VER_RETURN_IF_ERROR(Need(pad, "array alignment padding"));
   pos_ += pad;
@@ -361,41 +361,29 @@ Status SerdeReader::ExpectEnd() const {
 }
 
 Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<SnapshotSection>& sections,
-                         uint32_t format_version) {
+                         const std::vector<SnapshotSection>& sections) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  AppendLE(&out, format_version, 4);
+  AppendLE(&out, kSnapshotFormatVersion, 4);
   AppendLE(&out, sections.size(), 4);
-  if (format_version >= 3) {
-    // v3: up-front section table, payloads at 64-byte-aligned offsets.
-    // Offsets are computable before any payload is emitted: table end, then
-    // each payload aligned up from the previous end.
-    constexpr size_t kEntryBytes = 4 + 8 + 8 + 8;
-    uint64_t offset = out.size() + sections.size() * kEntryBytes;
-    for (const SnapshotSection& s : sections) {
-      offset = (offset + kSnapshotArrayAlignment - 1) /
-               kSnapshotArrayAlignment * kSnapshotArrayAlignment;
-      AppendLE(&out, s.id, 4);
-      AppendLE(&out, offset, 8);
-      AppendLE(&out, s.payload.size(), 8);
-      AppendLE(&out, SectionChecksum(s.payload), 8);
-      offset += s.payload.size();
-    }
-    for (const SnapshotSection& s : sections) {
-      size_t aligned = (out.size() + kSnapshotArrayAlignment - 1) /
-                       kSnapshotArrayAlignment * kSnapshotArrayAlignment;
-      out.append(aligned - out.size(), '\0');
-      out.append(s.payload);
-    }
-  } else {
-    // Legacy inline framing (v1/v2): {id, size, payload, checksum}.
-    for (const SnapshotSection& s : sections) {
-      AppendLE(&out, s.id, 4);
-      AppendLE(&out, s.payload.size(), 8);
-      out.append(s.payload);
-      AppendLE(&out, SectionChecksum(s.payload), 8);
-    }
+  // Up-front section table, payloads at 64-byte-aligned offsets. Offsets
+  // are computable before any payload is emitted: table end, then each
+  // payload aligned up from the previous end.
+  uint64_t offset = out.size() + sections.size() * kSectionEntryBytes;
+  for (const SnapshotSection& s : sections) {
+    offset = (offset + kSnapshotArrayAlignment - 1) /
+             kSnapshotArrayAlignment * kSnapshotArrayAlignment;
+    AppendLE(&out, s.id, 4);
+    AppendLE(&out, offset, 8);
+    AppendLE(&out, s.payload.size(), 8);
+    AppendLE(&out, SectionChecksum(s.payload), 8);
+    offset += s.payload.size();
+  }
+  for (const SnapshotSection& s : sections) {
+    size_t aligned = (out.size() + kSnapshotArrayAlignment - 1) /
+                     kSnapshotArrayAlignment * kSnapshotArrayAlignment;
+    out.append(aligned - out.size(), '\0');
+    out.append(s.payload);
   }
 
   const std::string tmp = path + ".tmp";
@@ -417,8 +405,7 @@ Status WriteSnapshotFile(const std::string& path,
 }
 
 Status ParseSnapshotLayout(std::string_view data, const std::string& name,
-                           std::vector<SnapshotSectionEntry>* entries,
-                           uint32_t* format_version) {
+                           std::vector<SnapshotSectionEntry>* entries) {
   SerdeReader r(data, "snapshot header of " + name);
   if (data.size() < sizeof(kMagic) ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -430,94 +417,53 @@ Status ParseSnapshotLayout(std::string_view data, const std::string& name,
   }
   uint32_t version, section_count;
   VER_RETURN_IF_ERROR(r.ReadU32(&version));
-  if (version < kSnapshotMinReadVersion || version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::InvalidArgument(
         name + " uses snapshot format version " + std::to_string(version) +
-        "; this build reads versions " +
-        std::to_string(kSnapshotMinReadVersion) + " through " +
+        "; this build reads only version " +
         std::to_string(kSnapshotFormatVersion) +
         " (rebuild the index with ver_cli build-index)");
   }
   VER_RETURN_IF_ERROR(r.ReadU32(&section_count));
-  if (format_version != nullptr) *format_version = version;
 
+  // Section table only — payload bytes are never touched here, which is
+  // what makes a paged open O(header), not O(file).
+  if (static_cast<uint64_t>(section_count) * kSectionEntryBytes >
+      r.remaining()) {
+    return Status::IOError("truncated snapshot " + name +
+                           ": section table cut short");
+  }
   std::vector<SnapshotSectionEntry> parsed;
-  if (version >= 3) {
-    // v3: section table only — payload bytes are never touched here, which
-    // is what makes a paged open O(header), not O(file).
-    constexpr size_t kEntryBytes = 4 + 8 + 8 + 8;
-    if (static_cast<uint64_t>(section_count) * kEntryBytes > r.remaining()) {
-      return Status::IOError("truncated snapshot " + name +
-                             ": section table cut short");
+  parsed.reserve(section_count);
+  uint64_t prev_end = 16 + uint64_t{section_count} * kSectionEntryBytes;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    SnapshotSectionEntry e;
+    VER_RETURN_IF_ERROR(r.ReadU32(&e.id));
+    VER_RETURN_IF_ERROR(r.ReadU64(&e.offset));
+    VER_RETURN_IF_ERROR(r.ReadU64(&e.size));
+    VER_RETURN_IF_ERROR(r.ReadU64(&e.checksum));
+    // Offsets must be aligned, ascending and inside the file — a corrupt
+    // table must not produce out-of-range views downstream.
+    if (e.offset % kSnapshotArrayAlignment != 0 || e.offset < prev_end ||
+        e.offset > data.size() || e.size > data.size() - e.offset) {
+      return Status::IOError("corrupt snapshot " + name + ": section " +
+                             std::to_string(e.id) +
+                             " has an invalid table entry");
     }
-    parsed.reserve(section_count);
-    uint64_t prev_end = 16 + uint64_t{section_count} * kEntryBytes;
-    for (uint32_t i = 0; i < section_count; ++i) {
-      SnapshotSectionEntry e;
-      VER_RETURN_IF_ERROR(r.ReadU32(&e.id));
-      VER_RETURN_IF_ERROR(r.ReadU64(&e.offset));
-      VER_RETURN_IF_ERROR(r.ReadU64(&e.size));
-      VER_RETURN_IF_ERROR(r.ReadU64(&e.checksum));
-      // Offsets must be aligned, ascending and inside the file — a corrupt
-      // table must not produce out-of-range views downstream.
-      if (e.offset % kSnapshotArrayAlignment != 0 || e.offset < prev_end ||
-          e.offset > data.size() || e.size > data.size() - e.offset) {
-        return Status::IOError("corrupt snapshot " + name + ": section " +
-                               std::to_string(e.id) +
-                               " has an invalid table entry");
-      }
-      prev_end = e.offset + e.size;
-      parsed.push_back(e);
-    }
-    if (prev_end != data.size()) {
-      return Status::IOError("snapshot " + name + " has " +
-                             std::to_string(data.size() - prev_end) +
-                             " unexpected trailing bytes");
-    }
-  } else {
-    // Legacy inline framing: walk {id, size, payload, checksum} records
-    // with a manual cursor (the payload is skipped, never copied). The
-    // header is not checksummed, so the reserve is capped by what the file
-    // could actually hold (each section needs >= 20 framing bytes) — a
-    // corrupt count must error out below, not trigger a huge allocation.
-    parsed.reserve(std::min<size_t>(section_count,
-                                    (data.size() - 16) / 20 + 1));
-    size_t pos = 16;
-    for (uint32_t i = 0; i < section_count; ++i) {
-      if (data.size() - pos < 12) {
-        return Status::IOError("truncated snapshot " + name +
-                               ": section framing cut short");
-      }
-      SnapshotSectionEntry e;
-      e.id = static_cast<uint32_t>(ParseLE(data.data() + pos, 4));
-      e.size = ParseLE(data.data() + pos + 4, 8);
-      pos += 12;
-      if (e.size > data.size() - pos ||
-          data.size() - pos - static_cast<size_t>(e.size) < 8) {
-        return Status::IOError("truncated snapshot " + name + ": section " +
-                               std::to_string(e.id) + " claims " +
-                               std::to_string(e.size) + " bytes, only " +
-                               std::to_string(data.size() - pos) + " remain");
-      }
-      e.offset = pos;
-      pos += static_cast<size_t>(e.size);
-      e.checksum = ParseLE(data.data() + pos, 8);
-      pos += 8;
-      parsed.push_back(e);
-    }
-    if (pos != data.size()) {
-      return Status::IOError("snapshot " + name + " has " +
-                             std::to_string(data.size() - pos) +
-                             " unexpected trailing bytes");
-    }
+    prev_end = e.offset + e.size;
+    parsed.push_back(e);
+  }
+  if (prev_end != data.size()) {
+    return Status::IOError("snapshot " + name + " has " +
+                           std::to_string(data.size() - prev_end) +
+                           " unexpected trailing bytes");
   }
   *entries = std::move(parsed);
   return Status::OK();
 }
 
 Status ReadSnapshotFile(const std::string& path,
-                        std::vector<SnapshotSection>* sections,
-                        uint32_t* format_version) {
+                        std::vector<SnapshotSection>* sections) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IOError("cannot open snapshot " + path);
@@ -542,8 +488,7 @@ Status ReadSnapshotFile(const std::string& path,
   }
 
   std::vector<SnapshotSectionEntry> entries;
-  VER_RETURN_IF_ERROR(ParseSnapshotLayout(data, path, &entries,
-                                          format_version));
+  VER_RETURN_IF_ERROR(ParseSnapshotLayout(data, path, &entries));
   std::vector<SnapshotSection> parsed;
   parsed.reserve(entries.size());
   for (const SnapshotSectionEntry& e : entries) {

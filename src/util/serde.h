@@ -1,10 +1,12 @@
 // Checked binary serialization for persistent discovery snapshots.
 //
 // Snapshots are little-endian regardless of host byte order. A snapshot
-// file is a magic number, a format version, and a sequence of tagged
-// sections, each protected by its own checksum. Readers are bounds-checked
-// and return Status on truncation or corruption — a damaged snapshot must
-// produce a descriptive error, never a crash or an over-allocation.
+// file is a magic number, a format version, and a table of tagged
+// sections, each protected by its own checksum. There is one format
+// (kSnapshotFormatVersion): files of any other version are rejected, not
+// migrated. Readers are bounds-checked and return Status on truncation or
+// corruption — a damaged snapshot must produce a descriptive error, never
+// a crash or an over-allocation.
 
 #ifndef VER_UTIL_SERDE_H_
 #define VER_UTIL_SERDE_H_
@@ -20,15 +22,15 @@
 namespace ver {
 
 /// True when the host's in-memory integer layout equals the wire layout,
-/// enabling the bulk memcpy fast paths and (v3+) zero-copy mapped views.
+/// enabling the bulk memcpy fast paths and zero-copy mapped views.
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 inline constexpr bool kSerdeHostLittleEndian = true;
 #else
 inline constexpr bool kSerdeHostLittleEndian = false;
 #endif
 
-/// Array payloads inside v3 snapshot sections start on this boundary (both
-/// relative to the section payload and absolute in the file, because v3
+/// Array payloads inside snapshot sections start on this boundary (both
+/// relative to the section payload and absolute in the file, because
 /// section payloads themselves start on it). 64 covers every SIMD kernel's
 /// widest load and one x86 cache line.
 inline constexpr size_t kSnapshotArrayAlignment = 64;
@@ -53,8 +55,7 @@ class SerdeWriter {
 
   // Bulk typed arrays: u64 element count + packed little-endian elements,
   // preceded by AlignForArray() padding so the element data lands on
-  // kSnapshotArrayAlignment (unless alignment is disabled for legacy
-  // layouts). The pointer forms are the primary API — PagedView-backed
+  // kSnapshotArrayAlignment. The pointer forms are the primary API — PagedView-backed
   // stores are not std::vectors; the vector forms forward.
   void WriteU64Array(const uint64_t* p, size_t n);
   void WriteU32Array(const uint32_t* p, size_t n);
@@ -86,10 +87,8 @@ class SerdeWriter {
   /// kSnapshotArrayAlignment. Called automatically by every Write*Array /
   /// Write*Vector. The pad length is a pure function of the current
   /// position, so a reader tracking the same position recomputes it without
-  /// any marker byte. No-op when alignment is disabled (snapshots saved in
-  /// a legacy pre-v3 format).
+  /// any marker byte.
   void AlignForArray();
-  void set_align_arrays(bool on) { align_arrays_ = on; }
 
   size_t pos() const { return buf_.size(); }
   const std::string& buffer() const { return buf_; }
@@ -97,7 +96,6 @@ class SerdeWriter {
 
  private:
   std::string buf_;
-  bool align_arrays_ = true;
 };
 
 /// Bounds-checked little-endian reader over one in-memory payload. Every
@@ -143,11 +141,7 @@ class SerdeReader {
 
   /// Skips the zero padding AlignForArray() emitted, mirroring its position
   /// arithmetic. Called automatically by every Read*Vector / ReadArrayExtent.
-  /// No-op when the payload was written unaligned — readers over legacy
-  /// (pre-v3) snapshot payloads must set_aligned(false).
   Status SkipArrayPadding();
-  void set_aligned(bool on) { aligned_ = on; }
-  bool aligned() const { return aligned_; }
 
   size_t pos() const { return pos_; }
 
@@ -174,9 +168,6 @@ class SerdeReader {
   std::string_view data_;
   size_t pos_ = 0;
   std::string context_;
-  // Default matches SerdeWriter's align_arrays_ default, so a plain
-  // writer -> reader round-trip needs no flags; only legacy payloads do.
-  bool aligned_ = true;
 };
 
 /// One tagged section of a snapshot file.
@@ -186,7 +177,7 @@ struct SnapshotSection {
 };
 
 /// Location of one section inside a snapshot file — the parsed form of a
-/// v3 section-table entry (synthesized for legacy inline-framed files).
+/// section-table entry.
 struct SnapshotSectionEntry {
   uint32_t id = 0;
   uint64_t offset = 0;  // absolute file offset of the payload
@@ -194,53 +185,34 @@ struct SnapshotSectionEntry {
   uint64_t checksum = 0;
 };
 
-/// Bumped on any incompatible layout change; see docs/ARCHITECTURE.md
-/// ("Persistence & snapshot lifecycle") for the version-bump policy.
-/// v2 added the memcpy-loadable columnar repo-tables section (dictionary +
-/// codes + null bitmaps per column). v3 moved section framing into an
-/// up-front section table ({id, offset, size, checksum} per section) with
-/// payloads at 64-byte-aligned file offsets, and padded every bulk array
-/// inside a payload onto the same boundary — the layout that lets a
-/// buffer-pool pager serve arrays straight out of an mmapped snapshot.
-/// v4 sharded the discovery engine's index sections: a shard-layout
-/// section records the table partition and each shard's keyword and
-/// similarity indexes live in their own per-shard sections (v1-v3 files
-/// load as a single shard; section framing itself is unchanged from v3).
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
-
-/// Oldest format version ReadSnapshotFile still accepts. v1 files simply
-/// lack the sections newer versions added; section consumers treat those
-/// as optional. v1/v2 files carry unaligned inline-framed sections and are
-/// only readable resident (never paged).
-inline constexpr uint32_t kSnapshotMinReadVersion = 1;
+/// The one snapshot format this build reads and writes; see
+/// docs/ARCHITECTURE.md ("Persistence & snapshot lifecycle") for the
+/// layout and the version-bump policy. Readers accept exactly this version:
+/// a file written in any other format is rejected with an error naming its
+/// version, and `ver_cli build-index` rewrites it. v5 is the section-table
+/// layout ({id, offset, size, checksum} per section, payloads and bulk
+/// arrays on 64-byte file offsets) with sections 1-7.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Parses a snapshot's header out of `data` (the full file bytes) without
-/// copying or checksumming any payload: magic, version and per-section
-/// {id, offset, size, checksum}. For v3 this touches only the section
-/// table; for legacy files it walks the inline framing. The shared front
-/// half of ReadSnapshotFile and the pager's SnapshotMap.
+/// copying or checksumming any payload: magic, version and the section
+/// table. The shared front half of ReadSnapshotFile and the pager's
+/// SnapshotMap.
 Status ParseSnapshotLayout(std::string_view data, const std::string& name,
-                           std::vector<SnapshotSectionEntry>* entries,
-                           uint32_t* format_version);
+                           std::vector<SnapshotSectionEntry>* entries);
 
-/// Writes `sections` as a snapshot file. v3 (the default): magic, format
-/// version, section count, section table, then each payload zero-padded to
-/// a 64-byte-aligned offset. v1/v2 (tests emitting previous-version files):
-/// the legacy inline framing {id, size, payload, checksum}. The file is
-/// written to `path + ".tmp"` and renamed into place, so a concurrent
-/// reader never observes a half-written snapshot.
+/// Writes `sections` as a snapshot file: magic, format version, section
+/// count, section table, then each payload zero-padded to a 64-byte-aligned
+/// offset. The file is written to `path + ".tmp"` and renamed into place,
+/// so a concurrent reader never observes a half-written snapshot.
 Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<SnapshotSection>& sections,
-                         uint32_t format_version = kSnapshotFormatVersion);
+                         const std::vector<SnapshotSection>& sections);
 
-/// Reads a snapshot file and validates magic, format version (any version
-/// in [kSnapshotMinReadVersion, kSnapshotFormatVersion]), section framing
-/// and every per-section checksum. On any mismatch returns a descriptive
-/// IOError/InvalidArgument and leaves `sections` untouched. The file's
-/// format version is reported through `format_version` when non-null.
+/// Reads a snapshot file and validates magic, format version, section
+/// framing and every per-section checksum. On any mismatch returns a
+/// descriptive IOError/InvalidArgument and leaves `sections` untouched.
 Status ReadSnapshotFile(const std::string& path,
-                        std::vector<SnapshotSection>* sections,
-                        uint32_t* format_version = nullptr);
+                        std::vector<SnapshotSection>* sections);
 
 /// Checksum used for snapshot section payloads (word-at-a-time mixing).
 /// Exposed so tests and the pager's optional verification can recompute it.

@@ -54,28 +54,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void TaskGroup::Run(std::function<void()> task) {
-  if (pool_ == nullptr || pool_->num_threads() <= 1) {
-    task();
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, task = std::move(task)] {
-    task();
-    MutexLock lock(&mu_);
-    --pending_;
-    if (pending_ == 0) done_.NotifyAll();
-  });
-}
-
-void TaskGroup::Wait() {
-  MutexLock lock(&mu_);
-  while (pending_ != 0) done_.Wait(mu_);
-}
-
 int ResolveParallelism(int parallelism) {
   if (parallelism == 0) {
     unsigned hw = std::thread::hardware_concurrency();

@@ -52,39 +52,6 @@ class ThreadPool {
   bool stop_ VER_GUARDED_BY(mu_) = false;
 };
 
-/// Completion tracking for one caller's batch of tasks on a *shared* pool.
-///
-/// ThreadPool::Wait blocks until every task from every submitter finishes,
-/// which makes it unusable when many threads scatter work into one pool
-/// concurrently (the sharded engine's query-time fan-out). A TaskGroup
-/// counts only its own submissions: Run() hands the task to the pool (or
-/// runs it inline when the pool is null or serial) and Wait() blocks until
-/// this group's tasks — and no one else's — have finished. Tasks must not
-/// throw and must not Run() into the same pool (no nesting, same as
-/// ThreadPool::Submit). A group is single-use per scatter: Run all tasks,
-/// Wait once, destroy.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Runs `task` on the pool, or inline when there is no (multi-worker)
-  /// pool. Inline execution keeps the scatter path allocation- and
-  /// lock-free for serial engines.
-  void Run(std::function<void()> task);
-
-  /// Blocks until every task Run() through this group has finished.
-  void Wait();
-
- private:
-  ThreadPool* pool_;
-  Mutex mu_;
-  CondVar done_;
-  size_t pending_ VER_GUARDED_BY(mu_) = 0;
-};
-
 /// Resolves a `parallelism` knob to a worker count: 0 means "all hardware
 /// threads", anything else is clamped to at least 1.
 int ResolveParallelism(int parallelism);

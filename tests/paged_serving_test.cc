@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "query_fingerprint.h"
 #include "serving/ver_server.h"
 #include "util/serde.h"
+#include "util/string_util.h"
 #include "workload/noisy_query.h"
 #include "workload/open_data_gen.h"
 
@@ -169,32 +171,99 @@ TEST(PagedServingTest, TightBudgetAnswersBitIdenticallyAndHoldsBudget) {
   }
 }
 
-TEST(PagedServingTest, LegacySnapshotFallsBackToResidentLoad) {
+// A paged load verifies no checksums and skips the keyword posting scan,
+// so a posting that addresses no column must be dropped at query time: it
+// never reaches SEARCH-KEYWORD's output, and a query on its key returns.
+TEST(PagedServingTest, CorruptKeywordPostingIsDroppedAtQueryTime) {
   PagedFixture& f = Fixture();
-  // A v2 file has unaligned payloads, so the pager refuses it
-  // (NotImplemented) and the loader silently serves it resident — old
-  // snapshots keep working when paging is requested.
-  std::string legacy = TempPath("ver_paged_serving_legacy.versnap");
-  auto built = DiscoveryEngine::Build(f.dataset.repo);
-  ASSERT_TRUE(built->Save(legacy, /*format_version=*/2).ok());
+  ASSERT_FALSE(f.queries.empty());
+  ASSERT_FALSE(f.queries[0].columns.empty());
+  ASSERT_FALSE(f.queries[0].columns[0].empty());
+#if !defined(__unix__) && !defined(__APPLE__)
+  GTEST_SKIP() << "no mmap: paged load falls back resident";
+#endif
+  if (!kSerdeHostLittleEndian) GTEST_SKIP() << "paging needs little-endian";
+  const std::string example = f.queries[0].columns[0][0];
+  const std::string needle = ToLower(Trim(example));
+
+  Result<std::unique_ptr<SnapshotMap>> map = SnapshotMap::Open(f.snapshot_path);
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  const SnapshotSectionEntry* keyword_section = map.value()->FindSection(4);
+  ASSERT_NE(keyword_section, nullptr);
+  std::string bytes(map.value()->data(),
+                    static_cast<size_t>(map.value()->size()));
+
+  // The section opens with the value store: key blob, key offsets, the
+  // encoded ColumnRef postings, posting offsets.
+  SerdeReader r(std::string_view(bytes.data() + keyword_section->offset,
+                                 static_cast<size_t>(keyword_section->size)),
+                "keyword section");
+  const char* blob = nullptr;
+  const char* key_offsets = nullptr;
+  const char* postings = nullptr;
+  const char* posting_offsets = nullptr;
+  uint64_t blob_len = 0, num_keys = 0, num_postings = 0, num_offsets = 0;
+  ASSERT_TRUE(r.ReadStringExtent(&blob, &blob_len).ok());
+  ASSERT_TRUE(r.ReadArrayExtent(4, "key offsets", &key_offsets, &num_keys).ok());
+  ASSERT_TRUE(r.ReadArrayExtent(8, "postings", &postings, &num_postings).ok());
+  ASSERT_TRUE(
+      r.ReadArrayExtent(4, "posting offsets", &posting_offsets, &num_offsets)
+          .ok());
+  auto u32_at = [](const char* base, uint64_t i) {
+    uint32_t v;
+    std::memcpy(&v, base + i * 4, 4);
+    return v;
+  };
+  // Point the example's first posting at table 99999.
+  const ColumnRef bogus{99999, 0};
+  bool patched = false;
+  for (uint64_t k = 0; k + 1 < num_keys && !patched; ++k) {
+    uint32_t b = u32_at(key_offsets, k), e = u32_at(key_offsets, k + 1);
+    if (std::string_view(blob + b, e - b) != needle) continue;
+    uint64_t p = u32_at(posting_offsets, k);
+    ASSERT_LT(p, num_postings);
+    const uint64_t encoded = bogus.Encode();
+    std::memcpy(&bytes[static_cast<size_t>(postings - bytes.data()) + p * 8],
+                &encoded, 8);
+    patched = true;
+  }
+  ASSERT_TRUE(patched) << "no keyword posting for '" << needle << "'";
+  const std::string path = TempPath("ver_paged_serving_bad_posting.versnap");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // Resident loads verify the section checksum and refuse the file.
+  EXPECT_FALSE(DiscoveryEngine::Load(f.dataset.repo, path).ok());
 
   Result<TableRepository> repo =
-      DiscoveryEngine::LoadRepository(legacy, TightPaging());
+      DiscoveryEngine::LoadRepository(path, TightPaging());
   ASSERT_TRUE(repo.ok()) << repo.status().ToString();
-  EXPECT_EQ(repo.value().pager(), nullptr);
-  EXPECT_FALSE(repo.value().paged());
-
   Result<std::unique_ptr<DiscoveryEngine>> loaded =
-      DiscoveryEngine::Load(repo.value(), legacy, TightPaging());
+      DiscoveryEngine::Load(repo.value(), path, TightPaging());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value()->paged());
+  ASSERT_TRUE(loaded.value()->paged());
+  for (KeywordTarget target : {KeywordTarget::kValues, KeywordTarget::kAll}) {
+    for (bool fuzzy : {false, true}) {
+      for (const KeywordHit& hit :
+           loaded.value()->SearchKeyword(example, target, fuzzy)) {
+        ASSERT_LT(hit.column.table_id, repo.value().num_tables())
+            << "bogus posting reached SEARCH-KEYWORD";
+      }
+    }
+  }
 
   VerConfig config;
   Ver served(&repo.value(), config, std::move(loaded).value());
-  for (size_t i = 0; i < f.queries.size(); ++i) {
-    EXPECT_EQ(Fingerprint(served.RunQuery(f.queries[i])), f.expected[i]);
+  QueryResult result =
+      served.RunQuery(ExampleQuery::FromColumns({{example}}));
+  for (const ColumnSelectionResult& sel : result.selection) {
+    for (const ScoredColumn& c : sel.candidates) {
+      EXPECT_LT(c.ref.table_id, repo.value().num_tables());
+    }
   }
-  std::remove(legacy.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(PagedServingTest, HotSwapUnderPagedTrafficSharesOneBudget) {

@@ -159,11 +159,22 @@ TEST_F(SnapshotFileTest, BadMagicRejected) {
 }
 
 TEST_F(SnapshotFileTest, FutureFormatVersionRejected) {
-  ASSERT_TRUE(WriteSnapshotFile(path_, {{1, "payload"}},
-                                kSnapshotFormatVersion + 1)
-                  .ok());
+  ASSERT_TRUE(WriteSnapshotFile(path_, {{1, "payload"}}).ok());
+  // Patch the header's version u32 (bytes 8-11, little-endian) to the next
+  // format version; the section table and checksums stay valid.
+  std::string bytes = ReadRawFile();
+  const uint32_t future = kSnapshotFormatVersion + 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes[static_cast<size_t>(8 + i)] =
+        static_cast<char>((future >> (8 * i)) & 0xff);
+  }
+  WriteRaw(bytes);
   std::vector<SnapshotSection> sections;
-  EXPECT_FALSE(ReadSnapshotFile(path_, &sections).ok());
+  Status st = ReadSnapshotFile(path_, &sections);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("version " + std::to_string(future)),
+            std::string::npos)
+      << st.ToString();
   EXPECT_TRUE(sections.empty());
 }
 

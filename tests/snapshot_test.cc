@@ -1,8 +1,9 @@
 // Persistent discovery snapshots: Save -> Load must reproduce the freshly
 // built engine bit-identically (for serial and parallel builds alike), the
 // snapshot bytes themselves must be deterministic, and every corruption
-// mode — truncation, bad magic, version skew, flipped bytes — must come
-// back as a descriptive Status with nothing constructed.
+// mode — truncation, bad magic, any format version but the current one,
+// flipped bytes — must come back as a descriptive Status with nothing
+// constructed.
 
 #include <gtest/gtest.h>
 
@@ -123,21 +124,49 @@ TEST(SnapshotTest, LoadedEngineAnswersDiscoveryFunctionsIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // Appendix A functions answer identically, element order included.
+  const DiscoveryEngine& restored = *loaded.value();
+  EXPECT_EQ(restored.num_joinable_column_pairs(),
+            built->num_joinable_column_pairs());
   for (const ColumnRef& ref : f.dataset.repo.AllColumns()) {
-    std::vector<ColumnRef> a = built->Neighbors(ref, 0.8);
-    std::vector<ColumnRef> b = loaded.value()->Neighbors(ref, 0.8);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+    for (double threshold : {0.5, 0.8}) {
+      EXPECT_EQ(built->Neighbors(ref, threshold),
+                restored.Neighbors(ref, threshold))
+          << ref.ToString() << " at " << threshold;
+      EXPECT_EQ(built->SimilarColumns(ref, threshold),
+                restored.SimilarColumns(ref, threshold))
+          << ref.ToString() << " at " << threshold;
+    }
   }
-  std::vector<KeywordHit> ka =
-      built->SearchKeyword("incident", KeywordTarget::kAll, /*fuzzy=*/true);
-  std::vector<KeywordHit> kb = loaded.value()->SearchKeyword(
-      "incident", KeywordTarget::kAll, /*fuzzy=*/true);
-  ASSERT_EQ(ka.size(), kb.size());
-  for (size_t i = 0; i < ka.size(); ++i) {
-    EXPECT_EQ(ka[i].column, kb[i].column);
-    EXPECT_EQ(ka[i].match_count, kb[i].match_count);
-    EXPECT_EQ(ka[i].exact, kb[i].exact);
+  // Keywords the repository contains (attribute names and example cells),
+  // a near miss for the fuzzy path, and one that matches nothing.
+  std::vector<std::string> keywords = {"incident", "no_such_keyword_anywhere"};
+  for (size_t i = 0; i < built->profiles().size(); i += 7) {
+    keywords.push_back(built->profiles()[i].attribute_name);
+  }
+  for (const ExampleQuery& q : f.queries) {
+    for (const auto& column : q.columns) {
+      if (!column.empty()) keywords.push_back(column.front());
+    }
+  }
+  for (const std::string& keyword : keywords) {
+    for (KeywordTarget target : {KeywordTarget::kValues,
+                                 KeywordTarget::kAttributes,
+                                 KeywordTarget::kAll}) {
+      for (bool fuzzy : {false, true}) {
+        std::vector<KeywordHit> ka =
+            built->SearchKeyword(keyword, target, fuzzy);
+        std::vector<KeywordHit> kb =
+            restored.SearchKeyword(keyword, target, fuzzy);
+        ASSERT_EQ(ka.size(), kb.size()) << keyword;
+        for (size_t i = 0; i < ka.size(); ++i) {
+          EXPECT_EQ(ka[i].column, kb[i].column) << keyword;
+          EXPECT_EQ(ka[i].matched_attribute, kb[i].matched_attribute)
+              << keyword;
+          EXPECT_EQ(ka[i].match_count, kb[i].match_count) << keyword;
+          EXPECT_EQ(ka[i].exact, kb[i].exact) << keyword;
+        }
+      }
+    }
   }
   for (int32_t t = 0; t + 1 < f.dataset.repo.num_tables() && t < 6; ++t) {
     std::vector<JoinGraph> ga = built->GenerateJoinGraphs({t, t + 1}, 2);
@@ -196,10 +225,19 @@ TEST(SnapshotTest, BadMagicWrongVersionAndFlippedBytesAreRejected) {
   bad_magic[0] ^= 0xff;
   EXPECT_NE(load_variant(bad_magic).find("magic"), std::string::npos);
 
-  // Wrong format version (byte 8 is the low byte of the version u32).
-  std::string bad_version = bytes;
-  bad_version[8] = static_cast<char>(bad_version[8] + 1);
-  EXPECT_NE(load_variant(bad_version).find("version"), std::string::npos);
+  // Readers accept exactly the current format: every earlier version and
+  // the next one fail with an error naming the version found. Byte 8 is
+  // the low byte of the version u32.
+  ASSERT_EQ(kSnapshotFormatVersion, 5u);
+  ASSERT_EQ(static_cast<uint32_t>(bytes[8]), kSnapshotFormatVersion);
+  for (uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
+    std::string bad_version = bytes;
+    bad_version[8] = static_cast<char>(version);
+    std::string error = load_variant(bad_version);
+    EXPECT_NE(error.find("version " + std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
 
   // A flipped byte anywhere in a section payload breaks that section's
   // checksum. Flip several spots across the file body.
@@ -361,59 +399,24 @@ TEST(SnapshotTest, ServerStartsFromSnapshotWithoutRebuild) {
   std::remove(path.c_str());
 }
 
-// --------------- format v2: columnar repo tables section ------------------
+// ------------------ snapshot sections and columnar tables -----------------
 
-// A v1-era snapshot (previous format version, no columnar table section)
-// must still load and answer bit-identically; LoadRepository must decline
-// it with guidance rather than crash.
-TEST(SnapshotTest, PreviousFormatVersionStillLoads) {
+// A saved file holds exactly sections 1-7, in order: fingerprint, options,
+// profiles, keyword index, similarity index, join-path index, tables.
+TEST(SnapshotTest, SavedFileHoldsSectionsOneThroughSeven) {
   SnapshotFixture& f = Fixture();
-  ASSERT_FALSE(f.queries.empty());
   auto built = DiscoveryEngine::Build(f.dataset.repo);
-
-  // Genuine legacy emission: Save(path, v) writes inline framing and
-  // unaligned array payloads for v < 3, exactly what an old binary wrote.
-  std::string v1_path = TempPath("ver_snapshot_v1.versnap");
-  std::string v2_path = TempPath("ver_snapshot_v2.versnap");
-  ASSERT_TRUE(built->Save(v1_path, /*format_version=*/1).ok());
-  ASSERT_TRUE(built->Save(v2_path, /*format_version=*/2).ok());
-  {
-    std::vector<SnapshotSection> sections;
-    uint32_t version = 0;
-    ASSERT_TRUE(ReadSnapshotFile(v1_path, &sections, &version).ok());
-    EXPECT_EQ(version, 1u);
-    for (const SnapshotSection& s : sections) EXPECT_NE(s.id, 7u);
-  }
-
-  VerConfig config;
-  Ver fresh(&f.dataset.repo, config);
-  for (const std::string& legacy_path : {v1_path, v2_path}) {
-    Result<std::unique_ptr<DiscoveryEngine>> loaded =
-        DiscoveryEngine::Load(f.dataset.repo, legacy_path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    Ver restored(&f.dataset.repo, config, std::move(loaded).value());
-    for (const ExampleQuery& q : f.queries) {
-      EXPECT_EQ(Fingerprint(fresh.RunQuery(q)),
-                Fingerprint(restored.RunQuery(q)));
-    }
-  }
-
-  // v2 files carry the repo-tables section; v1 files do not.
-  Result<TableRepository> v2_repo = DiscoveryEngine::LoadRepository(v2_path);
-  ASSERT_TRUE(v2_repo.ok()) << v2_repo.status().ToString();
-  EXPECT_EQ(v2_repo.value().num_tables(), f.dataset.repo.num_tables());
-
-  Result<TableRepository> no_tables = DiscoveryEngine::LoadRepository(v1_path);
-  ASSERT_FALSE(no_tables.ok());
-  EXPECT_TRUE(no_tables.status().IsNotFound())
-      << no_tables.status().ToString();
-  EXPECT_NE(no_tables.status().ToString().find("version"), std::string::npos);
-
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::string path = TempPath("ver_snapshot_sections.versnap");
+  ASSERT_TRUE(built->Save(path).ok());
+  std::vector<SnapshotSection> sections;
+  ASSERT_TRUE(ReadSnapshotFile(path, &sections).ok());
+  std::vector<uint32_t> ids;
+  for (const SnapshotSection& s : sections) ids.push_back(s.id);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 2, 3, 4, 5, 6, 7}));
+  std::remove(path.c_str());
 }
 
-// New-format snapshots embed the repository in columnar form: a process
+// Snapshots embed the repository in columnar form: a process
 // with only the snapshot file reconstructs tables bit-identically and
 // serves queries without touching a CSV.
 TEST(SnapshotTest, RepositoryRoundTripsThroughColumnarSections) {
