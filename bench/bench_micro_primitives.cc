@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/distillation.h"
 #include "discovery/engine.h"
 #include "engine/materializer.h"
@@ -112,9 +115,17 @@ void BM_CsvParse(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvParse)->Arg(1000)->Arg(10000);
 
+// Args: views, and whether they are portal-shaped. Arbitrary views hold
+// 20-60 random (key, value) rows each. Portal-shaped views are what a batch
+// portal query distills: about 600 views of 12-22 rows, each a subset of
+// one 22-row relation, so compatible and contained views collapse almost
+// all of them, as C1 and C2 do on the portal.
 void BM_Distill4C(benchmark::State& state) {
-  int num_views = static_cast<int>(state.range(0));
+  const int num_views = static_cast<int>(state.range(0));
+  const bool portal = state.range(1) != 0;
   Rng rng(9);
+  std::vector<int> relation(22);
+  std::iota(relation.begin(), relation.end(), 0);
   std::vector<View> views;
   for (int i = 0; i < num_views; ++i) {
     View v;
@@ -123,11 +134,22 @@ void BM_Distill4C(benchmark::State& state) {
     schema.AddAttribute(Attribute{"k", ValueType::kString});
     schema.AddAttribute(Attribute{"val", ValueType::kInt});
     v.table = Table("view_" + std::to_string(i), schema);
-    int rows = static_cast<int>(rng.UniformInt(20, 60));
-    for (int r = 0; r < rows; ++r) {
-      VER_CHECK_OK(v.table.AppendRow(
-                       {Value::String("key" + std::to_string(rng.UniformInt(0, 99))),
-                        Value::Int(rng.UniformInt(0, 3))}));
+    if (portal) {
+      std::shuffle(relation.begin(), relation.end(), rng.engine());
+      const int rows = static_cast<int>(rng.UniformInt(12, 22));
+      for (int r = 0; r < rows; ++r) {
+        const int key = relation[static_cast<size_t>(r)];
+        VER_CHECK_OK(v.table.AppendRow({Value::String("key" +
+                                                      std::to_string(key)),
+                                        Value::Int(key % 4)}));
+      }
+    } else {
+      const int rows = static_cast<int>(rng.UniformInt(20, 60));
+      for (int r = 0; r < rows; ++r) {
+        VER_CHECK_OK(v.table.AppendRow(
+            {Value::String("key" + std::to_string(rng.UniformInt(0, 99))),
+             Value::Int(rng.UniformInt(0, 3))}));
+      }
     }
     views.push_back(std::move(v));
   }
@@ -136,7 +158,32 @@ void BM_Distill4C(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * num_views);
 }
-BENCHMARK(BM_Distill4C)->Arg(20)->Arg(100);
+BENCHMARK(BM_Distill4C)->Args({20, 0})->Args({100, 0})->Args({600, 1});
+
+// The materializer's projection gather: 17 rows of a 10,000-row sealed
+// dictionary column, with the remap scratch reused across calls.
+void BM_GatherDict(benchmark::State& state) {
+  Schema schema;
+  schema.AddAttribute(Attribute{"s", ValueType::kString});
+  Table table("t", schema);
+  for (int i = 0; i < 10000; ++i) {
+    VER_CHECK_OK(
+        table.AppendRow({Value::String("value_" + std::to_string(i % 2000))}));
+  }
+  table.Seal();
+  const ColumnData& src = table.column_data(0);
+  Rng rng(5);
+  std::vector<int64_t> rows;
+  for (int i = 0; i < 17; ++i) rows.push_back(rng.UniformInt(0, 9999));
+  ColumnData::GatherScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ColumnData::Gather(
+        src, rows.data(), static_cast<int64_t>(rows.size()), &scratch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_GatherDict);
 
 void BM_KeywordSearch(benchmark::State& state) {
   TableRepository repo;

@@ -308,18 +308,8 @@ DiscoveryResponse Ver::ExecuteInternal(
   // stage event only, never added to PipelineTiming.
   double ranking_s = 0;
   run_stage(PipelineStage::kRanking, &ranking_s, [&] {
-    std::vector<View> survivors;
-    survivors.reserve(result.distillation.surviving.size());
-    for (int idx : result.distillation.surviving) {
-      // Rank on a lightweight copy; indices refer back to result.views.
-      survivors.push_back(result.views[idx]);
-    }
-    std::vector<OverlapRankedView> ranked =
-        RankViewsByOverlap(survivors, request.query);
-    for (OverlapRankedView& r : ranked) {
-      r.view_index = result.distillation.surviving[r.view_index];
-    }
-    result.automatic_ranking = std::move(ranked);
+    result.automatic_ranking = RankViewsByOverlap(
+        result.views, result.distillation.surviving, request.query);
   });
 
   return done();

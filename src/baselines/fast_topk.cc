@@ -1,6 +1,7 @@
 #include "baselines/fast_topk.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "util/string_util.h"
@@ -28,15 +29,23 @@ int ViewOverlap(const View& view, const ExampleQuery& query) {
 
 std::vector<OverlapRankedView> RankViewsByOverlap(
     const std::vector<View>& views, const ExampleQuery& query) {
+  std::vector<int> all(views.size());
+  std::iota(all.begin(), all.end(), 0);
+  return RankViewsByOverlap(views, all, query);
+}
+
+std::vector<OverlapRankedView> RankViewsByOverlap(
+    const std::vector<View>& views, const std::vector<int>& indices,
+    const ExampleQuery& query) {
   int total_examples = 0;
   for (const auto& column : query.columns) {
     total_examples += static_cast<int>(column.size());
   }
   std::vector<OverlapRankedView> ranked;
-  ranked.reserve(views.size());
-  for (size_t i = 0; i < views.size(); ++i) {
+  ranked.reserve(indices.size());
+  for (int i : indices) {
     OverlapRankedView r;
-    r.view_index = static_cast<int>(i);
+    r.view_index = i;
     r.overlap = ViewOverlap(views[i], query);
     r.score = total_examples == 0
                   ? 0.0
@@ -44,6 +53,8 @@ std::vector<OverlapRankedView> RankViewsByOverlap(
                         static_cast<double>(total_examples);
     ranked.push_back(r);
   }
+  // Indices ascend, so the index tie-break orders a subset exactly as it
+  // would order a vector of copies of those views.
   std::sort(ranked.begin(), ranked.end(),
             [&views](const OverlapRankedView& a, const OverlapRankedView& b) {
               if (a.overlap != b.overlap) return a.overlap > b.overlap;

@@ -29,6 +29,13 @@ struct OverlapRankedView {
 std::vector<OverlapRankedView> RankViewsByOverlap(
     const std::vector<View>& views, const ExampleQuery& query);
 
+/// Ranks the views at `indices` (ascending) in place of a vector holding
+/// copies of them: the same order, with view_index naming the position in
+/// `views`.
+std::vector<OverlapRankedView> RankViewsByOverlap(
+    const std::vector<View>& views, const std::vector<int>& indices,
+    const ExampleQuery& query);
+
 /// Overlap of a single view with the query examples.
 int ViewOverlap(const View& view, const ExampleQuery& query);
 

@@ -6,6 +6,7 @@
 
 #include "table/column_stats.h"
 #include "util/hash.h"
+#include "util/row_deduper.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -39,19 +40,27 @@ int Contradiction::num_views() const {
 
 namespace {
 
+// Seed of every row-hash chain (Table::RowHash uses the same one).
+constexpr uint64_t kRowHashSeed = 0x726f7768617368ULL;
+
 // Per-view derived data used across the phases.
 struct ViewData {
-  std::vector<int> canonical_cols;           // columns sorted by attr name
-  std::unordered_set<uint64_t> row_hashes;   // H(V): row-content hash set
-  uint64_t set_signature = 0;                // order-insensitive set hash
+  // H(V), the row-content hash set: the sorted, deduplicated run
+  // [begin, end) of one flat array holding every view's row hashes.
+  const uint64_t* begin = nullptr;
+  const uint64_t* end = nullptr;
+  uint64_t set_signature = 0;  // order-insensitive set hash
+  int schema = -1;  // distinct ordered schema, indexes the canonical orders
   std::vector<std::vector<std::string>> keys;  // candidate keys (attr names)
+
+  size_t size() const { return static_cast<size_t>(end - begin); }
 };
 
 // Row hash in canonical column order, so views with permuted schemas
 // compare correctly inside a block.
 uint64_t CanonicalRowHash(const Table& t, int64_t row,
                           const std::vector<int>& canonical_cols) {
-  uint64_t h = 0x726f7768617368ULL;
+  uint64_t h = kRowHashSeed;
   for (int c : canonical_cols) h = HashCombine(h, t.cell_hash(row, c));
   return h;
 }
@@ -69,31 +78,47 @@ std::vector<int> CanonicalColumnOrder(const Table& t) {
   return cols;
 }
 
-// Order-insensitive signature of a hash set (sum+xor of mixed elements).
-uint64_t SetSignature(const std::unordered_set<uint64_t>& s) {
-  uint64_t add = 0, mix = 0;
-  for (uint64_t h : s) {
-    add += Mix64(h);
-    mix ^= Mix64(h ^ 0x5555555555555555ULL);
+// Hash and equality of ordered attribute-name lists: the identity of a
+// view's ordered schema, which fixes its canonical order and its block.
+uint64_t AttributeNamesHash(const Schema& s) {
+  uint64_t h = s.num_attributes();
+  for (const Attribute& a : s.attributes()) {
+    h = HashCombine(h, HashString(a.name));
   }
-  return HashCombine(HashCombine(add, mix), s.size());
+  return h;
 }
 
-bool IsSubset(const std::unordered_set<uint64_t>& small,
-              const std::unordered_set<uint64_t>& large) {
-  if (small.size() > large.size()) return false;
-  for (uint64_t h : small) {
-    if (!large.count(h)) return false;
+bool SameAttributeNames(const Schema& a, const Schema& b) {
+  if (a.num_attributes() != b.num_attributes()) return false;
+  for (int i = 0; i < a.num_attributes(); ++i) {
+    if (a.attribute(i).name != b.attribute(i).name) return false;
   }
   return true;
 }
 
-bool Overlaps(const std::unordered_set<uint64_t>& a,
-              const std::unordered_set<uint64_t>& b) {
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
-  for (uint64_t h : small) {
-    if (large.count(h)) return true;
+// Order-insensitive signature of a hash set (sum+xor of mixed elements).
+uint64_t SetSignature(const uint64_t* begin, const uint64_t* end) {
+  uint64_t add = 0, mix = 0;
+  for (const uint64_t* p = begin; p != end; ++p) {
+    add += Mix64(*p);
+    mix ^= Mix64(*p ^ 0x5555555555555555ULL);
+  }
+  return HashCombine(HashCombine(add, mix),
+                     static_cast<uint64_t>(end - begin));
+}
+
+// True when two views' row-hash sets share an element (merge walk).
+bool Overlaps(const ViewData& x, const ViewData& y) {
+  const uint64_t* a = x.begin;
+  const uint64_t* b = y.begin;
+  while (a != x.end && b != y.end) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      return true;
+    }
   }
   return false;
 }
@@ -172,31 +197,68 @@ DistillationResult DistillViews(const std::vector<View>& views,
   std::vector<ViewData> data(n);
 
   // --- Schema partition (Alg. 3 line 2) -------------------------------
+  // The views of one projection share their ordered schema, so its
+  // canonical column order and its block are resolved once per distinct
+  // ordered schema. Blocks are keyed (and later visited) by signature
+  // string; map nodes never move, so each schema keeps its block's address.
   std::map<std::string, std::vector<int>> blocks;
+  std::vector<std::vector<int>> canonical_orders;  // per ordered schema
   {
     ScopedTimer timer(&result.timing.schema_partition_s);
+    std::vector<std::vector<int>*> schema_blocks;
+    RowDeduper schemas;
+    schemas.Reset(n);
     for (int i = 0; i < n; ++i) {
-      blocks[views[i].table.schema().CanonicalSignature()].push_back(i);
+      const Schema& schema = views[i].table.schema();
+      auto same_schema = [&](int64_t kept, int64_t) {
+        if (!SameAttributeNames(views[kept].table.schema(), schema)) {
+          return false;
+        }
+        data[i].schema = data[kept].schema;
+        return true;
+      };
+      if (schemas.Insert(AttributeNamesHash(schema), i, same_schema)) {
+        data[i].schema = static_cast<int>(canonical_orders.size());
+        canonical_orders.push_back(CanonicalColumnOrder(views[i].table));
+        schema_blocks.push_back(&blocks[schema.CanonicalSignature()]);
+      }
+      schema_blocks[data[i].schema]->push_back(i);
     }
   }
 
   // --- Row hashing + compatible detection (lines 5-8) -----------------
+  // Every view's row hashes go column-major into one flat array (the same
+  // seed and per-row HashCombine chain as CanonicalRowHash), and each run
+  // is then sorted and deduplicated in place: run equality is set
+  // equality.
+  std::vector<uint64_t> hashes;
   std::vector<bool> pruned(n, false);
   {
     ScopedTimer timer(&result.timing.hash_and_c1_s);
+    size_t total_rows = 0;
+    for (const View& v : views) {
+      total_rows += static_cast<size_t>(v.table.num_rows());
+    }
+    hashes.resize(total_rows);  // never reallocates: runs point into it
+    uint64_t* run = hashes.data();
     for (int i = 0; i < n; ++i) {
       const Table& t = views[i].table;
-      data[i].canonical_cols = CanonicalColumnOrder(t);
-      data[i].row_hashes.reserve(static_cast<size_t>(t.num_rows()));
-      for (int64_t r = 0; r < t.num_rows(); ++r) {
-        data[i].row_hashes.insert(
-            CanonicalRowHash(t, r, data[i].canonical_cols));
+      uint64_t* run_end = run + t.num_rows();
+      std::fill(run, run_end, kRowHashSeed);
+      for (int c : canonical_orders[data[i].schema]) {
+        t.column_data(c).CombineCellHashesInto(run, t.num_rows());
       }
-      data[i].set_signature = SetSignature(data[i].row_hashes);
+      std::sort(run, run_end);
+      run_end = std::unique(run, run_end);
+      data[i].begin = run;
+      data[i].end = run_end;
+      data[i].set_signature = SetSignature(run, run_end);
+      run = run_end;
     }
     // Group by set signature inside each block; equal sets are compatible.
     for (auto& [sig, members] : blocks) {
       (void)sig;
+      if (members.size() < 2) continue;
       std::unordered_map<uint64_t, std::vector<int>> by_set;
       for (int v : members) by_set[data[v].set_signature].push_back(v);
       for (auto& [_, group] : by_set) {
@@ -207,7 +269,10 @@ DistillationResult DistillViews(const std::vector<View>& views,
         int rep = group[0];
         for (size_t gi = 1; gi < group.size(); ++gi) {
           int v = group[gi];
-          if (data[v].row_hashes != data[rep].row_hashes) continue;
+          if (!std::equal(data[v].begin, data[v].end, data[rep].begin,
+                          data[rep].end)) {
+            continue;
+          }
           for (size_t gj = 0; gj < gi; ++gj) {
             result.edges.push_back(ViewEdge{group[gj], v,
                                             ViewRelation::kCompatible, -1,
@@ -226,9 +291,11 @@ DistillationResult DistillViews(const std::vector<View>& views,
   // --- Containment (lines 9-11) ---------------------------------------
   {
     ScopedTimer timer(&result.timing.c2_s);
+    std::vector<int> alive;
+    std::vector<int> maximal;
     for (auto& [sig, members] : blocks) {
       (void)sig;
-      std::vector<int> alive;
+      alive.clear();
       for (int v : members) {
         if (!pruned[v]) alive.push_back(v);
       }
@@ -236,16 +303,18 @@ DistillationResult DistillViews(const std::vector<View>& views,
       // only (the paper's transitivity shortcut: keep the largest view as
       // the representative of everything it contains).
       std::sort(alive.begin(), alive.end(), [&data](int a, int b) {
-        if (data[a].row_hashes.size() != data[b].row_hashes.size()) {
-          return data[a].row_hashes.size() > data[b].row_hashes.size();
+        if (data[a].size() != data[b].size()) {
+          return data[a].size() > data[b].size();
         }
         return a < b;
       });
-      std::vector<int> maximal;
+      maximal.clear();
       for (int v : alive) {
         bool contained = false;
         for (int m : maximal) {
-          if (IsSubset(data[v].row_hashes, data[m].row_hashes)) {
+          // Runs are sorted, so a subset is a merge walk.
+          if (std::includes(data[m].begin, data[m].end, data[v].begin,
+                            data[v].end)) {
             result.edges.push_back(
                 ViewEdge{std::min(v, m), std::max(v, m),
                          ViewRelation::kContained, m, {}});
@@ -318,8 +387,8 @@ DistillationResult DistillViews(const std::vector<View>& views,
               if (!text.empty()) text += "|";
               text += t.cell(r, c).ToText();
             }
-            index[kh].push_back(
-                Entry{v, CanonicalRowHash(t, r, data[v].canonical_cols)});
+            index[kh].push_back(Entry{
+                v, CanonicalRowHash(t, r, canonical_orders[data[v].schema])});
             key_text.emplace(kh, std::move(text));
           }
         }
@@ -365,7 +434,7 @@ DistillationResult DistillViews(const std::vector<View>& views,
               result.edges.push_back(ViewEdge{
                   va, vb, ViewRelation::kContradictory, -1, key});
               contradictory_pairs.insert({va, vb});
-            } else if (Overlaps(data[va].row_hashes, data[vb].row_hashes)) {
+            } else if (Overlaps(data[va], data[vb])) {
               result.edges.push_back(ViewEdge{
                   va, vb, ViewRelation::kComplementary, -1, key});
               complementary_pairs.insert({va, vb});

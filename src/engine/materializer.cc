@@ -97,13 +97,13 @@ Result<Table> Materializer::Materialize(
   std::iota(gathered_.begin(), gathered_.end(), 0);
   Bind(seed, &gathered_);
 
-  std::vector<bool> edge_done(graph.edges.size(), false);
+  edge_done_.assign(graph.edges.size(), false);
   size_t remaining = graph.edges.size();
   while (remaining > 0) {
     // Pick an edge with at least one bound endpoint.
     int chosen = -1;
     for (size_t i = 0; i < graph.edges.size(); ++i) {
-      if (edge_done[i]) continue;
+      if (edge_done_[i]) continue;
       if (BoundIndex(graph.edges[i].left.table_id) >= 0 ||
           BoundIndex(graph.edges[i].right.table_id) >= 0) {
         chosen = static_cast<int>(i);
@@ -115,7 +115,7 @@ Result<Table> Materializer::Materialize(
           "join graph is disconnected; cannot materialize");
     }
     const JoinEdge& edge = graph.edges[chosen];
-    edge_done[chosen] = true;
+    edge_done_[chosen] = true;
     --remaining;
 
     const int left_idx = BoundIndex(edge.left.table_id);
@@ -201,20 +201,19 @@ Result<Table> Materializer::Materialize(
 
   // Project with optional distinct. Resolve each projected column to its
   // join-state column and typed storage once.
-  Schema schema;
-  std::vector<int> slots;
-  std::vector<const ColumnData*> cols;
-  slots.reserve(projection.size());
-  cols.reserve(projection.size());
+  std::vector<Attribute> attributes;
+  attributes.reserve(projection.size());
+  slots_.clear();
+  cols_.clear();
   for (const ColumnRef& p : projection) {
     const int idx = BoundIndex(p.table_id);
     if (idx < 0) {
       return Status::InvalidArgument("projection column " + p.ToString() +
                                      " not covered by join graph");
     }
-    schema.AddAttribute(repo_->attribute(p));
-    slots.push_back(idx);
-    cols.push_back(&repo_->column_data(p));
+    attributes.push_back(repo_->attribute(p));
+    slots_.push_back(idx);
+    cols_.push_back(&repo_->column_data(p));
   }
   if (options.distinct) {
     // Tuple hashes stream column-major straight off the row-id columns
@@ -224,13 +223,13 @@ Result<Table> Materializer::Materialize(
     const int64_t n = static_cast<int64_t>(bound_rows_[0].size());
     hashes_.assign(static_cast<size_t>(n), 0x726f7768617368ULL);
     for (size_t p = 0; p < projection.size(); ++p) {
-      cols[p]->CombineCellHashesInto(hashes_.data(),
-                                     bound_rows_[slots[p]].data(), n);
+      cols_[p]->CombineCellHashesInto(hashes_.data(),
+                                      bound_rows_[slots_[p]].data(), n);
     }
     auto same_tuple = [&](int64_t a, int64_t b) {
       for (size_t p = 0; p < projection.size(); ++p) {
-        const std::vector<int64_t>& rows = bound_rows_[slots[p]];
-        if (cols[p]->cell(rows[a]).Compare(cols[p]->cell(rows[b])) != 0) {
+        const std::vector<int64_t>& rows = bound_rows_[slots_[p]];
+        if (cols_[p]->cell(rows[a]).Compare(cols_[p]->cell(rows[b])) != 0) {
           return false;
         }
       }
@@ -247,11 +246,12 @@ Result<Table> Materializer::Materialize(
   std::vector<ColumnData> columns;
   columns.reserve(projection.size());
   for (size_t p = 0; p < projection.size(); ++p) {
-    columns.push_back(ColumnData::Gather(
-        *cols[p], bound_rows_[slots[p]].data(), num_rows));
+    columns.push_back(ColumnData::Gather(*cols_[p],
+                                         bound_rows_[slots_[p]].data(),
+                                         num_rows, &gather_scratch_));
   }
-  return Table(std::move(view_name), std::move(schema), std::move(columns),
-               num_rows);
+  return Table(std::move(view_name), Schema(std::move(attributes)),
+               std::move(columns), num_rows);
 }
 
 Result<View> Materializer::MaterializeView(

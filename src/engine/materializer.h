@@ -83,14 +83,20 @@ class Materializer {
   // Vectors past bound_tables_.size() are spare capacity from earlier calls.
   std::vector<int32_t> bound_tables_;
   std::vector<std::vector<int64_t>> bound_rows_;
-  // Scratch reused across calls: probe output (parent tuple, build row),
-  // the kept-tuple list, a gather buffer, and build keys / tuple hashes.
+  // Scratch reused across calls: joined-edge flags, probe output (parent
+  // tuple, build row), the kept-tuple list, a gather buffer, build keys /
+  // tuple hashes, each projected column's join-state slot and storage, and
+  // the projection gather's remap table.
+  std::vector<bool> edge_done_;
   std::vector<int64_t> parents_;
   std::vector<int64_t> matches_;
   std::vector<int64_t> keep_;
   std::vector<int64_t> gathered_;
   std::vector<uint64_t> hashes_;
   RowDeduper deduper_;
+  std::vector<int> slots_;
+  std::vector<const ColumnData*> cols_;
+  ColumnData::GatherScratch gather_scratch_;
 };
 
 }  // namespace ver

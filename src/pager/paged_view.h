@@ -1,19 +1,25 @@
-// PagedView<T> / PagedBytes: dual-mode array storage for snapshot-backed
-// structures.
+// PagedView<T> / PagedBytes: array storage for snapshot-backed and
+// block-backed structures, in one of three states.
 //
-// Resident mode (the default) owns a std::vector<T> (or std::string) and
-// behaves exactly like one — this is the build path and the legacy load
-// path. Paged mode borrows a typed extent of an mmapped snapshot instead:
-// the view holds a pointer into the map plus the (space, offset) needed to
-// pin its frames in the BufferPool. Readers use the same data()/size()/
-// operator[] surface in both modes, so query code is mode-blind; only
-// mutation (mut()) insists on resident mode.
+//   owned     a std::vector<T> (or std::string) the view owns and behaves
+//             exactly like — the build path and the resident load path.
+//   mapped    a borrowed typed extent of an mmapped snapshot: a pointer
+//             into the map plus the (space, offset) needed to pin its
+//             frames in the BufferPool. paged() is true only here.
+//   borrowed  a borrowed extent of memory the view's owner keeps alive
+//             (a gathered column's one storage block). Never pinned, and
+//             paged() is false: paged() means "borrows snapshot memory".
 //
-// A paged view is a borrow: it is valid only while the SnapshotMap that
-// backs it lives (the engine's PagerRuntime guarantees that). Pinning is
-// an accounting contract, not a lifetime one — an unpinned read of a paged
-// view still returns correct bytes (the page refaults from the file); it
-// just escapes the pool's residency budget.
+// Readers use the same data()/size()/operator[] surface in every state, so
+// query code is mode-blind; only mutation (mut()) insists on the owned
+// state. Copying a view always yields an owned copy; moving one keeps its
+// borrow (the borrowed memory does not move).
+//
+// A mapped view is valid only while the SnapshotMap that backs it lives
+// (the engine's PagerRuntime guarantees that). Pinning is an accounting
+// contract, not a lifetime one — an unpinned read of a mapped view still
+// returns correct bytes (the page refaults from the file); it just escapes
+// the pool's residency budget.
 
 #ifndef VER_PAGER_PAGED_VIEW_H_
 #define VER_PAGER_PAGED_VIEW_H_
@@ -49,8 +55,8 @@ class PagedView {
  public:
   PagedView() = default;
 
-  // Copying materializes a resident owned copy — paged borrows are tied to
-  // one snapshot map and must not silently multiply across objects.
+  // Copying materializes an owned copy — borrows are tied to one snapshot
+  // map or one owner's block and must not silently multiply across objects.
   PagedView(const PagedView& o) { *this = o; }
   PagedView& operator=(const PagedView& o) {
     if (this != &o) {
@@ -63,9 +69,10 @@ class PagedView {
   PagedView& operator=(PagedView&& o) noexcept {
     if (this != &o) {
       vec_ = std::move(o.vec_);
-      mapped_ = o.mapped_;
+      extent_ = o.extent_;
       count_ = o.count_;
       space_ = o.space_;
+      mapped_ = o.mapped_;
       offset_ = o.offset_;
       o.Reset();
     }
@@ -77,10 +84,11 @@ class PagedView {
     return *this;
   }
 
-  bool paged() const { return mapped_ != nullptr; }
+  /// True when the view borrows a mapped snapshot extent.
+  bool paged() const { return extent_ != nullptr && mapped_; }
 
-  const T* data() const { return paged() ? mapped_ : vec_.data(); }
-  uint64_t size() const { return paged() ? count_ : vec_.size(); }
+  const T* data() const { return extent_ != nullptr ? extent_ : vec_.data(); }
+  uint64_t size() const { return extent_ != nullptr ? count_ : vec_.size(); }
   bool empty() const { return size() == 0; }
   const T& operator[](uint64_t i) const { return data()[i]; }
   const T* begin() const { return data(); }
@@ -94,17 +102,30 @@ class PagedView {
     return data()[size() - 1];
   }
 
-  /// Mutable access to the owned vector; only valid in resident mode —
-  /// builders never see paged storage.
+  /// Mutable access to the owned vector; only valid in the owned state —
+  /// builders never see borrowed storage.
   std::vector<T>& mut() {
-    VER_DCHECK(!paged()) << "mutating a paged view";
+    VER_DCHECK(extent_ == nullptr) << "mutating a borrowed view";
     return vec_;
   }
 
-  /// Heap bytes owned by this view (0 when paged — the bytes belong to the
-  /// snapshot map and are accounted by the BufferPool, not the heap).
+  /// Heap bytes owned by this view: 0 when mapped (the bytes belong to the
+  /// snapshot map and are accounted by the BufferPool, not the heap) and
+  /// when borrowed (the owner accounts for its block).
   uint64_t capacity_bytes() const {
-    return paged() ? 0 : vec_.capacity() * sizeof(T);
+    return extent_ != nullptr ? 0 : vec_.capacity() * sizeof(T);
+  }
+
+  /// Borrows `count` elements at `p`, which the caller keeps alive and
+  /// unmoved for as long as this view (or a view moved from it) reads them.
+  void Borrow(const T* p, uint64_t count) {
+    vec_.clear();
+    vec_.shrink_to_fit();
+    extent_ = p;
+    count_ = count;
+    space_ = 0;
+    mapped_ = false;
+    offset_ = 0;
   }
 
   /// Takes `count` elements starting at mapped byte `raw`. Binds a paged
@@ -114,11 +135,9 @@ class PagedView {
   void Adopt(const PagerBinding* b, const char* raw, uint64_t count) {
     if (b != nullptr && b->pool != nullptr &&
         reinterpret_cast<uintptr_t>(raw) % alignof(T) == 0) {
-      vec_.clear();
-      vec_.shrink_to_fit();
-      mapped_ = reinterpret_cast<const T*>(raw);
-      count_ = count;
+      Borrow(reinterpret_cast<const T*>(raw), count);
       space_ = b->space;
+      mapped_ = true;
       offset_ = static_cast<uint64_t>(raw - b->space_base);
       return;
     }
@@ -133,20 +152,21 @@ class PagedView {
     if (paged()) pin->PinRange(space_, offset_, count_ * sizeof(T));
   }
 
-  /// Converts a paged borrow into an owned resident copy (no-op when
-  /// already resident). The escape hatch for mutating a loaded-paged
+  /// Converts a borrow (mapped or from the owner) into an owned copy
+  /// (no-op when already owned). The escape hatch for mutating a borrowed
   /// structure: copy first, then mut().
   void MaterializeOwned() {
-    if (!paged()) return;
-    vec_.assign(mapped_, mapped_ + count_);
+    if (extent_ == nullptr) return;
+    vec_.assign(extent_, extent_ + count_);
     DropBinding();
   }
 
  private:
   void DropBinding() {
-    mapped_ = nullptr;
+    extent_ = nullptr;
     count_ = 0;
     space_ = 0;
+    mapped_ = false;
     offset_ = 0;
   }
   void Reset() {
@@ -156,14 +176,16 @@ class PagedView {
   }
 
   std::vector<T> vec_;
-  const T* mapped_ = nullptr;
+  const T* extent_ = nullptr;  // borrowed elements; null when owned
   uint64_t count_ = 0;
   uint32_t space_ = 0;
+  bool mapped_ = false;  // extent_ lies in a snapshot map
   uint64_t offset_ = 0;
 };
 
-/// PagedView's byte-blob sibling: a std::string when resident (dictionary
-/// arenas, interned key blobs), a borrowed mapped extent when paged.
+/// PagedView's byte-blob sibling, with the same three states: a
+/// std::string when owned (dictionary arenas, interned key blobs), a
+/// borrowed extent when mapped or borrowed from the owner.
 class PagedBytes {
  public:
   PagedBytes() = default;
@@ -180,9 +202,10 @@ class PagedBytes {
   PagedBytes& operator=(PagedBytes&& o) noexcept {
     if (this != &o) {
       str_ = std::move(o.str_);
-      mapped_ = o.mapped_;
+      extent_ = o.extent_;
       count_ = o.count_;
       space_ = o.space_;
+      mapped_ = o.mapped_;
       offset_ = o.offset_;
       o.Reset();
     }
@@ -194,9 +217,11 @@ class PagedBytes {
     return *this;
   }
 
-  bool paged() const { return mapped_ != nullptr; }
-  const char* data() const { return paged() ? mapped_ : str_.data(); }
-  uint64_t size() const { return paged() ? count_ : str_.size(); }
+  bool paged() const { return extent_ != nullptr && mapped_; }
+  const char* data() const {
+    return extent_ != nullptr ? extent_ : str_.data();
+  }
+  uint64_t size() const { return extent_ != nullptr ? count_ : str_.size(); }
   bool empty() const { return size() == 0; }
   char operator[](uint64_t i) const { return data()[i]; }
   std::string_view view() const {
@@ -204,19 +229,30 @@ class PagedBytes {
   }
 
   std::string& mut() {
-    VER_DCHECK(!paged()) << "mutating paged bytes";
+    VER_DCHECK(extent_ == nullptr) << "mutating borrowed bytes";
     return str_;
   }
 
-  uint64_t capacity_bytes() const { return paged() ? 0 : str_.capacity(); }
+  uint64_t capacity_bytes() const {
+    return extent_ != nullptr ? 0 : str_.capacity();
+  }
+
+  /// Borrows `count` bytes at `p`; see PagedView::Borrow.
+  void Borrow(const char* p, uint64_t count) {
+    str_.clear();
+    str_.shrink_to_fit();
+    extent_ = p;
+    count_ = count;
+    space_ = 0;
+    mapped_ = false;
+    offset_ = 0;
+  }
 
   void Adopt(const PagerBinding* b, const char* raw, uint64_t count) {
     if (b != nullptr && b->pool != nullptr) {
-      str_.clear();
-      str_.shrink_to_fit();
-      mapped_ = raw;
-      count_ = count;
+      Borrow(raw, count);
       space_ = b->space;
+      mapped_ = true;
       offset_ = static_cast<uint64_t>(raw - b->space_base);
       return;
     }
@@ -229,16 +265,17 @@ class PagedBytes {
   }
 
   void MaterializeOwned() {
-    if (!paged()) return;
-    str_.assign(mapped_, static_cast<size_t>(count_));
+    if (extent_ == nullptr) return;
+    str_.assign(extent_, static_cast<size_t>(count_));
     DropBinding();
   }
 
  private:
   void DropBinding() {
-    mapped_ = nullptr;
+    extent_ = nullptr;
     count_ = 0;
     space_ = 0;
+    mapped_ = false;
     offset_ = 0;
   }
   void Reset() {
@@ -248,9 +285,10 @@ class PagedBytes {
   }
 
   std::string str_;
-  const char* mapped_ = nullptr;
+  const char* extent_ = nullptr;  // borrowed bytes; null when owned
   uint64_t count_ = 0;
   uint32_t space_ = 0;
+  bool mapped_ = false;  // extent_ lies in a snapshot map
   uint64_t offset_ = 0;
 };
 

@@ -36,37 +36,9 @@ Status LoadArray(SerdeReader* r, const PagerBinding* binding,
   return Status::OK();
 }
 
-// Source dictionary code -> output code for one Gather. Open addressing
-// over at most min(selected rows, source dictionary) keys, so a gather
-// costs O(selected rows) however large the source dictionary is.
-class CodeRemap {
- public:
-  static constexpr uint32_t kUnmapped = UINT32_MAX;
-
-  explicit CodeRemap(size_t max_keys) {
-    size_t cap = 16;
-    while (cap < max_keys * 2) cap <<= 1;
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-  }
-
-  /// The output code of source `code`; kUnmapped until the caller sets it.
-  uint32_t& operator[](uint32_t code) {
-    const uint32_t key = code + 1;  // 0 marks an empty slot
-    size_t i = Mix64(code) & mask_;
-    while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask_;
-    slots_[i].key = key;
-    return slots_[i].value;
-  }
-
- private:
-  struct Slot {
-    uint32_t key = 0;
-    uint32_t value = kUnmapped;
-  };
-  std::vector<Slot> slots_;
-  size_t mask_ = 0;
-};
+// 8-byte words holding `bytes` bytes: every array of a gathered column's
+// block starts on a word boundary.
+inline size_t WordsFor(size_t bytes) { return (bytes + 7) / 8; }
 
 }  // namespace
 
@@ -200,7 +172,7 @@ int CellView::Compare(const CellView& other) const {
 // -------------------------------- ColumnData -------------------------------
 
 void ColumnData::EnsureOwned() {
-  if (!paged()) return;
+  if (block_.empty() && !paged()) return;
   valid_words_.MaterializeOwned();
   ints_.MaterializeOwned();
   doubles_.MaterializeOwned();
@@ -212,6 +184,7 @@ void ColumnData::EnsureOwned() {
   entry_lens_.MaterializeOwned();
   entry_hashes_.MaterializeOwned();
   arena_.MaterializeOwned();
+  block_.Reset();
 }
 
 void ColumnData::AppendValidityBit(bool non_null) {
@@ -367,121 +340,181 @@ void ColumnData::PromoteToDict() {
   enc_ = ColumnEncoding::kDict;
 }
 
+void ColumnData::GatherScratch::Reset(size_t max_keys, size_t rows) {
+  size_t cap = 16;
+  while (cap < max_keys * 2) cap <<= 1;
+  slots_.assign(cap, Slot{});
+  mask_ = cap - 1;
+  codes_.resize(rows);
+  entries_.clear();
+}
+
+uint32_t& ColumnData::GatherScratch::Map(uint32_t code) {
+  const uint32_t key = code + 1;
+  size_t i = Mix64(code) & mask_;
+  while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask_;
+  slots_[i].key = key;
+  return slots_[i].value;
+}
+
 ColumnData ColumnData::Gather(const ColumnData& src, const int64_t* rows,
-                              int64_t n) {
+                              int64_t n, GatherScratch* scratch) {
   VER_DCHECK(n >= 0) << "negative gather length " << n;
   ColumnData out;
   out.num_rows_ = n;
+  const size_t count = static_cast<size_t>(n);
   const size_t words = static_cast<size_t>(n + 63) / 64;
-  std::vector<uint64_t> valid(words, 0);
-  for (int64_t i = 0; i < n; ++i) {
-    if (!src.is_null(rows[i])) valid[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-  out.valid_words_ = std::move(valid);
-  out.num_nulls_ = n;
-  for (uint64_t w : out.valid_words_) out.num_nulls_ -= __builtin_popcountll(w);
 
+  // Remap pass: the type tallies Append() would keep, which fix the
+  // encoding, and for a dictionary source the output code of every row,
+  // with each selected entry numbered on first sight — the dictionary
+  // Intern() would build, in first-occurrence order. A map over at most
+  // min(selected rows, source dictionary) keys keeps a gather O(selected
+  // rows) however large the source dictionary is.
+  size_t arena_bytes = 0;
   if (src.is_dict()) {
-    // Remap each selected code, copying its entry on first sight: the
-    // dictionary Intern() would build, in first-occurrence order.
-    std::vector<uint32_t> codes(static_cast<size_t>(n), 0);
-    std::vector<uint8_t> types;
-    std::vector<uint64_t> payload;
-    std::vector<uint32_t> lens;
-    std::vector<uint64_t> hashes;
-    std::string arena;
-    CodeRemap remap(std::min(static_cast<size_t>(n), src.dict_size()));
-    for (int64_t i = 0; i < n; ++i) {
-      if (out.is_null(i)) continue;
+    scratch->Reset(std::min(count, src.dict_size()), count);
+    for (size_t i = 0; i < count; ++i) {
+      if (src.is_null(rows[i])) {
+        ++out.num_nulls_;
+        scratch->codes_[i] = 0;
+        continue;
+      }
       const uint32_t code = src.codes_[rows[i]];
-      uint32_t& mapped = remap[code];
-      if (mapped == CodeRemap::kUnmapped) {
-        mapped = static_cast<uint32_t>(types.size());
-        const uint8_t type = src.entry_types_[code];
-        types.push_back(type);
-        hashes.push_back(src.entry_hashes_[code]);
-        if (static_cast<ValueType>(type) == ValueType::kString) {
-          payload.push_back(arena.size());
-          lens.push_back(src.entry_lens_[code]);
-          arena.append(src.arena_.data() + src.entry_payload_[code],
-                       src.entry_lens_[code]);
-        } else {
-          payload.push_back(src.entry_payload_[code]);
-          lens.push_back(0);
-        }
+      uint32_t& mapped = scratch->Map(code);
+      const ValueType type = static_cast<ValueType>(src.entry_types_[code]);
+      if (mapped == GatherScratch::kUnmapped) {
+        mapped = static_cast<uint32_t>(scratch->entries_.size());
+        scratch->entries_.push_back(code);
+        if (type == ValueType::kString) arena_bytes += src.entry_lens_[code];
       }
-      codes[i] = mapped;
-      switch (static_cast<ValueType>(src.entry_types_[code])) {
-        case ValueType::kInt:
-          ++out.num_ints_;
-          break;
-        case ValueType::kDouble:
-          ++out.num_doubles_;
-          break;
-        default:
-          ++out.num_strings_;
-          break;
+      scratch->codes_[i] = mapped;
+      if (type == ValueType::kInt) {
+        ++out.num_ints_;
+      } else if (type == ValueType::kDouble) {
+        ++out.num_doubles_;
+      } else {
+        ++out.num_strings_;
       }
     }
-    if (out.num_strings_ > 0) {
-      out.enc_ = ColumnEncoding::kDict;
-      out.codes_ = std::move(codes);
-      out.entry_types_ = std::move(types);
-      out.entry_payload_ = std::move(payload);
-      out.entry_lens_ = std::move(lens);
-      out.entry_hashes_ = std::move(hashes);
-      out.arena_ = std::move(arena);
-      return out;
-    }
-    // Only numbers selected: appending them never leaves the numeric
-    // lattice, so the tallies above pick the encoding below.
   } else {
-    const int64_t non_null = n - out.num_nulls_;
-    if (src.enc_ == ColumnEncoding::kInt64) {
-      out.num_ints_ = non_null;
-    } else if (src.enc_ == ColumnEncoding::kDouble) {
-      out.num_doubles_ = non_null;
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        if (!out.is_null(i) && src.cell(rows[i]).type() == ValueType::kInt) {
-          ++out.num_ints_;
-        }
+    for (size_t i = 0; i < count; ++i) {
+      if (src.is_null(rows[i])) {
+        ++out.num_nulls_;
+      } else if (src.cell(rows[i]).type() == ValueType::kInt) {
+        ++out.num_ints_;
+      } else {
+        ++out.num_doubles_;
       }
-      out.num_doubles_ = non_null - out.num_ints_;
     }
   }
 
-  // The encoding appends reach: ints and doubles together need the mixed
-  // layout whatever their order; doubles alone (nulls aside) stay double.
-  if (out.num_ints_ > 0 && out.num_doubles_ > 0) {
+  // The encoding appends reach: any string makes a dictionary; ints and
+  // doubles together need the mixed layout whatever their order; doubles
+  // alone (nulls aside) stay double.
+  if (out.num_strings_ > 0) {
+    out.enc_ = ColumnEncoding::kDict;
+  } else if (out.num_ints_ > 0 && out.num_doubles_ > 0) {
     out.enc_ = ColumnEncoding::kNumeric;
-    std::vector<uint64_t> bits(static_cast<size_t>(n), 0);
-    std::vector<uint64_t> int_tags(words, 0);
-    for (int64_t i = 0; i < n; ++i) {
-      if (out.is_null(i)) continue;
-      CellView v = src.cell(rows[i]);
-      if (v.type() == ValueType::kInt) {
-        int_tags[i >> 6] |= uint64_t{1} << (i & 63);
-        bits[i] = static_cast<uint64_t>(v.AsInt());
-      } else {
-        bits[i] = DoubleBits(v.AsDouble());
-      }
-    }
-    out.num_bits_ = std::move(bits);
-    out.int_tag_words_ = std::move(int_tags);
   } else if (out.num_doubles_ > 0) {
     out.enc_ = ColumnEncoding::kDouble;
-    std::vector<double> doubles(static_cast<size_t>(n), 0.0);
-    for (int64_t i = 0; i < n; ++i) {
-      if (!out.is_null(i)) doubles[i] = src.cell(rows[i]).AsDouble();
-    }
-    out.doubles_ = std::move(doubles);
+  }
+
+  // One block, exactly sized: the validity bitmap, then the payload arrays
+  // of that encoding.
+  const size_t entries = out.is_dict() ? scratch->entries_.size() : 0;
+  size_t total = words;
+  if (out.is_dict()) {
+    total += WordsFor(count * sizeof(uint32_t)) + WordsFor(entries) +
+             entries + WordsFor(entries * sizeof(uint32_t)) + entries +
+             WordsFor(arena_bytes);
   } else {
-    std::vector<int64_t> ints(static_cast<size_t>(n), 0);
-    for (int64_t i = 0; i < n; ++i) {
-      if (!out.is_null(i)) ints[i] = src.cell(rows[i]).AsInt();
+    total += count + (out.enc_ == ColumnEncoding::kNumeric ? words : 0);
+  }
+  if (total == 0) return out;  // nothing selected: no block
+  uint64_t* next = out.block_.Allocate(total);
+  auto take = [&next](size_t words_taken) {
+    uint64_t* p = next;
+    next += words_taken;
+    return p;
+  };
+
+  uint64_t* valid = take(words);
+  for (size_t i = 0; i < count; ++i) {
+    if (!src.is_null(rows[i])) valid[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  out.valid_words_.Borrow(valid, words);
+
+  switch (out.enc_) {
+    case ColumnEncoding::kDict: {
+      auto* codes = reinterpret_cast<uint32_t*>(
+          take(WordsFor(count * sizeof(uint32_t))));
+      auto* types = reinterpret_cast<uint8_t*>(take(WordsFor(entries)));
+      uint64_t* payload = take(entries);
+      auto* lens = reinterpret_cast<uint32_t*>(
+          take(WordsFor(entries * sizeof(uint32_t))));
+      uint64_t* hashes = take(entries);
+      char* arena = reinterpret_cast<char*>(take(WordsFor(arena_bytes)));
+      if (count > 0) {
+        std::memcpy(codes, scratch->codes_.data(), count * sizeof(uint32_t));
+      }
+      size_t arena_used = 0;
+      for (size_t e = 0; e < entries; ++e) {
+        const uint32_t code = scratch->entries_[e];
+        types[e] = src.entry_types_[code];
+        hashes[e] = src.entry_hashes_[code];
+        if (static_cast<ValueType>(types[e]) == ValueType::kString) {
+          const uint32_t len = src.entry_lens_[code];
+          payload[e] = arena_used;
+          lens[e] = len;
+          std::memcpy(arena + arena_used,
+                      src.arena_.data() + src.entry_payload_[code], len);
+          arena_used += len;
+        } else {
+          payload[e] = src.entry_payload_[code];
+        }
+      }
+      out.codes_.Borrow(codes, count);
+      out.entry_types_.Borrow(types, entries);
+      out.entry_payload_.Borrow(payload, entries);
+      out.entry_lens_.Borrow(lens, entries);
+      out.entry_hashes_.Borrow(hashes, entries);
+      out.arena_.Borrow(arena, arena_bytes);
+      break;
     }
-    out.ints_ = std::move(ints);
+    case ColumnEncoding::kNumeric: {
+      uint64_t* bits = take(count);
+      uint64_t* int_tags = take(words);
+      for (size_t i = 0; i < count; ++i) {
+        if (src.is_null(rows[i])) continue;
+        const CellView v = src.cell(rows[i]);
+        if (v.type() == ValueType::kInt) {
+          int_tags[i >> 6] |= uint64_t{1} << (i & 63);
+          bits[i] = static_cast<uint64_t>(v.AsInt());
+        } else {
+          bits[i] = DoubleBits(v.AsDouble());
+        }
+      }
+      out.num_bits_.Borrow(bits, count);
+      out.int_tag_words_.Borrow(int_tags, words);
+      break;
+    }
+    case ColumnEncoding::kDouble: {
+      auto* doubles = reinterpret_cast<double*>(take(count));
+      for (size_t i = 0; i < count; ++i) {
+        if (!src.is_null(rows[i])) doubles[i] = src.cell(rows[i]).AsDouble();
+      }
+      out.doubles_.Borrow(doubles, count);
+      break;
+    }
+    case ColumnEncoding::kInt64: {
+      auto* ints = reinterpret_cast<int64_t*>(take(count));
+      for (size_t i = 0; i < count; ++i) {
+        if (!src.is_null(rows[i])) ints[i] = src.cell(rows[i]).AsInt();
+      }
+      out.ints_.Borrow(ints, count);
+      break;
+    }
   }
   return out;
 }
@@ -830,6 +863,8 @@ size_t ColumnData::ApproxBytes() const {
   bytes += entry_lens_.capacity_bytes();
   bytes += entry_hashes_.capacity_bytes();
   bytes += arena_.capacity_bytes();
+  // A gathered column's arrays borrow its block and report 0 above.
+  bytes += block_.bytes();
   // Intern map estimate: node + bucket overhead per distinct hash plus the
   // small code vectors. Zero once the column is sealed.
   bytes += lookup_.size() * 64;

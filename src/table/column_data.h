@@ -29,6 +29,7 @@
 #define VER_TABLE_COLUMN_DATA_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -146,17 +147,48 @@ class ColumnData {
   void Append(const Value& v) { Append(CellView::Of(v)); }
   void Append(const CellView& v);
 
+  /// Gather's working memory: the source-code remap table, the output
+  /// code of every gathered row and the selected dictionary entries. A
+  /// caller that gathers many columns keeps one, so its capacity is reused
+  /// across calls.
+  class GatherScratch {
+   private:
+    friend class ColumnData;
+    static constexpr uint32_t kUnmapped = UINT32_MAX;
+    struct Slot {
+      uint32_t key = 0;  // source code + 1; 0 marks an empty slot
+      uint32_t value = kUnmapped;
+    };
+    /// Forgets every mapping; sizes the table for `max_keys` codes and the
+    /// code array for `rows` rows.
+    void Reset(size_t max_keys, size_t rows);
+    /// The output code of source `code`; kUnmapped until the caller sets it.
+    uint32_t& Map(uint32_t code);
+
+    std::vector<Slot> slots_;  // open addressing, load factor <= 1/2
+    size_t mask_ = 0;
+    std::vector<uint32_t> codes_;    // output code per gathered row
+    std::vector<uint32_t> entries_;  // selected source codes, in order
+  };
+
   /// The column holding src's cells at rows[0..n) (repeats allowed), equal
   /// to Append()ing them one by one to an empty column: same encoding on
   /// the int -> double -> numeric -> dict lattice, same type tallies and
   /// payload layout, and a dictionary in first-occurrence order. Payloads
   /// are copied typed and dictionary sources remap their codes, copying
   /// each selected entry (bytes and cached hash) once, so no cell is
-  /// re-hashed or re-interned. The result owns its storage (paged sources
-  /// are copied out of the mapped extents) and has no intern map; a later
-  /// Append rebuilds it.
+  /// re-hashed or re-interned. One remap pass sizes the output exactly;
+  /// every array then lives in one zeroed 8-byte-aligned block the column
+  /// owns (paged sources are copied out of the mapped extents, so the
+  /// result never borrows snapshot memory). The result has no intern map,
+  /// and a later Append copies the arrays out of the block and rebuilds it.
   static ColumnData Gather(const ColumnData& src, const int64_t* rows,
-                           int64_t n);
+                           int64_t n, GatherScratch* scratch);
+  static ColumnData Gather(const ColumnData& src, const int64_t* rows,
+                           int64_t n) {
+    GatherScratch scratch;
+    return Gather(src, rows, n, &scratch);
+  }
 
   /// Zero-copy read of one cell.
   CellView cell(int64_t row) const;
@@ -254,8 +286,8 @@ class ColumnData {
   /// TableRepository::AddTable.
   void Seal();
 
-  /// Resident bytes of this column's storage (capacities, arena, intern
-  /// map estimate).
+  /// Resident bytes of this column's storage (capacities, arena, gathered
+  /// block, intern map estimate).
   size_t ApproxBytes() const;
 
   /// Columnar snapshot serialization: bitmap words, typed payload and
@@ -273,7 +305,9 @@ class ColumnData {
   void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const PagerBinding* binding = nullptr);
 
-  /// True when any storage array borrows a mapped snapshot extent.
+  /// True when any storage array borrows a mapped snapshot extent. A
+  /// gathered column's arrays borrow its own block instead, so they are
+  /// not paged.
   bool paged() const {
     return valid_words_.paged() || ints_.paged() || doubles_.paged() ||
            num_bits_.paged() || int_tag_words_.paged() || codes_.paged() ||
@@ -296,10 +330,44 @@ class ColumnData {
   uint32_t Intern(const CellView& v);
   bool EntryEquals(uint32_t code, const CellView& v) const;
   void EnsureLookup();
-  /// Materializes every paged view into owned storage — the write barrier
-  /// every mutating entry point runs first, so appending to a paged-loaded
-  /// column transparently copies it out of the snapshot map.
+  /// Materializes every borrowing view into owned storage — the write
+  /// barrier every mutating entry point runs first, so appending to a
+  /// paged-loaded column transparently copies it out of the snapshot map,
+  /// and appending to a gathered column copies it out of its block.
   void EnsureOwned();
+
+  /// A gathered column's storage block: every storage array borrows an
+  /// extent of it. Copies start without one — copying a column copies its
+  /// borrowing arrays into owned ones — so a block has exactly one owner;
+  /// moves keep the borrows valid, since the block itself does not move.
+  class Block {
+   public:
+    Block() = default;
+    Block(const Block&) {}
+    Block& operator=(const Block& o) {
+      if (this != &o) Reset();
+      return *this;
+    }
+    Block(Block&&) noexcept = default;
+    Block& operator=(Block&&) noexcept = default;
+
+    /// Replaces the block with `words` zeroed 8-byte words.
+    uint64_t* Allocate(size_t words) {
+      words_.reset(new uint64_t[words]());
+      bytes_ = words * sizeof(uint64_t);
+      return words_.get();
+    }
+    void Reset() {
+      words_.reset();
+      bytes_ = 0;
+    }
+    bool empty() const { return words_ == nullptr; }
+    size_t bytes() const { return bytes_; }
+
+   private:
+    std::unique_ptr<uint64_t[]> words_;
+    size_t bytes_ = 0;
+  };
 
   ColumnEncoding enc_ = ColumnEncoding::kInt64;
   bool sealed_ = false;
@@ -311,9 +379,9 @@ class ColumnData {
   int64_t num_strings_ = 0;
 
   // Storage arrays are PagedView/PagedBytes: owned vectors during ingest
-  // and resident loads, borrowed mmap extents under a paged load. Read
-  // paths are mode-blind; mutation goes through .mut() behind
-  // EnsureOwned().
+  // and resident loads, borrowed mmap extents under a paged load, borrowed
+  // extents of block_ after a Gather. Read paths are mode-blind; mutation
+  // goes through .mut() behind EnsureOwned().
 
   /// Validity bitmap: bit (row & 63) of word (row >> 6) set = non-null.
   PagedView<uint64_t> valid_words_;
@@ -336,6 +404,9 @@ class ColumnData {
   // Intern map: cell hash -> codes with that hash (collisions resolved by
   // exact payload identity). Dropped by Seal(), rebuilt on demand.
   std::unordered_map<uint64_t, std::vector<uint32_t>> lookup_;
+  // Declared last: an assignment replaces the arrays before it drops the
+  // block they borrowed.
+  Block block_;
 };
 
 }  // namespace ver

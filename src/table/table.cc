@@ -128,8 +128,10 @@ Table Table::Project(const std::vector<int>& col_indices, bool distinct,
   const int64_t n = static_cast<int64_t>(rows.size());
   std::vector<ColumnData> columns;
   columns.reserve(col_indices.size());
+  ColumnData::GatherScratch scratch;
   for (int c : col_indices) {
-    columns.push_back(ColumnData::Gather(columns_[c], rows.data(), n));
+    columns.push_back(
+        ColumnData::Gather(columns_[c], rows.data(), n, &scratch));
   }
   return Table(std::move(new_name), std::move(schema), std::move(columns), n);
 }

@@ -19,6 +19,7 @@
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
 #include "api/query_observer.h"
+#include "baselines/fast_topk.h"
 #include "core/ver.h"
 #include "query_fingerprint.h"
 #include "serving/ver_server.h"
@@ -114,6 +115,38 @@ TEST(ApiTest, WrapperOverloadsAreBitIdenticalToExecute) {
       system.RunWithCandidates(spec, query, QueryControl());
   ASSERT_TRUE(cand_controlled.ok());
   EXPECT_EQ(Fingerprint(*cand_controlled), cand_expected);
+}
+
+TEST(ApiTest, RankingEqualsRankingCopiesOfTheSurvivors) {
+  TableRepository repo = MakeRepo();
+  Ver system(&repo, VerConfig());
+  const ExampleQuery query = CityMayorQuery();
+  for (bool distill : {true, false}) {
+    SCOPED_TRACE(distill ? "distillation on" : "distillation off");
+    RequestOverrides overrides;
+    overrides.run_distillation = distill;
+    DiscoveryResponse response = system.Execute(
+        DiscoveryRequest::ForQuery(query).WithOverrides(overrides));
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    const QueryResult& r = response.result;
+    const std::vector<int>& surviving = r.distillation.surviving;
+    ASSERT_FALSE(surviving.empty());
+    if (!distill) {
+      EXPECT_EQ(surviving.size(), r.views.size());
+    }
+    // The ranking the pipeline computed before it ranked in place: over
+    // copies of the survivors, mapped back to indices into r.views.
+    std::vector<View> copies;
+    for (int i : surviving) copies.push_back(r.views[i]);
+    std::vector<OverlapRankedView> want = RankViewsByOverlap(copies, query);
+    for (OverlapRankedView& v : want) v.view_index = surviving[v.view_index];
+    ASSERT_EQ(r.automatic_ranking.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(r.automatic_ranking[i].view_index, want[i].view_index) << i;
+      EXPECT_EQ(r.automatic_ranking[i].overlap, want[i].overlap) << i;
+      EXPECT_EQ(r.automatic_ranking[i].score, want[i].score) << i;
+    }
+  }
 }
 
 TEST(ApiTest, OverridesMergeExactlyLikeAReconfiguredSystem) {

@@ -79,6 +79,52 @@ TEST(FastTopKTest, EmptyInputs) {
   EXPECT_DOUBLE_EQ(ranked[0].score, 0.0);
 }
 
+// Ranking copies of the views at `indices`, then naming each by its
+// position in `views`: what the pipeline did before it ranked in place.
+std::vector<OverlapRankedView> RankCopies(const std::vector<View>& views,
+                                          const std::vector<int>& indices,
+                                          const ExampleQuery& query) {
+  std::vector<View> copies;
+  for (int i : indices) copies.push_back(views[i]);
+  std::vector<OverlapRankedView> ranked = RankViewsByOverlap(copies, query);
+  for (OverlapRankedView& r : ranked) r.view_index = indices[r.view_index];
+  return ranked;
+}
+
+void ExpectSameRanking(const std::vector<OverlapRankedView>& got,
+                       const std::vector<OverlapRankedView>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].view_index, want[i].view_index) << i;
+    EXPECT_EQ(got[i].overlap, want[i].overlap) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+  }
+}
+
+TEST(FastTopKTest, RankingASubsetByIndexEqualsRankingCopies) {
+  // Overlap and row-count ties across non-adjacent indices exercise every
+  // tie-break.
+  std::vector<View> views;
+  views.push_back(MakeView(0, {"c"}, {{"china"}, {"x"}}));
+  views.push_back(MakeView(1, {"c"}, {{"peru"}}));
+  views.push_back(MakeView(2, {"c"}, {{"china"}}));
+  views.push_back(MakeView(3, {"c"}, {{"china"}, {"y"}}));
+  views.push_back(MakeView(4, {"c"}, {{"japan"}, {"china"}}));
+  views.push_back(MakeView(5, {"c"}, {{"china"}}));
+  views.push_back(MakeView(6, {"c"}, {{"chile"}}));
+  const ExampleQuery query = ExampleQuery::FromColumns({{"china", "japan"}});
+  for (const std::vector<int>& subset :
+       std::vector<std::vector<int>>{{0, 1, 2, 3, 4, 5, 6},
+                                     {0, 2, 3, 5},
+                                     {1, 3, 5, 6},
+                                     {4},
+                                     {}}) {
+    SCOPED_TRACE(::testing::PrintToString(subset));
+    ExpectSameRanking(RankViewsByOverlap(views, subset, query),
+                      RankCopies(views, subset, query));
+  }
+}
+
 // ------------------------- view specification ---------------------------
 
 TableRepository MakeSpecRepo() {

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "pager/buffer_pool.h"
 #include "table/column_data.h"
 #include "table/table.h"
 #include "util/row_deduper.h"
@@ -283,6 +286,12 @@ TEST(ColumnDataTest, SerdeRoundTripsEveryEncoding) {
   }
 }
 
+std::string Serialized(const ColumnData& col) {
+  SerdeWriter w;
+  col.SaveTo(&w);
+  return w.buffer();
+}
+
 TEST(ColumnDataTest, GatheredDictKeepsDedupOnLaterAppends) {
   ColumnData src;
   src.Append(CellView::String("a"));
@@ -295,7 +304,150 @@ TEST(ColumnDataTest, GatheredDictKeepsDedupOnLaterAppends) {
   col.Append(CellView::String("a"));
   EXPECT_EQ(col.dict_size(), 2u);
   EXPECT_EQ(col.code(0), col.code(2));
+  // The append copied the arrays out of the gathered block first: the
+  // gathered cells survive next to the appended ones, and a new entry
+  // grows the copied dictionary and arena.
+  col.Append(CellView::String("c"));
+  ASSERT_EQ(col.size(), 4);
+  EXPECT_EQ(col.dict_size(), 3u);
+  const char* want[] = {"a", "b", "a", "c"};
+  for (int64_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(col.cell(r).AsStringView(), want[r]) << r;
+    EXPECT_EQ(col.CellHash(r), CellView::String(want[r]).Hash()) << r;
+  }
+  EXPECT_EQ(src.size(), 2);
+  EXPECT_EQ(src.dict_size(), 2u);
 }
+
+// A table of `rows` rows: a repetitive string column and an int column.
+Table StringIntTable(int rows) {
+  Schema schema;
+  schema.AddAttribute(Attribute{"s", ValueType::kString});
+  schema.AddAttribute(Attribute{"i", ValueType::kInt});
+  Table t("t", schema);
+  for (int i = 0; i < rows; ++i) {
+    VER_CHECK_OK(t.AppendRow(
+        {Value::String("value_" + std::to_string(i % 40)), Value::Int(i)}));
+  }
+  t.Seal();
+  return t;
+}
+
+void ExpectSameCells(const ColumnData& got, const ColumnData& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (int64_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got.cell(r).type(), want.cell(r).type()) << r;
+    EXPECT_EQ(got.cell(r).Compare(want.cell(r)), 0) << r;
+    EXPECT_EQ(got.CellHash(r), want.CellHash(r)) << r;
+  }
+}
+
+TEST(ColumnDataTest, GatheredColumnOwnsOneBlockAndIsNotPaged) {
+  const Table t = StringIntTable(300);
+  const std::vector<int64_t> rows = {5, 17, 5, 299, 0, 41};
+  const int64_t n = static_cast<int64_t>(rows.size());
+  for (int c = 0; c < 2; ++c) {
+    SCOPED_TRACE(c);
+    ColumnData gathered = ColumnData::Gather(t.column_data(c), rows.data(), n);
+    EXPECT_FALSE(gathered.paged());
+    // Every array borrows the block, so ApproxBytes must count the block
+    // to cover at least the validity word and one payload slot per row.
+    EXPECT_GE(gathered.ApproxBytes(),
+              sizeof(ColumnData) + sizeof(uint64_t) +
+                  static_cast<size_t>(n) * sizeof(uint32_t));
+    const std::string bytes = Serialized(gathered);
+
+    // A copy owns its arrays: it outlives the original and its block.
+    ColumnData copy = gathered;
+    ColumnData assigned;
+    assigned = gathered;
+    // A move keeps the borrow valid: the block does not move.
+    ColumnData moved = std::move(gathered);
+    gathered = ColumnData();
+    EXPECT_EQ(Serialized(moved), bytes);
+    moved = ColumnData();
+    EXPECT_EQ(Serialized(copy), bytes);
+    EXPECT_EQ(Serialized(assigned), bytes);
+    EXPECT_FALSE(copy.paged());
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(copy.cell(i).Compare(t.cell(rows[i], c)), 0) << i;
+      EXPECT_EQ(copy.CellHash(i), t.cell_hash(rows[i], c)) << i;
+    }
+    // Appending to the copy leaves the other copy untouched.
+    copy.Append(CellView::String("new"));
+    EXPECT_EQ(Serialized(assigned), bytes);
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+// Page-aligned heap copy of a serialized table, standing in for an mmapped
+// snapshot: registered with the pool as a non-evictable space.
+class PageAlignedBytes {
+ public:
+  explicit PageAlignedBytes(const std::string& bytes)
+      : size_(bytes.size()),
+        capacity_((bytes.size() + kPage - 1) / kPage * kPage) {
+    base_ = static_cast<char*>(std::aligned_alloc(kPage, capacity_));
+    std::memcpy(base_, bytes.data(), bytes.size());
+  }
+  ~PageAlignedBytes() { std::free(base_); }
+  PageAlignedBytes(const PageAlignedBytes&) = delete;
+  PageAlignedBytes& operator=(const PageAlignedBytes&) = delete;
+
+  const char* base() const { return base_; }
+  size_t size() const { return size_; }
+  size_t capacity() const { return capacity_; }
+
+ private:
+  static constexpr size_t kPage = 4096;
+  char* base_ = nullptr;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
+
+TEST(ColumnDataTest, GatherFromPagedTableCopiesOutOfTheSnapshot) {
+  const Table t = StringIntTable(300);
+  SerdeWriter w;
+  t.SaveTo(&w);
+  BufferPoolOptions options;
+  options.frame_bytes = 4096;
+  BufferPool pool(options);
+  Table gathered;
+  {
+    PageAlignedBytes snapshot(w.buffer());
+    const uint32_t space = pool.RegisterSpace(
+        snapshot.base(), snapshot.capacity(), /*evictable=*/false);
+    PagerBinding binding{&pool, space, snapshot.base()};
+    Table paged;
+    SerdeReader r(std::string_view(snapshot.base(), snapshot.size()), "test");
+    ASSERT_TRUE(paged.LoadFrom(&r, &binding).ok());
+    ASSERT_TRUE(paged.paged());
+    auto pool_touches = [&pool] {
+      BufferPoolStats s = pool.stats();
+      return s.hits + s.misses;
+    };
+    {
+      const int64_t before = pool_touches();
+      PagePin pin(&pool);
+      paged.PinInto(&pin);
+      EXPECT_GT(pool_touches(), before);  // the control: a paged pin counts
+    }
+    gathered = paged.Project({1, 0}, /*distinct=*/true, "gathered");
+    EXPECT_FALSE(gathered.paged());
+    const int64_t before = pool_touches();
+    {
+      PagePin pin(&pool);
+      gathered.PinInto(&pin);
+    }
+    EXPECT_EQ(pool_touches(), before);
+    pool.RetireSpace(space);
+  }
+  // The snapshot bytes are freed: the gathered table reads its own block.
+  ASSERT_EQ(gathered.num_rows(), 300);
+  ExpectSameCells(gathered.column_data(0), t.column_data(1));
+  ExpectSameCells(gathered.column_data(1), t.column_data(0));
+}
+#endif  // defined(__unix__) || defined(__APPLE__)
 
 TEST(ColumnDataTest, LoadedDictColumnAcceptsNewAppends) {
   ColumnData col;
@@ -463,12 +615,6 @@ TEST(ColumnDataTest, ApproxBytesShrinksForRepetitiveStrings) {
 }
 
 // -------------------------------- Gather ---------------------------------
-
-std::string Serialized(const ColumnData& col) {
-  SerdeWriter w;
-  col.SaveTo(&w);
-  return w.buffer();
-}
 
 // Gather must equal Append()ing the selected cells one by one to an empty
 // column: encoding, tallies, dictionary entries in first-occurrence order,

@@ -4,8 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <unordered_set>
+
 #include "core/distillation.h"
+#include "table/column_stats.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace ver {
 namespace {
@@ -377,6 +385,488 @@ TEST_P(DistillationPropertyTest, InvariantsHoldOnRandomViewSets) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DistillationPropertyTest,
                          ::testing::Range(1, 26));
+
+// ------------------------- reference implementation -----------------------
+//
+// The node-based Algorithm 3 that the flat-run DistillViews replaced: one
+// std::unordered_set of row hashes per view, canonical column order per
+// view, and set equality / subset / overlap tests by lookups. Kept verbatim
+// (minus the phase timers) as the oracle for every DistillationResult field.
+namespace reference {
+
+// Per-view derived data used across the phases.
+struct ViewData {
+  std::vector<int> canonical_cols;           // columns sorted by attr name
+  std::unordered_set<uint64_t> row_hashes;   // H(V): row-content hash set
+  uint64_t set_signature = 0;                // order-insensitive set hash
+  std::vector<std::vector<std::string>> keys;  // candidate keys (attr names)
+};
+
+// Row hash in canonical column order, so views with permuted schemas
+// compare correctly inside a block.
+uint64_t CanonicalRowHash(const Table& t, int64_t row,
+                          const std::vector<int>& canonical_cols) {
+  uint64_t h = 0x726f7768617368ULL;
+  for (int c : canonical_cols) h = HashCombine(h, t.cell_hash(row, c));
+  return h;
+}
+
+std::vector<int> CanonicalColumnOrder(const Table& t) {
+  std::vector<int> cols(t.num_columns());
+  for (int i = 0; i < t.num_columns(); ++i) cols[i] = i;
+  std::sort(cols.begin(), cols.end(), [&t](int a, int b) {
+    const std::string& na = t.schema().attribute(a).name;
+    const std::string& nb = t.schema().attribute(b).name;
+    std::string la = ToLower(na), lb = ToLower(nb);
+    if (la != lb) return la < lb;
+    return a < b;
+  });
+  return cols;
+}
+
+// Order-insensitive signature of a hash set (sum+xor of mixed elements).
+uint64_t SetSignature(const std::unordered_set<uint64_t>& s) {
+  uint64_t add = 0, mix = 0;
+  for (uint64_t h : s) {
+    add += Mix64(h);
+    mix ^= Mix64(h ^ 0x5555555555555555ULL);
+  }
+  return HashCombine(HashCombine(add, mix), s.size());
+}
+
+bool IsSubset(const std::unordered_set<uint64_t>& small,
+              const std::unordered_set<uint64_t>& large) {
+  if (small.size() > large.size()) return false;
+  for (uint64_t h : small) {
+    if (!large.count(h)) return false;
+  }
+  return true;
+}
+
+bool Overlaps(const std::unordered_set<uint64_t>& a,
+              const std::unordered_set<uint64_t>& b) {
+  const auto& small = a.size() <= b.size() ? a : b;
+  const auto& large = a.size() <= b.size() ? b : a;
+  for (uint64_t h : small) {
+    if (large.count(h)) return true;
+  }
+  return false;
+}
+
+std::vector<std::vector<std::string>> FindCandidateKeys(
+    const Table& t, const DistillationOptions& options) {
+  std::vector<std::vector<std::string>> keys;
+  std::vector<int> singles;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    if (!t.schema().attribute(c).has_name()) continue;
+    ColumnStats stats = ComputeColumnStats(t, c);
+    if (stats.num_rows == 0) continue;
+    if (stats.null_fraction() > options.key_max_null_fraction) continue;
+    if (stats.uniqueness() >= options.key_uniqueness_threshold) {
+      singles.push_back(c);
+      keys.push_back({ToLower(t.schema().attribute(c).name)});
+    }
+  }
+  if (!options.composite_keys || !keys.empty()) return keys;
+  // Composite fallback: pairs of named columns that jointly identify rows.
+  for (int a = 0; a < t.num_columns(); ++a) {
+    if (!t.schema().attribute(a).has_name()) continue;
+    for (int b = a + 1; b < t.num_columns(); ++b) {
+      if (!t.schema().attribute(b).has_name()) continue;
+      std::unordered_set<uint64_t> combos;
+      bool has_null = false;
+      for (int64_t r = 0; r < t.num_rows(); ++r) {
+        if (t.cell(r, a).is_null() || t.cell(r, b).is_null()) {
+          has_null = true;
+          break;
+        }
+        combos.insert(HashCombine(t.cell_hash(r, a), t.cell_hash(r, b)));
+      }
+      if (has_null || t.num_rows() == 0) continue;
+      double uniq = static_cast<double>(combos.size()) /
+                    static_cast<double>(t.num_rows());
+      if (uniq >= options.key_uniqueness_threshold) {
+        std::vector<std::string> key = {
+            ToLower(t.schema().attribute(a).name),
+            ToLower(t.schema().attribute(b).name)};
+        std::sort(key.begin(), key.end());
+        keys.push_back(std::move(key));
+      }
+    }
+  }
+  return keys;
+}
+
+// Column indices of the key attributes in a given view, or empty if absent.
+std::vector<int> KeyColumnIndices(const Table& t,
+                                  const std::vector<std::string>& key) {
+  std::vector<int> out;
+  for (const std::string& name : key) {
+    int idx = t.schema().IndexOf(name);
+    if (idx < 0) return {};
+    out.push_back(idx);
+  }
+  return out;
+}
+
+std::string KeyLabel(const std::vector<std::string>& key) {
+  std::string out;
+  for (size_t i = 0; i < key.size(); ++i) {
+    if (i) out += "+";
+    out += key[i];
+  }
+  return out;
+}
+
+DistillationResult DistillViews(const std::vector<View>& views,
+                                const DistillationOptions& options) {
+  DistillationResult result;
+  const int n = static_cast<int>(views.size());
+  std::vector<ViewData> data(n);
+
+  // --- Schema partition (Alg. 3 line 2) -------------------------------
+  std::map<std::string, std::vector<int>> blocks;
+  {
+    for (int i = 0; i < n; ++i) {
+      blocks[views[i].table.schema().CanonicalSignature()].push_back(i);
+    }
+  }
+
+  // --- Row hashing + compatible detection (lines 5-8) -----------------
+  std::vector<bool> pruned(n, false);
+  {
+    for (int i = 0; i < n; ++i) {
+      const Table& t = views[i].table;
+      data[i].canonical_cols = CanonicalColumnOrder(t);
+      data[i].row_hashes.reserve(static_cast<size_t>(t.num_rows()));
+      for (int64_t r = 0; r < t.num_rows(); ++r) {
+        data[i].row_hashes.insert(
+            CanonicalRowHash(t, r, data[i].canonical_cols));
+      }
+      data[i].set_signature = SetSignature(data[i].row_hashes);
+    }
+    // Group by set signature inside each block; equal sets are compatible.
+    for (auto& [sig, members] : blocks) {
+      (void)sig;
+      std::unordered_map<uint64_t, std::vector<int>> by_set;
+      for (int v : members) by_set[data[v].set_signature].push_back(v);
+      for (auto& [_, group] : by_set) {
+        if (group.size() < 2) continue;
+        // Verify signature-equal sets really match (collision safety), then
+        // keep the first view as the representative of the group.
+        std::sort(group.begin(), group.end());
+        int rep = group[0];
+        for (size_t gi = 1; gi < group.size(); ++gi) {
+          int v = group[gi];
+          if (data[v].row_hashes != data[rep].row_hashes) continue;
+          for (size_t gj = 0; gj < gi; ++gj) {
+            result.edges.push_back(ViewEdge{group[gj], v,
+                                            ViewRelation::kCompatible, -1,
+                                            {}});
+          }
+          ++result.num_compatible_pairs;
+          pruned[v] = true;
+          result.representative[v] = rep;
+        }
+      }
+    }
+  }
+  result.count_after_compatible =
+      std::count(pruned.begin(), pruned.end(), false);
+
+  // --- Containment (lines 9-11) ---------------------------------------
+  {
+    for (auto& [sig, members] : blocks) {
+      (void)sig;
+      std::vector<int> alive;
+      for (int v : members) {
+        if (!pruned[v]) alive.push_back(v);
+      }
+      // Largest first; every view is tested against surviving maximal views
+      // only (the paper's transitivity shortcut: keep the largest view as
+      // the representative of everything it contains).
+      std::sort(alive.begin(), alive.end(), [&data](int a, int b) {
+        if (data[a].row_hashes.size() != data[b].row_hashes.size()) {
+          return data[a].row_hashes.size() > data[b].row_hashes.size();
+        }
+        return a < b;
+      });
+      std::vector<int> maximal;
+      for (int v : alive) {
+        bool contained = false;
+        for (int m : maximal) {
+          if (IsSubset(data[v].row_hashes, data[m].row_hashes)) {
+            result.edges.push_back(
+                ViewEdge{std::min(v, m), std::max(v, m),
+                         ViewRelation::kContained, m, {}});
+            ++result.num_contained_pairs;
+            pruned[v] = true;
+            result.representative[v] = m;
+            contained = true;
+            break;
+          }
+        }
+        if (!contained) maximal.push_back(v);
+      }
+    }
+  }
+  result.count_after_contained =
+      std::count(pruned.begin(), pruned.end(), false);
+
+  // --- Keys, complementary and contradictory (lines 12-18) -------------
+  {
+    result.view_keys.resize(n);
+    for (int i = 0; i < n; ++i) {
+      if (pruned[i]) continue;
+      data[i].keys = FindCandidateKeys(views[i].table, options);
+      result.view_keys[i] = data[i].keys;
+    }
+
+    std::set<std::pair<int, int>> complementary_pairs;
+    std::set<std::pair<int, int>> contradictory_pairs;
+
+    for (auto& [sig, members] : blocks) {
+      (void)sig;
+      std::vector<int> alive;
+      for (int v : members) {
+        if (!pruned[v]) alive.push_back(v);
+      }
+      if (alive.size() < 2) continue;
+
+      // Shared candidate keys across this block.
+      std::map<std::string, std::vector<std::string>> key_by_label;
+      std::map<std::string, std::vector<int>> views_with_key;
+      for (int v : alive) {
+        for (const auto& key : data[v].keys) {
+          std::string label = KeyLabel(key);
+          key_by_label.emplace(label, key);
+          views_with_key[label].push_back(v);
+        }
+      }
+
+      for (const auto& [label, key] : key_by_label) {
+        const std::vector<int>& kviews = views_with_key[label];
+        if (kviews.size() < 2) continue;
+
+        // Inverted index: key value -> (view, row-content hash) pairs.
+        struct Entry {
+          int view;
+          uint64_t row_hash;
+        };
+        std::unordered_map<uint64_t, std::vector<Entry>> index;
+        std::unordered_map<uint64_t, std::string> key_text;
+        for (int v : kviews) {
+          const Table& t = views[v].table;
+          std::vector<int> key_cols = KeyColumnIndices(t, key);
+          if (key_cols.empty()) continue;
+          for (int64_t r = 0; r < t.num_rows(); ++r) {
+            uint64_t kh = 0x6b657968ULL;
+            std::string text;
+            for (int c : key_cols) {
+              kh = HashCombine(kh, t.cell_hash(r, c));
+              if (!text.empty()) text += "|";
+              text += t.cell(r, c).ToText();
+            }
+            index[kh].push_back(
+                Entry{v, CanonicalRowHash(t, r, data[v].canonical_cols)});
+            key_text.emplace(kh, std::move(text));
+          }
+        }
+
+        // Group rows per key value by content; >1 group = contradiction.
+        std::set<std::pair<int, int>> contradictory_here;
+        for (auto& [kh, entries] : index) {
+          std::unordered_map<uint64_t, std::vector<int>> groups_by_content;
+          for (const Entry& e : entries) {
+            auto& g = groups_by_content[e.row_hash];
+            if (g.empty() || g.back() != e.view) g.push_back(e.view);
+          }
+          if (groups_by_content.size() < 2) continue;
+          Contradiction contra;
+          contra.key = key;
+          contra.key_value_text = key_text[kh];
+          for (auto& [_, g] : groups_by_content) {
+            std::sort(g.begin(), g.end());
+            g.erase(std::unique(g.begin(), g.end()), g.end());
+            contra.groups.push_back(g);
+          }
+          std::sort(contra.groups.begin(), contra.groups.end());
+          for (size_t gi = 0; gi < contra.groups.size(); ++gi) {
+            for (size_t gj = gi + 1; gj < contra.groups.size(); ++gj) {
+              for (int va : contra.groups[gi]) {
+                for (int vb : contra.groups[gj]) {
+                  if (va == vb) continue;
+                  contradictory_here.insert(
+                      {std::min(va, vb), std::max(va, vb)});
+                }
+              }
+            }
+          }
+          result.contradictions.push_back(std::move(contra));
+        }
+
+        // Pairwise complementary/contradictory labeling under this key.
+        for (size_t i = 0; i < kviews.size(); ++i) {
+          for (size_t j = i + 1; j < kviews.size(); ++j) {
+            int va = std::min(kviews[i], kviews[j]);
+            int vb = std::max(kviews[i], kviews[j]);
+            if (contradictory_here.count({va, vb})) {
+              result.edges.push_back(ViewEdge{
+                  va, vb, ViewRelation::kContradictory, -1, key});
+              contradictory_pairs.insert({va, vb});
+            } else if (Overlaps(data[va].row_hashes, data[vb].row_hashes)) {
+              result.edges.push_back(ViewEdge{
+                  va, vb, ViewRelation::kComplementary, -1, key});
+              complementary_pairs.insert({va, vb});
+            }
+          }
+        }
+      }
+    }
+    result.num_complementary_pairs =
+        static_cast<int64_t>(complementary_pairs.size());
+    result.num_contradictory_pairs =
+        static_cast<int64_t>(contradictory_pairs.size());
+  }
+
+  for (int i = 0; i < n; ++i) {
+    if (!pruned[i]) result.surviving.push_back(i);
+  }
+  return result;
+}
+
+}  // namespace reference
+
+void ExpectSameDistillation(const DistillationResult& got,
+                            const DistillationResult& want) {
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (size_t i = 0; i < got.edges.size(); ++i) {
+    SCOPED_TRACE("edge " + std::to_string(i));
+    EXPECT_EQ(got.edges[i].view_a, want.edges[i].view_a);
+    EXPECT_EQ(got.edges[i].view_b, want.edges[i].view_b);
+    EXPECT_EQ(got.edges[i].relation, want.edges[i].relation);
+    EXPECT_EQ(got.edges[i].container, want.edges[i].container);
+    EXPECT_EQ(got.edges[i].key, want.edges[i].key);
+  }
+  EXPECT_EQ(got.surviving, want.surviving);
+  EXPECT_EQ(got.representative, want.representative);
+  ASSERT_EQ(got.contradictions.size(), want.contradictions.size());
+  for (size_t i = 0; i < got.contradictions.size(); ++i) {
+    SCOPED_TRACE("contradiction " + std::to_string(i));
+    EXPECT_EQ(got.contradictions[i].key, want.contradictions[i].key);
+    EXPECT_EQ(got.contradictions[i].key_value_text,
+              want.contradictions[i].key_value_text);
+    EXPECT_EQ(got.contradictions[i].groups, want.contradictions[i].groups);
+  }
+  EXPECT_EQ(got.view_keys, want.view_keys);
+  EXPECT_EQ(got.num_compatible_pairs, want.num_compatible_pairs);
+  EXPECT_EQ(got.num_contained_pairs, want.num_contained_pairs);
+  EXPECT_EQ(got.num_complementary_pairs, want.num_complementary_pairs);
+  EXPECT_EQ(got.num_contradictory_pairs, want.num_contradictory_pairs);
+  EXPECT_EQ(got.count_after_compatible, want.count_after_compatible);
+  EXPECT_EQ(got.count_after_contained, want.count_after_contained);
+}
+
+// A random view set with every shape the 4C stage branches on: compatible
+// groups (row permutations and repeats of one row set), containment chains
+// (row prefixes), schemas that permute, re-case or repeat attribute names
+// or leave them empty, null and numeric key cells, and empty views. Some
+// views are gathered (Table::Project), as materialized views are.
+std::vector<View> RandomViewSet(Rng* rng) {
+  const std::vector<std::vector<std::string>> schemas = {
+      {"k", "v"}, {"v", "k"}, {"K", "v"}, {"k", "v", "w"},
+      {"w", "k", "v"}, {"k", "k"}, {"k", ""}, {"x"}};
+  std::vector<View> views;
+  const int n = static_cast<int>(rng->UniformInt(0, 24));
+  for (int i = 0; i < n; ++i) {
+    std::vector<std::string> attrs =
+        schemas[static_cast<size_t>(rng->UniformInt(0, 7))];
+    std::vector<std::vector<std::string>> rows;
+    const int kind = static_cast<int>(rng->UniformInt(0, 5));
+    if (kind <= 1 && !views.empty()) {
+      // Derive from an earlier view of the same arity: a permutation or
+      // repeat of its rows (compatible) or a prefix of them (contained).
+      const View& base =
+          views[static_cast<size_t>(rng->UniformInt(0, i - 1))];
+      if (base.table.num_columns() == static_cast<int>(attrs.size())) {
+        for (int64_t r = base.num_rows() - 1; r >= 0; --r) {
+          std::vector<std::string> row;
+          for (int c = 0; c < base.table.num_columns(); ++c) {
+            row.push_back(base.table.cell(r, c).ToText());
+          }
+          rows.push_back(std::move(row));
+        }
+        if (kind == 1 && !rows.empty()) {
+          rows.resize(static_cast<size_t>(
+              rng->UniformInt(0, static_cast<int64_t>(rows.size()))));
+        } else if (!rows.empty()) {
+          rows.push_back(rows.front());
+        }
+      }
+    } else if (kind != 5) {
+      const int num_rows = static_cast<int>(rng->UniformInt(1, 9));
+      for (int r = 0; r < num_rows; ++r) {
+        std::vector<std::string> row;
+        for (size_t c = 0; c < attrs.size(); ++c) {
+          const int64_t pick = rng->UniformInt(0, 7);
+          if (pick == 0) {
+            row.push_back("");  // null cell
+          } else if (pick == 1) {
+            row.push_back(std::to_string(rng->UniformInt(0, 3)));
+          } else if (pick == 2) {
+            row.push_back(std::to_string(rng->UniformInt(0, 3)) + ".5");
+          } else {
+            row.push_back("key" + std::to_string(rng->UniformInt(0, 5)));
+          }
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+    views.push_back(MakeView(i, attrs, rows));
+    if (rng->Bernoulli(0.5)) {
+      std::vector<int> all(attrs.size());
+      for (size_t c = 0; c < attrs.size(); ++c) all[c] = static_cast<int>(c);
+      Table& t = views.back().table;
+      t = t.Project(all, /*distinct=*/rng->Bernoulli(0.5),
+                    t.name() + "/gathered");
+    }
+  }
+  return views;
+}
+
+TEST(DistillationReferenceTest, EveryFieldMatchesTheNodeBasedAlgorithm) {
+  // Tallies over the sweep, so a generator change cannot quietly stop
+  // exercising a branch.
+  int64_t relations[4] = {0, 0, 0, 0};
+  int64_t contradictions = 0, empty_views = 0, gathered = 0;
+  for (int seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<uint64_t>(seed));
+    std::vector<View> views = RandomViewSet(&rng);
+    for (const View& v : views) {
+      if (v.num_rows() == 0) ++empty_views;
+      if (v.table.name() != "view_" + std::to_string(v.id)) ++gathered;
+    }
+    for (bool composite : {false, true}) {
+      SCOPED_TRACE(composite ? "composite keys" : "single keys");
+      DistillationOptions options;
+      options.composite_keys = composite;
+      DistillationResult got = DistillViews(views, options);
+      ExpectSameDistillation(got, reference::DistillViews(views, options));
+      for (const ViewEdge& e : got.edges) {
+        ++relations[static_cast<int>(e.relation)];
+      }
+      contradictions += static_cast<int64_t>(got.contradictions.size());
+    }
+  }
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_GT(relations[r], 0)
+        << ViewRelationToString(static_cast<ViewRelation>(r));
+  }
+  EXPECT_GT(contradictions, 0);
+  EXPECT_GT(empty_views, 0);
+  EXPECT_GT(gathered, 0);
+}
 
 }  // namespace
 }  // namespace ver
