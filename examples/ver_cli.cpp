@@ -405,11 +405,9 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
       engine.value()->pager() != nullptr) {
     paging.pool = engine.value()->pager()->pool();
   }
-  ServingOptions serving_options;
-  serving_options.memory_budget_bytes = memory_budget;
   VerServer server(std::make_shared<const Ver>(&repo, VerConfig(),
                                                std::move(engine).value()),
-                   serving_options);
+                   ServingOptions());
   if (memory_budget > 0) {
     std::fprintf(stderr, "paged serving under a %llu-byte budget\n",
                  static_cast<unsigned long long>(memory_budget));

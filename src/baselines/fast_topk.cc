@@ -2,29 +2,68 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
+#include <string>
+#include <unordered_map>
 
 #include "util/string_util.h"
 
 namespace ver {
 
-int ViewOverlap(const View& view, const ExampleQuery& query) {
-  // Collect the view's cell texts once. Dictionary columns contribute each
-  // distinct cell exactly once without a row scan; other encodings walk
-  // rows through zero-copy views (the set dedups).
-  std::unordered_set<std::string> cell_texts;
-  const Table& t = view.table;
-  for (int c = 0; c < t.num_columns(); ++c) {
-    t.column_data(c).ForEachDistinctCell(
-        [&](CellView v) { cell_texts.insert(ToLower(v.ToText())); });
-  }
-  int overlap = 0;
-  for (const auto& column : query.columns) {
-    for (const std::string& example : column) {
-      if (cell_texts.count(ToLower(Trim(example)))) ++overlap;
+namespace {
+
+// The query's examples, trimmed and lowercased once per ranking call, with
+// how often each text occurs: a view containing a text earns all of its
+// occurrences. Overlap() walks a view's distinct cells through one reused
+// scratch buffer and per-text found flags, so ranking a view allocates
+// nothing once the buffers have grown.
+class ExampleTexts {
+ public:
+  explicit ExampleTexts(const ExampleQuery& query) {
+    for (const auto& column : query.columns) {
+      for (const std::string& example : column) {
+        auto [it, fresh] =
+            index_.emplace(ToLower(TrimView(example)), multiplicity_.size());
+        if (fresh) multiplicity_.push_back(0);
+        ++multiplicity_[it->second];
+        max_length_ = std::max(max_length_, it->first.size());
+      }
     }
+    found_.resize(multiplicity_.size());
   }
-  return overlap;
+
+  int Overlap(const View& view) {
+    if (index_.empty()) return 0;
+    std::fill(found_.begin(), found_.end(), false);
+    int overlap = 0;
+    const Table& t = view.table;
+    for (int c = 0; c < t.num_columns(); ++c) {
+      t.column_data(c).ForEachDistinctCell([&](CellView v) {
+        scratch_.clear();
+        v.AppendTextTo(&scratch_);
+        // Lowercasing keeps the length, so a longer cell matches nothing.
+        if (scratch_.size() > max_length_) return;
+        ToLowerInPlace(&scratch_);
+        auto it = index_.find(scratch_);
+        if (it == index_.end() || found_[it->second]) return;
+        found_[it->second] = true;
+        overlap += multiplicity_[it->second];
+      });
+    }
+    return overlap;
+  }
+
+ private:
+  std::unordered_map<std::string, size_t> index_;  // text -> slot
+  std::vector<int> multiplicity_;                  // slot -> occurrences
+  std::vector<bool> found_;                        // slot -> seen in view
+  size_t max_length_ = 0;
+  std::string scratch_;
+};
+
+}  // namespace
+
+int ViewOverlap(const View& view, const ExampleQuery& query) {
+  return ExampleTexts(query).Overlap(view);
 }
 
 std::vector<OverlapRankedView> RankViewsByOverlap(
@@ -41,12 +80,13 @@ std::vector<OverlapRankedView> RankViewsByOverlap(
   for (const auto& column : query.columns) {
     total_examples += static_cast<int>(column.size());
   }
+  ExampleTexts examples(query);
   std::vector<OverlapRankedView> ranked;
   ranked.reserve(indices.size());
   for (int i : indices) {
     OverlapRankedView r;
     r.view_index = i;
-    r.overlap = ViewOverlap(views[i], query);
+    r.overlap = examples.Overlap(views[i]);
     r.score = total_examples == 0
                   ? 0.0
                   : static_cast<double>(r.overlap) /

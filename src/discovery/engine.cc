@@ -23,33 +23,9 @@ std::unique_ptr<DiscoveryEngine> DiscoveryEngine::Build(
   engine->keywords_.Build(repo);
   engine->similarity_.Build(&engine->profiles_, options.similarity,
                             pool.get());
-  engine->join_paths_.Build(&engine->profiles_, engine->similarity_,
+  engine->join_paths_.Build(repo, &engine->profiles_, engine->similarity_,
                             options.join_paths, pool.get());
   return engine;
-}
-
-Status DiscoveryEngine::IndexNewTable(int32_t table_id) {
-  if (table_id < 0 || table_id >= repo_->num_tables()) {
-    return Status::InvalidArgument("table id " + std::to_string(table_id) +
-                                   " not in repository");
-  }
-  if (profile_index_.count(ColumnRef{table_id, 0}.Encode()) ||
-      repo_->table(table_id).num_columns() == 0) {
-    if (repo_->table(table_id).num_columns() == 0) return Status::OK();
-    return Status::AlreadyExists("table " + std::to_string(table_id) +
-                                 " is already indexed");
-  }
-  size_t first_new = profiles_.size();
-  std::vector<ColumnProfile> fresh =
-      ProfileTable(*repo_, table_id, options_.profiler);
-  for (ColumnProfile& p : fresh) {
-    profile_index_.emplace(p.ref.Encode(), static_cast<int>(profiles_.size()));
-    profiles_.push_back(std::move(p));
-  }
-  keywords_.AddTable(*repo_, table_id);
-  similarity_.AddProfiles(first_new);
-  join_paths_.AddColumns(&profiles_, similarity_, first_new);
-  return Status::OK();
 }
 
 namespace {
@@ -265,12 +241,12 @@ Status DiscoveryEngine::Save(const std::string& path) const {
   }
   {
     SerdeWriter w;
-    VER_RETURN_IF_ERROR(keywords_.SaveTo(&w));
+    keywords_.SaveTo(&w);
     sections.push_back({kSectionKeywordIndex, w.TakeBuffer()});
   }
   {
     SerdeWriter w;
-    VER_RETURN_IF_ERROR(similarity_.SaveTo(&w));
+    similarity_.SaveTo(&w);
     sections.push_back({kSectionSimilarityIndex, w.TakeBuffer()});
   }
   {

@@ -55,19 +55,19 @@ struct DiscoveryOptions {
 
 /// Offline discovery index over one repository.
 ///
-/// Build once, query many times. The engine borrows the repository; the
-/// repository must outlive the engine.
+/// Build once (or Load a snapshot), query many times. The engine borrows
+/// the repository; the repository must outlive the engine. Indices are
+/// immutable once built: a grown repository gets a new engine, built
+/// offline and swapped in (VerServer::SwapSnapshot).
 ///
 /// Thread-safety contract (audited for the serving layer): Build() and
-/// IndexNewTable() are exclusive writers. Every const method —
-/// SearchKeyword, Neighbors, SimilarColumns, GenerateJoinGraphs, profile
-/// access and the index accessors — only reads state built beforehand;
-/// there are no lazily-populated caches, memoization or counters on the
-/// read path. Concurrent const calls are therefore data-race-free and
-/// return results identical to serial execution. IndexNewTable must not
-/// run concurrently with any other call; callers that need online
-/// maintenance under traffic must serialize it externally (VerServer never
-/// calls it).
+/// Load() construct the engine and hand it out only when done. Every
+/// method of a constructed engine is const — SearchKeyword, Neighbors,
+/// SimilarColumns, GenerateJoinGraphs, profile access and the index
+/// accessors — and only reads state built beforehand; there are no
+/// lazily-populated caches, memoization or counters on the read path.
+/// Concurrent calls are therefore data-race-free and return results
+/// identical to serial execution.
 class DiscoveryEngine {
  public:
   /// Profiles all columns and constructs all indices.
@@ -88,12 +88,13 @@ class DiscoveryEngine {
 
   /// Restores an engine from a snapshot written by Save(). `repo` must be
   /// the repository the snapshot was built over (checked against the
-  /// stored fingerprint) and must outlive the engine. A loaded engine
-  /// answers every query bit-identically to the freshly built engine it
-  /// was saved from, and supports IndexNewTable exactly like one. On any
-  /// corruption (bad magic, a format version other than
-  /// kSnapshotFormatVersion, truncation, checksum mismatch) returns a
-  /// descriptive error and constructs nothing.
+  /// stored fingerprint) and must outlive the engine. A loaded engine holds
+  /// the same index stores as the freshly built engine it was saved from,
+  /// so it answers every query bit-identically and saves to the same
+  /// bytes. On any corruption (bad magic, a format version other than
+  /// kSnapshotFormatVersion, truncation, checksum mismatch, an index whose
+  /// layout contradicts the profiles or options) returns a descriptive
+  /// error and constructs nothing.
   static Result<std::unique_ptr<DiscoveryEngine>> Load(
       const TableRepository& repo, const std::string& path);
 
@@ -162,12 +163,6 @@ class DiscoveryEngine {
   int64_t num_joinable_column_pairs() const {
     return join_paths_.num_joinable_column_pairs();
   }
-
-  /// Online index maintenance: indexes a table that was appended to the
-  /// repository after Build(). All indices (keyword, similarity, join
-  /// paths) update incrementally; queries afterwards behave as if the
-  /// engine had been built from scratch over the grown repository.
-  Status IndexNewTable(int32_t table_id);
 
   /// The pager runtime this engine's indices borrow from (null when
   /// loaded resident). Shared with the repository when both were paged

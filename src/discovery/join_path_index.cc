@@ -44,13 +44,12 @@ bool CanonicalEqual(const JoinEdge& a, const JoinEdge& b) {
   return a.CanonicalEncoding() == b.CanonicalEncoding();
 }
 
-std::pair<int32_t, int32_t> TableKey(int32_t a, int32_t b) {
-  return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
-
-uint64_t PairKey(const std::pair<int32_t, int32_t>& key) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(key.first)) << 32) |
-         static_cast<uint32_t>(key.second);
+// (min_id << 32) | max_id: the flat store's table-pair key. Table ids are
+// nonnegative, so key order is (min_id, max_id) order.
+uint64_t PairKey(int32_t a, int32_t b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+         static_cast<uint32_t>(b);
 }
 
 ColumnRef DecodeRef(uint64_t encoded) {
@@ -145,30 +144,24 @@ bool JoinPathIndex::ScoreEdge(const ColumnProfile& a, const ColumnProfile& b,
   return true;
 }
 
-void JoinPathIndex::MaybeAddEdge(const ColumnProfile& a,
-                                 const ColumnProfile& b) {
-  JoinEdge edge;
-  if (!ScoreEdge(a, b, &edge)) return;
-  pair_edges_[TableKey(a.ref.table_id, b.ref.table_id)].push_back(edge);
-  ++num_joinable_column_pairs_;
+void JoinPathIndex::CaptureColumnCounts(const TableRepository& repo) {
+  table_num_columns_.clear();
+  table_num_columns_.reserve(static_cast<size_t>(repo.num_tables()));
+  for (int32_t t = 0; t < repo.num_tables(); ++t) {
+    table_num_columns_.push_back(repo.table(t).num_columns());
+  }
 }
 
 void JoinPathIndex::RebuildAdjacency() {
   adjacency_.clear();
-  auto add = [this](int32_t a, int32_t b) {
-    adjacency_[a].push_back(b);
-    adjacency_[b].push_back(a);
-  };
-  // The flat key array is tiny relative to the edge arrays, so walking it
-  // here faults in only the key pages under a paged load.
+  // The key array is tiny relative to the edge arrays, so walking it here
+  // faults in only the key pages under a paged load.
   for (size_t i = 0; i < flat_edges_.num_pairs(); ++i) {
     uint64_t k = flat_edges_.pair_keys[i];
-    add(static_cast<int32_t>(k >> 32),
-        static_cast<int32_t>(k & 0xffffffffULL));
-  }
-  for (const auto& [key, edges] : pair_edges_) {
-    (void)edges;
-    add(key.first, key.second);
+    int32_t a = static_cast<int32_t>(k >> 32);
+    int32_t b = static_cast<int32_t>(k & 0xffffffffULL);
+    adjacency_[a].push_back(b);
+    adjacency_[b].push_back(a);
   }
   for (auto& [table, neighbors] : adjacency_) {
     (void)table;
@@ -178,31 +171,21 @@ void JoinPathIndex::RebuildAdjacency() {
   }
 }
 
-void JoinPathIndex::Build(const std::vector<ColumnProfile>* profiles,
+void JoinPathIndex::Build(const TableRepository& repo,
+                          const std::vector<ColumnProfile>* profiles,
                           const SimilarityIndex& similarity,
                           const JoinPathOptions& options, ThreadPool* pool) {
   const std::vector<std::pair<int, int>> pairs = similarity.AllCandidatePairs();
   options_ = options;
-  pair_edges_.clear();
-  flat_edges_ = FlatEdges{};
-  table_num_columns_.clear();
-  adjacency_.clear();
-  num_joinable_column_pairs_ = 0;
+  CaptureColumnCounts(repo);
 
+  // Candidate scoring (the containment computations) dominates Build; the
+  // sorted pair list splits into contiguous chunks, each emitting its edges
+  // in pair order, and chunks concatenate in chunk order.
   const auto& ps = *profiles;
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (auto [i, j] : pairs) MaybeAddEdge(ps[i], ps[j]);
-    RebuildAdjacency();
-    return;
-  }
-  // Candidate scoring (the containment computations) dominates Build; split
-  // the sorted pair list into contiguous chunks scored on workers. Each
-  // chunk emits edges in pair order, and chunks merge in chunk order, so
-  // pair_edges_ content and per-key edge order match the serial pass.
-  size_t num_chunks =
-      std::max<size_t>(1, std::min(RecommendedChunks(pool), pairs.size()));
-  std::vector<std::vector<JoinEdge>> local(num_chunks);
-  ParallelFor(pool, pairs.size(), num_chunks,
+  std::vector<std::vector<JoinEdge>> local(
+      std::max<size_t>(1, std::min(RecommendedChunks(pool), pairs.size())));
+  ParallelFor(pool, pairs.size(), local.size(),
               [&](size_t c, size_t lo, size_t hi) {
                 for (size_t k = lo; k < hi; ++k) {
                   JoinEdge edge;
@@ -212,29 +195,34 @@ void JoinPathIndex::Build(const std::vector<ColumnProfile>* profiles,
                   }
                 }
               });
+  std::vector<JoinEdge> edges;
   for (const std::vector<JoinEdge>& chunk : local) {
-    for (const JoinEdge& edge : chunk) {
-      pair_edges_[TableKey(edge.left.table_id, edge.right.table_id)].push_back(
-          edge);
-      ++num_joinable_column_pairs_;
-    }
+    edges.insert(edges.end(), chunk.begin(), chunk.end());
   }
-  RebuildAdjacency();
-}
+  VER_CHECK(edges.size() <= UINT32_MAX)
+      << "join path index holds " << edges.size()
+      << " edges; the snapshot's u32 edge offsets cap it at 2^32";
+  num_joinable_column_pairs_ = static_cast<int64_t>(edges.size());
 
-void JoinPathIndex::AddColumns(const std::vector<ColumnProfile>* profiles,
-                               const SimilarityIndex& similarity,
-                               size_t first_new) {
-  const auto& ps = *profiles;
-  for (size_t i = first_new; i < ps.size(); ++i) {
-    for (int j : similarity.Candidates(static_cast<int>(i))) {
-      // Pairs among the new columns appear from both endpoints; keep the
-      // j < i orientation so each pair is evaluated exactly once.
-      if (static_cast<size_t>(j) >= first_new &&
-          static_cast<size_t>(j) >= i) {
-        continue;
-      }
-      MaybeAddEdge(ps[i], ps[static_cast<size_t>(j)]);
+  // Group by table pair; the position tie-break keeps each pair's edges in
+  // candidate-pair order.
+  std::vector<std::pair<uint64_t, uint32_t>> order(edges.size());
+  for (size_t k = 0; k < edges.size(); ++k) {
+    order[k] = {PairKey(edges[k].left.table_id, edges[k].right.table_id),
+                static_cast<uint32_t>(k)};
+  }
+  std::sort(order.begin(), order.end());
+  flat_edges_ = FlatEdges{};
+  flat_edges_.offsets.mut().push_back(0);
+  for (size_t k = 0; k < order.size(); ++k) {
+    const JoinEdge& e = edges[order[k].second];
+    flat_edges_.left.mut().push_back(e.left.Encode());
+    flat_edges_.right.mut().push_back(e.right.Encode());
+    flat_edges_.containment.mut().push_back(e.containment);
+    flat_edges_.key_quality.mut().push_back(e.key_quality);
+    if (k + 1 == order.size() || order[k + 1].first != order[k].first) {
+      flat_edges_.pair_keys.mut().push_back(order[k].first);
+      flat_edges_.offsets.mut().push_back(static_cast<uint32_t>(k + 1));
     }
   }
   RebuildAdjacency();
@@ -244,50 +232,7 @@ void JoinPathIndex::SaveTo(SerdeWriter* w) const {
   // Options are NOT written here: they live once in the engine's options
   // section (the single source of truth) and are passed back to LoadFrom.
   w->WriteI64(num_joinable_column_pairs_);
-  // Merge the two stores into one sorted flat layout. Table ids are
-  // nonnegative, so the map's pair ordering agrees with the packed u64
-  // key ordering and a single linear merge suffices. Flat edges (older
-  // profiles) precede overlay edges within a shared pair.
-  FlatEdges out;
-  out.offsets.mut().push_back(0);
-  auto append_flat = [this, &out](size_t i) {
-    auto [b, e] = flat_edges_.edge_range(i);
-    for (uint32_t o = b; o < e; ++o) {
-      out.left.mut().push_back(flat_edges_.left[o]);
-      out.right.mut().push_back(flat_edges_.right[o]);
-      out.containment.mut().push_back(flat_edges_.containment[o]);
-      out.key_quality.mut().push_back(flat_edges_.key_quality[o]);
-    }
-  };
-  auto append_map = [&out](const std::vector<JoinEdge>& edges) {
-    for (const JoinEdge& e : edges) {
-      out.left.mut().push_back(e.left.Encode());
-      out.right.mut().push_back(e.right.Encode());
-      out.containment.mut().push_back(e.containment);
-      out.key_quality.mut().push_back(e.key_quality);
-    }
-  };
-  size_t fi = 0;
-  auto mit = pair_edges_.begin();
-  while (fi < flat_edges_.num_pairs() || mit != pair_edges_.end()) {
-    uint64_t fkey = fi < flat_edges_.num_pairs() ? flat_edges_.pair_keys[fi]
-                                                 : UINT64_MAX;
-    uint64_t mkey = mit != pair_edges_.end() ? PairKey(mit->first) : UINT64_MAX;
-    if (fkey < mkey) {
-      out.pair_keys.mut().push_back(fkey);
-      append_flat(fi++);
-    } else if (mkey < fkey) {
-      out.pair_keys.mut().push_back(mkey);
-      append_map((mit++)->second);
-    } else {  // both stores hold edges for this table pair
-      out.pair_keys.mut().push_back(fkey);
-      append_flat(fi++);
-      append_map((mit++)->second);
-    }
-    VER_CHECK(out.left.size() <= UINT32_MAX);
-    out.offsets.mut().push_back(static_cast<uint32_t>(out.left.size()));
-  }
-  out.SaveTo(w);
+  flat_edges_.SaveTo(w);
 }
 
 Status JoinPathIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
@@ -319,12 +264,7 @@ Status JoinPathIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
   options_ = options;
   num_joinable_column_pairs_ = num_pairs;
   flat_edges_ = std::move(flat);
-  pair_edges_.clear();
-  table_num_columns_.clear();
-  table_num_columns_.reserve(static_cast<size_t>(repo.num_tables()));
-  for (int32_t t = 0; t < repo.num_tables(); ++t) {
-    table_num_columns_.push_back(repo.table(t).num_columns());
-  }
+  CaptureColumnCounts(repo);
   RebuildAdjacency();
   return Status::OK();
 }
@@ -357,18 +297,10 @@ std::vector<JoinEdge> JoinPathIndex::EdgesBetween(int32_t table_a,
 
 void JoinPathIndex::AppendEdgesBetween(int32_t table_a, int32_t table_b,
                                        std::vector<JoinEdge>* out) const {
-  std::pair<int32_t, int32_t> key = TableKey(table_a, table_b);
-  if (!flat_edges_.pair_keys.empty()) {
-    ptrdiff_t i = flat_edges_.find(PairKey(key));
-    if (i >= 0) {
-      auto [b, e] = flat_edges_.edge_range(static_cast<size_t>(i));
-      for (uint32_t o = b; o < e; ++o) AppendFlatEdge(o, out);
-    }
-  }
-  auto it = pair_edges_.find(key);
-  if (it != pair_edges_.end()) {
-    out->insert(out->end(), it->second.begin(), it->second.end());
-  }
+  ptrdiff_t i = flat_edges_.find(PairKey(table_a, table_b));
+  if (i < 0) return;
+  auto [b, e] = flat_edges_.edge_range(static_cast<size_t>(i));
+  for (uint32_t o = b; o < e; ++o) AppendFlatEdge(o, out);
 }
 
 std::vector<int32_t> JoinPathIndex::AdjacentTables(int32_t table) const {

@@ -1,6 +1,12 @@
 // Join path index: GENERATE-JOIN-GRAPHS(tables, rho) from the paper's
 // Appendix A. Built offline from the similarity index's inclusion-dependency
 // edges; queried online to connect candidate tables within rho hops.
+//
+// The edges live in one immutable flat store (sorted table-pair keys, u32
+// offsets, structure-of-arrays edge records) — the snapshot's layout.
+// Build() writes it, SaveTo() writes it out unchanged, and LoadFrom()
+// adopts it (copied when resident, borrowed from the mmapped file when
+// paged), so built, loaded and paged indexes run the same lookup code.
 
 #ifndef VER_DISCOVERY_JOIN_PATH_INDEX_H_
 #define VER_DISCOVERY_JOIN_PATH_INDEX_H_
@@ -41,17 +47,15 @@ struct JoinPathOptions {
 /// Table-level join connectivity with per-table-pair column-pair choices.
 class JoinPathIndex {
  public:
-  /// Discovers all joinable column pairs and builds table adjacency.
-  /// With a pool, candidate-pair scoring splits across workers; per-chunk
-  /// edges merge in chunk order, so the index equals a serial build.
-  void Build(const std::vector<ColumnProfile>* profiles,
+  /// Discovers all joinable column pairs of `repo` and builds table
+  /// adjacency. Table pairs come out ascending, each with its edges in
+  /// candidate-pair order. With a pool, candidate-pair scoring splits
+  /// across workers; per-chunk edges merge in chunk order, so the index is
+  /// identical for any pool.
+  void Build(const TableRepository& repo,
+             const std::vector<ColumnProfile>* profiles,
              const SimilarityIndex& similarity, const JoinPathOptions& options,
              ThreadPool* pool = nullptr);
-
-  /// Incrementally discovers join edges for profiles appended after
-  /// Build() (starting at `first_new`) and refreshes table adjacency.
-  void AddColumns(const std::vector<ColumnProfile>* profiles,
-                  const SimilarityIndex& similarity, size_t first_new);
 
   /// All join graphs connecting `tables` where every inter-table route uses
   /// at most `max_hops` join edges; `max_hops` < 1 allows no route. With a
@@ -60,9 +64,8 @@ class JoinPathIndex {
   std::vector<JoinGraph> GenerateJoinGraphs(
       const std::vector<int32_t>& tables, int max_hops) const;
 
-  /// All joinable column pairs between two specific tables: snapshot-loaded
-  /// flat edges first (older profiles), then incremental overlay edges —
-  /// the same two-store merge order the other indexes use.
+  /// All joinable column pairs between two specific tables, in the order
+  /// Build() discovered them.
   std::vector<JoinEdge> EdgesBetween(int32_t table_a, int32_t table_b) const;
 
   /// Total number of joinable column pairs discovered (Table I statistic).
@@ -73,15 +76,13 @@ class JoinPathIndex {
   /// Tables adjacent to `table` in the join connectivity graph.
   std::vector<int32_t> AdjacentTables(int32_t table) const;
 
-  /// Snapshot serialization. Both stores are written merged into one flat
-  /// sorted layout (u64 table-pair keys, u32 edge offsets, structure-of-
-  /// arrays edge records), so the bytes are deterministic; the adjacency
-  /// lists are derived data and are rebuilt on load. Resident loads
-  /// validate every edge endpoint against `repo`; with a pager `binding`
-  /// the arrays are adopted as borrowed mmap extents, the O(edges) scan is
-  /// skipped, and EdgesBetween drops any edge whose decoded endpoints fall
-  /// outside the repository instead. `options` comes from the engine's
-  /// options section (persisted once).
+  /// Snapshot serialization. SaveTo writes the flat store as it is, so the
+  /// bytes are deterministic; the adjacency lists are derived data and are
+  /// rebuilt on load. Resident loads validate every edge endpoint against
+  /// `repo`; with a pager `binding` the arrays are adopted as borrowed mmap
+  /// extents, the O(edges) scan is skipped, and EdgesBetween drops any edge
+  /// whose decoded endpoints fall outside the repository instead.
+  /// `options` comes from the engine's options section (persisted once).
   void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const TableRepository& repo,
                   const JoinPathOptions& options,
@@ -91,9 +92,10 @@ class JoinPathIndex {
   void PinInto(PagePin* pin) const { flat_edges_.PinInto(pin); }
 
  private:
-  /// Immutable snapshot-loaded edge store: table-pair keys sorted
-  /// ascending, per-pair edge slices addressed by offsets, edge fields as
-  /// parallel arrays (borrowable straight out of the mmapped snapshot).
+  /// Immutable edge store: table-pair keys sorted ascending, per-pair edge
+  /// slices addressed by offsets, edge fields as parallel arrays (owned
+  /// after Build() or a resident load, borrowable straight out of the
+  /// mmapped snapshot).
   struct FlatEdges {
     PagedView<uint64_t> pair_keys;    // (min_id << 32) | max_id, sorted
     PagedView<uint32_t> offsets;      // pair_keys.size() + 1 entries
@@ -124,21 +126,17 @@ class JoinPathIndex {
     }
   };
 
-  // Incremental overlay (Build/AddColumns inserts).
-  // Key: (min_table_id, max_table_id).
-  std::map<std::pair<int32_t, int32_t>, std::vector<JoinEdge>> pair_edges_;
-  // Immutable snapshot-loaded base.
   FlatEdges flat_edges_;
-  // Column counts per table, captured at LoadFrom: lets EdgesBetween
-  // range-check decoded flat edges without touching the repository (the
+  // Column counts per table, captured at Build/LoadFrom: lets EdgesBetween
+  // range-check decoded edges without touching the repository (the
   // query-time guard replacing the skipped paged validation scan).
   std::vector<int32_t> table_num_columns_;
   std::map<int32_t, std::vector<int32_t>> adjacency_;
   int64_t num_joinable_column_pairs_ = 0;
   JoinPathOptions options_;
 
-  // Decodes flat edge slot `o` and appends it if its endpoints are in
-  // range (corrupt paged records are dropped, never dereferenced).
+  // Decodes edge slot `o` and appends it if its endpoints are in range
+  // (corrupt paged records are dropped, never dereferenced).
   void AppendFlatEdge(uint32_t o, std::vector<JoinEdge>* out) const;
 
   // Evaluates one candidate column pair; returns true and fills `edge` when
@@ -146,8 +144,7 @@ class JoinPathIndex {
   // scoring can run on worker threads.
   bool ScoreEdge(const ColumnProfile& a, const ColumnProfile& b,
                  JoinEdge* edge) const;
-  // Evaluates one candidate column pair and records the edge if joinable.
-  void MaybeAddEdge(const ColumnProfile& a, const ColumnProfile& b);
+  void CaptureColumnCounts(const TableRepository& repo);
   void RebuildAdjacency();
 
   // EdgesBetween, appended to `out`.

@@ -1,8 +1,11 @@
 #include "discovery/keyword_index.h"
 
 #include <algorithm>
+#include <functional>
+#include <unordered_map>
 
 #include "util/bitset.h"
+#include "util/check.h"
 #include "util/levenshtein.h"
 #include "util/string_util.h"
 
@@ -15,19 +18,131 @@ ColumnRef DecodeColumnRef(uint64_t encoded) {
                    static_cast<int32_t>(encoded & 0xffffffffULL)};
 }
 
-// Sorted pointers to the hash-map keys (deterministic iteration order).
-std::vector<const std::string*> SortedKeys(
-    const std::unordered_map<std::string, std::vector<ColumnRef>>& postings) {
-  std::vector<const std::string*> keys;
-  keys.reserve(postings.size());
-  for (const auto& [text, cols] : postings) {
-    (void)cols;
-    keys.push_back(&text);
+// The first 8 bytes of `s`, big-endian and zero-padded: comparing two of
+// these orders the strings by their first 8 bytes exactly as string_view
+// comparison does, so a sort settles most pairs on one integer compare.
+uint64_t BytePrefix(std::string_view s) {
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    prefix <<= 8;
+    if (i < s.size()) prefix |= static_cast<unsigned char>(s[i]);
   }
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  return keys;
+  return prefix;
 }
+
+// Accumulates one posting store in build order, then lays it out flat.
+// Texts are interned into dense ids (first-seen order) in one arena, so
+// posting a cell costs a hash probe and no allocation per distinct text.
+class PostingsBuilder {
+ public:
+  // Posts `ref` under `text`. Refs arrive in ascending order; a text the
+  // same column already posted is skipped.
+  void Post(std::string_view text, const ColumnRef& ref) {
+    uint32_t id = Intern(text);
+    uint64_t encoded = ref.Encode();
+    if (last_ref_[id] == encoded) return;
+    last_ref_[id] = encoded;
+    postings_.push_back({id, encoded});
+  }
+
+  // Writes keys in ascending byte order, each with its postings in the
+  // order they were posted.
+  void Finish(PagedBytes* blob, PagedView<uint32_t>* key_offsets,
+              PagedView<uint64_t>* columns,
+              PagedView<uint32_t>* posting_offsets) const {
+    const size_t n = ends_.size();
+    struct SortKey {
+      uint64_t prefix;
+      uint32_t id;
+    };
+    std::vector<SortKey> order(n);
+    for (uint32_t id = 0; id < n; ++id) {
+      order[id] = SortKey{BytePrefix(text(id)), id};
+    }
+    std::sort(order.begin(), order.end(),
+              [this](const SortKey& a, const SortKey& b) {
+                if (a.prefix != b.prefix) return a.prefix < b.prefix;
+                return text(a.id) < text(b.id);
+              });
+    VER_CHECK(arena_.size() <= UINT32_MAX)
+        << "keyword index holds " << arena_.size()
+        << " bytes of key text; the snapshot's u32 key offsets cap it at "
+           "4 GiB";
+    VER_CHECK(postings_.size() <= UINT32_MAX)
+        << "keyword index holds " << postings_.size()
+        << " postings; the snapshot's u32 posting offsets cap it at 2^32";
+    std::vector<uint32_t> rank(n);
+    std::string& keys = blob->mut();
+    std::vector<uint32_t>& key_ends = key_offsets->mut();
+    std::vector<uint32_t>& posting_ends = posting_offsets->mut();
+    keys.clear();
+    keys.reserve(arena_.size());
+    key_ends.assign(1, 0);
+    posting_ends.assign(n + 1, 0);
+    for (size_t k = 0; k < n; ++k) {
+      rank[order[k].id] = static_cast<uint32_t>(k);
+      keys.append(text(order[k].id));
+      key_ends.push_back(static_cast<uint32_t>(keys.size()));
+    }
+    // Counting sort by key rank; it is stable, so each key keeps its
+    // postings in posting order.
+    for (const Posting& p : postings_) ++posting_ends[rank[p.text] + 1];
+    for (size_t k = 0; k < n; ++k) posting_ends[k + 1] += posting_ends[k];
+    std::vector<uint32_t> cursor(posting_ends.begin(), posting_ends.end() - 1);
+    std::vector<uint64_t>& refs = columns->mut();
+    refs.resize(postings_.size());
+    for (const Posting& p : postings_) refs[cursor[rank[p.text]]++] = p.ref;
+  }
+
+ private:
+  struct Posting {
+    uint32_t text;
+    uint64_t ref;
+  };
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  std::string_view text(uint32_t id) const {
+    size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(arena_).substr(begin, ends_[id] - begin);
+  }
+
+  // Id of `text`, assigning the next one to a new text.
+  uint32_t Intern(std::string_view s) {
+    if ((ends_.size() + 1) * 2 > slots_.size()) Grow();
+    const uint64_t h = std::hash<std::string_view>{}(s);
+    size_t i = h & mask_;
+    for (; slots_[i] != kEmpty; i = (i + 1) & mask_) {
+      uint32_t id = slots_[i];
+      if (hashes_[id] == h && text(id) == s) return id;
+    }
+    const uint32_t id = static_cast<uint32_t>(ends_.size());
+    slots_[i] = id;
+    hashes_.push_back(h);
+    arena_.append(s);
+    ends_.push_back(arena_.size());
+    last_ref_.push_back(UINT64_MAX);
+    return id;
+  }
+
+  // Doubles the slot array (load factor <= 1/2) and reinserts every id.
+  void Grow() {
+    slots_.assign(std::max<size_t>(64, slots_.size() * 2), kEmpty);
+    mask_ = slots_.size() - 1;
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      size_t i = hashes_[id] & mask_;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = id;
+    }
+  }
+
+  std::string arena_;              // distinct texts, back to back
+  std::vector<size_t> ends_;       // text id -> end offset in arena_
+  std::vector<uint64_t> hashes_;   // text id -> hash
+  std::vector<uint64_t> last_ref_;  // text id -> last ColumnRef posted
+  std::vector<uint32_t> slots_;    // open addressing: text id or kEmpty
+  size_t mask_ = 0;
+  std::vector<Posting> postings_;  // (text id, ColumnRef) in posting order
+};
 
 }  // namespace
 
@@ -106,104 +221,77 @@ bool KeywordIndex::FlatColumnInRange(const ColumnRef& ref) const {
          ref.column_index < table_num_columns_[ref.table_id];
 }
 
-int64_t KeywordIndex::vocabulary_size() const {
-  int64_t size = static_cast<int64_t>(flat_values_.num_keys());
-  for (const auto& [text, cols] : value_postings_) {
-    (void)cols;
-    // Words already in the flat base (re-indexed after a snapshot load)
-    // count once.
-    if (flat_values_.num_keys() == 0 || flat_values_.find(text) < 0) ++size;
+void KeywordIndex::CaptureColumnCounts(const TableRepository& repo) {
+  table_num_columns_.clear();
+  table_num_columns_.reserve(static_cast<size_t>(repo.num_tables()));
+  for (int32_t t = 0; t < repo.num_tables(); ++t) {
+    table_num_columns_.push_back(repo.table(t).num_columns());
   }
-  return size;
 }
 
 void KeywordIndex::Build(const TableRepository& repo) {
-  value_postings_.clear();
-  attr_postings_.clear();
-  flat_values_ = FlatPostings();
-  flat_attrs_ = FlatPostings();
-  for (int32_t t = 0; t < repo.num_tables(); ++t) {
-    IndexTable(repo, t);
-  }
-  RebuildVocabBuckets();
-}
-
-void KeywordIndex::AddTable(const TableRepository& repo, int32_t table_id) {
-  IndexTable(repo, table_id);
-  // Key pointers in unordered_map are stable across inserts, but the fuzzy
-  // buckets only know keys present at bucketing time; rebucket.
-  RebuildVocabBuckets();
-}
-
-void KeywordIndex::IndexTable(const TableRepository& repo, int32_t t) {
-  const Table& table = repo.table(t);
-  // One scratch text buffer for the whole table (the old loop built a
-  // std::string per distinct cell into an unordered_set<std::string>), and
-  // posting dedup that needs no set at all: columns index one at a time,
-  // so a text already posted by *this* column has this column's ref at the
-  // back of its posting list — older refs can never follow it.
+  // Tables and columns are visited in ascending order, so every text's
+  // postings arrive in ascending ColumnRef order. One scratch text buffer
+  // serves the whole build.
+  PostingsBuilder values, attrs;
   std::string scratch;
   PackedBitset code_seen;
-  for (int c = 0; c < table.num_columns(); ++c) {
-    ColumnRef ref{t, c};
-    const Attribute& attr = table.schema().attribute(c);
-    if (attr.has_name()) {
-      attr_postings_[ToLower(attr.name)].push_back(ref);
-    }
-    auto post_scratch = [&]() {
-      ToLowerInPlace(&scratch);
-      std::vector<ColumnRef>& cols = value_postings_[scratch];
-      if (cols.empty() || cols.back().table_id != ref.table_id ||
-          cols.back().column_index != ref.column_index) {
-        cols.push_back(ref);
+  for (int32_t t = 0; t < repo.num_tables(); ++t) {
+    const Table& table = repo.table(t);
+    for (int c = 0; c < table.num_columns(); ++c) {
+      ColumnRef ref{t, c};
+      const Attribute& attr = table.schema().attribute(c);
+      if (attr.has_name()) attrs.Post(ToLower(attr.name), ref);
+      auto post_scratch = [&]() {
+        ToLowerInPlace(&scratch);
+        values.Post(scratch, ref);
+      };
+      const ColumnData& data = table.column_data(c);
+      if (data.is_dict()) {
+        // Dictionary columns dedupe on codes first: each distinct cell is
+        // lowercased and posted once, without re-hashing repeated rows.
+        code_seen.Resize(data.dict_size());
+        for (int64_t r = 0; r < table.num_rows(); ++r) {
+          if (data.is_null(r)) continue;
+          uint32_t code = data.code(r);
+          if (!code_seen.TestAndSet(code)) continue;
+          scratch.clear();
+          data.dict_entry(code).AppendTextTo(&scratch);
+          post_scratch();
+        }
+        continue;
       }
-    };
-    const ColumnData& data = table.column_data(c);
-    if (data.is_dict()) {
-      // Dictionary columns dedupe on codes first: each distinct cell is
-      // lowercased and posted once, in first-occurrence row order (same
-      // postings as the per-row loop, minus the re-hashing).
-      code_seen.Resize(data.dict_size());
       for (int64_t r = 0; r < table.num_rows(); ++r) {
-        if (data.is_null(r)) continue;
-        uint32_t code = data.code(r);
-        if (!code_seen.TestAndSet(code)) continue;
+        CellView v = data.cell(r);
+        if (v.is_null()) continue;
         scratch.clear();
-        data.dict_entry(code).AppendTextTo(&scratch);
+        v.AppendTextTo(&scratch);
         post_scratch();
       }
-      continue;
-    }
-    for (int64_t r = 0; r < table.num_rows(); ++r) {
-      CellView v = data.cell(r);
-      if (v.is_null()) continue;
-      scratch.clear();
-      v.AppendTextTo(&scratch);
-      post_scratch();
     }
   }
+  flat_values_ = FlatPostings();
+  flat_attrs_ = FlatPostings();
+  values.Finish(&flat_values_.blob, &flat_values_.key_offsets,
+                &flat_values_.columns, &flat_values_.posting_offsets);
+  attrs.Finish(&flat_attrs_.blob, &flat_attrs_.key_offsets,
+               &flat_attrs_.columns, &flat_attrs_.posting_offsets);
+  CaptureColumnCounts(repo);
+  RebuildVocabBuckets();
 }
 
 void KeywordIndex::RebuildVocabBuckets() {
-  auto bucket = [](const std::unordered_map<std::string,
-                                            std::vector<ColumnRef>>& postings,
-                   const FlatPostings& flat,
+  auto bucket = [](const FlatPostings& flat,
                    std::vector<std::vector<VocabEntry>>* buckets) {
     buckets->clear();
-    auto add = [buckets](VocabEntry entry) {
-      size_t len = entry.text.size();
-      if (buckets->size() <= len) buckets->resize(len + 1);
-      (*buckets)[len].push_back(entry);
-    };
     for (size_t i = 0; i < flat.num_keys(); ++i) {
-      add(VocabEntry{flat.key(i), nullptr, static_cast<ptrdiff_t>(i)});
-    }
-    for (const auto& [text, cols] : postings) {
-      add(VocabEntry{text, &cols, -1});
+      std::string_view text = flat.key(i);
+      if (buckets->size() <= text.size()) buckets->resize(text.size() + 1);
+      (*buckets)[text.size()].push_back(VocabEntry{text, i});
     }
   };
-  bucket(value_postings_, flat_values_, &vocab_by_length_);
-  bucket(attr_postings_, flat_attrs_, &attr_vocab_by_length_);
+  bucket(flat_values_, &vocab_by_length_);
+  bucket(flat_attrs_, &attr_vocab_by_length_);
 }
 
 std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
@@ -224,11 +312,11 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
     }
   };
 
-  // Query-time guard replacing the skipped paged validation scan: a flat
+  // Query-time guard replacing the skipped paged validation scan: a
   // posting that addresses no column is dropped, never handed to the
   // pipeline (which dereferences hits against the repository).
-  auto add_flat_hits = [&](const FlatPostings& flat, size_t key,
-                           bool attribute, bool exact) {
+  auto add_hits = [&](const FlatPostings& flat, size_t key, bool attribute,
+                      bool exact) {
     auto [pb, pe] = flat.posting_range(key);
     for (uint32_t p = pb; p < pe; ++p) {
       ColumnRef ref = DecodeColumnRef(flat.columns[p]);
@@ -237,23 +325,13 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
   };
 
   auto search_postings =
-      [&](const std::unordered_map<std::string, std::vector<ColumnRef>>&
-              postings,
-          const FlatPostings& flat,
+      [&](const FlatPostings& flat,
           const std::vector<std::vector<VocabEntry>>& buckets,
           bool attribute) {
-        // Exact lookups, in both stores (a key present in both — the flat
-        // base plus tables indexed after a Load — contributes from each).
-        auto it = postings.find(needle);
-        if (it != postings.end()) {
-          for (const ColumnRef& ref : it->second) {
-            add_hit(ref, attribute, /*exact=*/true);
-          }
-        }
-        ptrdiff_t fi = flat.find(needle);
-        if (fi >= 0) {
-          add_flat_hits(flat, static_cast<size_t>(fi), attribute,
-                        /*exact=*/true);
+        ptrdiff_t exact_key = flat.find(needle);
+        if (exact_key >= 0) {
+          add_hits(flat, static_cast<size_t>(exact_key), attribute,
+                   /*exact=*/true);
         }
         if (max_edits <= 0) return;
         int lo = std::max<int>(0, static_cast<int>(needle.size()) - max_edits);
@@ -263,25 +341,16 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
           for (const VocabEntry& entry : buckets[len]) {
             if (entry.text == needle) continue;  // already handled exactly
             if (!WithinEditDistance(needle, entry.text, max_edits)) continue;
-            if (entry.map_postings != nullptr) {
-              for (const ColumnRef& ref : *entry.map_postings) {
-                add_hit(ref, attribute, /*exact=*/false);
-              }
-            } else {
-              add_flat_hits(flat, static_cast<size_t>(entry.flat_index),
-                            attribute, /*exact=*/false);
-            }
+            add_hits(flat, entry.key, attribute, /*exact=*/false);
           }
         }
       };
 
   if (target == KeywordTarget::kValues || target == KeywordTarget::kAll) {
-    search_postings(value_postings_, flat_values_, vocab_by_length_,
-                    /*attribute=*/false);
+    search_postings(flat_values_, vocab_by_length_, /*attribute=*/false);
   }
   if (target == KeywordTarget::kAttributes || target == KeywordTarget::kAll) {
-    search_postings(attr_postings_, flat_attrs_, attr_vocab_by_length_,
-                    /*attribute=*/true);
+    search_postings(flat_attrs_, attr_vocab_by_length_, /*attribute=*/true);
   }
 
   std::vector<KeywordHit> out;
@@ -300,80 +369,16 @@ std::vector<KeywordHit> KeywordIndex::Search(const std::string& keyword,
   return out;
 }
 
-// Merges the flat base and the sorted hash-map keys into one flat store.
-// For a key present in both, flat postings come first — flat entries are
-// older (lower) table ids, so the merged order equals a from-scratch
-// build's insertion order.
-Status KeywordIndex::SaveTo(SerdeWriter* w) const {
-  auto save_merged =
-      [w](const FlatPostings& flat,
-          const std::unordered_map<std::string, std::vector<ColumnRef>>&
-              postings) -> Status {
-        std::vector<const std::string*> map_keys = SortedKeys(postings);
-        FlatPostings out;
-        out.key_offsets.mut().push_back(0);
-        out.posting_offsets.mut().push_back(0);
-        size_t fi = 0, mi = 0;
-        auto emit_flat = [&](size_t i) {
-          std::string_view key = flat.key(i);
-          out.blob.mut().append(key.data(), key.size());
-          auto [pb, pe] = flat.posting_range(i);
-          for (uint32_t p = pb; p < pe; ++p) {
-            out.columns.mut().push_back(flat.columns[p]);
-          }
-        };
-        auto emit_map = [&](size_t i) {
-          const std::string& key = *map_keys[i];
-          out.blob.mut().append(key);
-          for (const ColumnRef& ref : postings.at(key)) {
-            out.columns.mut().push_back(ref.Encode());
-          }
-        };
-        while (fi < flat.num_keys() || mi < map_keys.size()) {
-          if (mi >= map_keys.size() ||
-              (fi < flat.num_keys() && flat.key(fi) < *map_keys[mi])) {
-            emit_flat(fi++);
-          } else if (fi >= flat.num_keys() || *map_keys[mi] < flat.key(fi)) {
-            emit_map(mi++);
-          } else {  // same key in both stores: flat (older tables) first
-            std::string_view key = flat.key(fi);
-            out.blob.mut().append(key.data(), key.size());
-            auto [pb, pe] = flat.posting_range(fi);
-            for (uint32_t p = pb; p < pe; ++p) {
-              out.columns.mut().push_back(flat.columns[p]);
-            }
-            for (const ColumnRef& ref : postings.at(*map_keys[mi])) {
-              out.columns.mut().push_back(ref.Encode());
-            }
-            ++fi;
-            ++mi;
-          }
-          if (out.blob.size() > UINT32_MAX || out.columns.size() > UINT32_MAX) {
-            return Status::OutOfRange(
-                "keyword index exceeds the snapshot format's u32 offset "
-                "range; cannot save");
-          }
-          out.key_offsets.mut().push_back(
-              static_cast<uint32_t>(out.blob.size()));
-          out.posting_offsets.mut().push_back(
-              static_cast<uint32_t>(out.columns.size()));
-        }
-        out.SaveTo(w);
-        return Status::OK();
-      };
-  VER_RETURN_IF_ERROR(save_merged(flat_values_, value_postings_));
-  return save_merged(flat_attrs_, attr_postings_);
+void KeywordIndex::SaveTo(SerdeWriter* w) const {
+  flat_values_.SaveTo(w);
+  flat_attrs_.SaveTo(w);
 }
 
 Status KeywordIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
                               const PagerBinding* binding) {
   VER_RETURN_IF_ERROR(flat_values_.LoadFrom(r, binding));
   VER_RETURN_IF_ERROR(flat_attrs_.LoadFrom(r, binding));
-  table_num_columns_.clear();
-  table_num_columns_.reserve(static_cast<size_t>(repo.num_tables()));
-  for (int32_t t = 0; t < repo.num_tables(); ++t) {
-    table_num_columns_.push_back(repo.table(t).num_columns());
-  }
+  CaptureColumnCounts(repo);
   // Every posting must address a real column: hits flow straight into the
   // pipeline, which dereferences them against the repository. Paged loads
   // skip the scan (it would fault in every posting page); Search checks
@@ -390,8 +395,6 @@ Status KeywordIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
       }
     }
   }
-  value_postings_.clear();
-  attr_postings_.clear();
   RebuildVocabBuckets();
   return Status::OK();
 }

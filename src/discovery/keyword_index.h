@@ -2,23 +2,17 @@
 // Appendix A. Finds columns whose attribute name or cell values contain an
 // input string, exactly or within a Levenshtein distance.
 //
-// Postings live in two stores that Search consults together:
-//  - a mutable hash map, filled by Build()/AddTable() (fast incremental
-//    inserts while indexing);
-//  - an immutable flat store (sorted key blob + offset arrays), bulk-loaded
-//    from a snapshot in a handful of memcpys — this is what makes
-//    zero-rebuild cold starts fast, since rehashing tens of thousands of
-//    string keys dominated snapshot loading otherwise.
-// A column's postings are never split across stores for the same key
-// growth step, and tables indexed after a Load land in the hash map, so
-// the combined view is identical to a from-scratch build.
+// Postings live in one immutable flat store per target (sorted key blob +
+// offset arrays) — the snapshot's layout. Build() writes it, SaveTo()
+// writes it out unchanged, and LoadFrom() adopts it in a handful of
+// memcpys (or borrows it from the mmapped file under paging), so built,
+// loaded and paged indexes run the same lookup code.
 
 #ifndef VER_DISCOVERY_KEYWORD_INDEX_H_
 #define VER_DISCOVERY_KEYWORD_INDEX_H_
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "pager/paged_view.h"
@@ -45,13 +39,11 @@ struct KeywordHit {
 /// Inverted index over lowercased cell texts and attribute names.
 class KeywordIndex {
  public:
-  /// Indexes every column of the repository. Cell texts are trimmed and
-  /// lowercased; numeric values are indexed by their canonical text.
+  /// Indexes every column of the repository. Cell texts are lowercased;
+  /// numeric values are indexed by their canonical text. Keys come out in
+  /// ascending byte order and each key's postings in ascending ColumnRef
+  /// order, which is exactly the layout SaveTo writes.
   void Build(const TableRepository& repo);
-
-  /// Incrementally indexes one table that was appended to the repository
-  /// after Build() or LoadFrom() (online index maintenance).
-  void AddTable(const TableRepository& repo, int32_t table_id);
 
   /// Columns matching `keyword`. `max_edits` = 0 means exact match only;
   /// otherwise the vocabulary is scanned with a banded edit-distance check.
@@ -59,17 +51,16 @@ class KeywordIndex {
                                  KeywordTarget target,
                                  int max_edits = 0) const;
 
-  /// Distinct indexed cell texts across both stores.
-  int64_t vocabulary_size() const;
+  /// Distinct indexed cell texts.
+  int64_t vocabulary_size() const {
+    return static_cast<int64_t>(flat_values_.num_keys());
+  }
 
-  /// Snapshot serialization. Writes both stores merged into one sorted
-  /// flat layout (deterministic bytes for a given logical index state);
-  /// LoadFrom restores it as the immutable flat store with no per-key
-  /// work beyond bounds validation — offsets and every posting's
-  /// ColumnRef are checked against `repo`, so a corrupt file cannot
-  /// smuggle in out-of-range column addresses. SaveTo fails (rather than
-  /// silently wrapping the u32 offsets) if the flat layout exceeds 4 GiB
-  /// of key text or 2^32 postings.
+  /// Snapshot serialization: SaveTo writes the flat stores as they are
+  /// (deterministic bytes for a given repository); LoadFrom adopts them
+  /// with no per-key work beyond bounds validation — offsets and every
+  /// posting's ColumnRef are checked against `repo`, so a corrupt file
+  /// cannot smuggle in out-of-range column addresses.
   ///
   /// With a pager `binding` the flat stores are adopted as borrowed mmap
   /// extents and the O(keys)/O(postings) validation scans are skipped
@@ -77,7 +68,7 @@ class KeywordIndex {
   /// bounds-guard each slice they take, so a corrupt offset yields an
   /// empty result, never an out-of-range read, and Search drops any flat
   /// posting that addresses no column of `repo`.
-  Status SaveTo(SerdeWriter* w) const;
+  void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const TableRepository& repo,
                   const PagerBinding* binding = nullptr);
 
@@ -90,8 +81,8 @@ class KeywordIndex {
  private:
   /// Immutable posting store: keys sorted ascending in one blob, postings
   /// concatenated in key order. find() is a binary search over key slices.
-  /// Storage is PagedView/PagedBytes: owned after a resident load,
-  /// borrowed mmap extents under a paged one.
+  /// Storage is PagedView/PagedBytes: owned after Build() or a resident
+  /// load, borrowed mmap extents under a paged one.
   struct FlatPostings {
     PagedBytes blob;                       // key bytes, concatenated
     PagedView<uint32_t> key_offsets;       // num_keys + 1 entries
@@ -132,29 +123,26 @@ class KeywordIndex {
     }
   };
 
-  /// One vocabulary word, resolvable to its postings in either store.
+  /// One vocabulary word and the index of its key in the flat store.
   struct VocabEntry {
     std::string_view text;
-    const std::vector<ColumnRef>* map_postings;  // null when flat
-    ptrdiff_t flat_index;                        // -1 when in the hash map
+    size_t key;
   };
 
-  void IndexTable(const TableRepository& repo, int32_t table_id);
+  void CaptureColumnCounts(const TableRepository& repo);
   void RebuildVocabBuckets();
-  /// True when `ref` addresses a column of the repository LoadFrom saw.
+  /// True when `ref` addresses a column of the repository the index was
+  /// built or loaded over.
   bool FlatColumnInRange(const ColumnRef& ref) const;
 
-  // Mutable store: lowercased text -> columns containing it (deduped).
-  std::unordered_map<std::string, std::vector<ColumnRef>> value_postings_;
-  std::unordered_map<std::string, std::vector<ColumnRef>> attr_postings_;
-  // Immutable store (snapshot-loaded base).
+  // Lowercased cell text / attribute name -> columns containing it.
   FlatPostings flat_values_;
   FlatPostings flat_attrs_;
-  // Column counts per table, captured at LoadFrom: flat postings are
+  // Column counts per table, captured at Build/LoadFrom: postings are
   // range-checked against them (at load when resident, per posting in
-  // Search when paged) without touching the repository.
+  // Search) without touching the repository.
   std::vector<int32_t> table_num_columns_;
-  // Vocabulary of both stores bucketed by length for banded fuzzy scans.
+  // Vocabulary bucketed by length for banded fuzzy scans.
   std::vector<std::vector<VocabEntry>> vocab_by_length_;
   std::vector<std::vector<VocabEntry>> attr_vocab_by_length_;
 };

@@ -49,17 +49,9 @@ std::vector<ColumnProfile> ProfileRepository(const TableRepository& repo,
                                              const ProfilerOptions& options,
                                              ThreadPool* pool) {
   MinHasher hasher(options.minhash_permutations, options.seed);
-  std::vector<ColumnProfile> profiles;
-  profiles.reserve(static_cast<size_t>(repo.TotalColumns()));
+  // One chunk per table (tables vary wildly in size, so finer chunks
+  // balance better), concatenated in table order.
   size_t num_tables = static_cast<size_t>(repo.num_tables());
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (int32_t t = 0; t < repo.num_tables(); ++t) {
-      ProfileTableInto(repo, t, hasher, options, &profiles);
-    }
-    return profiles;
-  }
-  // One task per table (tables vary wildly in size, so finer chunks balance
-  // better); concatenation in table order reproduces the serial output.
   std::vector<std::vector<ColumnProfile>> per_table(num_tables);
   ParallelFor(pool, num_tables, num_tables,
               [&](size_t, size_t begin, size_t end) {
@@ -68,18 +60,11 @@ std::vector<ColumnProfile> ProfileRepository(const TableRepository& repo,
                                    options, &per_table[t]);
                 }
               });
+  std::vector<ColumnProfile> profiles;
+  profiles.reserve(static_cast<size_t>(repo.TotalColumns()));
   for (std::vector<ColumnProfile>& chunk : per_table) {
     for (ColumnProfile& p : chunk) profiles.push_back(std::move(p));
   }
-  return profiles;
-}
-
-std::vector<ColumnProfile> ProfileTable(const TableRepository& repo,
-                                        int32_t table_id,
-                                        const ProfilerOptions& options) {
-  MinHasher hasher(options.minhash_permutations, options.seed);
-  std::vector<ColumnProfile> profiles;
-  ProfileTableInto(repo, table_id, hasher, options, &profiles);
   return profiles;
 }
 

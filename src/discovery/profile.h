@@ -47,19 +47,12 @@ struct ProfilerOptions {
   int64_t exact_set_max = 100000;
 };
 
-/// Profiles every column of the repository (the offline indexing pass).
-/// With a pool, tables are profiled concurrently and concatenated in table
-/// order, so the result is identical to the serial pass.
+/// Profiles every column of the repository (the offline indexing pass),
+/// in table order, columns in schema order. With a pool, tables are
+/// profiled concurrently; the result is identical for any pool.
 std::vector<ColumnProfile> ProfileRepository(const TableRepository& repo,
                                              const ProfilerOptions& options,
                                              ThreadPool* pool = nullptr);
-
-/// Profiles the columns of one table (incremental index maintenance).
-/// Sketches are comparable with ProfileRepository output for the same
-/// options (the permutation family is derived from options.seed).
-std::vector<ColumnProfile> ProfileTable(const TableRepository& repo,
-                                        int32_t table_id,
-                                        const ProfilerOptions& options);
 
 /// Containment JC(a ⊆ b): exact when both profiles kept their value sets,
 /// otherwise the Lazo sketch estimate.

@@ -1,25 +1,33 @@
 #include "discovery/similarity_index.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 #include "util/bitset.h"
+#include "util/check.h"
 #include "util/hash.h"
 
 namespace ver {
+
+namespace {
+
+// The LSH geometry a profile set and options imply: {bands, rows per
+// band}. Build() uses it, and LoadFrom() checks a snapshot against it.
+std::pair<int, int> BandGeometry(const std::vector<ColumnProfile>& profiles,
+                                 const SimilarityOptions& options) {
+  int permutations =
+      profiles.empty() ? 128 : profiles.front().signature.num_permutations();
+  int bands = std::max(1, std::min(options.lsh_bands, permutations));
+  return {bands, std::max(1, permutations / bands)};
+}
+
+}  // namespace
 
 ptrdiff_t SimilarityIndex::FlatBuckets::find(uint64_t key) const {
   auto it = std::lower_bound(keys.begin(), keys.end(), key);
   if (it == keys.end() || *it != key) return -1;
   return it - keys.begin();
-}
-
-size_t SimilarityIndex::FlatBuckets::posting_count(uint64_t key) const {
-  if (keys.empty()) return 0;
-  ptrdiff_t i = find(key);
-  if (i < 0) return 0;
-  auto [b, e] = bucket_range(static_cast<size_t>(i));
-  return e - b;
 }
 
 void SimilarityIndex::FlatBuckets::SaveTo(SerdeWriter* w) const {
@@ -51,10 +59,9 @@ Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r,
         r->ReadArrayExtent(sizeof(int), "bucket postings", &raw, &n));
     postings.Adopt(binding, raw, n);
   }
-  bool valid = keys.empty() ? offsets.empty()
-                            : offsets.size() == keys.size() + 1 &&
-                                  offsets.front() == 0 &&
-                                  offsets.back() == postings.size();
+  // An empty store is one offset, 0: what Assign writes for no keys.
+  bool valid = offsets.size() == keys.size() + 1 && offsets.front() == 0 &&
+               offsets.back() == postings.size();
   if (!valid) {
     return Status::IOError("corrupt similarity index: inconsistent offsets");
   }
@@ -69,14 +76,31 @@ Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r,
   return Status::OK();
 }
 
-void SimilarityIndex::SetupBands() {
-  const auto& ps = *profiles_;
-  int permutations =
-      ps.empty() ? 128 : ps.front().signature.num_permutations();
-  int bands = std::max(1, std::min(options_.lsh_bands, permutations));
-  rows_per_band_ = std::max(1, permutations / bands);
-  band_buckets_.resize(bands);
-  flat_band_buckets_.resize(bands);
+void SimilarityIndex::FlatBuckets::Assign(
+    std::vector<std::pair<uint64_t, int>>* entries_in, size_t cap) {
+  std::vector<std::pair<uint64_t, int>>& entries = *entries_in;
+  std::sort(entries.begin(), entries.end());
+  std::vector<uint64_t>& out_keys = keys.mut();
+  std::vector<uint32_t>& out_offsets = offsets.mut();
+  std::vector<int>& out_postings = postings.mut();
+  out_keys.clear();
+  out_offsets.assign(1, 0);
+  out_postings.clear();
+  for (size_t i = 0; i < entries.size();) {
+    const uint64_t key = entries[i].first;
+    size_t end = i;
+    while (end < entries.size() && entries[end].first == key) ++end;
+    const size_t take = std::min(end - i, cap);
+    for (size_t k = i; k < i + take; ++k) {
+      out_postings.push_back(entries[k].second);
+    }
+    VER_CHECK(out_postings.size() <= UINT32_MAX)
+        << "similarity index bucket store exceeds 2^32 postings, the "
+           "limit of the snapshot's u32 offsets";
+    out_keys.push_back(key);
+    out_offsets.push_back(static_cast<uint32_t>(out_postings.size()));
+    i = end;
+  }
 }
 
 void SimilarityIndex::Build(const std::vector<ColumnProfile>* profiles,
@@ -84,104 +108,51 @@ void SimilarityIndex::Build(const std::vector<ColumnProfile>* profiles,
                             ThreadPool* pool) {
   profiles_ = profiles;
   options_ = options;
-  value_postings_.clear();
-  band_buckets_.clear();
-  flat_value_postings_ = FlatBuckets();
-  flat_band_buckets_.clear();
-  eligible_.clear();
-  SetupBands();
-  AddProfiles(0, pool);
-}
-
-void SimilarityIndex::AddProfiles(size_t first_new, ThreadPool* pool) {
-  std::vector<int> ids;
-  ids.reserve(profiles_->size() - std::min(first_new, profiles_->size()));
-  for (size_t i = first_new; i < profiles_->size(); ++i) {
-    ids.push_back(static_cast<int>(i));
-  }
-  InsertProfiles(ids, pool);
-}
-
-void SimilarityIndex::InsertProfiles(const std::vector<int>& ids,
-                                     ThreadPool* pool) {
-  const auto& ps = *profiles_;
-  // Eligibility is a pure function of per-column stats; refreshing it over
-  // the whole vector keeps the snapshot section's "one flag per profile"
-  // invariant.
-  eligible_.resize(ps.size(), false);
+  const std::vector<ColumnProfile>& ps = *profiles;
+  eligible_.assign(ps.size(), false);
   for (size_t i = 0; i < ps.size(); ++i) {
     eligible_[i] = ps[i].stats.num_distinct >= options_.min_distinct;
   }
-  if (ids.empty()) return;
-  // The posting cap spans both stores: a hash whose flat (snapshot-loaded)
-  // posting list already holds N entries accepts only max_posting_length-N
-  // more into the overlay map.
-  auto posting_budget = [this](uint64_t h, size_t overlay_size) {
-    return flat_value_postings_.posting_count(h) + overlay_size <
-           options_.max_posting_length;
-  };
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (int id : ids) {
-      if (!eligible_[static_cast<size_t>(id)]) continue;
-      const ColumnProfile& p = ps[static_cast<size_t>(id)];
-      for (uint64_t h : p.distinct_hashes) {
-        auto& posting = value_postings_[h];
-        if (posting_budget(h, posting.size())) {
-          posting.push_back(id);
-        }
-      }
-      for (size_t b = 0; b < band_buckets_.size(); ++b) {
-        band_buckets_[b][BandHash(p.signature, static_cast<int>(b))].push_back(
-            id);
-      }
-    }
-    return;
-  }
+  auto [bands, rows_per_band] = BandGeometry(ps, options_);
+  rows_per_band_ = rows_per_band;
 
-  // Tier 2 (LSH banding): each band owns an independent bucket map, so a
-  // worker filling whole bands — scanning members in ascending index order
-  // — writes exactly what the serial loop writes.
-  size_t bands = band_buckets_.size();
-  ParallelFor(pool, bands, bands, [&](size_t, size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      for (int id : ids) {
-        if (!eligible_[static_cast<size_t>(id)]) continue;
-        band_buckets_[b][BandHash(ps[static_cast<size_t>(id)].signature,
-                                  static_cast<int>(b))]
-            .push_back(id);
+  // Tier 1 (value postings): contiguous profile chunks collect their
+  // (value hash, id) pairs; Assign sorts the concatenation, so the result
+  // does not depend on the chunking.
+  const size_t n = ps.size();
+  std::vector<std::vector<std::pair<uint64_t, int>>> local(
+      std::max<size_t>(1, std::min(RecommendedChunks(pool), n)));
+  ParallelFor(pool, n, local.size(), [&](size_t c, size_t lo, size_t hi) {
+    for (size_t id = lo; id < hi; ++id) {
+      if (!eligible_[id]) continue;
+      for (uint64_t h : ps[id].distinct_hashes) {
+        local[c].emplace_back(h, static_cast<int>(id));
       }
     }
   });
-
-  // Tier 1 (value postings): contiguous member chunks build local posting
-  // maps; merging in chunk order with the cap applied at merge time keeps
-  // each posting list equal to the first max_posting_length member indices
-  // in ascending order — the serial result. Chunk boundaries depend only
-  // on ids.size(), never the pool.
-  size_t n = ids.size();
-  size_t num_chunks = std::max<size_t>(1, std::min(RecommendedChunks(pool), n));
-  std::vector<std::unordered_map<uint64_t, std::vector<int>>> local(num_chunks);
-  ParallelFor(pool, n, num_chunks, [&](size_t c, size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      int id = ids[k];
-      if (!eligible_[static_cast<size_t>(id)]) continue;
-      for (uint64_t h : ps[static_cast<size_t>(id)].distinct_hashes) {
-        auto& posting = local[c][h];
-        if (posting.size() < options_.max_posting_length) {
-          posting.push_back(id);
-        }
-      }
-    }
-  });
-  for (auto& chunk : local) {
-    for (auto& [h, chunk_ids] : chunk) {
-      auto& posting = value_postings_[h];
-      for (int id : chunk_ids) {
-        if (!posting_budget(h, posting.size())) break;
-        posting.push_back(id);
-      }
-    }
+  std::vector<std::pair<uint64_t, int>> values;
+  for (std::vector<std::pair<uint64_t, int>>& chunk : local) {
+    values.insert(values.end(), chunk.begin(), chunk.end());
+    chunk = {};
   }
+  flat_value_postings_.Assign(&values, options_.max_posting_length);
+
+  // Tier 2 (LSH banding): every band is an independent bucket store.
+  flat_band_buckets_.assign(static_cast<size_t>(bands), FlatBuckets());
+  ParallelFor(pool, flat_band_buckets_.size(), flat_band_buckets_.size(),
+              [&](size_t, size_t b0, size_t b1) {
+                std::vector<std::pair<uint64_t, int>> entries;
+                for (size_t b = b0; b < b1; ++b) {
+                  entries.clear();
+                  for (size_t id = 0; id < n; ++id) {
+                    if (!eligible_[id]) continue;
+                    entries.emplace_back(
+                        BandHash(ps[id].signature, static_cast<int>(b)),
+                        static_cast<int>(id));
+                  }
+                  flat_band_buckets_[b].Assign(&entries, SIZE_MAX);
+                }
+              });
 }
 
 uint64_t SimilarityIndex::BandHash(const MinHashSignature& sig,
@@ -219,24 +190,10 @@ std::vector<int> SimilarityIndex::Candidates(int profile_index) const {
       }
     }
   };
-  for (uint64_t h : p.distinct_hashes) {
-    collect_flat(flat_value_postings_, h);
-    auto it = value_postings_.find(h);
-    if (it == value_postings_.end()) continue;
-    for (int other : it->second) {
-      if (other != profile_index) out.set(static_cast<size_t>(other));
-    }
-  }
-  for (size_t b = 0; b < band_buckets_.size(); ++b) {
-    uint64_t key = BandHash(p.signature, static_cast<int>(b));
-    if (b < flat_band_buckets_.size()) {
-      collect_flat(flat_band_buckets_[b], key);
-    }
-    auto it = band_buckets_[b].find(key);
-    if (it == band_buckets_[b].end()) continue;
-    for (int other : it->second) {
-      if (other != profile_index) out.set(static_cast<size_t>(other));
-    }
+  for (uint64_t h : p.distinct_hashes) collect_flat(flat_value_postings_, h);
+  for (size_t b = 0; b < flat_band_buckets_.size(); ++b) {
+    collect_flat(flat_band_buckets_[b],
+                 BandHash(p.signature, static_cast<int>(b)));
   }
   std::vector<int> v;
   v.reserve(out.Popcount());
@@ -280,118 +237,35 @@ std::vector<Neighbor> SimilarityIndex::JaccardNeighbors(
 std::vector<std::pair<int, int>> SimilarityIndex::AllCandidatePairs() const {
   std::unordered_set<uint64_t> seen;
   std::vector<std::pair<int, int>> pairs;
-  auto add_bucket = [&](const std::vector<int>& bucket) {
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      for (size_t j = i + 1; j < bucket.size(); ++j) {
-        int a = bucket[i], b = bucket[j];
-        if (a > b) std::swap(a, b);
-        uint64_t key = (static_cast<uint64_t>(a) << 32) |
-                       static_cast<uint64_t>(static_cast<uint32_t>(b));
-        if (seen.insert(key).second) pairs.emplace_back(a, b);
+  auto add_store = [&](const FlatBuckets& flat) {
+    for (size_t k = 0; k < flat.num_keys(); ++k) {
+      auto [pb, pe] = flat.bucket_range(k);
+      for (uint32_t i = pb; i < pe; ++i) {
+        for (uint32_t j = i + 1; j < pe; ++j) {
+          int a = flat.postings[i], b = flat.postings[j];
+          if (a > b) std::swap(a, b);
+          uint64_t key = (static_cast<uint64_t>(a) << 32) |
+                         static_cast<uint64_t>(static_cast<uint32_t>(b));
+          if (seen.insert(key).second) pairs.emplace_back(a, b);
+        }
       }
     }
   };
-  // A key may live in both stores (flat base + overlay growth); its
-  // logical bucket is the concatenation.
-  auto add_store_pair =
-      [&](const FlatBuckets& flat,
-          const std::unordered_map<uint64_t, std::vector<int>>& map) {
-        std::vector<int> combined;
-        for (size_t i = 0; i < flat.num_keys(); ++i) {
-          auto [pb, pe] = flat.bucket_range(i);
-          combined.assign(flat.postings.begin() + pb,
-                          flat.postings.begin() + pe);
-          auto it = map.find(flat.keys[i]);
-          if (it != map.end()) {
-            combined.insert(combined.end(), it->second.begin(),
-                            it->second.end());
-          }
-          add_bucket(combined);
-        }
-        for (const auto& [key, bucket] : map) {
-          if (!flat.keys.empty() && flat.find(key) >= 0) continue;  // merged
-          add_bucket(bucket);
-        }
-      };
-  add_store_pair(flat_value_postings_, value_postings_);
-  for (size_t b = 0; b < band_buckets_.size(); ++b) {
-    static const FlatBuckets kEmpty;
-    add_store_pair(
-        b < flat_band_buckets_.size() ? flat_band_buckets_[b] : kEmpty,
-        band_buckets_[b]);
-  }
+  add_store(flat_value_postings_);
+  for (const FlatBuckets& band : flat_band_buckets_) add_store(band);
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
 
-// SaveTo merges the flat store and the overlay map into one sorted flat
-// store; for a key in both, flat postings (older, lower profile indices)
-// come first — the insertion order of a from-scratch build.
-Status SimilarityIndex::SaveTo(SerdeWriter* w) const {
-  auto save_merged =
-      [w](const FlatBuckets& flat,
-          const std::unordered_map<uint64_t, std::vector<int>>& map)
-      -> Status {
-        std::vector<uint64_t> map_keys;
-        map_keys.reserve(map.size());
-        for (const auto& [key, bucket] : map) {
-          (void)bucket;
-          map_keys.push_back(key);
-        }
-        std::sort(map_keys.begin(), map_keys.end());
-        FlatBuckets out;
-        out.offsets.mut().push_back(0);
-        size_t fi = 0, mi = 0;
-        auto append_flat = [&](size_t i) {
-          auto [pb, pe] = flat.bucket_range(i);
-          out.postings.mut().insert(out.postings.mut().end(),
-                                    flat.postings.begin() + pb,
-                                    flat.postings.begin() + pe);
-        };
-        auto append_map = [&](uint64_t key) {
-          const std::vector<int>& bucket = map.at(key);
-          out.postings.mut().insert(out.postings.mut().end(), bucket.begin(),
-                                    bucket.end());
-        };
-        while (fi < flat.num_keys() || mi < map_keys.size()) {
-          if (mi >= map_keys.size() ||
-              (fi < flat.num_keys() && flat.keys[fi] < map_keys[mi])) {
-            out.keys.mut().push_back(flat.keys[fi]);
-            append_flat(fi++);
-          } else if (fi >= flat.num_keys() || map_keys[mi] < flat.keys[fi]) {
-            out.keys.mut().push_back(map_keys[mi]);
-            append_map(map_keys[mi++]);
-          } else {  // both stores: flat (older profiles) first
-            out.keys.mut().push_back(flat.keys[fi]);
-            append_flat(fi++);
-            append_map(map_keys[mi++]);
-          }
-          if (out.postings.size() > UINT32_MAX) {
-            return Status::OutOfRange(
-                "similarity index exceeds the snapshot format's u32 offset "
-                "range; cannot save");
-          }
-          out.offsets.mut().push_back(
-              static_cast<uint32_t>(out.postings.size()));
-        }
-        out.SaveTo(w);
-        return Status::OK();
-      };
-
+void SimilarityIndex::SaveTo(SerdeWriter* w) const {
   // Options are NOT written here: they live once in the engine's options
   // section (the single source of truth) and are passed back to LoadFrom.
   w->WriteI32(rows_per_band_);
   w->WriteU64(eligible_.size());
   for (bool e : eligible_) w->WriteBool(e);
-  VER_RETURN_IF_ERROR(save_merged(flat_value_postings_, value_postings_));
-  w->WriteU64(band_buckets_.size());
-  static const FlatBuckets kEmpty;
-  for (size_t b = 0; b < band_buckets_.size(); ++b) {
-    VER_RETURN_IF_ERROR(save_merged(
-        b < flat_band_buckets_.size() ? flat_band_buckets_[b] : kEmpty,
-        band_buckets_[b]));
-  }
-  return Status::OK();
+  flat_value_postings_.SaveTo(w);
+  w->WriteU64(flat_band_buckets_.size());
+  for (const FlatBuckets& band : flat_band_buckets_) band.SaveTo(w);
 }
 
 Status SimilarityIndex::LoadFrom(SerdeReader* r,
@@ -448,6 +322,18 @@ Status SimilarityIndex::LoadFrom(SerdeReader* r,
       }
     }
   }
+  // BandHash indexes signature slots by band * rows_per_band, so the
+  // stored geometry must be the one the profiles and options imply.
+  auto [expected_bands, expected_rows] = BandGeometry(*profiles, options);
+  if (rows_per_band != expected_rows ||
+      num_bands != static_cast<uint64_t>(expected_bands)) {
+    return Status::IOError(
+        "corrupt similarity index: stores " + std::to_string(num_bands) +
+        " bands of " + std::to_string(rows_per_band) +
+        " rows, but the profiles and options imply " +
+        std::to_string(expected_bands) + " bands of " +
+        std::to_string(expected_rows) + " rows");
+  }
 
   profiles_ = profiles;
   options_ = options;
@@ -455,8 +341,6 @@ Status SimilarityIndex::LoadFrom(SerdeReader* r,
   eligible_ = std::move(eligible);
   flat_value_postings_ = std::move(values);
   flat_band_buckets_ = std::move(bands);
-  value_postings_.clear();
-  band_buckets_.assign(flat_band_buckets_.size(), {});
   return Status::OK();
 }
 

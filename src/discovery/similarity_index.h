@@ -3,12 +3,17 @@
 // posting list for columns whose distinct sets were retained, and LSH banding
 // over MinHash signatures for everything — then candidates are verified with
 // the containment/Jaccard estimators.
+//
+// Each tier is one immutable flat bucket store (sorted u64 keys, u32
+// offsets, concatenated postings) — the snapshot's layout. Build() writes
+// it, SaveTo() writes it out unchanged, and LoadFrom() adopts it (copied
+// when resident, borrowed from the mmapped file when paged), so built,
+// loaded and paged indexes run the same lookup code.
 
 #ifndef VER_DISCOVERY_SIMILARITY_INDEX_H_
 #define VER_DISCOVERY_SIMILARITY_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,14 +48,12 @@ struct Neighbor {
 class SimilarityIndex {
  public:
   /// Builds both tiers from the profiles. Profiles must outlive the index.
-  /// With a pool, banding and posting construction split across workers;
-  /// the merged index is identical to a serial build.
+  /// Keys come out ascending; a value posting holds the first
+  /// max_posting_length eligible profile indices ascending, a band bucket
+  /// all of them. With a pool, collection and banding split across
+  /// workers; the index is identical for any pool.
   void Build(const std::vector<ColumnProfile>* profiles,
              const SimilarityOptions& options, ThreadPool* pool = nullptr);
-
-  /// Indexes profiles appended to the vector after Build(), starting at
-  /// index `first_new` (incremental index maintenance).
-  void AddProfiles(size_t first_new, ThreadPool* pool = nullptr);
 
   /// Columns b with containment(query ⊆ b) >= threshold (excluding itself).
   std::vector<Neighbor> ContainmentNeighbors(int profile_index,
@@ -66,21 +69,18 @@ class SimilarityIndex {
   /// All unordered candidate pairs (i < j), for offline edge construction.
   std::vector<std::pair<int, int>> AllCandidatePairs() const;
 
-  /// Snapshot serialization. Both stores are written merged into one flat
-  /// sorted layout (deterministic bytes for a given logical index state);
-  /// posting order inside each bucket is preserved verbatim, keeping the
-  /// max_posting_length cap semantics of the build ("first N columns in
-  /// ascending index order") intact for later AddProfiles calls. LoadFrom
-  /// restores the flat store with a handful of bulk copies — no rehashing
-  /// — which is what makes snapshot cold starts fast. `profiles` and
-  /// `options` play the role Build()'s arguments do (options are
-  /// persisted once, in the engine's options section, not here). SaveTo
-  /// fails rather than silently wrapping the u32 posting offsets.
+  /// Snapshot serialization: SaveTo writes the flat stores as they are
+  /// (deterministic bytes for given profiles and options); LoadFrom
+  /// restores them with a handful of bulk copies — no rehashing — which is
+  /// what makes snapshot cold starts fast. `profiles` and `options` play
+  /// the role Build()'s arguments do (options are persisted once, in the
+  /// engine's options section, not here); the band geometry stored in the
+  /// section must match the one they derive.
   ///
   /// With a pager `binding` the flat stores are adopted as borrowed mmap
   /// extents and the O(postings) validation scans are skipped; queries
   /// bounds-guard each bucket slice and posting index instead.
-  Status SaveTo(SerdeWriter* w) const;
+  void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const std::vector<ColumnProfile>* profiles,
                   const SimilarityOptions& options,
                   const PagerBinding* binding = nullptr);
@@ -93,9 +93,8 @@ class SimilarityIndex {
 
  private:
   /// Immutable bucket store: sorted keys with concatenated posting lists,
-  /// bulk-loaded from snapshots (or borrowed straight out of the mmapped
-  /// file under a paged load). Queries binary-search it; incremental
-  /// growth goes to the mutable hash maps instead.
+  /// written by Build(), bulk-loaded from snapshots, or borrowed straight
+  /// out of the mmapped file under a paged load. Queries binary-search it.
   struct FlatBuckets {
     PagedView<uint64_t> keys;      // sorted ascending
     PagedView<uint32_t> offsets;   // keys.size() + 1 entries
@@ -104,7 +103,10 @@ class SimilarityIndex {
     size_t num_keys() const { return static_cast<size_t>(keys.size()); }
     /// Index of `key`, or -1.
     ptrdiff_t find(uint64_t key) const;
-    size_t posting_count(uint64_t key) const;
+    /// Sorts the (key, profile index) `entries` and groups them by key,
+    /// keeping each key's `cap` smallest indices; a key whose indices the
+    /// cap drops entirely keeps an empty bucket. The result is owned.
+    void Assign(std::vector<std::pair<uint64_t, int>>* entries, size_t cap);
     /// Bounds-guarded posting slice [begin, end) for key index `i`; empty
     /// on a corrupt offset pair (paged loads skip offset validation).
     std::pair<uint32_t, uint32_t> bucket_range(size_t i) const {
@@ -127,25 +129,14 @@ class SimilarityIndex {
   SimilarityOptions options_;
   int rows_per_band_ = 4;
 
-  // Tier 1: value hash -> profile indices containing that value. Mutable
-  // overlay (Build/AddProfiles) plus immutable snapshot-loaded base; the
-  // logical posting list for a key is flat postings followed by map
-  // postings, and the max_posting_length cap spans both.
-  std::unordered_map<uint64_t, std::vector<int>> value_postings_;
+  // Tier 1: value hash -> profile indices containing that value.
   FlatBuckets flat_value_postings_;
-  // Tier 2: per-band bucket -> profile indices (same two-store layout).
-  std::vector<std::unordered_map<uint64_t, std::vector<int>>> band_buckets_;
+  // Tier 2: per-band bucket -> profile indices.
   std::vector<FlatBuckets> flat_band_buckets_;
   // Columns eligible as join endpoints.
   std::vector<bool> eligible_;
 
   uint64_t BandHash(const MinHashSignature& sig, int band) const;
-
-  /// Inserts `ids` (ascending profile indices) into both tiers. The chunk
-  /// decomposition depends only on ids.size(), so the same id list always
-  /// produces the same buckets, serial or parallel.
-  void InsertProfiles(const std::vector<int>& ids, ThreadPool* pool);
-  void SetupBands();
 };
 
 }  // namespace ver

@@ -88,15 +88,6 @@ struct ServingOptions {
   /// boundary, never mid-stage.
   double default_deadline_s = 0;
 
-  /// Memory budget for paged (larger-than-RAM) serving. Units: bytes.
-  /// Default 0 = resident serving. When set, embedders translate it into
-  /// PagingOptions{enabled, memory_budget_bytes} for
-  /// DiscoveryEngine::LoadRepository/Load, and share one BufferPool across
-  /// a hot swap's snapshot pair (PagingOptions::pool) so the budget holds
-  /// while both snapshots are alive. The server itself never loads
-  /// snapshots; it reports the served snapshot's pool counters in stats().
-  uint64_t memory_budget_bytes = 0;
-
   /// Test-only worker instrumentation; leave default in production.
   ServingHooks hooks;
 };

@@ -8,10 +8,10 @@
 // Workers run Ver::Execute, so per-request overrides, StopAfter early
 // termination and streaming view delivery all work under the server: pass a
 // QueryObserver to Submit and its events fire on the worker thread as the
-// pipeline progresses. Each snapshot is never mutated while serving
-// (IndexNewTable is deliberately not exposed here), which is what makes the
-// lock-free shared read path safe — see the thread-safety contract in
-// discovery/engine.h.
+// pipeline progresses. A snapshot's discovery engine is immutable once
+// built or loaded (a grown lake is re-indexed offline and swapped in with
+// SwapSnapshot), which is what makes the lock-free shared read path safe —
+// see the thread-safety contract in discovery/engine.h.
 //
 // The server is tail-latency-aware (see docs/ARCHITECTURE.md "Serving
 // layer" for the full policy):

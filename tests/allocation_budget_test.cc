@@ -7,7 +7,9 @@
 // kept view:
 //   - operator new calls made by MaterializeCandidates,
 //   - heap chunks still live in the views it returns,
-//   - operator new calls made by DistillViews.
+//   - operator new calls made by DistillViews,
+//   - operator new calls made by RankViewsByOverlap over every view, which
+//     is what a request with distillation off ranks.
 // The counts are deterministic for one compiler and standard library. Each
 // budget below leaves headroom over the count measured with GCC 12 and
 // libstdc++, and sits far below the count of the node-based layout it
@@ -25,6 +27,7 @@
 
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
+#include "baselines/fast_topk.h"
 #include "core/distillation.h"
 #include "core/join_graph_search.h"
 #include "core/ver.h"
@@ -144,6 +147,7 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
   int64_t materialize_calls = 0;
   int64_t materialize_live = 0;
   int64_t distill_calls = 0;
+  int64_t rank_calls = 0;
   for (size_t q = 0; q < dataset.queries.size(); ++q) {
     Result<ExampleQuery> query = MakeNoisyQuery(
         dataset.repo, dataset.queries[q], NoiseLevel::kZero, 3, 43 + q);
@@ -172,6 +176,13 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
     after = HeapCounts();
     distill_calls += after.allocs - before.allocs;
     EXPECT_EQ(distilled.surviving, response.result.distillation.surviving);
+
+    before = HeapCounts();
+    std::vector<OverlapRankedView> ranked =
+        RankViewsByOverlap(materialized, query.value());
+    after = HeapCounts();
+    rank_calls += after.allocs - before.allocs;
+    EXPECT_EQ(ranked.size(), materialized.size());
   }
   ASSERT_GT(views, 1000);  // a few hundred views per query
 
@@ -179,11 +190,13 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
   const double materialize_calls_per_view = materialize_calls * per_view;
   const double live_chunks_per_view = materialize_live * per_view;
   const double distill_calls_per_view = distill_calls * per_view;
+  const double rank_calls_per_view = rank_calls * per_view;
   std::printf(
       "%lld views: MaterializeCandidates %.2f operator new calls and %.2f "
-      "live chunks per view; DistillViews %.2f calls per view\n",
+      "live chunks per view; DistillViews %.2f calls per view; "
+      "RankViewsByOverlap %.2f calls per view\n",
       static_cast<long long>(views), materialize_calls_per_view,
-      live_chunks_per_view, distill_calls_per_view);
+      live_chunks_per_view, distill_calls_per_view, rank_calls_per_view);
   RecordProperty("views", static_cast<int>(views));
 
   // Budgets over the counts measured on this fixture (8,604 views). Block-
@@ -195,6 +208,10 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
   EXPECT_LE(materialize_calls_per_view, 10.0);
   EXPECT_LE(live_chunks_per_view, 7.5);
   EXPECT_LE(distill_calls_per_view, 3.5);
+  // Overlap ranking: 0.02 calls per view with the examples
+  // normalized once per call; the string set of every cell text it
+  // replaced made 96.4.
+  EXPECT_LE(rank_calls_per_view, 1.0);
 }
 
 }  // namespace

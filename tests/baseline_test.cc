@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_set>
+
 #include "baselines/fast_topk.h"
 #include "core/view_specification.h"
 #include "discovery/engine.h"
+#include "util/string_util.h"
 
 namespace ver {
 namespace {
@@ -123,6 +127,64 @@ TEST(FastTopKTest, RankingASubsetByIndexEqualsRankingCopies) {
     ExpectSameRanking(RankViewsByOverlap(views, subset, query),
                       RankCopies(views, subset, query));
   }
+}
+
+// The set-based overlap ViewOverlap replaced, kept as its reference: every
+// distinct cell text of the view, lowercased, in a string set, then one
+// lookup per example.
+int ReferenceViewOverlap(const View& view, const ExampleQuery& query) {
+  std::unordered_set<std::string> cell_texts;
+  const Table& t = view.table;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    t.column_data(c).ForEachDistinctCell(
+        [&](CellView v) { cell_texts.insert(ToLower(v.ToText())); });
+  }
+  int overlap = 0;
+  for (const auto& column : query.columns) {
+    for (const std::string& example : column) {
+      if (cell_texts.count(ToLower(Trim(example)))) ++overlap;
+    }
+  }
+  return overlap;
+}
+
+TEST(FastTopKTest, OverlapMatchesSetBasedReference) {
+  std::vector<View> views;
+  views.push_back(MakeView(0, {"country", "pop"},
+                           {{"China", "1400"},
+                            {"japan", ""},
+                            {"CHINA", "125.5"},
+                            {"", "7"}}));
+  views.push_back(MakeView(1, {"c"}, {{" peru"}, {"Peru"}, {"lima "}}));
+  views.push_back(MakeView(2, {"n"}, {{"42"}, {"42"}, {"-3"}, {"4.20"}}));
+  views.push_back(MakeView(3, {"a", "b"}, {{"", ""}, {"", ""}}));  // nulls
+  views.push_back(MakeView(4, {"c"}, {}));                        // no rows
+  const std::vector<ExampleQuery> queries = {
+      // Duplicate examples, case and whitespace variants, across columns.
+      ExampleQuery::FromColumns({{"china", "China ", " CHINA", "japan"},
+                                 {"1400", "1400", "7", "125.5"}}),
+      ExampleQuery::FromColumns({{"peru", " peru", "PERU", "lima", "lima "}}),
+      // Numeric cells: canonical text, not the text the row was parsed from.
+      ExampleQuery::FromColumns({{"42", "42", "4.2", "4.20", "-3", "+42"}}),
+      // What a null cell might render as.
+      ExampleQuery::FromColumns({{"", "  ", "null", "NULL"}}),
+      ExampleQuery::FromColumns({{"no such value"}}),
+      ExampleQuery(),
+  };
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::vector<OverlapRankedView> ranked =
+        RankViewsByOverlap(views, queries[q]);
+    ASSERT_EQ(ranked.size(), views.size());
+    for (const OverlapRankedView& r : ranked) {
+      const View& v = views[static_cast<size_t>(r.view_index)];
+      const int want = ReferenceViewOverlap(v, queries[q]);
+      EXPECT_EQ(r.overlap, want) << "query " << q << " view " << r.view_index;
+      EXPECT_EQ(ViewOverlap(v, queries[q]), want)
+          << "query " << q << " view " << r.view_index;
+    }
+  }
+  // The fixture is not vacuous: duplicates and variants count per example.
+  EXPECT_EQ(ReferenceViewOverlap(views[0], queries[0]), 8);
 }
 
 // ------------------------- view specification ---------------------------

@@ -266,6 +266,60 @@ TEST(PagedServingTest, CorruptKeywordPostingIsDroppedAtQueryTime) {
   std::remove(path.c_str());
 }
 
+// The similarity section opens with rows per band, which BandHash
+// multiplies by the band index to address signature slots. A corrupt
+// value must fail the load with both values named: paged loads skip the
+// checksum, and a resident load trusts a file whose checksum was
+// recomputed, so neither may hand the value to a query.
+TEST(PagedServingTest, CorruptRowsPerBandIsRejected) {
+  PagedFixture& f = Fixture();
+  ASSERT_FALSE(f.queries.empty());
+#if !defined(__unix__) && !defined(__APPLE__)
+  GTEST_SKIP() << "no mmap: paged load falls back resident";
+#endif
+  if (!kSerdeHostLittleEndian) GTEST_SKIP() << "paging needs little-endian";
+  Result<std::unique_ptr<SnapshotMap>> map = SnapshotMap::Open(f.snapshot_path);
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  const SnapshotSectionEntry* similarity_section = map.value()->FindSection(5);
+  ASSERT_NE(similarity_section, nullptr);
+  std::string bytes(map.value()->data(),
+                    static_cast<size_t>(map.value()->size()));
+  int32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + similarity_section->offset, 4);
+  ASSERT_EQ(stored, 4);  // 128 permutations over 32 bands
+  const int32_t corrupt = 0x40000000;
+  std::memcpy(&bytes[static_cast<size_t>(similarity_section->offset)],
+              &corrupt, 4);
+  const std::string path = TempPath("ver_paged_serving_bad_rows.versnap");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto expect_rejected = [](const Status& status) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("1073741824"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.ToString().find("32 bands of 4 rows"), std::string::npos)
+        << status.ToString();
+  };
+
+  Result<TableRepository> repo =
+      DiscoveryEngine::LoadRepository(path, TightPaging());
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  expect_rejected(
+      DiscoveryEngine::Load(repo.value(), path, TightPaging()).status());
+
+  // The same value behind a valid checksum, loaded resident.
+  std::vector<SnapshotSection> sections;
+  ASSERT_TRUE(ReadSnapshotFile(f.snapshot_path, &sections).ok());
+  for (SnapshotSection& section : sections) {
+    if (section.id == 5) std::memcpy(&section.payload[0], &corrupt, 4);
+  }
+  ASSERT_TRUE(WriteSnapshotFile(path, sections).ok());
+  expect_rejected(DiscoveryEngine::Load(f.dataset.repo, path).status());
+  std::remove(path.c_str());
+}
+
 TEST(PagedServingTest, HotSwapUnderPagedTrafficSharesOneBudget) {
   PagedFixture& f = Fixture();
   ASSERT_FALSE(f.queries.empty());
@@ -305,7 +359,6 @@ TEST(PagedServingTest, HotSwapUnderPagedTrafficSharesOneBudget) {
   opts.num_workers = 4;
   opts.cache_capacity = 0;   // force real pipeline runs through the pool
   opts.single_flight = false;
-  opts.memory_budget_bytes = kBudgetBytes;
   VerServer server(ver_a, opts);
 
   ServerStats before = server.stats();

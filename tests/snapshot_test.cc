@@ -399,6 +399,70 @@ TEST(SnapshotTest, ServerStartsFromSnapshotWithoutRebuild) {
   std::remove(path.c_str());
 }
 
+// One store per index: a loaded engine holds exactly the stores Build()
+// wrote, so saving it again reproduces the built engine's bytes, whether
+// it was loaded resident or paged.
+TEST(SnapshotTest, ResavedSnapshotIsByteIdentical) {
+  SnapshotFixture& f = Fixture();
+  auto built = DiscoveryEngine::Build(f.dataset.repo);
+  const std::string built_path = TempPath("ver_snapshot_resave_built.versnap");
+  const std::string resident_path =
+      TempPath("ver_snapshot_resave_resident.versnap");
+  const std::string paged_path = TempPath("ver_snapshot_resave_paged.versnap");
+  ASSERT_TRUE(built->Save(built_path).ok());
+
+  Result<std::unique_ptr<DiscoveryEngine>> resident =
+      DiscoveryEngine::Load(f.dataset.repo, built_path);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  ASSERT_FALSE(resident.value()->paged());
+  ASSERT_TRUE(resident.value()->Save(resident_path).ok());
+
+  PagingOptions paging;
+  paging.enabled = true;
+  Result<TableRepository> paged_repo =
+      DiscoveryEngine::LoadRepository(built_path, paging);
+  ASSERT_TRUE(paged_repo.ok()) << paged_repo.status().ToString();
+  Result<std::unique_ptr<DiscoveryEngine>> paged =
+      DiscoveryEngine::Load(paged_repo.value(), built_path, paging);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_TRUE(paged.value()->Save(paged_path).ok());
+
+  const std::string built_bytes = ReadFileBytes(built_path);
+  ASSERT_FALSE(built_bytes.empty());
+  EXPECT_TRUE(ReadFileBytes(resident_path) == built_bytes);
+  EXPECT_TRUE(ReadFileBytes(paged_path) == built_bytes);
+  for (const std::string& path : {built_path, resident_path, paged_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+// A lake with no column of two or more distinct values leaves every
+// similarity bucket store empty; its snapshot must still load.
+TEST(SnapshotTest, SnapshotWithEmptySimilarityStoresLoads) {
+  TableRepository repo;
+  for (const char* name : {"a", "b"}) {
+    Schema schema;
+    schema.AddAttribute(Attribute{"k", ValueType::kString});
+    Table t(name, schema);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(t.AppendRow({Value::String("same")}).ok());
+    }
+    t.InferColumnTypes();
+    ASSERT_TRUE(repo.AddTable(std::move(t)).ok());
+  }
+  auto built = DiscoveryEngine::Build(repo);
+  EXPECT_EQ(built->num_joinable_column_pairs(), 0);
+  const std::string path = TempPath("ver_snapshot_empty_similarity.versnap");
+  ASSERT_TRUE(built->Save(path).ok());
+  Result<std::unique_ptr<DiscoveryEngine>> loaded =
+      DiscoveryEngine::Load(repo, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value()->Neighbors(ColumnRef{0, 0}, 0.5).empty());
+  EXPECT_EQ(loaded.value()->SearchKeyword("same", KeywordTarget::kValues).size(),
+            2u);
+  std::remove(path.c_str());
+}
+
 // ------------------ snapshot sections and columnar tables -----------------
 
 // A saved file holds exactly sections 1-7, in order: fingerprint, options,
