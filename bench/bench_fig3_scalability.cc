@@ -8,9 +8,11 @@
 // the paper's boxplots.
 //
 // A second section times the offline DiscoveryEngine::Build at each
-// repository size, serial vs DiscoveryOptions::parallelism = 8, checks the
-// two indexes agree, and records the measurements as JSON (default
-// BENCH_fig3.json in the working directory, overridable with
+// repository size, serial vs DiscoveryOptions::parallelism = 8, as
+// alternating runs (which side goes first flips every repetition, so
+// drifting machine load hits both alike), reports medians and quartiles,
+// checks the two indexes agree, and records the measurements as JSON
+// (default BENCH_fig3.json in the working directory, overridable with
 // VER_BENCH_JSON) so successive PRs have a perf trajectory to compare.
 
 #include <filesystem>
@@ -24,23 +26,22 @@ namespace bench {
 namespace {
 
 constexpr int kParallelWorkers = 8;
-constexpr int kBuildRepetitions = 3;
+// Builds per side and repository size. The builds take milliseconds, so
+// a best-of-3 moved too much between runs to compare commits or the two
+// sides; medians and quartiles of 21 alternating runs do not.
+constexpr int kBuildRepetitions = 21;
 
-// Best-of-N wall-clock for one engine build at the given parallelism.
+// Wall-clock seconds of one engine build at the given parallelism.
 double TimeEngineBuild(const TableRepository& repo, int parallelism,
                        int64_t* joinable_pairs) {
   DiscoveryOptions options;
   options.parallelism = parallelism;
-  double best = 0;
-  for (int rep = 0; rep < kBuildRepetitions; ++rep) {
-    WallTimer timer;
-    std::unique_ptr<DiscoveryEngine> engine =
-        DiscoveryEngine::Build(repo, options);
-    double elapsed = timer.ElapsedSeconds();
-    if (rep == 0 || elapsed < best) best = elapsed;
-    *joinable_pairs = engine->num_joinable_column_pairs();
-  }
-  return best;
+  WallTimer timer;
+  std::unique_ptr<DiscoveryEngine> engine =
+      DiscoveryEngine::Build(repo, options);
+  const double elapsed = timer.ElapsedSeconds();
+  *joinable_pairs = engine->num_joinable_column_pairs();
+  return elapsed;
 }
 
 struct BuildMeasurement {
@@ -48,10 +49,12 @@ struct BuildMeasurement {
   int num_tables = 0;
   int64_t num_columns = 0;
   int64_t joinable_pairs = 0;
-  double serial_s = 0;
-  double parallel_s = 0;
+  FiveNumberSummary serial;
+  FiveNumberSummary parallel;
 
-  double speedup() const { return parallel_s == 0 ? 0 : serial_s / parallel_s; }
+  double speedup() const {
+    return parallel.median == 0 ? 0 : serial.median / parallel.median;
+  }
 };
 
 void WriteJson(const std::vector<BuildMeasurement>& rows) {
@@ -64,6 +67,7 @@ void WriteJson(const std::vector<BuildMeasurement>& rows) {
   }
   std::fprintf(f, "{\n  \"bench\": \"fig3_index_build_scalability\",\n");
   std::fprintf(f, "  \"parallel_workers\": %d,\n", kParallelWorkers);
+  std::fprintf(f, "  \"repetitions\": %d,\n", kBuildRepetitions);
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"scale\": %d,\n  \"rows\": [\n", BenchScale());
@@ -72,11 +76,14 @@ void WriteJson(const std::vector<BuildMeasurement>& rows) {
     std::fprintf(f,
                  "    {\"portion\": %.2f, \"tables\": %d, \"columns\": %lld, "
                  "\"joinable_pairs\": %lld, \"build_serial_s\": %.6f, "
-                 "\"build_parallel_s\": %.6f, \"speedup\": %.3f}%s\n",
+                 "\"build_serial_q1_s\": %.6f, \"build_serial_q3_s\": %.6f, "
+                 "\"build_parallel_s\": %.6f, \"build_parallel_q1_s\": %.6f, "
+                 "\"build_parallel_q3_s\": %.6f, \"speedup\": %.3f}%s\n",
                  r.portion, r.num_tables,
                  static_cast<long long>(r.num_columns),
-                 static_cast<long long>(r.joinable_pairs), r.serial_s,
-                 r.parallel_s, r.speedup(), i + 1 < rows.size() ? "," : "");
+                 static_cast<long long>(r.joinable_pairs), r.serial.median,
+                 r.serial.p25, r.serial.p75, r.parallel.median, r.parallel.p25,
+                 r.parallel.p75, r.speedup(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -132,10 +139,16 @@ void Run() {
       "the 4C runtime proper stays comparatively small.\n");
 
   // ---- offline index-build scalability: serial vs parallel ----
-  std::printf("\nOffline DiscoveryEngine::Build: serial vs parallelism=%d\n",
-              kParallelWorkers);
+  std::printf(
+      "\nOffline DiscoveryEngine::Build: serial vs parallelism=%d, %d "
+      "alternating runs each, median [q1, q3]\n",
+      kParallelWorkers, kBuildRepetitions);
   TextTable build_table({"Portion", "#Tables", "#Cols", "Join pairs",
                          "Serial", "Parallel", "Speedup"});
+  auto format_quartiles = [](const FiveNumberSummary& s) {
+    return FormatSeconds(s.median) + " [" + FormatSeconds(s.p25) + ", " +
+           FormatSeconds(s.p75) + "]";
+  };
   std::vector<BuildMeasurement> measurements;
   for (double portion : {0.25, 0.5, 0.75, 1.0}) {
     GeneratedDataset dataset =
@@ -145,9 +158,20 @@ void Run() {
     m.num_tables = dataset.repo.num_tables();
     m.num_columns = dataset.repo.TotalColumns();
     int64_t serial_pairs = 0, parallel_pairs = 0;
-    m.serial_s = TimeEngineBuild(dataset.repo, 1, &serial_pairs);
-    m.parallel_s =
-        TimeEngineBuild(dataset.repo, kParallelWorkers, &parallel_pairs);
+    std::vector<double> serial_s, parallel_s;
+    for (int rep = 0; rep < kBuildRepetitions; ++rep) {
+      const bool serial_first = rep % 2 == 0;
+      if (serial_first) {
+        serial_s.push_back(TimeEngineBuild(dataset.repo, 1, &serial_pairs));
+      }
+      parallel_s.push_back(
+          TimeEngineBuild(dataset.repo, kParallelWorkers, &parallel_pairs));
+      if (!serial_first) {
+        serial_s.push_back(TimeEngineBuild(dataset.repo, 1, &serial_pairs));
+      }
+    }
+    m.serial = Summarize(serial_s);
+    m.parallel = Summarize(parallel_s);
     m.joinable_pairs = serial_pairs;
     if (serial_pairs != parallel_pairs) {
       std::fprintf(stderr,
@@ -163,8 +187,8 @@ void Run() {
                         std::to_string(m.num_tables),
                         std::to_string(m.num_columns),
                         std::to_string(m.joinable_pairs),
-                        FormatSeconds(m.serial_s),
-                        FormatSeconds(m.parallel_s), speedup});
+                        format_quartiles(m.serial),
+                        format_quartiles(m.parallel), speedup});
     measurements.push_back(m);
   }
   build_table.Print();

@@ -429,16 +429,15 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
   auto print_stats = [&server] {
     ServerStats stats = server.stats();
     std::printf(
-        "submitted=%lld ok=%lld rejected=%lld shed=%lld invalid=%lld "
+        "submitted=%lld ok=%lld rejected=%lld invalid=%lld "
         "cancelled=%lld deadline_exceeded=%lld swaps=%lld\n"
         "queue: depth=%lld peak=%lld\n"
         "cache: hits=%lld misses=%lld evictions=%lld\n"
-        "flight: pipeline_executions=%lld coalesced=%lld\n"
+        "pipeline: executions=%lld\n"
         "requests: with_overrides=%lld streaming=%lld\n",
         static_cast<long long>(stats.submitted),
         static_cast<long long>(stats.served_ok),
         static_cast<long long>(stats.rejected),
-        static_cast<long long>(stats.shed_deadline),
         static_cast<long long>(stats.invalid),
         static_cast<long long>(stats.cancelled),
         static_cast<long long>(stats.deadline_exceeded),
@@ -449,7 +448,6 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
         static_cast<long long>(stats.cache_misses),
         static_cast<long long>(stats.cache_evictions),
         static_cast<long long>(stats.pipeline_executions),
-        static_cast<long long>(stats.coalesced),
         static_cast<long long>(stats.requests_with_overrides),
         static_cast<long long>(stats.requests_streaming));
     auto print_stage = [](const char* name, const LatencyStats& s) {

@@ -1,6 +1,7 @@
 #include "api/discovery_request.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -227,7 +228,23 @@ DiscoveryRequest DiscoveryRequest::ForCandidates(
   return request;
 }
 
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  if (!(seconds > 0)) return Clock::time_point::max();
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> wanted(seconds);
+  // Compared in double: past this point the tick count would overflow.
+  if (wanted >= Clock::time_point::max() - now) {
+    return Clock::time_point::max();
+  }
+  return now + std::chrono::duration_cast<Clock::duration>(wanted);
+}
+
 Status DiscoveryRequest::Validate() const {
+  if (!std::isfinite(deadline_s)) {
+    return Status::InvalidArgument("deadline_s must be finite (got " +
+                                   std::to_string(deadline_s) + ")");
+  }
   if (from_candidates) {
     if (candidates.empty()) {
       return Status::InvalidArgument(

@@ -36,6 +36,12 @@ namespace ver {
 /// ::CanonicalKey builds on it; the serving cache keys with it.
 std::string CanonicalQueryKey(const ExampleQuery& query);
 
+/// The absolute deadline `seconds` from now. time_point::max() (no
+/// deadline) when `seconds` is not positive or lies past the clock's range,
+/// so a huge relative deadline saturates instead of overflowing the clock's
+/// integer ticks.
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds);
+
 /// Sparse per-request overlay of the online-pipeline knobs. An unset field
 /// keeps the server's VerConfig value; a set field replaces it for this
 /// request only. Offline/index knobs (DiscoveryOptions) are deliberately
@@ -111,7 +117,7 @@ struct DiscoveryRequest {
   /// default) = unset: no deadline under Execute, the server's
   /// default_deadline_s under VerServer::Submit. Negative = explicitly
   /// none: overrides the server default (the legacy Submit(query,
-  /// deadline_s <= 0) contract).
+  /// deadline_s <= 0) contract). NaN and infinities are invalid.
   double deadline_s = 0;
   /// Absolute deadline; max() = none. When both deadlines are set the
   /// earlier one wins. Used by wrappers carrying a QueryControl.
@@ -149,8 +155,9 @@ struct DiscoveryRequest {
 
   /// OK, or InvalidArgument describing the defect: empty query, an
   /// attribute with zero examples, attribute_hints/columns size mismatch
-  /// (all via ExampleQuery::Validate), an out-of-range override, or a
-  /// candidate-based request with no candidates.
+  /// (all via ExampleQuery::Validate), an out-of-range override, a
+  /// candidate-based request with no candidates, or a NaN or infinite
+  /// deadline_s.
   Status Validate() const;
 
   /// Canonical cache key of everything that determines the *result*: the

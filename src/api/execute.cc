@@ -112,13 +112,8 @@ DiscoveryResponse Ver::ExecuteInternal(
   QueryControl control;
   control.deadline = request.deadline;
   control.cancel = request.cancel;
-  if (request.deadline_s > 0) {
-    auto relative =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(request.deadline_s));
-    if (relative < control.deadline) control.deadline = relative;
-  }
+  control.deadline =
+      std::min(control.deadline, DeadlineAfter(request.deadline_s));
 
   // ---------------------------------------------------------- COLUMN-SELECTION
   if (request.from_candidates) {
@@ -137,7 +132,6 @@ DiscoveryResponse Ver::ExecuteInternal(
 
   // ---------------------------------------------------------- JOIN-GRAPH-SEARCH
   JoinGraphSearchOptions search_options = merged.search;
-  search_options.materialize_views = false;  // timed separately below
   const bool spilling = !merged.spill_dir.empty();
   if (spilling) {
     // Each query spills into its own subdirectory, so concurrent queries

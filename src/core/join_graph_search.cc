@@ -155,9 +155,10 @@ JoinGraphSearchResult SearchJoinGraphs(
   result.num_joinable_groups = static_cast<int64_t>(joinable_groups.size());
   result.num_join_graphs = static_cast<int64_t>(kept.size());
 
-  // Step 2: rank and materialize top-k. Sorting the kept indices makes the
-  // same comparisons std::sort would make on the candidates themselves, so
-  // candidates with equal (score, signature) keep the same relative order.
+  // Step 2: rank (MaterializeCandidates materializes). Sorting the kept
+  // indices makes the same comparisons std::sort would make on the
+  // candidates themselves, so candidates with equal (score, signature) keep
+  // the same relative order.
   std::sort(kept.begin(), kept.end(), [&](size_t a, size_t b) {
     const double sa = graphs[a].score;
     const double sb = graphs[b].score;
@@ -172,12 +173,6 @@ JoinGraphSearchResult SearchJoinGraphs(
     cand.score = graphs[k].score;
     cand.graph = std::move(graphs[k]);
     result.candidates.push_back(std::move(cand));
-  }
-
-  if (options.materialize_views) {
-    result.views =
-        MaterializeCandidates(engine.repo(), result.candidates, options,
-                              &result.num_materialization_failures);
   }
   return result;
 }

@@ -5,7 +5,9 @@
 // columns, asks the discovery engine for join graphs over each combination's
 // tables (<= rho hops) and caches non-joinable table pairs to prune the
 // remaining product. Step 2 ranks (graph, projection) candidates by the
-// engine score and materializes the top-k.
+// engine score (SearchJoinGraphs) and materializes the top-k
+// (MaterializeCandidates, or CandidateMaterializer one at a time), so
+// Ver::Execute times enumeration and materialization apart.
 
 #ifndef VER_CORE_JOIN_GRAPH_SEARCH_H_
 #define VER_CORE_JOIN_GRAPH_SEARCH_H_
@@ -31,9 +33,6 @@ struct JoinGraphSearchOptions {
   /// line 2's cartesian walk). Units: combinations; default 100000.
   /// No paper counterpart (implementation guard).
   int64_t max_combinations = 100000;
-  /// When false, only enumerate and rank; the caller materializes later
-  /// (lets the Ver pipeline time enumeration and materialization apart).
-  bool materialize_views = true;
   MaterializeOptions materialize;
 };
 
@@ -46,9 +45,7 @@ struct ViewCandidate {
 };
 
 struct JoinGraphSearchResult {
-  /// Materialized candidate PJ-views, ranked by score.
-  std::vector<View> views;
-  /// Ranked candidates before materialization (includes unmaterialized).
+  /// Ranked candidates, best first.
   std::vector<ViewCandidate> candidates;
 
   // --- funnel statistics (Figs. 5/6) ---
@@ -59,10 +56,13 @@ struct JoinGraphSearchResult {
   /// Combinations enumerated before pruning.
   int64_t num_combinations = 0;
   /// Views whose materialization failed (blowup/timeouts), for diagnostics.
+  /// SearchJoinGraphs leaves it 0; Ver::Execute fills it in after
+  /// materializing.
   int64_t num_materialization_failures = 0;
 };
 
-/// Runs Algorithm 5 over the per-attribute candidate columns.
+/// Runs Algorithm 5's enumeration and ranking over the per-attribute
+/// candidate columns.
 JoinGraphSearchResult SearchJoinGraphs(
     const DiscoveryEngine& engine,
     const std::vector<ColumnSelectionResult>& per_attribute,

@@ -2,10 +2,9 @@
 //
 // The paper's system is single-query; serving has no paper counterpart, so
 // none of these knobs map to a paper parameter. They control how one
-// immutable Ver instance is shared by many concurrent callers, and how the
-// server defends its tail latency under overload (admission control, queue
-// ordering, single-flight coalescing — see docs/ARCHITECTURE.md "Serving
-// layer").
+// immutable Ver instance is shared by many concurrent callers: workers, the
+// bound on the FIFO submission queue, the result cache and the default
+// deadline (see docs/ARCHITECTURE.md "Serving layer").
 
 #ifndef VER_SERVING_SERVING_OPTIONS_H_
 #define VER_SERVING_SERVING_OPTIONS_H_
@@ -25,16 +24,13 @@ struct DiscoveryRequest;
 /// server lock held; a hook may block.
 struct ServingHooks {
   /// Runs right after a worker dequeues a ticket, before the queued-expiry
-  /// check, cache lookup, or coalescing decision. Blocking here holds the
-  /// worker with the request already off the queue.
+  /// check and cache lookup. Blocking here holds the worker with the
+  /// request already off the queue.
   std::function<void()> after_dequeue;
   /// Runs immediately before each actual pipeline execution (never for
-  /// cache hits or coalesced followers), with the request about to run —
-  /// the execution-counter hook.
+  /// cache hits), with the request about to run — the execution-counter
+  /// hook.
   std::function<void(const DiscoveryRequest&)> before_execute;
-  /// Runs after a request attaches to an in-flight leader as a
-  /// single-flight follower, with the group's follower count so far.
-  std::function<void(int)> on_follower_attached;
 };
 
 struct ServingOptions {
@@ -45,36 +41,11 @@ struct ServingOptions {
   int num_workers = 4;
 
   /// Bound on queries admitted but not yet started. Units: queries.
-  /// Default 256; <= 0 means unbounded. Submit() fails with Unavailable
-  /// once the backlog is this deep — backpressure instead of unbounded
-  /// memory growth (and unbounded queue-wait tail latency).
+  /// Default 256; <= 0 means unbounded. Queued queries start in admission
+  /// order. Submit() fails with Unavailable once the backlog is this deep —
+  /// backpressure instead of unbounded memory growth (and unbounded
+  /// queue-wait tail latency).
   int max_queue_depth = 256;
-
-  /// Dispatch queued requests earliest-effective-deadline first (FIFO among
-  /// equal deadlines and among requests without one) instead of strictly
-  /// FIFO. Default true: under load, requests that can still meet their
-  /// deadline run before ones with slack, which cuts deadline-miss rate
-  /// without starving anyone (a deadline-free request's queue position
-  /// only ever improves as deadlined traffic drains ahead of it).
-  bool deadline_ordered_queue = true;
-
-  /// Predictive load shedding: reject a submission with Unavailable at
-  /// admission when its effective deadline cannot be met even optimistically
-  /// — estimated start delay (queued requests ahead of it, divided across
-  /// the workers, times the EWMA pipeline time) already exceeds the time
-  /// remaining. Default false; only requests carrying a deadline are ever
-  /// shed this way, and never before the server has seen one pipeline run.
-  bool predictive_deadline_shedding = false;
-
-  /// Single-flight coalescing of identical in-flight queries. The result
-  /// cache only catches *completed* duplicates; under skewed traffic the
-  /// same hot query otherwise runs concurrently many times. When true
-  /// (default), a dequeued request whose canonical key (same epoch, same
-  /// query, same knobs — the cache key) matches a currently-executing
-  /// request attaches to that leader instead of running: the leader's
-  /// result is shared with every follower and the streamed views are
-  /// re-delivered to each follower's observer. Works with the cache off.
-  bool single_flight = true;
 
   /// LRU result-cache capacity. Units: entries (one full QueryResult each).
   /// Default 128; 0 disables caching. Keys are canonicalized queries (see

@@ -1,6 +1,7 @@
 #include "serving/ver_server.h"
 
-#include <iterator>
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -8,13 +9,6 @@
 namespace ver {
 
 namespace {
-
-std::chrono::steady_clock::time_point DeadlineFromSeconds(double seconds) {
-  if (seconds <= 0) return std::chrono::steady_clock::time_point::max();
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(seconds));
-}
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -65,11 +59,11 @@ VerServer::VerServer(const TableRepository* repo, VerConfig config,
 
 VerServer::VerServer(std::shared_ptr<const Ver> ver, ServingOptions options)
     : options_(std::move(options)),
-      resolved_workers_(ResolveParallelism(options_.num_workers)),
       cache_(options_.cache_capacity),
       ver_(std::move(ver)) {
+  const int workers = ResolveParallelism(options_.num_workers);
   MutexLock lock(&mu_);
-  pool_ = std::make_unique<ThreadPool>(resolved_workers_);
+  pool_ = std::make_unique<ThreadPool>(workers);
 }
 
 bool VerServer::SwapSnapshot(std::shared_ptr<const Ver> ver) {
@@ -90,8 +84,7 @@ bool VerServer::SwapSnapshot(std::shared_ptr<const Ver> ver) {
   // and can never hit again; drop them now instead of waiting for LRU
   // eviction. A racing worker that finishes an old-snapshot query after
   // this point re-inserts under its old epoch key, which is merely dead
-  // weight, never a stale answer. (Single-flight groups need no such
-  // sweep: their leader always extracts them, whatever the epoch.)
+  // weight, never a stale answer.
   cache_.Clear();
   return true;
 }
@@ -138,15 +131,13 @@ std::shared_ptr<QueryTicket> VerServer::Submit(DiscoveryRequest request,
   DiscoveryRequest& req = ticket->request_;
   double relative_s = req.deadline_s != 0 ? req.deadline_s
                                           : options_.default_deadline_s;
-  auto relative = DeadlineFromSeconds(relative_s);
-  if (relative < req.deadline) req.deadline = relative;
+  req.deadline = std::min(req.deadline, DeadlineAfter(relative_s));
   req.deadline_s = 0;  // consumed; Execute sees the absolute deadline only
   req.cancel = &ticket->cancel_;
 
   // Admission decision under the lock; the reject path (which may call the
   // caller's observer) runs outside it.
   Status admit;
-  bool shed_on_deadline = false;
   {
     MutexLock lock(&mu_);
     if (!accepting_ || pool_ == nullptr) {
@@ -155,58 +146,21 @@ std::shared_ptr<QueryTicket> VerServer::Submit(DiscoveryRequest request,
                static_cast<int>(queue_.size()) >= options_.max_queue_depth) {
       admit = Status::Unavailable("submission queue is full");
     } else {
-      // Predictive shedding: even if every queued request ahead finishes in
-      // one EWMA pipeline time spread across all workers (optimistic — it
-      // ignores requests already running), this request would start too
-      // late to finish by its deadline. Rejecting now costs the client one
-      // round trip; admitting it costs a queue slot *and* a guaranteed
-      // DeadlineExceeded later.
-      const double ewma = ewma_run_s_.load(std::memory_order_relaxed);
-      if (options_.predictive_deadline_shedding && ewma > 0 &&
-          req.deadline != std::chrono::steady_clock::time_point::max()) {
-        const double estimated_done_s =
-            ewma * (static_cast<double>(queue_.size()) / resolved_workers_ +
-                    1.0);
-        if (std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(estimated_done_s)) >
-            req.deadline) {
-          admit = Status::Unavailable(
-              "shed: deadline unreachable at current queue depth");
-          shed_on_deadline = true;
-        }
+      queue_.push_back(ticket);
+      // Admission happens strictly under mu_, so an admitted request can
+      // never push the queue past the configured bound.
+      VER_DCHECK(options_.max_queue_depth <= 0 ||
+                 static_cast<int>(queue_.size()) <= options_.max_queue_depth)
+          << "queue depth " << queue_.size() << " exceeds bound "
+          << options_.max_queue_depth;
+      if (static_cast<int64_t>(queue_.size()) > peak_queue_depth_) {
+        peak_queue_depth_ = static_cast<int64_t>(queue_.size());
       }
-      if (admit.ok()) {
-        QueuedTicket entry;
-        // FIFO mode ignores deadlines for ordering by keying everything
-        // max(); dispatch then degrades to pure admission sequence.
-        entry.deadline =
-            options_.deadline_ordered_queue
-                ? req.deadline
-                : std::chrono::steady_clock::time_point::max();
-        entry.seq = next_seq_++;
-        entry.ticket = ticket;
-        queue_.insert(std::move(entry));
-        // Admission happens strictly under mu_, so an admitted request can
-        // never push the queue past the configured bound.
-        VER_DCHECK(options_.max_queue_depth <= 0 ||
-                   static_cast<int>(queue_.size()) <=
-                       options_.max_queue_depth)
-            << "queue depth " << queue_.size() << " exceeds bound "
-            << options_.max_queue_depth;
-        if (static_cast<int64_t>(queue_.size()) > peak_queue_depth_) {
-          peak_queue_depth_ = static_cast<int64_t>(queue_.size());
-        }
-        pool_->Submit([this] { ServeOne(); });
-      }
+      pool_->Submit([this] { ServeOne(); });
     }
   }
   if (!admit.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (shed_on_deadline) {
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    }
     return reject(std::move(admit));
   }
 
@@ -238,19 +192,8 @@ void VerServer::Shutdown() {
     pool = std::move(pool_);
   }
   // The pool destructor runs every already-submitted ServeOne task, so all
-  // queued tickets (and the followers attached to in-flight leaders)
-  // complete before Shutdown returns.
+  // queued tickets complete before Shutdown returns.
   pool.reset();
-}
-
-std::vector<VerServer::FlightFollower> VerServer::TakeFollowers(
-    const std::string& key) {
-  MutexLock lock(&mu_);
-  auto it = inflight_.find(key);
-  if (it == inflight_.end()) return {};
-  std::vector<FlightFollower> followers = std::move(it->second->followers);
-  inflight_.erase(it);
-  return followers;
 }
 
 void VerServer::ServeOne() {
@@ -260,11 +203,8 @@ void VerServer::ServeOne() {
   {
     MutexLock lock(&mu_);
     if (queue_.empty()) return;  // ticket served by an earlier task
-    // begin() is the earliest effective deadline (admission order among
-    // ties) — the deadline-aware dispatch policy.
-    auto it = queue_.begin();
-    ticket = it->ticket;
-    queue_.erase(it);
+    ticket = std::move(queue_.front());
+    queue_.pop_front();
     // The snapshot is pinned at dequeue: this query runs to completion on
     // it even if SwapSnapshot replaces the served snapshot mid-run.
     snapshot = ver_;
@@ -280,6 +220,7 @@ void VerServer::ServeOne() {
   queue_wait_recorder_.Record(queue_wait_s);
 
   const DiscoveryRequest& request = ticket->request_;
+  TicketObserver observer(&ticket->views_delivered_, ticket->observer_);
 
   // Requests can expire or be cancelled while queued; fail them without
   // touching the cache counters.
@@ -289,7 +230,6 @@ void VerServer::ServeOne() {
     control.cancel = request.cancel;
     Status status = control.Check("serving");
     if (!status.ok()) {
-      TicketObserver observer(&ticket->views_delivered_, ticket->observer_);
       observer.OnFinished(status);
       ServedResult out;
       out.status = std::move(status);
@@ -300,26 +240,22 @@ void VerServer::ServeOne() {
     }
   }
 
-  // Candidate-based requests are never cached or coalesced: their
-  // candidate columns are not part of the canonical key.
+  // Candidate-based requests are never cached: their candidate columns are
+  // not part of the canonical key.
   const bool cacheable =
       options_.cache_capacity > 0 && !request.from_candidates;
-  const bool coalescible = options_.single_flight && !request.from_candidates;
   std::string key;
-  if (cacheable || coalescible) {
-    // Epoch-prefixed key: entries computed on an older snapshot can never
-    // answer (or absorb) a query dequeued after a swap.
-    key = std::to_string(epoch) + "|" + request.CanonicalKey();
-  }
-
   if (cacheable) {
+    // Epoch-prefixed key: entries computed on an older snapshot can never
+    // answer a query dequeued after a swap.
+    key = std::to_string(epoch) + "|" + request.CanonicalKey();
+
     bool cached_early_terminated = false;
     if (std::shared_ptr<const QueryResult> cached =
             cache_.Lookup(key, &cached_early_terminated)) {
       // Re-deliver the cached surviving views (final order, no stage
       // events) so a streaming client still receives every view the
       // result contains before OnFinished.
-      TicketObserver observer(&ticket->views_delivered_, ticket->observer_);
       for (int idx : cached->distillation.surviving) {
         observer.OnViewDelivered(
             cached->views[static_cast<size_t>(idx)],
@@ -342,172 +278,26 @@ void VerServer::ServeOne() {
     }
   }
 
-  if (coalescible) {
-    // Single flight: if an identical request is already executing, park
-    // this one on its group and free the worker; otherwise register as the
-    // leader. Registration and attachment are both under mu_, so a ticket
-    // either attaches before the leader extracts the group (and is
-    // completed by the leader) or finds no group and leads itself.
-    int followers_now = 0;
-    {
-      MutexLock lock(&mu_);
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        it->second->followers.push_back(FlightFollower{ticket, queue_wait_s});
-        followers_now = static_cast<int>(it->second->followers.size());
-      } else {
-        inflight_.emplace(key, std::make_shared<FlightGroup>());
-      }
-    }
-    if (followers_now > 0) {
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.hooks.on_follower_attached) {
-        options_.hooks.on_follower_attached(followers_now);
-      }
-      return;
-    }
-  }
+  if (options_.hooks.before_execute) options_.hooks.before_execute(request);
+  pipeline_executions_.fetch_add(1, std::memory_order_relaxed);
+  const auto run_started = std::chrono::steady_clock::now();
+  DiscoveryResponse response = snapshot->Execute(request, &observer);
+  const double run_s = SecondsSince(run_started);
+  pipeline_recorder_.Record(run_s);
 
-  RunAsLeader(std::move(ticket), queue_wait_s, snapshot, key, coalescible,
-              cacheable);
-}
-
-void VerServer::RunAsLeader(std::shared_ptr<QueryTicket> leader,
-                            double queue_wait_s,
-                            const std::shared_ptr<const Ver>& snapshot,
-                            const std::string& key, bool coalescible,
-                            bool cacheable) {
-  // Followers extracted so far and still awaiting an outcome. Extraction
-  // happens after every execution attempt, so followers that attach while
-  // a promoted leader runs are still picked up.
-  std::vector<FlightFollower> pending;
-  for (;;) {
-    TicketObserver observer(&leader->views_delivered_, leader->observer_);
-    const DiscoveryRequest& request = leader->request_;
-    if (options_.hooks.before_execute) options_.hooks.before_execute(request);
-    pipeline_executions_.fetch_add(1, std::memory_order_relaxed);
-    const auto run_started = std::chrono::steady_clock::now();
-    DiscoveryResponse response = snapshot->Execute(request, &observer);
-    const double run_s = SecondsSince(run_started);
-    pipeline_recorder_.Record(run_s);
-    // EWMA of pipeline time feeding the predictive-shedding estimate.
-    // alpha=0.2: smooth enough to ride per-query noise, fresh enough to
-    // track load shifts. Plain load/store — a lost update skews one
-    // estimate, nothing more.
-    const double prev = ewma_run_s_.load(std::memory_order_relaxed);
-    ewma_run_s_.store(prev <= 0 ? run_s : 0.8 * prev + 0.2 * run_s,
-                      std::memory_order_relaxed);
-
-    if (coalescible) {
-      std::vector<FlightFollower> attached = TakeFollowers(key);
-      pending.insert(pending.end(),
-                     std::make_move_iterator(attached.begin()),
-                     std::make_move_iterator(attached.end()));
-    }
-
-    if (response.status.ok()) {
-      auto result =
-          std::make_shared<const QueryResult>(std::move(response.result));
-      if (cacheable) cache_.Insert(key, result, response.early_terminated);
-      ServedResult out;
-      out.result = result;
-      out.early_terminated = response.early_terminated;
-      out.queue_wait_s = queue_wait_s;
-      out.run_s = run_s;
-      out.views_delivered =
-          leader->views_delivered_.load(std::memory_order_relaxed);
-      Finish(leader, std::move(out));
-      for (const FlightFollower& follower : pending) {
-        FinishFollower(follower, result, response.early_terminated);
-      }
-      return;
-    }
-
-    // The leader failed. Deadline/cancellation are *this ticket's* fate,
-    // not the query's — promote a follower below. Any other status is a
-    // deterministic property of the request and is shared by every
-    // identical follower.
-    const bool leader_specific = response.status.IsCancelled() ||
-                                 response.status.IsDeadlineExceeded();
-    ServedResult out;
-    out.status = response.status;
-    out.queue_wait_s = queue_wait_s;
-    out.run_s = run_s;
-    out.views_delivered =
-        leader->views_delivered_.load(std::memory_order_relaxed);
-    Finish(leader, std::move(out));
-
-    if (!leader_specific) {
-      for (const FlightFollower& follower : pending) {
-        TicketObserver follower_observer(&follower.ticket->views_delivered_,
-                                         follower.ticket->observer_);
-        follower_observer.OnFinished(response.status);
-        ServedResult follower_out;
-        follower_out.status = response.status;
-        follower_out.coalesced = true;
-        follower_out.queue_wait_s = follower.queue_wait_s;
-        Finish(follower.ticket, std::move(follower_out));
-      }
-      return;
-    }
-
-    // Promotion: the first follower whose own deadline/cancellation has
-    // not fired re-runs the query (on this worker, same pinned snapshot)
-    // and inherits the remaining followers — a dead leader never poisons
-    // the group. Followers already past their own control fail with their
-    // own status.
-    std::shared_ptr<QueryTicket> promoted;
-    double promoted_wait_s = 0;
-    while (!pending.empty() && promoted == nullptr) {
-      FlightFollower follower = std::move(pending.front());
-      pending.erase(pending.begin());
-      QueryControl control;
-      control.deadline = follower.ticket->request_.deadline;
-      control.cancel = follower.ticket->request_.cancel;
-      Status follower_status = control.Check("serving");
-      if (follower_status.ok()) {
-        promoted = follower.ticket;
-        promoted_wait_s = follower.queue_wait_s;
-      } else {
-        TicketObserver follower_observer(&follower.ticket->views_delivered_,
-                                         follower.ticket->observer_);
-        follower_observer.OnFinished(follower_status);
-        ServedResult follower_out;
-        follower_out.status = std::move(follower_status);
-        follower_out.coalesced = true;
-        follower_out.queue_wait_s = follower.queue_wait_s;
-        Finish(follower.ticket, std::move(follower_out));
-      }
-    }
-    if (promoted == nullptr) return;
-    leader = std::move(promoted);
-    queue_wait_s = promoted_wait_s;
-  }
-}
-
-void VerServer::FinishFollower(
-    const FlightFollower& follower,
-    const std::shared_ptr<const QueryResult>& result, bool early_terminated) {
-  // Same contract as a cache hit: the surviving views in final order (no
-  // stage events — this ticket's pipeline never ran), then OnFinished.
-  TicketObserver observer(&follower.ticket->views_delivered_,
-                          follower.ticket->observer_);
-  const auto delivery_started = std::chrono::steady_clock::now();
-  for (int idx : result->distillation.surviving) {
-    observer.OnViewDelivered(
-        result->views[static_cast<size_t>(idx)],
-        follower.ticket->views_delivered_.load(std::memory_order_relaxed),
-        SecondsSince(delivery_started));
-  }
-  observer.OnFinished(Status::OK());
   ServedResult out;
-  out.result = result;
-  out.coalesced = true;
-  out.early_terminated = early_terminated;
-  out.queue_wait_s = follower.queue_wait_s;
+  out.status = std::move(response.status);
+  if (out.status.ok()) {
+    out.result =
+        std::make_shared<const QueryResult>(std::move(response.result));
+    if (cacheable) cache_.Insert(key, out.result, response.early_terminated);
+    out.early_terminated = response.early_terminated;
+  }
+  out.queue_wait_s = queue_wait_s;
+  out.run_s = run_s;
   out.views_delivered =
-      follower.ticket->views_delivered_.load(std::memory_order_relaxed);
-  Finish(follower.ticket, std::move(out));
+      ticket->views_delivered_.load(std::memory_order_relaxed);
+  Finish(ticket, std::move(out));
 }
 
 void VerServer::Finish(const std::shared_ptr<QueryTicket>& ticket,
@@ -520,8 +310,8 @@ void VerServer::Finish(const std::shared_ptr<QueryTicket>& ticket,
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
   }
   // End-to-end latency covers every worker-completed request; Submit-time
-  // rejects never reach here (shedding is the point of the tail policy,
-  // so shed requests must not dilute the served distribution).
+  // rejects never reach here, so they do not dilute the served
+  // distribution.
   total_recorder_.Record(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     ticket->submitted_at_)
@@ -534,13 +324,11 @@ ServerStats VerServer::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.served_ok = served_ok_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
   s.invalid = invalid_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.pipeline_executions =
       pipeline_executions_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.snapshot_swaps = snapshot_swaps_.load(std::memory_order_relaxed);
   s.requests_with_overrides =
       requests_with_overrides_.load(std::memory_order_relaxed);

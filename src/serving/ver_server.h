@@ -13,24 +13,16 @@
 // SwapSnapshot), which is what makes the lock-free shared read path safe —
 // see the thread-safety contract in discovery/engine.h.
 //
-// The server is tail-latency-aware (see docs/ARCHITECTURE.md "Serving
-// layer" for the full policy):
+// Requests are admitted through one bounded FIFO queue (see
+// docs/ARCHITECTURE.md "Serving layer"):
+//   - Admission control: Submit fails with Unavailable when the queue is at
+//     max_queue_depth — backpressure instead of queueing to death.
+//   - Workers dequeue in admission order and every dequeued request runs
+//     itself (a cache hit replays a stored result instead). Deadlines and
+//     cancellation are checked at dequeue and at every stage boundary.
 //   - Per-stage latencies (queue wait, pipeline run, total) feed lock-free
 //     log-bucketed histograms (util/latency_recorder.h); stats() reports
 //     p50/p99/p999 per stage.
-//   - Admission control: Submit sheds with Unavailable when the queue is at
-//     max_queue_depth, or (predictive_deadline_shedding) when the request's
-//     deadline cannot be met even under an optimistic queue-drain estimate
-//     — backpressure instead of queueing to death.
-//   - The queue dispatches earliest-effective-deadline first (FIFO among
-//     equal deadlines), so feasible deadlines are spent on requests that
-//     can still make them.
-//   - Single-flight coalescing: a dequeued request identical to one already
-//     executing (same epoch | canonical key) attaches to that leader
-//     instead of running the pipeline again; the leader's result is shared
-//     and its streamed views re-delivered per follower. If the leader dies
-//     of its own deadline/cancellation, a follower is promoted and the
-//     query still runs — a leader's fate never poisons its followers.
 //
 // The result cache is keyed by the *canonicalized request* — query plus the
 // set overrides plus StopAfter — prefixed with the snapshot epoch, so two
@@ -52,12 +44,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <future>
 #include <memory>
-#include <set>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
@@ -76,29 +65,25 @@ namespace ver {
 /// What the server hands back for one request.
 struct ServedResult {
   /// OK, or InvalidArgument (request rejected by validation) /
-  /// DeadlineExceeded / Cancelled / Unavailable (queue full, shed, or
-  /// server shut down). Non-OK results carry no partial data.
+  /// DeadlineExceeded / Cancelled / Unavailable (queue full or server shut
+  /// down). Non-OK results carry no partial data.
   Status status;
   /// The request's result; shared with the cache, so treat as immutable.
   /// Null when status is not OK.
   std::shared_ptr<const QueryResult> result;
   /// True when `result` came from the cache instead of a pipeline run.
   bool cache_hit = false;
-  /// True when this request rode an identical in-flight leader's execution
-  /// (single-flight coalescing) instead of running the pipeline itself.
-  bool coalesced = false;
   /// True when StopAfter(k) stopped the pipeline early (preserved across
-  /// cache hits and coalesced serves: followers report the leader's flag).
+  /// cache hits: a hit reports its original run's flag).
   bool early_terminated = false;
-  /// OnViewDelivered events fired for this serve. A cache hit or coalesced
-  /// serve re-delivers the *surviving* views (in their final order, no
-  /// stage events), so this can differ from the original miss when a
-  /// streamed view was later pruned by distillation.
+  /// OnViewDelivered events fired for this serve. A cache hit re-delivers
+  /// the *surviving* views (in their final order, no stage events), so this
+  /// can differ from the original miss when a streamed view was later
+  /// pruned by distillation.
   int views_delivered = 0;
   /// Seconds spent queued before a worker picked the request up.
   double queue_wait_s = 0;
-  /// Seconds the pipeline (or cache lookup) ran on the worker. 0 for a
-  /// coalesced follower — the leader's run is reported on the leader.
+  /// Seconds the pipeline (or cache lookup) ran on the worker.
   double run_s = 0;
 };
 
@@ -147,8 +132,7 @@ class QueryTicket {
 struct ServerStats {
   int64_t submitted = 0;          // Submit() calls
   int64_t served_ok = 0;          // finished with OK
-  int64_t rejected = 0;           // refused at Submit (queue full/shed/down)
-  int64_t shed_deadline = 0;      // subset of rejected: predictive shedding
+  int64_t rejected = 0;           // refused at Submit (queue full/down)
   int64_t invalid = 0;            // refused at Submit (validation failed)
   int64_t cancelled = 0;          // finished Cancelled
   int64_t deadline_exceeded = 0;  // finished DeadlineExceeded
@@ -156,8 +140,7 @@ struct ServerStats {
   int64_t cache_misses = 0;
   int64_t cache_evictions = 0;
   int64_t pipeline_executions = 0;  // actual Ver::Execute runs on workers
-  int64_t coalesced = 0;       // requests attached to an in-flight leader
-  int64_t snapshot_swaps = 0;  // successful SwapSnapshot calls
+  int64_t snapshot_swaps = 0;       // successful SwapSnapshot calls
   // --- request-shape counters (admitted requests only) ---
   int64_t requests_with_overrides = 0;  // >= 1 override knob set
   int64_t requests_streaming = 0;       // StopAfter(k) requests
@@ -187,10 +170,9 @@ struct ServerStats {
 ///
 /// Thread-safety: Submit, Serve, Shutdown, SwapSnapshot, snapshot and
 /// stats may be called from any thread. Results are identical to serial
-/// Ver::Execute execution (tests/serving_test.cc, tests/api_test.cc and
-/// tests/single_flight_test.cc guard bit-identity under 8 concurrent
-/// threads, including under concurrent swaps, streaming observers and
-/// coalesced serves).
+/// Ver::Execute execution (tests/serving_test.cc and tests/api_test.cc
+/// guard bit-identity under 8 concurrent threads, including under
+/// concurrent swaps and streaming observers).
 class VerServer {
  public:
   /// Builds the discovery index (offline, possibly parallel per
@@ -214,13 +196,13 @@ class VerServer {
   VerServer& operator=(const VerServer&) = delete;
 
   /// Enqueues one request. Always returns a ticket; a rejected request
-  /// (validation failure, queue full, shed, server shut down) carries an
+  /// (validation failure, queue full, server shut down) carries an
   /// InvalidArgument / Unavailable status. When `request.deadline_s <= 0`,
   /// ServingOptions::default_deadline_s applies. `observer` (optional,
   /// caller-owned, must outlive the ticket's completion) receives the
   /// pipeline's streamed events on the worker thread — or, for a request
   /// rejected at Submit, a single OnFinished on the submitting thread. On
-  /// a cache hit or coalesced serve the surviving views are re-delivered
+  /// a cache hit the surviving views are re-delivered
   /// in final order followed by OnFinished (no stage events — the pipeline
   /// did not run for this ticket). The request's `cancel` pointer is
   /// replaced by the ticket's own flag — use QueryTicket::Cancel().
@@ -266,56 +248,15 @@ class VerServer {
   const ServingOptions& options() const { return options_; }
 
  private:
-  /// One queued admission. The dispatch order key (effective deadline,
-  /// admission sequence) is frozen at Submit so the comparator never
-  /// touches mutable ticket state. FIFO mode admits everything with the
-  /// deadline field forced to max(), collapsing the order to sequence.
-  struct QueuedTicket {
-    std::chrono::steady_clock::time_point deadline;
-    uint64_t seq = 0;
-    std::shared_ptr<QueryTicket> ticket;
-
-    bool operator<(const QueuedTicket& other) const {
-      if (deadline != other.deadline) return deadline < other.deadline;
-      return seq < other.seq;
-    }
-  };
-
-  /// A single-flight follower parked on an in-flight leader, plus the
-  /// queue wait it had already accrued when it attached.
-  struct FlightFollower {
-    std::shared_ptr<QueryTicket> ticket;
-    double queue_wait_s = 0;
-  };
-  struct FlightGroup {
-    std::vector<FlightFollower> followers;
-  };
-
   void ServeOne();
-  /// Leader-side pipeline execution with the single-flight promotion loop;
-  /// completes the leader and every attached follower.
-  void RunAsLeader(std::shared_ptr<QueryTicket> leader, double queue_wait_s,
-                   const std::shared_ptr<const Ver>& snapshot,
-                   const std::string& key, bool coalescible, bool cacheable);
-  /// Replays `result`'s surviving views to `ticket`'s observer and
-  /// completes it as a coalesced serve.
-  void FinishFollower(const FlightFollower& follower,
-                      const std::shared_ptr<const QueryResult>& result,
-                      bool early_terminated);
   void Finish(const std::shared_ptr<QueryTicket>& ticket, ServedResult out);
-  /// Extracts and clears the follower group registered under `key`.
-  std::vector<FlightFollower> TakeFollowers(const std::string& key);
 
   ServingOptions options_;
-  /// ResolveParallelism(options_.num_workers), fixed at construction; the
-  /// denominator of the predictive-shedding drain estimate.
-  int resolved_workers_ = 1;
   QueryCache cache_;
 
   // Guards the served snapshot, the submission queue, the accepting flag,
-  // the queue-depth peak, the in-flight single-flight groups, and pool
-  // submission (so Shutdown cannot destroy the pool under a concurrent
-  // Submit).
+  // the queue-depth peak, and pool submission (so Shutdown cannot destroy
+  // the pool under a concurrent Submit).
   mutable Mutex mu_;
   std::shared_ptr<const Ver> ver_ VER_GUARDED_BY(mu_);
   // Bumped per swap; prefixes cache keys so a result computed on an old
@@ -323,34 +264,25 @@ class VerServer {
   // monotonic (VER_CHECKed in SwapSnapshot) — a reused epoch would let an
   // old snapshot's cached result answer a post-swap query.
   uint64_t snapshot_epoch_ VER_GUARDED_BY(mu_) = 0;
-  std::set<QueuedTicket> queue_ VER_GUARDED_BY(mu_);
-  uint64_t next_seq_ VER_GUARDED_BY(mu_) = 0;
+  /// Admitted, not yet dequeued, in admission order.
+  std::deque<std::shared_ptr<QueryTicket>> queue_ VER_GUARDED_BY(mu_);
   int64_t peak_queue_depth_ VER_GUARDED_BY(mu_) = 0;
   bool accepting_ VER_GUARDED_BY(mu_) = true;
   std::unique_ptr<ThreadPool> pool_ VER_GUARDED_BY(mu_);
-  /// Canonical key (epoch-prefixed) -> followers of the executing leader.
-  std::unordered_map<std::string, std::shared_ptr<FlightGroup>> inflight_
-      VER_GUARDED_BY(mu_);
 
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> served_ok_{0};
   std::atomic<int64_t> rejected_{0};
-  std::atomic<int64_t> shed_deadline_{0};
   std::atomic<int64_t> invalid_{0};
   std::atomic<int64_t> cancelled_{0};
   std::atomic<int64_t> deadline_exceeded_{0};
   std::atomic<int64_t> pipeline_executions_{0};
-  std::atomic<int64_t> coalesced_{0};
   std::atomic<int64_t> snapshot_swaps_{0};
   std::atomic<int64_t> requests_with_overrides_{0};
   std::atomic<int64_t> requests_streaming_{0};
   std::array<std::atomic<int64_t>, RequestOverrides::kNumKnobs>
       override_uses_{};
 
-  /// EWMA of pipeline run seconds (predictive-shedding drain estimate).
-  /// Plain load/store: a torn estimate only mis-sheds one request, and
-  /// doubles are lock-free here.
-  std::atomic<double> ewma_run_s_{0};
   /// Lock-free per-stage histograms behind ServerStats' latency summaries.
   LatencyRecorder queue_wait_recorder_;
   LatencyRecorder pipeline_recorder_;

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +219,18 @@ TEST(ApiTest, ValidationRejectionMatrix) {
       with([](RequestOverrides* o) { o->max_combinations = 0; }),
       "max_combinations=0");
 
+  // Relative deadlines that are not finite numbers.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double deadline_s : {nan, inf, -inf}) {
+    DiscoveryRequest request = DiscoveryRequest::ForQuery(CityMayorQuery());
+    request.deadline_s = deadline_s;
+    const std::string what = "deadline_s=" + std::to_string(deadline_s);
+    expect_invalid(request, what.c_str());
+    const std::string message = request.Validate().ToString();
+    EXPECT_NE(message.find("deadline_s"), std::string::npos) << what;
+  }
+
   // The controlled wrapper surfaces the same status.
   Result<QueryResult> controlled =
       system.RunQuery(ExampleQuery(), QueryControl());
@@ -243,8 +256,12 @@ TEST(ApiTest, ServerRejectsInvalidRequestsAtSubmit) {
       server.Serve(DiscoveryRequest::ForQuery(ExampleQuery()));
   EXPECT_TRUE(served.status.IsInvalidArgument()) << served.status.ToString();
   EXPECT_EQ(served.result, nullptr);
+  DiscoveryRequest nan_deadline = DiscoveryRequest::ForQuery(CityMayorQuery());
+  nan_deadline.deadline_s = std::numeric_limits<double>::quiet_NaN();
+  served = server.Serve(std::move(nan_deadline));
+  EXPECT_TRUE(served.status.IsInvalidArgument()) << served.status.ToString();
   ServerStats stats = server.stats();
-  EXPECT_EQ(stats.invalid, 1);
+  EXPECT_EQ(stats.invalid, 2);
   EXPECT_EQ(stats.served_ok, 0);
   // Invalid requests never reach the queue or the cache.
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0);
@@ -525,6 +542,24 @@ TEST(ApiTest, ExplicitNonPositiveDeadlineOverridesServerDefault) {
   ServedResult none_request =
       server.Serve(DiscoveryRequest::ForQuery(query).WithDeadline(-1));
   EXPECT_TRUE(none_request.status.ok()) << none_request.status.ToString();
+}
+
+TEST(ApiTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  // A relative deadline too far out for the clock saturates to "none"
+  // instead of overflowing the conversion to clock ticks.
+  TableRepository repo = MakeRepo();
+  const DiscoveryRequest request =
+      DiscoveryRequest::ForQuery(CityMayorQuery()).WithDeadline(1e300);
+  Ver system(&repo, VerConfig());
+  DiscoveryResponse executed = system.Execute(request);
+  EXPECT_TRUE(executed.status.ok()) << executed.status.ToString();
+  EXPECT_FALSE(executed.result.views.empty());
+
+  VerServer server(&repo, VerConfig(), ServingOptions());
+  ServedResult served = server.Serve(request);
+  EXPECT_TRUE(served.status.ok()) << served.status.ToString();
+  ASSERT_NE(served.result, nullptr);
+  EXPECT_EQ(Fingerprint(*served.result), Fingerprint(executed.result));
 }
 
 TEST(ApiTest, StreamingCancellationBalancesStageEvents) {

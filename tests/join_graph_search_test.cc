@@ -1,10 +1,11 @@
 // JOIN-GRAPH-SEARCH (Algorithm 5) unit tests: combination enumeration,
-// the non-joinable pruning cache, funnel statistics, ranking and the
-// materialization split.
+// the non-joinable pruning cache, funnel statistics, ranking, and the
+// materialization of the ranked candidates.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/join_graph_search.h"
 
@@ -62,6 +63,12 @@ class JoinGraphSearchTest : public ::testing::Test {
     delete engine_;
     delete repo_;
   }
+  // Step 2's materialization of a search's ranked candidates.
+  static std::vector<View> Materialize(const JoinGraphSearchResult& result,
+                                       int64_t* failures = nullptr) {
+    return MaterializeCandidates(*repo_, result.candidates,
+                                 JoinGraphSearchOptions(), failures);
+  }
   static TableRepository* repo_;
   static DiscoveryEngine* engine_;
 };
@@ -77,9 +84,12 @@ TEST_F(JoinGraphSearchTest, JoinableCombinationProducesViews) {
       SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
   EXPECT_EQ(result.num_combinations, 1);
   EXPECT_EQ(result.num_joinable_groups, 1);
-  ASSERT_GE(result.views.size(), 1u);
-  EXPECT_EQ(result.views[0].table.num_columns(), 2);
-  EXPECT_EQ(result.views[0].table.num_rows(), 12);
+  int64_t failures = 0;
+  std::vector<View> views = Materialize(result, &failures);
+  EXPECT_EQ(failures, 0);
+  ASSERT_GE(views.size(), 1u);
+  EXPECT_EQ(views[0].table.num_columns(), 2);
+  EXPECT_EQ(views[0].table.num_rows(), 12);
 }
 
 TEST_F(JoinGraphSearchTest, NonJoinablePairsCachedAndPruned) {
@@ -91,7 +101,7 @@ TEST_F(JoinGraphSearchTest, NonJoinablePairsCachedAndPruned) {
       SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
   EXPECT_EQ(result.num_joinable_groups, 0);
   EXPECT_EQ(result.num_join_graphs, 0);
-  EXPECT_TRUE(result.views.empty());
+  EXPECT_TRUE(result.candidates.empty());
 }
 
 TEST_F(JoinGraphSearchTest, MixedCombinationsKeepJoinableOnes) {
@@ -103,7 +113,7 @@ TEST_F(JoinGraphSearchTest, MixedCombinationsKeepJoinableOnes) {
       SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
   EXPECT_EQ(result.num_combinations, 4);
   EXPECT_EQ(result.num_joinable_groups, 2);
-  EXPECT_GE(result.views.size(), 2u);
+  EXPECT_GE(Materialize(result).size(), 2u);
 }
 
 TEST_F(JoinGraphSearchTest, SameTableCombinationIsSingleTableView) {
@@ -111,25 +121,10 @@ TEST_F(JoinGraphSearchTest, SameTableCombinationIsSingleTableView) {
       Candidates(*repo_, {{0, 0}}), Candidates(*repo_, {{0, 1}})};
   JoinGraphSearchResult result =
       SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
-  ASSERT_EQ(result.views.size(), 1u);
-  EXPECT_TRUE(result.views[0].graph.edges.empty());
-  EXPECT_DOUBLE_EQ(result.views[0].score, 1.0);
-}
-
-TEST_F(JoinGraphSearchTest, MaterializationSplitDefersViews) {
-  std::vector<ColumnSelectionResult> per_attr = {
-      Candidates(*repo_, {{0, 1}}), Candidates(*repo_, {{1, 1}})};
-  JoinGraphSearchOptions options;
-  options.materialize_views = false;
-  JoinGraphSearchResult result =
-      SearchJoinGraphs(*engine_, per_attr, options);
-  EXPECT_TRUE(result.views.empty());
-  ASSERT_FALSE(result.candidates.empty());
-  int64_t failures = 0;
-  std::vector<View> views =
-      MaterializeCandidates(*repo_, result.candidates, options, &failures);
-  EXPECT_EQ(failures, 0);
-  EXPECT_FALSE(views.empty());
+  std::vector<View> views = Materialize(result);
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_TRUE(views[0].graph.edges.empty());
+  EXPECT_DOUBLE_EQ(views[0].score, 1.0);
 }
 
 // Ranked by score descending, ties by graph signature ascending. Returns
@@ -198,7 +193,7 @@ TEST_F(JoinGraphSearchTest, EmptyCandidateListYieldsNothing) {
   JoinGraphSearchResult result =
       SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
   EXPECT_EQ(result.num_combinations, 0);
-  EXPECT_TRUE(result.views.empty());
+  EXPECT_TRUE(result.candidates.empty());
 }
 
 }  // namespace

@@ -358,7 +358,6 @@ TEST(PagedServingTest, HotSwapUnderPagedTrafficSharesOneBudget) {
   ServingOptions opts;
   opts.num_workers = 4;
   opts.cache_capacity = 0;   // force real pipeline runs through the pool
-  opts.single_flight = false;
   VerServer server(ver_a, opts);
 
   ServerStats before = server.stats();

@@ -1,14 +1,13 @@
 // Deterministic concurrency harness for VerServer tests.
 //
 // The serving suites must exercise precise interleavings — a worker held
-// mid-dispatch while the test refills the queue, a single-flight leader
-// held just before execution while followers attach — without ever
-// sleeping. The primitives here pair with ServingOptions::hooks
-// (serving/serving_options.h): a hook wired to WorkerGate::Arrive blocks
-// the worker at an exact point in ServeOne/RunAsLeader, the test thread
-// observes arrivals (or EventCounter signals) and releases everything on
-// cue. Every wait is on a condition, never on a clock, so the suites are
-// sound under ThreadSanitizer and on arbitrarily loaded machines.
+// mid-dispatch while the test refills the queue, several workers held just
+// before execution — without ever sleeping. The primitive here pairs with
+// ServingOptions::hooks (serving/serving_options.h): a hook wired to
+// WorkerGate::Arrive blocks the worker at an exact point in ServeOne, the
+// test thread observes arrivals and releases everything on cue. Every wait
+// is on a condition, never on a clock, so the suites are sound under
+// ThreadSanitizer and on arbitrarily loaded machines.
 
 #ifndef VER_TESTS_SERVER_TEST_FIXTURE_H_
 #define VER_TESTS_SERVER_TEST_FIXTURE_H_
@@ -27,8 +26,7 @@ namespace ver {
 
 /// A gate worker threads block on inside a ServingHooks callback. The test
 /// thread waits for an exact number of workers to pile up, then opens the
-/// gate; once open it stays open, so later arrivals (e.g. a promoted
-/// leader's second pass) fall straight through.
+/// gate; once open it stays open, so later arrivals fall straight through.
 class WorkerGate {
  public:
   /// Worker side: registers one arrival and blocks until Open().
@@ -64,34 +62,6 @@ class WorkerGate {
   bool open_ = false;
 };
 
-/// A monotonically increasing event count the test thread can block on —
-/// the non-blocking counterpart of WorkerGate for hooks that must not hold
-/// the worker (e.g. on_follower_attached).
-class EventCounter {
- public:
-  void Signal() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++count_;
-    cv_.notify_all();
-  }
-
-  /// Blocks until Signal() has been called at least `n` times.
-  void Await(int n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return count_ >= n; });
-  }
-
-  [[nodiscard]] int count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int count_ = 0;
-};
-
 /// Small fixed repository for serving-concurrency tests: big enough that
 /// queries produce multiple candidate views, small enough that a pipeline
 /// run is microseconds (the gates provide all the timing control, so the
@@ -120,8 +90,8 @@ inline ExampleQuery ServingTestQuery() {
   return ExampleQuery::FromColumns({{"Boston", "Chicago"}, {"Wu", "Walsh"}});
 }
 
-/// A query with a different canonical key (never coalesces or cache-hits
-/// with ServingTestQuery).
+/// A query with a different canonical key (never cache-hits with
+/// ServingTestQuery).
 inline ExampleQuery ServingTestAltQuery() {
   return ExampleQuery::FromColumns(
       {{"Austin", "Denver"}, {"Watson", "Johnston"}});

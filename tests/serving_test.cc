@@ -495,16 +495,14 @@ TEST(ServingTest, QueueFullRejectsImmediatelyAndNeverLosesTickets) {
   EXPECT_EQ(stats.submitted, 4);
   EXPECT_EQ(stats.served_ok, 3);
   EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.shed_deadline, 0);  // a depth rejection, not a shed
   EXPECT_EQ(stats.peak_queue_depth, 2);
   EXPECT_EQ(stats.current_queue_depth, 0);
 }
 
-TEST(ServingTest, QueueDispatchesEarliestDeadlineFirst) {
+TEST(ServingTest, FifoQueueIgnoresDeadlines) {
   // One worker held on a marker request while four more are queued with
-  // deadlines submitted in shuffled order; the execution order (observed
-  // via the before_execute hook) must be by deadline, with the
-  // deadline-free request last.
+  // deadlines in shuffled order; the execution order (observed via the
+  // before_execute hook) must be admission order, whatever the deadlines.
   TableRepository repo = MakeServingTestRepo();
   WorkerGate gate;
   std::mutex order_mu;
@@ -512,7 +510,6 @@ TEST(ServingTest, QueueDispatchesEarliestDeadlineFirst) {
   ServingOptions serving;
   serving.num_workers = 1;
   serving.cache_capacity = 0;
-  serving.single_flight = false;  // each request must reach execution
   serving.hooks.after_dequeue = [&] { gate.Arrive(); };
   serving.hooks.before_execute = [&](const DiscoveryRequest& request) {
     std::lock_guard<std::mutex> lock(order_mu);
@@ -522,45 +519,6 @@ TEST(ServingTest, QueueDispatchesEarliestDeadlineFirst) {
 
   // Tag each request through a knob the hook can read back. The deadlines
   // are hours out, so nothing can expire while queued.
-  auto tagged = [](int tag, double deadline_s) {
-    DiscoveryRequest request = DiscoveryRequest::ForQuery(ServingTestQuery());
-    request.overrides.expected_views = tag;
-    if (deadline_s > 0) request.WithDeadline(deadline_s);
-    return request;
-  };
-
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  tickets.push_back(server.Submit(tagged(0, 0)));  // marker, held at gate
-  gate.AwaitArrivals(1);
-  tickets.push_back(server.Submit(tagged(3, 10800)));
-  tickets.push_back(server.Submit(tagged(1, 3600)));
-  tickets.push_back(server.Submit(tagged(4, 0)));  // no deadline
-  tickets.push_back(server.Submit(tagged(2, 7200)));
-  gate.Open();
-  for (auto& ticket : tickets) {
-    EXPECT_TRUE(ticket->Wait().status.ok());
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ServingTest, FifoQueueIgnoresDeadlines) {
-  // Same shuffled submission with deadline ordering off: strict FIFO.
-  TableRepository repo = MakeServingTestRepo();
-  WorkerGate gate;
-  std::mutex order_mu;
-  std::vector<int> order;
-  ServingOptions serving;
-  serving.num_workers = 1;
-  serving.cache_capacity = 0;
-  serving.single_flight = false;
-  serving.deadline_ordered_queue = false;
-  serving.hooks.after_dequeue = [&] { gate.Arrive(); };
-  serving.hooks.before_execute = [&](const DiscoveryRequest& request) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.push_back(request.overrides.expected_views.value_or(-1));
-  };
-  VerServer server(&repo, VerConfig(), serving);
-
   auto tagged = [](int tag, double deadline_s) {
     DiscoveryRequest request = DiscoveryRequest::ForQuery(ServingTestQuery());
     request.overrides.expected_views = tag;
@@ -582,48 +540,33 @@ TEST(ServingTest, FifoQueueIgnoresDeadlines) {
   EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 4, 2}));
 }
 
-TEST(ServingTest, PredictiveSheddingRejectsInfeasibleDeadlines) {
-  // After one real run primes the pipeline-time EWMA, a request whose
-  // deadline is far below any feasible completion estimate must be shed at
-  // admission (Unavailable + shed_deadline), while deadline-free requests
-  // queued behind the held worker are admitted and complete.
+TEST(ServingTest, IdenticalConcurrentRequestsEachExecute) {
+  // With the cache off, identical concurrent requests all reach the
+  // pipeline: every dequeued request runs itself.
   TableRepository repo = MakeServingTestRepo();
   WorkerGate gate;
-  std::atomic<bool> hold{false};
+  std::atomic<int> executions{0};
   ServingOptions serving;
-  serving.num_workers = 1;
+  serving.num_workers = 4;
   serving.cache_capacity = 0;
-  serving.single_flight = false;
-  serving.predictive_deadline_shedding = true;
-  serving.hooks.after_dequeue = [&] {
-    if (hold.load()) gate.Arrive();
+  serving.hooks.before_execute = [&](const DiscoveryRequest&) {
+    executions.fetch_add(1);
+    gate.Arrive();
   };
   VerServer server(&repo, VerConfig(), serving);
 
-  // Prime: one served query gives the EWMA a real (positive) sample.
-  ASSERT_TRUE(server.Serve(ServingTestQuery()).status.ok());
-
-  hold.store(true);
-  auto held = server.Submit(ServingTestAltQuery());
-  gate.AwaitArrivals(1);
-  auto queued = server.Submit(ServingTestQuery());  // no deadline: admitted
-
-  // A 1ns deadline can never beat an estimate of at least one EWMA
-  // pipeline time — deterministically shed, synchronously.
-  auto shed = server.Submit(
-      DiscoveryRequest::ForQuery(ServingTestQuery()).WithDeadline(1e-9));
-  EXPECT_TRUE(shed->Poll());
-  EXPECT_TRUE(shed->Wait().status.IsUnavailable())
-      << shed->Wait().status.ToString();
-
-  ServerStats mid = server.stats();
-  EXPECT_EQ(mid.rejected, 1);
-  EXPECT_EQ(mid.shed_deadline, 1);
-
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (int i = 0; i < 4; ++i) {
+    tickets.push_back(server.Submit(ServingTestQuery()));
+  }
+  // All four workers reach execution simultaneously.
+  gate.AwaitArrivals(4);
   gate.Open();
-  EXPECT_TRUE(held->Wait().status.ok());
-  EXPECT_TRUE(queued->Wait().status.ok());
-  EXPECT_EQ(server.stats().served_ok, 3);
+  for (auto& ticket : tickets) {
+    EXPECT_TRUE(ticket->Wait().status.ok());
+  }
+  EXPECT_EQ(executions.load(), 4);
+  EXPECT_EQ(server.stats().pipeline_executions, 4);
 }
 
 TEST(ServingTest, ShutdownWhileSheddingDrainsCleanly) {
@@ -668,7 +611,7 @@ TEST(ServingTest, ShutdownWhileSheddingDrainsCleanly) {
 TEST(ServingTest, StatsReportPerStageLatencyQuantiles) {
   // Every served request contributes to the queue-wait and total
   // histograms; only real pipeline runs feed the pipeline histogram
-  // (cache hits and coalesced serves do not).
+  // (cache hits do not).
   TableRepository repo = MakeServingTestRepo();
   ServingOptions serving;
   serving.num_workers = 2;
