@@ -54,6 +54,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -133,8 +134,10 @@ struct RequestFlags {
   int stop_after = 0;
   double deadline_s = 0;
 
+  // A negative deadline means "explicitly none", so any non-zero one
+  // counts as set.
   bool any() const {
-    return overrides.any() || stop_after > 0 || deadline_s > 0;
+    return overrides.any() || stop_after > 0 || deadline_s != 0;
   }
 
   void ApplyTo(DiscoveryRequest* request) const {
@@ -158,7 +161,11 @@ struct RequestFlags {
       add("nodistill");
     }
     if (stop_after > 0) add("stop=" + std::to_string(stop_after));
-    if (deadline_s > 0) add("deadline=" + std::to_string(deadline_s));
+    if (deadline_s != 0) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "deadline=%g", deadline_s);
+      add(buf);
+    }
     return out.empty() ? "(defaults)" : out;
   }
 
@@ -189,7 +196,11 @@ struct RequestFlags {
     }
     if (key == "deadline") {
       double d = 0;
-      if (!ParseDouble(value, &d)) return bad_value("a seconds");
+      // Same rule as DiscoveryRequest::Validate: NaN and infinities are
+      // refused here rather than failing every later query.
+      if (!ParseDouble(value, &d) || !std::isfinite(d)) {
+        return bad_value("a finite seconds");
+      }
       deadline_s = d;
       return true;
     }
@@ -467,13 +478,14 @@ int ServeFromSnapshot(const std::string& dir, const std::string& index_path,
     if (stats.paged) {
       std::printf(
           "pool: budget=%llu resident=%lld peak=%lld hits=%lld misses=%lld "
-          "evictions=%lld\n",
+          "evictions=%lld pinned_overcommit=%lld\n",
           static_cast<unsigned long long>(stats.pool_budget_bytes),
           static_cast<long long>(stats.pool_resident_bytes),
           static_cast<long long>(stats.pool_peak_resident_bytes),
           static_cast<long long>(stats.pool_hits),
           static_cast<long long>(stats.pool_misses),
-          static_cast<long long>(stats.pool_evictions));
+          static_cast<long long>(stats.pool_evictions),
+          static_cast<long long>(stats.pool_pinned_overcommit));
     }
     for (int k = 0; k < RequestOverrides::kNumKnobs; ++k) {
       if (stats.override_uses[k] > 0) {

@@ -3,9 +3,10 @@
 # corpus and snapshot, serve it twice — resident, then paged under a
 # memory budget far below the snapshot size — driving the same query
 # script through both (including a mid-session hot swap to a second
-# snapshot), and require byte-identical answers with timings stripped.
-# The paged session must also prove it actually paged: a pool counter line
-# with misses > 0 and charged residency at or under the budget.
+# snapshot and a rejected non-finite deadline), and require byte-identical
+# answers with timings stripped. The paged session must also prove it
+# actually paged: a pool counter line with misses > 0 and charged
+# residency at or under the budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,10 +32,13 @@ fi
 # them joined with '|' on one line.
 QUERY_LINE=$(paste -sd'|' "$WORK/query.txt")
 
+# `opts deadline=nan` must be refused when parsed; were it kept, every
+# later query would fail validation.
 feed() {
-  printf '%s\n' "$QUERY_LINE" "$QUERY_LINE" "swap $WORK/portal_b.versnap" \
-                "$QUERY_LINE" "stats" "quit"
+  printf '%s\n' "$QUERY_LINE" "opts deadline=nan" "$QUERY_LINE" \
+                "swap $WORK/portal_b.versnap" "$QUERY_LINE" "stats" "quit"
 }
+NUM_QUERIES=3
 
 feed | "$CLI" serve --index-path "$WORK/portal.versnap" \
   > "$WORK/resident.out" 2> "$WORK/resident.err"
@@ -46,6 +50,17 @@ feed | "$CLI" serve --index-path "$WORK/portal.versnap" \
 # pass a bare diff).
 grep -Eq "^[1-9][0-9]* views" "$WORK/paged.out" || {
   echo "paged serve returned no views"; cat "$WORK/paged.err"; exit 1; }
+
+for mode in resident paged; do
+  grep -q "request option 'deadline' needs a finite seconds value (got 'nan')" \
+    "$WORK/$mode.err" || {
+    echo "$mode serve accepted opts deadline=nan"; cat "$WORK/$mode.err"; exit 1; }
+  ANSWERS=$(grep -Ec "^[0-9]+ views" "$WORK/$mode.out" || true)
+  if [ "$ANSWERS" -ne "$NUM_QUERIES" ]; then
+    echo "$mode serve answered $ANSWERS of $NUM_QUERIES queries"
+    cat "$WORK/$mode.err"; exit 1
+  fi
+done
 
 # Result lines, timings stripped, must match byte for byte — before,
 # across and after the hot swap.

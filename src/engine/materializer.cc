@@ -10,6 +10,19 @@
 
 namespace ver {
 
+Materializer::Materializer(const TableRepository* repo) : repo_(repo) {
+  if (repo_->pager() != nullptr) {
+    pin_ = PagePin(repo_->pager()->pool().get());
+    pinned_.assign(static_cast<size_t>(repo_->num_tables()), false);
+  }
+}
+
+void Materializer::PinTable(int32_t table) {
+  if (pinned_[table]) return;
+  pinned_[table] = true;
+  repo_->table(table).PinInto(&pin_);
+}
+
 int Materializer::BoundIndex(int32_t table) const {
   for (size_t i = 0; i < bound_tables_.size(); ++i) {
     if (bound_tables_[i] == table) return static_cast<int>(i);
@@ -71,19 +84,18 @@ Result<Table> Materializer::Materialize(
         "edgeless join graph must cover exactly one table");
   }
 
-  // Anti-thrash residency accounting for paged repositories: pin the
-  // touched tables' mapped extents for the whole call — joins and the
-  // projection gather, which copies dictionary bytes out of the extents —
-  // so concurrent queries' faults do not evict pages mid-scan.
-  // Correctness never depends on the pin (an evicted frame transparently
-  // refaults); released on every return path.
-  PagePin pin;
-  if (repo_->pager() != nullptr) {
-    pin = PagePin(repo_->pager()->pool().get());
-    for (int32_t t : graph.tables) repo_->table(t).PinInto(&pin);
+  // Anti-thrash residency accounting for paged repositories: pin each
+  // table's mapped extents the first time this instance touches it — joins
+  // and the projection gather copy bytes out of them — and hold the pins
+  // until the instance (one query) is destroyed. Concurrent queries' faults
+  // then cannot evict this query's working set between its views, and its
+  // ~600 views pin each table once, not once per view. Correctness never
+  // depends on the pin (an evicted frame transparently refaults).
+  if (!pinned_.empty()) {
+    for (int32_t t : graph.tables) PinTable(t);
     for (const JoinEdge& e : graph.edges) {
-      repo_->table(e.left.table_id).PinInto(&pin);
-      repo_->table(e.right.table_id).PinInto(&pin);
+      PinTable(e.left.table_id);
+      PinTable(e.right.table_id);
     }
   }
 

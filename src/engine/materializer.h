@@ -18,6 +18,7 @@
 
 #include "discovery/join_graph.h"
 #include "engine/view.h"
+#include "pager/buffer_pool.h"
 #include "storage/repository.h"
 #include "util/flat_multimap.h"
 #include "util/result.h"
@@ -37,15 +38,23 @@ struct MaterializeOptions {
 };
 
 /// Executor bound to one repository, whose tables must not change while it
-/// lives. It keeps the hash-join build side of every column it has joined
-/// into, keyed by ColumnRef, so the ranked candidates of one query (which
-/// share most build columns) hash each build column once; the cache is
-/// cleared whenever adding a build would take its rows past the call's
-/// max_intermediate_rows. It also keeps its join and projection scratch
-/// across calls. Not thread-safe: use one instance per query or thread.
+/// lives and which must outlive it. It keeps the hash-join build side of
+/// every column it has joined into, keyed by ColumnRef, so the ranked
+/// candidates of one query (which share most build columns) hash each
+/// build column once; the cache is cleared whenever adding a build would
+/// take its rows past the call's max_intermediate_rows. It also keeps its
+/// join and projection scratch across calls.
+///
+/// Over a paged repository it pins each table's mapped extents the first
+/// time a call touches the table and holds every pin until the instance is
+/// destroyed, so a query's ~600 views pin each table once, not once per
+/// view. The pinned set may overcommit the pool's budget while the
+/// instance lives (the pool counts it in `pinned_overcommit`): a query of
+/// the `portal_paged` benchmark pins 18.2 64-KiB frames on average and 28
+/// at most. Not thread-safe: use one instance per query or thread.
 class Materializer {
  public:
-  explicit Materializer(const TableRepository* repo) : repo_(repo) {}
+  explicit Materializer(const TableRepository* repo);
 
   /// Materializes `graph` and projects `projection` (one output attribute
   /// per entry). Output attribute names come from the source columns.
@@ -74,8 +83,15 @@ class Materializer {
   /// The build side of `col`: cached, or built and cached.
   const FlatU64MultiMap& BuildSide(const ColumnRef& col,
                                    int64_t max_cached_rows);
+  /// Pins `table`'s paged extents into pin_ unless already pinned.
+  void PinTable(int32_t table);
 
   const TableRepository* repo_;
+  // Paged repositories only: every table pinned so far, released when the
+  // instance is destroyed. pinned_ has one flag per table and stays empty
+  // for a resident repository.
+  PagePin pin_;
+  std::vector<bool> pinned_;
   std::unordered_map<uint64_t, FlatU64MultiMap> builds_;  // by ColumnRef
   int64_t cached_build_rows_ = 0;
 

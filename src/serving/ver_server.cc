@@ -361,6 +361,7 @@ ServerStats VerServer::stats() const {
     s.pool_hits = ps.hits;
     s.pool_misses = ps.misses;
     s.pool_evictions = ps.evictions;
+    s.pool_pinned_overcommit = ps.pinned_overcommit;
   }
   return s;
 }

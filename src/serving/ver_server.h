@@ -158,6 +158,7 @@ struct ServerStats {
   int64_t pool_hits = 0;                 // frame touches already resident
   int64_t pool_misses = 0;               // frame loads (faulted extents)
   int64_t pool_evictions = 0;            // frames madvised away
+  int64_t pool_pinned_overcommit = 0;    // times pins held it over budget
   // --- per-stage latency (util/latency_recorder.h log-bucketed
   //     histograms; quantiles carry <= ~3% bucket quantization) ---
   LatencyStats queue_wait;  // dequeue time - submit time, every dequeue

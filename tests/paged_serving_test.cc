@@ -18,6 +18,7 @@
 
 #include "core/ver.h"
 #include "discovery/engine.h"
+#include "engine/materializer.h"
 #include "query_fingerprint.h"
 #include "serving/ver_server.h"
 #include "util/serde.h"
@@ -169,6 +170,77 @@ TEST(PagedServingTest, TightBudgetAnswersBitIdenticallyAndHoldsBudget) {
     EXPECT_GT(s.evictions, 0);
     EXPECT_LE(s.resident_bytes, static_cast<int64_t>(kBudgetBytes));
   }
+}
+
+// A Materializer lives one query and pins each paged table the first time
+// it touches it: materializing the same candidate again costs the pool
+// nothing, the pins hold residency over the budget between calls, and
+// destroying the instance releases every pin.
+TEST(PagedServingTest, MaterializerPinsEachTableOncePerInstance) {
+  PagedFixture& f = Fixture();
+  ASSERT_FALSE(f.queries.empty());
+#if !defined(__unix__) && !defined(__APPLE__)
+  GTEST_SKIP() << "no mmap: paged load falls back resident";
+#endif
+  // One 4 KiB frame of budget: any candidate's tables overcommit it.
+  PagingOptions paging = TightPaging();
+  paging.frame_bytes = 4096;
+  paging.memory_budget_bytes = 4096;
+  Result<TableRepository> repo =
+      DiscoveryEngine::LoadRepository(f.snapshot_path, paging);
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  Result<std::unique_ptr<DiscoveryEngine>> loaded =
+      DiscoveryEngine::Load(repo.value(), f.snapshot_path, paging);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::shared_ptr<PagerRuntime> pager = loaded.value()->pager();
+  ASSERT_NE(pager, nullptr);
+  auto served = std::make_shared<const Ver>(&repo.value(), VerConfig(),
+                                            std::move(loaded).value());
+
+  // A joined candidate of a real query, so the call pins several tables.
+  QueryResult result = served->RunQuery(f.queries[0]);
+  const View* joined = nullptr;
+  for (const View& v : result.views) {
+    if (!v.graph.edges.empty()) {
+      joined = &v;
+      break;
+    }
+  }
+  ASSERT_NE(joined, nullptr) << "query 0 produced no joined view";
+
+  {
+    Materializer m(&repo.value());
+    const BufferPoolStats before = pager->pool_stats();
+    Result<Table> first = m.Materialize(joined->graph, joined->projection,
+                                        MaterializeOptions(), "first");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const BufferPoolStats after_first = pager->pool_stats();
+    EXPECT_GT(after_first.hits + after_first.misses,
+              before.hits + before.misses);
+    // The pins outlive the call.
+    EXPECT_GT(after_first.resident_bytes,
+              static_cast<int64_t>(paging.memory_budget_bytes));
+
+    Result<Table> second = m.Materialize(joined->graph, joined->projection,
+                                         MaterializeOptions(), "second");
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    const BufferPoolStats after_second = pager->pool_stats();
+    EXPECT_EQ(after_second.hits, after_first.hits);
+    EXPECT_EQ(after_second.misses, after_first.misses);
+    EXPECT_EQ(second->AllRowHashes(), first->AllRowHashes());
+  }
+  // The instance is gone, and with it every pin: eviction is back to the
+  // budget.
+  const BufferPoolStats drained = pager->pool_stats();
+  EXPECT_LE(drained.resident_bytes,
+            static_cast<int64_t>(paging.memory_budget_bytes));
+
+  // The held pins overcommitted the budget, and the server reports the
+  // pool's count as is.
+  EXPECT_GT(drained.pinned_overcommit, 0);
+  VerServer server(served, ServingOptions());
+  EXPECT_EQ(server.stats().pool_pinned_overcommit,
+            drained.pinned_overcommit);
 }
 
 // A paged load verifies no checksums and skips the keyword posting scan,
