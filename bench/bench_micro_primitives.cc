@@ -1,6 +1,6 @@
 // Primitive microbenchmarks (google-benchmark): the hot inner loops of the
-// system — sketching, LSH lookup, hash join, row hashing, edit distance,
-// CSV parsing and the 4C pass itself.
+// system — hash kernels, sketching, LSH lookup, hash join, row hashing,
+// edit distance, CSV parsing and the 4C pass itself.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include "util/minhash.h"
 #include "util/rng.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace ver {
 namespace {
@@ -103,6 +104,84 @@ void BM_RowHashing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RowHashing)->Arg(1000)->Arg(10000);
+
+// The hash kernels of util/simd.h, and the row-hash path that stages cell
+// hashes through them over all-valid int64, double and dictionary columns.
+// `kernel` picks one of the seven (see the registrations below); the args
+// are cells per call and tier (simd::Level).
+void BM_SimdKernel(benchmark::State& state, int kernel) {
+  const int64_t n = state.range(0);
+  const auto level = static_cast<simd::Level>(state.range(1));
+  const size_t len = static_cast<size_t>(n);
+  std::vector<uint64_t> hashes = RandomHashes(static_cast<int>(n), 21);
+  std::vector<uint64_t> acc(len, 0x726f7768617368ULL), out(len);
+  std::vector<uint64_t> seeds = RandomHashes(128, 22);
+  std::vector<uint64_t> slots(seeds.size(), ~uint64_t{0});
+  std::vector<int64_t> ints(len);
+  std::vector<double> doubles(len);
+  ColumnData int_col, double_col, dict_col;
+  for (size_t i = 0; i < len; ++i) {
+    ints[i] = static_cast<int64_t>(hashes[i] % 100000);
+    // Prices and measurements: mostly fractional, 1 in 100 integral.
+    doubles[i] = static_cast<double>(hashes[i] % 99999) / 100.0;
+    int_col.Append(CellView::Int(ints[i]));
+    double_col.Append(CellView::Double(doubles[i]));
+    dict_col.Append(
+        CellView::String("value_" + std::to_string(hashes[i] % 500)));
+  }
+  dict_col.Seal();
+  simd::ScopedSimdLevel forced(level);
+  benchmark::DoNotOptimize(acc.data());
+  benchmark::DoNotOptimize(out.data());
+  benchmark::DoNotOptimize(slots.data());
+  for (auto _ : state) {
+    switch (kernel) {
+      case 0:
+        simd::CombineHashes(acc.data(), hashes.data(), len);
+        break;
+      case 1:
+        simd::HashInt64Cells(ints.data(), len, out.data());
+        break;
+      case 2:
+        simd::HashDoubleCells(doubles.data(), len, out.data());
+        break;
+      case 3:
+        simd::MinHashUpdate(slots.data(), seeds.data(), seeds.size(),
+                            hashes.data(), len);
+        break;
+      case 4:
+        int_col.CombineCellHashesInto(acc.data(), n);
+        break;
+      case 5:
+        double_col.CombineCellHashesInto(acc.data(), n);
+        break;
+      case 6:
+        dict_col.CombineCellHashesInto(acc.data(), n);
+        break;
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(simd::LevelName(level));
+}
+
+// 20 cells (a portal view's rows) and 256 (one staging block) per call, at
+// every tier this CPU supports.
+void SimdKernelArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "tier"});
+  for (int n : {20, 256}) {
+    for (int l = 0; l <= static_cast<int>(simd::DetectedLevel()); ++l) {
+      b->Args({n, l});
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_SimdKernel, CombineHashes, 0)->Apply(SimdKernelArgs);
+BENCHMARK_CAPTURE(BM_SimdKernel, HashInt64Cells, 1)->Apply(SimdKernelArgs);
+BENCHMARK_CAPTURE(BM_SimdKernel, HashDoubleCells, 2)->Apply(SimdKernelArgs);
+BENCHMARK_CAPTURE(BM_SimdKernel, MinHashUpdate128, 3)->Apply(SimdKernelArgs);
+BENCHMARK_CAPTURE(BM_SimdKernel, RowHashInt64, 4)->Apply(SimdKernelArgs);
+BENCHMARK_CAPTURE(BM_SimdKernel, RowHashDouble, 5)->Apply(SimdKernelArgs);
+BENCHMARK_CAPTURE(BM_SimdKernel, RowHashDict, 6)->Apply(SimdKernelArgs);
 
 void BM_CsvParse(benchmark::State& state) {
   Table t = RandomTable("t", static_cast<int>(state.range(0)), 1000, 4);

@@ -170,8 +170,9 @@ struct RequestFlags {
   }
 
   /// Parses one key=value token ("theta=2", "nodistill", ...). Returns
-  /// false (with a message on stderr) on an unknown option or a value
-  /// that does not parse.
+  /// false (with a message on stderr) on an unknown option, a value that
+  /// does not parse or a value the request would refuse; the flags keep
+  /// their previous value then.
   bool ParseToken(const std::string& token) {
     if (token == "nodistill" || token == "no-distill") {
       overrides.run_distillation = false;
@@ -186,12 +187,26 @@ struct RequestFlags {
       return false;
     };
     int v = 0;
-    if (key == "theta" || key == "rho" || key == "k" || key == "stop") {
+    if (key == "theta" || key == "rho" || key == "k") {
       if (!ParseInt(value, &v)) return bad_value("an integer");
-      if (key == "theta") overrides.theta = v;
-      if (key == "rho") overrides.max_hops = v;
-      if (key == "k") overrides.expected_views = v;
-      if (key == "stop") stop_after = v;
+      // Same rule as RequestOverrides::Validate, checked here rather than
+      // failing every later query.
+      RequestOverrides next = overrides;
+      if (key == "theta") next.theta = v;
+      if (key == "rho") next.max_hops = v;
+      if (key == "k") next.expected_views = v;
+      Status valid = next.Validate();
+      if (!valid.ok()) {
+        std::fprintf(stderr, "request option '%s' refused: %s\n",
+                     token.c_str(), valid.ToString().c_str());
+        return false;
+      }
+      overrides = next;
+      return true;
+    }
+    if (key == "stop") {
+      if (!ParseInt(value, &v)) return bad_value("an integer");
+      stop_after = v;
       return true;
     }
     if (key == "deadline") {

@@ -3,10 +3,10 @@
 # corpus and snapshot, serve it twice — resident, then paged under a
 # memory budget far below the snapshot size — driving the same query
 # script through both (including a mid-session hot swap to a second
-# snapshot and a rejected non-finite deadline), and require byte-identical
-# answers with timings stripped. The paged session must also prove it
-# actually paged: a pool counter line with misses > 0 and charged
-# residency at or under the budget.
+# snapshot, a rejected non-finite deadline and a rejected theta=0), and
+# require byte-identical answers with timings stripped. The paged session
+# must also prove it actually paged: a pool counter line with misses > 0
+# and charged residency at or under the budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,11 +32,12 @@ fi
 # them joined with '|' on one line.
 QUERY_LINE=$(paste -sd'|' "$WORK/query.txt")
 
-# `opts deadline=nan` must be refused when parsed; were it kept, every
-# later query would fail validation.
+# `opts deadline=nan` and `opts theta=0` must be refused when parsed; were
+# either kept, every later query would fail validation.
 feed() {
-  printf '%s\n' "$QUERY_LINE" "opts deadline=nan" "$QUERY_LINE" \
-                "swap $WORK/portal_b.versnap" "$QUERY_LINE" "stats" "quit"
+  printf '%s\n' "$QUERY_LINE" "opts deadline=nan" "opts theta=0" \
+                "$QUERY_LINE" "swap $WORK/portal_b.versnap" "$QUERY_LINE" \
+                "stats" "quit"
 }
 NUM_QUERIES=3
 
@@ -55,6 +56,9 @@ for mode in resident paged; do
   grep -q "request option 'deadline' needs a finite seconds value (got 'nan')" \
     "$WORK/$mode.err" || {
     echo "$mode serve accepted opts deadline=nan"; cat "$WORK/$mode.err"; exit 1; }
+  grep -q "request option 'theta=0' refused: .*override theta must be >= 1" \
+    "$WORK/$mode.err" || {
+    echo "$mode serve accepted opts theta=0"; cat "$WORK/$mode.err"; exit 1; }
   ANSWERS=$(grep -Ec "^[0-9]+ views" "$WORK/$mode.out" || true)
   if [ "$ANSWERS" -ne "$NUM_QUERIES" ]; then
     echo "$mode serve answered $ANSWERS of $NUM_QUERIES queries"

@@ -47,10 +47,6 @@ struct DiscoveryOptions {
   /// (the paper builds indices with Aurum). Output is bit-identical to
   /// serial for any value.
   int parallelism = 1;
-  /// Paged snapshot serving (mmap + buffer-pool residency). A load-time,
-  /// per-process choice — NOT serialized into snapshots, and ignored by
-  /// Build()/Save(). See PagingOptions for the knobs.
-  PagingOptions paging;
 };
 
 /// Offline discovery index over one repository.

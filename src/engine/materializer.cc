@@ -211,7 +211,7 @@ Result<Table> Materializer::Materialize(
     Bind(new_col.table_id, &matches_);
   }
 
-  // Project with optional distinct. Resolve each projected column to its
+  // Project with set semantics. Resolve each projected column to its
   // join-state column and typed storage once.
   std::vector<Attribute> attributes;
   attributes.reserve(projection.size());
@@ -227,33 +227,31 @@ Result<Table> Materializer::Materialize(
     slots_.push_back(idx);
     cols_.push_back(&repo_->column_data(p));
   }
-  if (options.distinct) {
-    // Tuple hashes stream column-major straight off the row-id columns
-    // through the gathered combine kernel (same seed and per-tuple
-    // HashCombine chain as Table::RowHash); the shared RowDeduper then
-    // confirms collisions cell by cell, keeping first occurrences.
-    const int64_t n = static_cast<int64_t>(bound_rows_[0].size());
-    hashes_.assign(static_cast<size_t>(n), 0x726f7768617368ULL);
-    for (size_t p = 0; p < projection.size(); ++p) {
-      cols_[p]->CombineCellHashesInto(hashes_.data(),
-                                      bound_rows_[slots_[p]].data(), n);
-    }
-    auto same_tuple = [&](int64_t a, int64_t b) {
-      for (size_t p = 0; p < projection.size(); ++p) {
-        const std::vector<int64_t>& rows = bound_rows_[slots_[p]];
-        if (cols_[p]->cell(rows[a]).Compare(cols_[p]->cell(rows[b])) != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-    deduper_.Reset(n);
-    keep_.clear();
-    for (int64_t t = 0; t < n; ++t) {
-      if (deduper_.Insert(hashes_[t], t, same_tuple)) keep_.push_back(t);
-    }
-    if (static_cast<int64_t>(keep_.size()) < n) CompactToKeep();
+  // Tuple hashes stream column-major straight off the row-id columns
+  // through the gathered combine kernel (same seed and per-tuple
+  // HashCombine chain as Table::RowHash); the shared RowDeduper then
+  // confirms collisions cell by cell, keeping first occurrences.
+  const int64_t n = static_cast<int64_t>(bound_rows_[0].size());
+  hashes_.assign(static_cast<size_t>(n), 0x726f7768617368ULL);
+  for (size_t p = 0; p < projection.size(); ++p) {
+    cols_[p]->CombineCellHashesInto(hashes_.data(),
+                                    bound_rows_[slots_[p]].data(), n);
   }
+  auto same_tuple = [&](int64_t a, int64_t b) {
+    for (size_t p = 0; p < projection.size(); ++p) {
+      const std::vector<int64_t>& rows = bound_rows_[slots_[p]];
+      if (cols_[p]->cell(rows[a]).Compare(cols_[p]->cell(rows[b])) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  deduper_.Reset(n);
+  keep_.clear();
+  for (int64_t t = 0; t < n; ++t) {
+    if (deduper_.Insert(hashes_[t], t, same_tuple)) keep_.push_back(t);
+  }
+  if (static_cast<int64_t>(keep_.size()) < n) CompactToKeep();
   const int64_t num_rows = static_cast<int64_t>(bound_rows_[0].size());
   std::vector<ColumnData> columns;
   columns.reserve(projection.size());

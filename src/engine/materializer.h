@@ -27,8 +27,6 @@
 namespace ver {
 
 struct MaterializeOptions {
-  /// Set semantics for PJ-views (Algorithm 3 operates on row sets).
-  bool distinct = true;
   /// Abort materialization when an intermediate exceeds this row count —
   /// a runaway join over a wrong path is a noisy-join-path artifact, not a
   /// useful view. Also bounds the rows held by the build-side cache.

@@ -662,12 +662,13 @@ void ColumnData::FillCellHashes(int64_t base, size_t len,
       }
       return;
     case ColumnEncoding::kDouble:
-      // HashDoubleValue's integral-twin branch keeps this scalar; the
-      // unrolled combine downstream still amortizes it.
+      if (no_nulls) {
+        simd::HashDoubleCells(doubles_.data() + base, len, buf);
+        return;
+      }
       for (size_t i = 0; i < len; ++i) {
         int64_t r = base + static_cast<int64_t>(i);
-        buf[i] = (!no_nulls && is_null(r)) ? kNullValueHash
-                                           : HashDoubleValue(doubles_[r]);
+        buf[i] = is_null(r) ? kNullValueHash : HashDoubleValue(doubles_[r]);
       }
       return;
     case ColumnEncoding::kNumeric:
@@ -685,9 +686,9 @@ void ColumnData::FillCellHashes(int64_t base, size_t len,
       return;
     case ColumnEncoding::kDict:
       if (no_nulls) {
-        for (size_t i = 0; i < len; ++i) {
-          buf[i] = entry_hashes_[codes_[base + static_cast<int64_t>(i)]];
-        }
+        const uint32_t* codes = codes_.data() + base;
+        const uint64_t* entry_hashes = entry_hashes_.data();
+        for (size_t i = 0; i < len; ++i) buf[i] = entry_hashes[codes[i]];
         return;
       }
       for (size_t i = 0; i < len; ++i) {
@@ -699,30 +700,8 @@ void ColumnData::FillCellHashes(int64_t base, size_t len,
 }
 
 void ColumnData::CombineCellHashesInto(uint64_t* acc, int64_t n) const {
-  // All-valid int64, double, dictionary and tag-mixed numeric columns take
-  // the fused one-pass kernels (hash or gather straight into the combine,
-  // no staging buffer); other encodings and null-bearing columns stage
-  // per-cell hashes block-wise.
-  if (num_nulls_ == 0 && n > 0) {
-    if (enc_ == ColumnEncoding::kInt64) {
-      simd::CombineInt64Cells(acc, ints_.data(), static_cast<size_t>(n));
-      return;
-    }
-    if (enc_ == ColumnEncoding::kDouble) {
-      simd::CombineDoubleCells(acc, doubles_.data(), static_cast<size_t>(n));
-      return;
-    }
-    if (enc_ == ColumnEncoding::kDict) {
-      simd::CombineDictCells(acc, codes_.data(), entry_hashes_.data(),
-                             static_cast<size_t>(n));
-      return;
-    }
-    if (enc_ == ColumnEncoding::kNumeric) {
-      simd::CombineNumericCells(acc, num_bits_.data(), int_tag_words_.data(),
-                                static_cast<size_t>(n));
-      return;
-    }
-  }
+  // One staged path for every encoding: hash a block of cells, then fold
+  // it into the row hashes.
   uint64_t buf[simd::kBlockCells];
   for (int64_t base = 0; base < n;
        base += static_cast<int64_t>(simd::kBlockCells)) {

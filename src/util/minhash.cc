@@ -24,9 +24,8 @@ MinHashSignature MinHasher::Compute(
   sig.cardinality = element_hashes.size();
   sig.slots.assign(num_permutations_,
                    std::numeric_limits<uint64_t>::max());
-  // Blocked kernel: permutation slots are tiled into registers and the
-  // element stream passes once per tile. Min is commutative, so the slots
-  // match the old element-outer/permutation-inner loop bit for bit.
+  // One kernel call: each element updates every permutation's slot, the
+  // permutations a vector at a time.
   simd::MinHashUpdate(sig.slots.data(), permutation_seeds_.data(),
                       static_cast<size_t>(num_permutations_),
                       element_hashes.data(), element_hashes.size());

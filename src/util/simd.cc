@@ -1,17 +1,23 @@
 #include "util/simd.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 #include "table/value.h"
 #include "util/hash.h"
 
+// Tier targets. Off x86-64 every wrapper compiles for the base target and
+// Detect() never leaves the scalar tier.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define VER_SIMD_X86 1
-#include <immintrin.h>
+#define VER_TARGET_AVX2 __attribute__((target("avx2")))
+#define VER_TARGET_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl")))
 #else
 #define VER_SIMD_X86 0
+#define VER_TARGET_AVX2
+#define VER_TARGET_AVX512
 #endif
 
 namespace ver {
@@ -26,9 +32,10 @@ std::atomic<int> g_forced_level{-1};
 Level Detect() {
 #if VER_SIMD_X86
   // The 512-bit tier needs DQ on top of F for the native 64-bit multiply
-  // (vpmullq) — F alone would force the same 32-bit partial-product dance
-  // as AVX2 and surrender most of the win.
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+  // (vpmullq) and the double -> int64 conversion (vcvttpd2qq), and VL so
+  // the remainder past the last 8-lane group runs them on 4 lanes too.
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl"))
     return Level::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
@@ -82,701 +89,93 @@ void ResetForcedLevel() {
   g_forced_level.store(-1, std::memory_order_relaxed);
 }
 
-// ------------------------------ scalar tier ------------------------------
+// -------------------------------- bodies ---------------------------------
 //
-// The portable tier is itself blocked: 4 independent accumulator chains per
-// iteration keep the two Mix64 multiplies of neighbouring cells in flight
-// together instead of serializing behind one chain.
+// Each kernel is written once, as its scalar reference loop, and inlined
+// into one copy per tier (Dispatch below); the compiler (this file builds
+// at -O3) vectorizes each copy to its target's lane width. Write a body as
+// a plain loop whose iterations are independent: no intrinsics, no
+// branches that a select cannot express, no early exits. Pointer
+// parameters are __restrict (a call's arrays never overlap), so no copy
+// needs a runtime overlap check.
 
 namespace {
 
-// column_data.cc keeps its bit-pattern decoder file-local, so the numeric
-// kernel reconstructs the double the same way: a memcpy bit cast.
-inline double DoubleFromBits(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
+__attribute__((always_inline)) inline void CombineHashesBody(
+    uint64_t* __restrict acc, const uint64_t* __restrict hashes, size_t n) {
+  for (size_t i = 0; i < n; ++i) acc[i] = HashCombine(acc[i], hashes[i]);
 }
 
-// Scalar reference for one kNumeric cell: the tag bit picks the hash family.
-inline uint64_t NumericCellHash(uint64_t bits, bool is_int) {
-  return is_int ? HashIntValue(static_cast<int64_t>(bits))
-                : HashDoubleValue(DoubleFromBits(bits));
+__attribute__((always_inline)) inline void HashInt64CellsBody(
+    const int64_t* __restrict v, size_t n, uint64_t* __restrict out) {
+  for (size_t i = 0; i < n; ++i) out[i] = HashIntValue(v[i]);
 }
 
-void CombineHashesScalar(uint64_t* acc, const uint64_t* hashes, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint64_t a0 = HashCombine(acc[i], hashes[i]);
-    uint64_t a1 = HashCombine(acc[i + 1], hashes[i + 1]);
-    uint64_t a2 = HashCombine(acc[i + 2], hashes[i + 2]);
-    uint64_t a3 = HashCombine(acc[i + 3], hashes[i + 3]);
-    acc[i] = a0;
-    acc[i + 1] = a1;
-    acc[i + 2] = a2;
-    acc[i + 3] = a3;
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], hashes[i]);
-}
-
-void HashInt64CellsScalar(const int64_t* v, size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint64_t h0 = HashIntValue(v[i]);
-    uint64_t h1 = HashIntValue(v[i + 1]);
-    uint64_t h2 = HashIntValue(v[i + 2]);
-    uint64_t h3 = HashIntValue(v[i + 3]);
-    out[i] = h0;
-    out[i + 1] = h1;
-    out[i + 2] = h2;
-    out[i + 3] = h3;
-  }
-  for (; i < n; ++i) out[i] = HashIntValue(v[i]);
-}
-
-void CombineInt64CellsScalar(uint64_t* acc, const int64_t* v, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint64_t a0 = HashCombine(acc[i], HashIntValue(v[i]));
-    uint64_t a1 = HashCombine(acc[i + 1], HashIntValue(v[i + 1]));
-    uint64_t a2 = HashCombine(acc[i + 2], HashIntValue(v[i + 2]));
-    uint64_t a3 = HashCombine(acc[i + 3], HashIntValue(v[i + 3]));
-    acc[i] = a0;
-    acc[i + 1] = a1;
-    acc[i + 2] = a2;
-    acc[i + 3] = a3;
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], HashIntValue(v[i]));
-}
-
-void CombineDoubleCellsScalar(uint64_t* acc, const double* v, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint64_t a0 = HashCombine(acc[i], HashDoubleValue(v[i]));
-    uint64_t a1 = HashCombine(acc[i + 1], HashDoubleValue(v[i + 1]));
-    uint64_t a2 = HashCombine(acc[i + 2], HashDoubleValue(v[i + 2]));
-    uint64_t a3 = HashCombine(acc[i + 3], HashDoubleValue(v[i + 3]));
-    acc[i] = a0;
-    acc[i + 1] = a1;
-    acc[i + 2] = a2;
-    acc[i + 3] = a3;
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], HashDoubleValue(v[i]));
-}
-
-void CombineDictCellsScalar(uint64_t* acc, const uint32_t* codes,
-                            const uint64_t* entry_hashes, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint64_t a0 = HashCombine(acc[i], entry_hashes[codes[i]]);
-    uint64_t a1 = HashCombine(acc[i + 1], entry_hashes[codes[i + 1]]);
-    uint64_t a2 = HashCombine(acc[i + 2], entry_hashes[codes[i + 2]]);
-    uint64_t a3 = HashCombine(acc[i + 3], entry_hashes[codes[i + 3]]);
-    acc[i] = a0;
-    acc[i + 1] = a1;
-    acc[i + 2] = a2;
-    acc[i + 3] = a3;
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], entry_hashes[codes[i]]);
-}
-
-void CombineNumericCellsScalar(uint64_t* acc, const uint64_t* num_bits,
-                               const uint64_t* tags, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // i is 4-aligned, so the group's 4 tag bits live in one word.
-    unsigned nib =
-        static_cast<unsigned>(tags[i >> 6] >> (i & 63)) & 0xfu;
-    uint64_t a0 =
-        HashCombine(acc[i], NumericCellHash(num_bits[i], (nib & 1u) != 0));
-    uint64_t a1 = HashCombine(
-        acc[i + 1], NumericCellHash(num_bits[i + 1], (nib & 2u) != 0));
-    uint64_t a2 = HashCombine(
-        acc[i + 2], NumericCellHash(num_bits[i + 2], (nib & 4u) != 0));
-    uint64_t a3 = HashCombine(
-        acc[i + 3], NumericCellHash(num_bits[i + 3], (nib & 8u) != 0));
-    acc[i] = a0;
-    acc[i + 1] = a1;
-    acc[i + 2] = a2;
-    acc[i + 3] = a3;
-  }
-  for (; i < n; ++i) {
-    bool is_int = ((tags[i >> 6] >> (i & 63)) & 1u) != 0;
-    acc[i] = HashCombine(acc[i], NumericCellHash(num_bits[i], is_int));
+__attribute__((always_inline)) inline void HashDoubleCellsBody(
+    const double* __restrict v, size_t n, uint64_t* __restrict out) {
+  for (size_t i = 0; i < n; ++i) {
+    // HashDoubleValue with its branch turned into a select of the Mix64
+    // input. Only a twin reaches the int64 conversion (a non-twin converts
+    // 0.0), so the conversion is always exact and defined.
+    const double d = v[i];
+    const bool twin = std::nearbyint(d) == d && std::abs(d) < 9.2e18;
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    const uint64_t as_int =
+        static_cast<uint64_t>(static_cast<int64_t>(twin ? d : 0.0));
+    out[i] = Mix64(twin ? as_int ^ 0x1234abcdULL : bits ^ 0x9876fedcULL);
   }
 }
 
-void MinHashUpdateScalar(uint64_t* slots, const uint64_t* seeds,
-                         size_t num_perms, const uint64_t* elems, size_t n) {
-  // Tile 4 permutation slots into registers and stream the elements once
-  // per tile: turns the old per-element slot read-modify-write sweep into
-  // 4 independent min chains with zero stores in the inner loop.
-  size_t j = 0;
-  for (; j + 4 <= num_perms; j += 4) {
-    uint64_t s0 = slots[j], s1 = slots[j + 1];
-    uint64_t s2 = slots[j + 2], s3 = slots[j + 3];
-    const uint64_t d0 = seeds[j], d1 = seeds[j + 1];
-    const uint64_t d2 = seeds[j + 2], d3 = seeds[j + 3];
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t x = elems[i];
-      uint64_t h0 = Mix64(x ^ d0);
-      uint64_t h1 = Mix64(x ^ d1);
-      uint64_t h2 = Mix64(x ^ d2);
-      uint64_t h3 = Mix64(x ^ d3);
-      if (h0 < s0) s0 = h0;
-      if (h1 < s1) s1 = h1;
-      if (h2 < s2) s2 = h2;
-      if (h3 < s3) s3 = h3;
-    }
-    slots[j] = s0;
-    slots[j + 1] = s1;
-    slots[j + 2] = s2;
-    slots[j + 3] = s3;
-  }
-  for (; j < num_perms; ++j) {
-    uint64_t s = slots[j];
-    const uint64_t d = seeds[j];
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t h = Mix64(elems[i] ^ d);
-      if (h < s) s = h;
-    }
-    slots[j] = s;
-  }
-}
-
-}  // namespace
-
-// ------------------------------- AVX2 tier -------------------------------
-//
-// 4x64-bit lanes. AVX2 has no 64-bit integer multiply, so Mix64's two
-// multiplies are synthesized from 32-bit partial products (exact mod 2^64);
-// unsigned 64-bit min is synthesized from signed compare with the sign bit
-// flipped. Everything else is lane-wise xor/shift/add — bit-identical to
-// the scalar tier by construction.
-
-#if VER_SIMD_X86
-
-namespace {
-
-__attribute__((target("avx2"))) inline __m256i MulLo64(__m256i a, __m256i b) {
-  // a*b mod 2^64 = lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32).
-  __m256i a_hi = _mm256_srli_epi64(a, 32);
-  __m256i b_hi = _mm256_srli_epi64(b, 32);
-  __m256i ll = _mm256_mul_epu32(a, b);
-  __m256i lh = _mm256_mul_epu32(a, b_hi);
-  __m256i hl = _mm256_mul_epu32(a_hi, b);
-  __m256i cross = _mm256_add_epi64(lh, hl);
-  return _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256i Mix64V(__m256i x) {
-  const __m256i c1 = _mm256_set1_epi64x(0x9e3779b97f4a7c15LL);
-  const __m256i c2 = _mm256_set1_epi64x(
-      static_cast<long long>(0xbf58476d1ce4e5b9ULL));
-  const __m256i c3 = _mm256_set1_epi64x(
-      static_cast<long long>(0x94d049bb133111ebULL));
-  x = _mm256_add_epi64(x, c1);
-  x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), c2);
-  x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), c3);
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
-
-__attribute__((target("avx2"))) inline __m256i MinU64(__m256i a, __m256i b) {
-  const __m256i sign = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  __m256i a_gt_b = _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign),
-                                      _mm256_xor_si256(b, sign));
-  return _mm256_blendv_epi8(a, b, a_gt_b);
-}
-
-__attribute__((target("avx2"))) void CombineHashesAvx2(uint64_t* acc,
-                                                       const uint64_t* hashes,
-                                                       size_t n) {
-  const __m256i golden = _mm256_set1_epi64x(0x9e3779b97f4a7c15LL);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes + i));
-    // h ^ (Mix64(v) + K + (h << 12) + (h >> 4))
-    __m256i t = _mm256_add_epi64(Mix64V(v), golden);
-    t = _mm256_add_epi64(t, _mm256_slli_epi64(a, 12));
-    t = _mm256_add_epi64(t, _mm256_srli_epi64(a, 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_xor_si256(a, t));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], hashes[i]);
-}
-
-__attribute__((target("avx2"))) void HashInt64CellsAvx2(const int64_t* v,
-                                                        size_t n,
-                                                        uint64_t* out) {
-  const __m256i salt = _mm256_set1_epi64x(0x1234abcdLL);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        Mix64V(_mm256_xor_si256(x, salt)));
-  }
-  for (; i < n; ++i) out[i] = HashIntValue(v[i]);
-}
-
-// acc = acc ^ (Mix64(cell) + K + (acc << 12) + (acc >> 4)), 4 lanes.
-__attribute__((target("avx2"))) inline __m256i CombineV(__m256i acc,
-                                                        __m256i cell) {
-  const __m256i golden = _mm256_set1_epi64x(0x9e3779b97f4a7c15LL);
-  __m256i t = _mm256_add_epi64(Mix64V(cell), golden);
-  t = _mm256_add_epi64(t, _mm256_slli_epi64(acc, 12));
-  t = _mm256_add_epi64(t, _mm256_srli_epi64(acc, 4));
-  return _mm256_xor_si256(acc, t);
-}
-
-__attribute__((target("avx2"))) void CombineInt64CellsAvx2(uint64_t* acc,
-                                                           const int64_t* v,
-                                                           size_t n) {
-  const __m256i salt = _mm256_set1_epi64x(0x1234abcdLL);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i cell = Mix64V(_mm256_xor_si256(x, salt));
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), CombineV(a, cell));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], HashIntValue(v[i]));
-}
-
-__attribute__((target("avx2"))) void CombineDoubleCellsAvx2(uint64_t* acc,
-                                                            const double* v,
-                                                            size_t n) {
-  // HashDoubleValue branches on the integral-twin rule (table/value.h):
-  // doubles with an exact int64 twin hash as that integer. The twin test
-  // itself vectorizes (round-to-current-mode + compare + magnitude check,
-  // false for NaN/inf exactly like the scalar `rounded == v` test), so the
-  // common all-non-integral group takes the pure vector path; any group
-  // with a twin lane falls back to the scalar hash for those 4 cells,
-  // which keeps bit identity without per-lane int64 conversion.
-  const __m256i salt2 = _mm256_set1_epi64x(0x9876fedcLL);
-  const __m256d abs_mask = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d limit = _mm256_set1_pd(9.2e18);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d d = _mm256_loadu_pd(v + i);
-    __m256d rounded =
-        _mm256_round_pd(d, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-    __m256d twin = _mm256_and_pd(
-        _mm256_cmp_pd(rounded, d, _CMP_EQ_OQ),
-        _mm256_cmp_pd(_mm256_and_pd(d, abs_mask), limit, _CMP_LT_OQ));
-    if (_mm256_movemask_pd(twin) != 0) {
-      uint64_t a0 = HashCombine(acc[i], HashDoubleValue(v[i]));
-      uint64_t a1 = HashCombine(acc[i + 1], HashDoubleValue(v[i + 1]));
-      uint64_t a2 = HashCombine(acc[i + 2], HashDoubleValue(v[i + 2]));
-      uint64_t a3 = HashCombine(acc[i + 3], HashDoubleValue(v[i + 3]));
-      acc[i] = a0;
-      acc[i + 1] = a1;
-      acc[i + 2] = a2;
-      acc[i + 3] = a3;
-      continue;
-    }
-    __m256i cell =
-        Mix64V(_mm256_xor_si256(_mm256_castpd_si256(d), salt2));
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), CombineV(a, cell));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], HashDoubleValue(v[i]));
-}
-
-__attribute__((target("avx2"))) void CombineDictCellsAvx2(
-    uint64_t* acc, const uint32_t* codes, const uint64_t* entry_hashes,
-    size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    __m256i cell = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(entry_hashes), c, 8);
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), CombineV(a, cell));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], entry_hashes[codes[i]]);
-}
-
-__attribute__((target("avx2"))) void CombineNumericCellsAvx2(
-    uint64_t* acc, const uint64_t* num_bits, const uint64_t* tags, size_t n) {
-  // Tag-steered three-way split per 4-lane group: the nibble of tag bits
-  // (never straddling a word — group starts are 4-aligned) picks the
-  // all-int vector path, the all-double vector path (with the same twin
-  // guard as CombineDoubleCells), or the scalar mixed-group fallback.
-  const __m256i salt_int = _mm256_set1_epi64x(0x1234abcdLL);
-  const __m256i salt_dbl = _mm256_set1_epi64x(0x9876fedcLL);
-  const __m256d abs_mask = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d limit = _mm256_set1_pd(9.2e18);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    unsigned nib = static_cast<unsigned>(tags[i >> 6] >> (i & 63)) & 0xfu;
-    __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(num_bits + i));
-    if (nib == 0xfu) {
-      __m256i cell = Mix64V(_mm256_xor_si256(x, salt_int));
-      __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                          CombineV(a, cell));
-      continue;
-    }
-    if (nib == 0u) {
-      __m256d d = _mm256_castsi256_pd(x);
-      __m256d rounded =
-          _mm256_round_pd(d, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-      __m256d twin = _mm256_and_pd(
-          _mm256_cmp_pd(rounded, d, _CMP_EQ_OQ),
-          _mm256_cmp_pd(_mm256_and_pd(d, abs_mask), limit, _CMP_LT_OQ));
-      if (_mm256_movemask_pd(twin) == 0) {
-        __m256i cell = Mix64V(_mm256_xor_si256(x, salt_dbl));
-        __m256i a =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                            CombineV(a, cell));
-        continue;
-      }
-    }
-    for (size_t k = 0; k < 4; ++k) {
-      acc[i + k] = HashCombine(
-          acc[i + k],
-          NumericCellHash(num_bits[i + k], ((nib >> k) & 1u) != 0));
+__attribute__((always_inline)) inline void MinHashUpdateBody(
+    uint64_t* __restrict slots, const uint64_t* __restrict seeds,
+    size_t num_perms, const uint64_t* elems, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = elems[i];
+    for (size_t j = 0; j < num_perms; ++j) {
+      const uint64_t h = Mix64(x ^ seeds[j]);
+      slots[j] = h < slots[j] ? h : slots[j];
     }
   }
-  for (; i < n; ++i) {
-    bool is_int = ((tags[i >> 6] >> (i & 63)) & 1u) != 0;
-    acc[i] = HashCombine(acc[i], NumericCellHash(num_bits[i], is_int));
-  }
 }
-
-__attribute__((target("avx2"))) void MinHashUpdateAvx2(uint64_t* slots,
-                                                       const uint64_t* seeds,
-                                                       size_t num_perms,
-                                                       const uint64_t* elems,
-                                                       size_t n) {
-  size_t j = 0;
-  for (; j + 4 <= num_perms; j += 4) {
-    __m256i seed =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(seeds + j));
-    __m256i best =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots + j));
-    for (size_t i = 0; i < n; ++i) {
-      __m256i x = _mm256_set1_epi64x(static_cast<long long>(elems[i]));
-      best = MinU64(best, Mix64V(_mm256_xor_si256(x, seed)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(slots + j), best);
-  }
-  if (j < num_perms) {
-    MinHashUpdateScalar(slots + j, seeds + j, num_perms - j, elems, n);
-  }
-}
-
-}  // namespace
-
-// ------------------------------ AVX-512 tier ------------------------------
-//
-// 8x64-bit lanes, F+DQ only (no VL/BW dependence). DQ supplies the native
-// 64-bit multiply (vpmullq) that AVX2 has to synthesize, F supplies native
-// unsigned 64-bit min (vpminuq) and mask-register compares, so the twin and
-// tag tests read straight out of __mmask8 instead of a movemask shuffle.
-// Arithmetic is otherwise the same lane-wise xor/shift/add — bit-identical
-// to the scalar tier by construction.
-
-// GCC's unmasked AVX-512 shift intrinsics expand to masked builtins whose
-// passthrough operand is _mm512_undefined_epi32(), which -Wmaybe-uninitialized
-// flags through the header's self-initialized `__Y = __Y` idiom.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-namespace {
-
-__attribute__((target("avx512f,avx512dq"))) inline __m512i Mix64V512(
-    __m512i x) {
-  const __m512i c1 = _mm512_set1_epi64(0x9e3779b97f4a7c15LL);
-  const __m512i c2 = _mm512_set1_epi64(
-      static_cast<long long>(0xbf58476d1ce4e5b9ULL));
-  const __m512i c3 = _mm512_set1_epi64(
-      static_cast<long long>(0x94d049bb133111ebULL));
-  x = _mm512_add_epi64(x, c1);
-  x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64(x, 30)), c2);
-  x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64(x, 27)), c3);
-  return _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
-}
-
-// acc = acc ^ (Mix64(cell) + K + (acc << 12) + (acc >> 4)), 8 lanes.
-__attribute__((target("avx512f,avx512dq"))) inline __m512i CombineV512(
-    __m512i acc, __m512i cell) {
-  const __m512i golden = _mm512_set1_epi64(0x9e3779b97f4a7c15LL);
-  __m512i t = _mm512_add_epi64(Mix64V512(cell), golden);
-  t = _mm512_add_epi64(t, _mm512_slli_epi64(acc, 12));
-  t = _mm512_add_epi64(t, _mm512_srli_epi64(acc, 4));
-  return _mm512_xor_si512(acc, t);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void CombineHashesAvx512(
-    uint64_t* acc, const uint64_t* hashes, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i a = _mm512_loadu_si512(acc + i);
-    __m512i v = _mm512_loadu_si512(hashes + i);
-    _mm512_storeu_si512(acc + i, CombineV512(a, v));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], hashes[i]);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void HashInt64CellsAvx512(
-    const int64_t* v, size_t n, uint64_t* out) {
-  const __m512i salt = _mm512_set1_epi64(0x1234abcdLL);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i x = _mm512_loadu_si512(v + i);
-    _mm512_storeu_si512(out + i, Mix64V512(_mm512_xor_si512(x, salt)));
-  }
-  for (; i < n; ++i) out[i] = HashIntValue(v[i]);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void CombineInt64CellsAvx512(
-    uint64_t* acc, const int64_t* v, size_t n) {
-  const __m512i salt = _mm512_set1_epi64(0x1234abcdLL);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i x = _mm512_loadu_si512(v + i);
-    __m512i cell = Mix64V512(_mm512_xor_si512(x, salt));
-    __m512i a = _mm512_loadu_si512(acc + i);
-    _mm512_storeu_si512(acc + i, CombineV512(a, cell));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], HashIntValue(v[i]));
-}
-
-__attribute__((target("avx512f,avx512dq"))) void CombineDoubleCellsAvx512(
-    uint64_t* acc, const double* v, size_t n) {
-  // Same twin-guard strategy as the AVX2 tier, but the test lands in a
-  // mask register: any set bit sends the 8-cell group to the scalar hash.
-  const __m512i salt2 = _mm512_set1_epi64(0x9876fedcLL);
-  const __m512d abs_mask = _mm512_castsi512_pd(
-      _mm512_set1_epi64(0x7fffffffffffffffLL));
-  const __m512d limit = _mm512_set1_pd(9.2e18);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d d = _mm512_loadu_pd(v + i);
-    __m512d rounded =
-        _mm512_roundscale_pd(d, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-    __mmask8 twin =
-        _mm512_cmp_pd_mask(rounded, d, _CMP_EQ_OQ) &
-        _mm512_cmp_pd_mask(_mm512_and_pd(d, abs_mask), limit, _CMP_LT_OQ);
-    if (twin != 0) {
-      for (size_t k = 0; k < 8; ++k) {
-        acc[i + k] = HashCombine(acc[i + k], HashDoubleValue(v[i + k]));
-      }
-      continue;
-    }
-    __m512i cell =
-        Mix64V512(_mm512_xor_si512(_mm512_castpd_si512(d), salt2));
-    __m512i a = _mm512_loadu_si512(acc + i);
-    _mm512_storeu_si512(acc + i, CombineV512(a, cell));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], HashDoubleValue(v[i]));
-}
-
-__attribute__((target("avx512f,avx512dq"))) void CombineDictCellsAvx512(
-    uint64_t* acc, const uint32_t* codes, const uint64_t* entry_hashes,
-    size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    __m512i cell = _mm512_i32gather_epi64(c, entry_hashes, 8);
-    __m512i a = _mm512_loadu_si512(acc + i);
-    _mm512_storeu_si512(acc + i, CombineV512(a, cell));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], entry_hashes[codes[i]]);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void CombineNumericCellsAvx512(
-    uint64_t* acc, const uint64_t* num_bits, const uint64_t* tags, size_t n) {
-  // Same three-way split as the AVX2 tier over 8-lane groups: the tag byte
-  // (8-aligned group starts never straddle a word) steers between the
-  // all-int path, the twin-guarded all-double path, and the scalar mix.
-  const __m512i salt_int = _mm512_set1_epi64(0x1234abcdLL);
-  const __m512i salt_dbl = _mm512_set1_epi64(0x9876fedcLL);
-  const __m512d abs_mask = _mm512_castsi512_pd(
-      _mm512_set1_epi64(0x7fffffffffffffffLL));
-  const __m512d limit = _mm512_set1_pd(9.2e18);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    unsigned byte = static_cast<unsigned>(tags[i >> 6] >> (i & 63)) & 0xffu;
-    __m512i x = _mm512_loadu_si512(num_bits + i);
-    if (byte == 0xffu) {
-      __m512i cell = Mix64V512(_mm512_xor_si512(x, salt_int));
-      __m512i a = _mm512_loadu_si512(acc + i);
-      _mm512_storeu_si512(acc + i, CombineV512(a, cell));
-      continue;
-    }
-    if (byte == 0u) {
-      __m512d d = _mm512_castsi512_pd(x);
-      __m512d rounded = _mm512_roundscale_pd(
-          d, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
-      __mmask8 twin =
-          _mm512_cmp_pd_mask(rounded, d, _CMP_EQ_OQ) &
-          _mm512_cmp_pd_mask(_mm512_and_pd(d, abs_mask), limit, _CMP_LT_OQ);
-      if (twin == 0) {
-        __m512i cell = Mix64V512(_mm512_xor_si512(x, salt_dbl));
-        __m512i a = _mm512_loadu_si512(acc + i);
-        _mm512_storeu_si512(acc + i, CombineV512(a, cell));
-        continue;
-      }
-    }
-    for (size_t k = 0; k < 8; ++k) {
-      acc[i + k] = HashCombine(
-          acc[i + k],
-          NumericCellHash(num_bits[i + k], ((byte >> k) & 1u) != 0));
-    }
-  }
-  for (; i < n; ++i) {
-    bool is_int = ((tags[i >> 6] >> (i & 63)) & 1u) != 0;
-    acc[i] = HashCombine(acc[i], NumericCellHash(num_bits[i], is_int));
-  }
-}
-
-__attribute__((target("avx512f,avx512dq"))) void MinHashUpdateAvx512(
-    uint64_t* slots, const uint64_t* seeds, size_t num_perms,
-    const uint64_t* elems, size_t n) {
-  size_t j = 0;
-  for (; j + 8 <= num_perms; j += 8) {
-    __m512i seed = _mm512_loadu_si512(seeds + j);
-    __m512i best = _mm512_loadu_si512(slots + j);
-    for (size_t i = 0; i < n; ++i) {
-      __m512i x = _mm512_set1_epi64(static_cast<long long>(elems[i]));
-      best = _mm512_min_epu64(best,
-                              Mix64V512(_mm512_xor_si512(x, seed)));
-    }
-    _mm512_storeu_si512(slots + j, best);
-  }
-  if (j < num_perms) {
-    MinHashUpdateScalar(slots + j, seeds + j, num_perms - j, elems, n);
-  }
-}
-
-}  // namespace
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-#endif  // VER_SIMD_X86
 
 // ------------------------------- dispatch --------------------------------
+//
+// One copy of `Body` per tier, and a table of the copies indexed by Level.
+
+template <auto Body, typename... Args>
+void Scalar(Args... args) { Body(args...); }
+
+template <auto Body, typename... Args>
+VER_TARGET_AVX2 void Avx2(Args... args) { Body(args...); }
+
+template <auto Body, typename... Args>
+VER_TARGET_AVX512 void Avx512(Args... args) { Body(args...); }
+
+template <auto Body, typename... Args>
+void Dispatch(Args... args) {
+  using Fn = void (*)(Args...);
+  static constexpr Fn kTiers[] = {Scalar<Body>, Avx2<Body>, Avx512<Body>};
+  kTiers[static_cast<int>(ActiveLevel())](args...);
+}
+
+}  // namespace
 
 void CombineHashes(uint64_t* acc, const uint64_t* hashes, size_t n) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    CombineHashesAvx512(acc, hashes, n);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    CombineHashesAvx2(acc, hashes, n);
-    return;
-  }
-#endif
-  CombineHashesScalar(acc, hashes, n);
+  Dispatch<CombineHashesBody>(acc, hashes, n);
 }
 
 void HashInt64Cells(const int64_t* v, size_t n, uint64_t* out) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    HashInt64CellsAvx512(v, n, out);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    HashInt64CellsAvx2(v, n, out);
-    return;
-  }
-#endif
-  HashInt64CellsScalar(v, n, out);
+  Dispatch<HashInt64CellsBody>(v, n, out);
 }
 
-void CombineInt64Cells(uint64_t* acc, const int64_t* v, size_t n) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    CombineInt64CellsAvx512(acc, v, n);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    CombineInt64CellsAvx2(acc, v, n);
-    return;
-  }
-#endif
-  CombineInt64CellsScalar(acc, v, n);
-}
-
-void CombineDoubleCells(uint64_t* acc, const double* v, size_t n) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    CombineDoubleCellsAvx512(acc, v, n);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    CombineDoubleCellsAvx2(acc, v, n);
-    return;
-  }
-#endif
-  CombineDoubleCellsScalar(acc, v, n);
-}
-
-void CombineDictCells(uint64_t* acc, const uint32_t* codes,
-                      const uint64_t* entry_hashes, size_t n) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    CombineDictCellsAvx512(acc, codes, entry_hashes, n);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    CombineDictCellsAvx2(acc, codes, entry_hashes, n);
-    return;
-  }
-#endif
-  CombineDictCellsScalar(acc, codes, entry_hashes, n);
-}
-
-void CombineNumericCells(uint64_t* acc, const uint64_t* num_bits,
-                         const uint64_t* int_tag_words, size_t n) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    CombineNumericCellsAvx512(acc, num_bits, int_tag_words, n);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    CombineNumericCellsAvx2(acc, num_bits, int_tag_words, n);
-    return;
-  }
-#endif
-  CombineNumericCellsScalar(acc, num_bits, int_tag_words, n);
+void HashDoubleCells(const double* v, size_t n, uint64_t* out) {
+  Dispatch<HashDoubleCellsBody>(v, n, out);
 }
 
 void MinHashUpdate(uint64_t* slots, const uint64_t* seeds, size_t num_perms,
                    const uint64_t* elems, size_t n) {
-#if VER_SIMD_X86
-  Level l = ActiveLevel();
-  if (l == Level::kAvx512) {
-    MinHashUpdateAvx512(slots, seeds, num_perms, elems, n);
-    return;
-  }
-  if (l == Level::kAvx2) {
-    MinHashUpdateAvx2(slots, seeds, num_perms, elems, n);
-    return;
-  }
-#endif
-  MinHashUpdateScalar(slots, seeds, num_perms, elems, n);
+  Dispatch<MinHashUpdateBody>(slots, seeds, num_perms, elems, n);
 }
 
 }  // namespace simd

@@ -1,31 +1,30 @@
-// Vectorized kernel layer: blocked, dispatch-selected inner loops for the
-// storage engine's hot scans (row hashing, MinHash sketching, hash-join
-// probing).
+// Vectorized kernel layer: the hash loops behind row hashing (the
+// MATERIALIZER's tuple dedup, VIEW-DISTILLATION's row hashes) and MinHash
+// sketching, plus the staging block size and prefetch hint the storage
+// engine's blocked scans share.
 //
-// Contract — bit identity. Every kernel computes exactly the function its
-// scalar reference loop computes, at every dispatch level: the wide paths
-// restructure the arithmetic (4x64-bit lanes, unrolled independent chains)
-// but never change the hash family or the per-element math. The
-// storage-equivalence and query-fingerprint suites, plus
-// tests/simd_kernels_test.cc, hold this line; a kernel that is fast but
-// off by one bit is a bug.
+// One body per kernel. Each kernel is written once, as its scalar
+// reference loop (simd.cc), and compiled once per tier by target-attribute
+// wrappers; the compiler vectorizes each copy to its target's lane width.
+// There are no intrinsics, so a tier cannot drift from the reference: it
+// is the reference, compiled for wider registers.
 //
-// Dispatch. ActiveLevel() is detected once per process (AVX-512F+DQ, then
-// AVX2, via CPUID on x86-64; scalar elsewhere) and every kernel branches on
-// it per *block*, not per element, so dispatch cost is invisible. The
-// scalar tier is not a stub: it is unrolled into independent chains that
-// superscalar hardware pipelines well, and it is the only tier on non-x86
-// builds. VER_SIMD=scalar|avx2|avx512 (env) *caps* the tier at that level
-// (never raises it above detection), and ScopedSimdLevel (tests/benches)
-// forces one, so every supported tier stays continuously exercised.
+// Contract — bit identity. Every tier computes exactly the function its
+// scalar reference computes. The storage-equivalence and query-fingerprint
+// suites, plus tests/simd_kernels_test.cc, hold this line; a kernel that is
+// fast but off by one bit is a bug.
+//
+// Dispatch. ActiveLevel() is detected once per process (AVX-512F+DQ+VL,
+// then AVX2, via CPUID on x86-64; scalar elsewhere) and every kernel call
+// picks its tier's copy from a table indexed by Level, once per call, not
+// per element. VER_SIMD=scalar|avx2|avx512 (env) *caps* the tier at that
+// level (never raises it above detection), and ScopedSimdLevel
+// (tests/benches) forces one, so every supported tier stays exercised.
 //
 // Why not hardware CRC32/CLMUL: the bit-identity contract pins the hash
 // family to the splitmix64-based mixers of util/hash.h — CRC32-based cell
 // hashes would change every persisted profile, snapshot fingerprint and
-// equivalence baseline. Hardware carry-less multiply earns its keep only
-// where hash *values* are free to differ across hosts, and no such site
-// survives the contract; the wide integer multiply-mix below is the
-// portable, value-stable alternative.
+// equivalence baseline.
 
 #ifndef VER_UTIL_SIMD_H_
 #define VER_UTIL_SIMD_H_
@@ -36,12 +35,12 @@
 namespace ver {
 namespace simd {
 
-/// Dispatch tier of the kernel implementations.
+/// Dispatch tier: the target each kernel's body is compiled for.
 enum class Level : int {
-  kScalar = 0,  // unrolled portable loops (every platform)
-  kAvx2 = 1,    // 4x64-bit integer lanes (x86-64 with AVX2)
-  kAvx512 = 2,  // 8x64-bit lanes (x86-64 with AVX-512F+DQ: native 64-bit
-                // multiply and unsigned min, mask-register twin tests)
+  kScalar = 0,  // the base target (every platform)
+  kAvx2 = 1,    // 4x64-bit lanes (x86-64 with AVX2)
+  kAvx512 = 2,  // 8x64-bit lanes (x86-64 with AVX-512F+DQ+VL: native
+                // 64-bit multiply and double -> int64 conversion)
 };
 
 const char* LevelName(Level level);
@@ -82,8 +81,8 @@ inline void PrefetchRead(const void* addr) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked kernels. Each documents its scalar reference; all tiers are
-// bit-identical to it.
+// Kernels. Each documents its scalar reference; every tier is bit-identical
+// to it. The arrays passed to one call must not overlap.
 // ---------------------------------------------------------------------------
 
 /// Row-hash combine: acc[i] = HashCombine(acc[i], hashes[i]) for i < n
@@ -94,46 +93,15 @@ void CombineHashes(uint64_t* acc, const uint64_t* hashes, size_t n);
 /// (table/value.h HashIntValue — Mix64 over the xored payload).
 void HashInt64Cells(const int64_t* v, size_t n, uint64_t* out);
 
-/// Fused hash+combine for all-valid int64 columns:
-/// acc[i] = HashCombine(acc[i], HashIntValue(v[i])) for i < n. One pass —
-/// no staging buffer between the cell hash and the row-hash accumulator.
-void CombineInt64Cells(uint64_t* acc, const int64_t* v, size_t n);
+/// Double-cell hashing: out[i] = HashDoubleValue(v[i]) for i < n
+/// (table/value.h), integral-twin rule included: the body selects the
+/// Mix64 input (the twin's integer or the bit pattern) and then mixes once,
+/// so the twin test is a lane mask rather than a branch.
+void HashDoubleCells(const double* v, size_t n, uint64_t* out);
 
-/// Fused hash+combine for all-valid double columns:
-/// acc[i] = HashCombine(acc[i], HashDoubleValue(v[i])) for i < n, with
-/// HashDoubleValue's integral-twin rule intact (table/value.h). The AVX2
-/// tier vectorizes the common all-non-integral groups and falls back to
-/// the scalar hash for any 4-lane group containing an integral twin, so
-/// the twin branch never costs bit identity.
-void CombineDoubleCells(uint64_t* acc, const double* v, size_t n);
-
-/// Fused gather+combine for all-valid dictionary columns:
-/// acc[i] = HashCombine(acc[i], entry_hashes[codes[i]]) for i < n. The
-/// AVX2 tier gathers 4 cached entry hashes per iteration straight off the
-/// code array (vpgatherdq); every codes[i] must index entry_hashes.
-void CombineDictCells(uint64_t* acc, const uint32_t* codes,
-                      const uint64_t* entry_hashes, size_t n);
-
-/// Fused hash+combine for all-valid tag-mixed numeric columns (the
-/// kNumeric encoding: per-cell 64-bit payload in `num_bits`, bit i of
-/// `int_tag_words` set when cell i is an int64, clear when it is a
-/// double's bit pattern):
-///   acc[i] = HashCombine(acc[i],
-///                        tag ? HashIntValue(int64(num_bits[i]))
-///                            : HashDoubleValue(double(num_bits[i])))
-/// The wide tiers read the tags a lane-group at a time (the group's tag
-/// bits never straddle a word because group starts are lane-aligned):
-/// all-int groups take the integer path, all-double groups the double path
-/// with the integral-twin guard of CombineDoubleCells, and mixed groups
-/// fall back to the scalar hash — bit identity at every tier.
-void CombineNumericCells(uint64_t* acc, const uint64_t* num_bits,
-                         const uint64_t* int_tag_words, size_t n);
-
-/// Blocked MinHash update: slots[j] = min(slots[j], Mix64(elems[i] ^
-/// seeds[j])) over all i < n, for each permutation j < num_perms. Min is
-/// commutative, so any evaluation order — the kernels tile permutations
-/// into registers and stream the elements once — yields the scalar loop's
-/// slots bit for bit.
+/// MinHash update: slots[j] = min(slots[j], Mix64(elems[i] ^ seeds[j]))
+/// for every i < n and j < num_perms, elements outer, permutations inner
+/// (the inner loop vectorizes across permutations).
 void MinHashUpdate(uint64_t* slots, const uint64_t* seeds, size_t num_perms,
                    const uint64_t* elems, size_t n);
 

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -111,29 +110,13 @@ TEST(SimdKernelTest, HashInt64CellsMatchesScalarReference) {
   }
 }
 
-TEST(SimdKernelTest, CombineInt64CellsMatchesUnfusedPair) {
-  for (size_t n : kSizes) {
-    std::vector<int64_t> values(n);
-    std::vector<uint64_t> raw = DeterministicU64(n, 4);
-    for (size_t i = 0; i < n; ++i) values[i] = static_cast<int64_t>(raw[i]);
-    std::vector<uint64_t> init = DeterministicU64(n, 5);
-    std::vector<uint64_t> expected = init;
-    for (size_t i = 0; i < n; ++i) {
-      expected[i] = HashCombine(expected[i], HashIntValue(values[i]));
-    }
-    ForEachLevel([&](simd::Level level) {
-      std::vector<uint64_t> acc = init;
-      simd::CombineInt64Cells(acc.data(), values.data(), n);
-      EXPECT_EQ(acc, expected)
-          << "n=" << n << " level=" << simd::LevelName(level);
-    });
-  }
-}
-
-TEST(SimdKernelTest, CombineDoubleCellsMatchesUnfusedPair) {
-  // Payload mix hits every HashDoubleValue branch, and clusters integral
-  // twins so some 4-lane groups are all-twin, some mixed, some twin-free —
-  // exercising both the vector path and the per-group scalar fallback.
+TEST(SimdKernelTest, HashDoubleCellsMatchesScalarReference) {
+  // Payloads hit every HashDoubleValue branch, including both sides of the
+  // integral-twin bound (the largest twins, +-(9.2e18 - 1024), and the
+  // smallest non-twins, +-9.2e18 and -2^63) and the 2^53 range where every
+  // double is integral. Twins cluster so some lane groups are all-twin,
+  // some mixed and some twin-free.
+  const double kTwoTo53 = 9007199254740992.0;
   const double kEdges[] = {0.0,
                            -0.0,
                            2.0,
@@ -142,123 +125,55 @@ TEST(SimdKernelTest, CombineDoubleCellsMatchesUnfusedPair) {
                            1e300,
                            -1e300,
                            9.3e18,
+                           9.2e18 - 1024,
+                           -(9.2e18 - 1024),
+                           9.2e18,
+                           -9.2e18,
+                           kTwoTo53,
+                           -kTwoTo53,
+                           kTwoTo53 + 2,
+                           -(kTwoTo53 + 2),
+                           static_cast<double>(
+                               std::numeric_limits<int64_t>::min()),
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity(),
                            std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::denorm_min()};
+  const size_t kNumEdges = sizeof(kEdges) / sizeof(kEdges[0]);
   for (size_t n : kSizes) {
     std::vector<double> values(n);
     std::vector<uint64_t> raw = DeterministicU64(n, 12);
     for (size_t i = 0; i < n; ++i) {
       if (raw[i] % 3 == 0) {
-        values[i] = kEdges[raw[i] % (sizeof(kEdges) / sizeof(kEdges[0]))];
+        values[i] = kEdges[raw[i] % kNumEdges];
       } else if (raw[i] % 3 == 1) {
         values[i] = static_cast<double>(static_cast<int64_t>(raw[i] % 4096));
       } else {
         values[i] = static_cast<double>(raw[i] % 99999) / 100.0;
       }
     }
-    std::vector<uint64_t> init = DeterministicU64(n, 13);
-    std::vector<uint64_t> expected = init;
-    for (size_t i = 0; i < n; ++i) {
-      expected[i] = HashCombine(expected[i], HashDoubleValue(values[i]));
+    // Every edge at the head (full lane groups) and at the tail (the
+    // remainder past the last full group) wherever both fit.
+    if (n >= 2 * kNumEdges) {
+      for (size_t k = 0; k < kNumEdges; ++k) {
+        values[k] = kEdges[k];
+        values[n - kNumEdges + k] = kEdges[k];
+      }
     }
+    std::vector<uint64_t> expected(n);
+    for (size_t i = 0; i < n; ++i) expected[i] = HashDoubleValue(values[i]);
     ForEachLevel([&](simd::Level level) {
-      std::vector<uint64_t> acc = init;
-      simd::CombineDoubleCells(acc.data(), values.data(), n);
-      EXPECT_EQ(acc, expected)
+      std::vector<uint64_t> out(n, 0);
+      simd::HashDoubleCells(values.data(), n, out.data());
+      EXPECT_EQ(out, expected)
           << "n=" << n << " level=" << simd::LevelName(level);
     });
-  }
-}
-
-TEST(SimdKernelTest, CombineDictCellsMatchesGatherReference) {
-  const std::vector<uint64_t> entry_hashes = DeterministicU64(97, 6);
-  for (size_t n : kSizes) {
-    std::vector<uint32_t> codes(n);
-    std::vector<uint64_t> raw = DeterministicU64(n, 7);
-    for (size_t i = 0; i < n; ++i) {
-      codes[i] = static_cast<uint32_t>(raw[i] % entry_hashes.size());
-    }
-    std::vector<uint64_t> init = DeterministicU64(n, 8);
-    std::vector<uint64_t> expected = init;
-    for (size_t i = 0; i < n; ++i) {
-      expected[i] = HashCombine(expected[i], entry_hashes[codes[i]]);
-    }
-    ForEachLevel([&](simd::Level level) {
-      std::vector<uint64_t> acc = init;
-      simd::CombineDictCells(acc.data(), codes.data(), entry_hashes.data(),
-                             n);
-      EXPECT_EQ(acc, expected)
-          << "n=" << n << " level=" << simd::LevelName(level);
-    });
-  }
-}
-
-TEST(SimdKernelTest, CombineNumericCellsMatchesTagSteeredReference) {
-  // Tag patterns chosen so wide tiers see all-int groups, all-double
-  // groups (twin-free and twin-bearing, which forces their scalar
-  // fallback), and mixed groups that never vectorize — at both the 4-lane
-  // and 8-lane group width. Payloads double as both int64s and double bit
-  // patterns depending on the tag, including integral-valued doubles.
-  struct TagPattern {
-    const char* name;
-    uint64_t (*tag)(size_t i);
-  };
-  const TagPattern kPatterns[] = {
-      {"all_int", [](size_t) -> uint64_t { return 1; }},
-      {"all_double", [](size_t) -> uint64_t { return 0; }},
-      {"alternating", [](size_t i) -> uint64_t { return i & 1; }},
-      {"group_runs", [](size_t i) -> uint64_t { return (i / 8) & 1; }},
-      {"sparse_int", [](size_t i) -> uint64_t { return i % 13 == 0; }},
-  };
-  for (const TagPattern& pattern : kPatterns) {
-    for (size_t n : kSizes) {
-      std::vector<uint64_t> bits(n);
-      std::vector<uint64_t> tags((n + 63) / 64, 0);
-      std::vector<uint64_t> raw = DeterministicU64(n, 20);
-      for (size_t i = 0; i < n; ++i) {
-        bool is_int = pattern.tag(i) != 0;
-        if (is_int) {
-          bits[i] = raw[i];  // arbitrary int64 payload
-          tags[i >> 6] |= uint64_t{1} << (i & 63);
-        } else if (raw[i] % 3 == 0) {
-          // Integral-valued double: exercises the twin fallback.
-          double d = static_cast<double>(static_cast<int64_t>(raw[i] % 4096));
-          std::memcpy(&bits[i], &d, sizeof(d));
-        } else {
-          double d = static_cast<double>(raw[i] % 99999) / 100.0;
-          std::memcpy(&bits[i], &d, sizeof(d));
-        }
-      }
-      std::vector<uint64_t> init = DeterministicU64(n, 21);
-      std::vector<uint64_t> expected = init;
-      for (size_t i = 0; i < n; ++i) {
-        bool is_int = ((tags[i >> 6] >> (i & 63)) & 1u) != 0;
-        uint64_t cell;
-        if (is_int) {
-          cell = HashIntValue(static_cast<int64_t>(bits[i]));
-        } else {
-          double d;
-          std::memcpy(&d, &bits[i], sizeof(d));
-          cell = HashDoubleValue(d);
-        }
-        expected[i] = HashCombine(expected[i], cell);
-      }
-      ForEachLevel([&](simd::Level level) {
-        std::vector<uint64_t> acc = init;
-        simd::CombineNumericCells(acc.data(), bits.data(), tags.data(), n);
-        EXPECT_EQ(acc, expected) << "pattern=" << pattern.name << " n=" << n
-                                 << " level=" << simd::LevelName(level);
-      });
-    }
   }
 }
 
 TEST(SimdKernelTest, MinHashUpdateMatchesElementOuterLoop) {
-  // Permutation counts around the 4-slot tile, element counts around the
-  // block; both loops reordered freely by the kernels must land on the
-  // same minima.
+  // Permutation counts around the 4- and 8-lane widths, element counts
+  // around the block: every tier must land on the reference minima.
   for (size_t num_perms : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
                            size_t{5}, size_t{128}}) {
     std::vector<uint64_t> seeds = DeterministicU64(num_perms, 9);
