@@ -60,7 +60,7 @@ class QueryObserver {
   /// `view` survived distillation (or materialization, when distillation is
   /// off for this request). `delivery_index` counts from 0 in delivery
   /// order; `elapsed_s` is seconds since Execute was entered — the
-  /// time-to-this-view latency that bench_streaming_latency measures.
+  /// time-to-this-view latency of a streaming request.
   virtual void OnViewDelivered(const View& /*view*/, int /*delivery_index*/,
                                double /*elapsed_s*/) {}
 

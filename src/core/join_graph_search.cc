@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/hash.h"
+#include "util/row_deduper.h"
 
 namespace ver {
 
@@ -189,21 +190,6 @@ bool CandidateMaterializer::Materialize(const ViewCandidate& candidate) {
     return false;
   }
   if (view->table.num_rows() == 0) return false;  // empty joins are noise
-  // Views with identical content are still distinct candidates (the 4C
-  // stage is what merges compatible views); dedupe only exact
-  // graph+projection duplicates produced by symmetric enumeration.
-  uint64_t hash = SignatureHash(candidate.graph);
-  for (const ColumnRef& c : candidate.projection) {
-    hash = HashCombine(hash, c.Encode());
-  }
-  auto same_view = [&](int64_t kept, int64_t) {
-    const View& v = views_[static_cast<size_t>(kept)];
-    return v.projection == candidate.projection &&
-           CompareSignatures(v.graph, candidate.graph) == 0;
-  };
-  const int64_t token = static_cast<int64_t>(views_.size());
-  seen_views_.Reserve(token + 1);
-  if (!seen_views_.Insert(hash, token, same_view)) return false;
   ++next_id_;
   views_.push_back(std::move(view).value());
   return true;

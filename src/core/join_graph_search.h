@@ -18,7 +18,6 @@
 #include "core/query.h"
 #include "discovery/engine.h"
 #include "engine/materializer.h"
-#include "util/row_deduper.h"
 
 namespace ver {
 
@@ -55,7 +54,8 @@ struct JoinGraphSearchResult {
   int64_t num_join_graphs = 0;
   /// Combinations enumerated before pruning.
   int64_t num_combinations = 0;
-  /// Views whose materialization failed (blowup/timeouts), for diagnostics.
+  /// Views whose materialization failed (blowups, corrupt paged tables),
+  /// for diagnostics.
   /// SearchJoinGraphs leaves it 0; Ver::Execute fills it in after
   /// materializing.
   int64_t num_materialization_failures = 0;
@@ -69,15 +69,16 @@ JoinGraphSearchResult SearchJoinGraphs(
     const JoinGraphSearchOptions& options);
 
 /// Step 2's materialization, callable separately: materializes the top
-/// `expected_views` ranked candidates (all when <= 0), dropping empty views
-/// and exact duplicates. `num_failures` (optional) counts blowups.
+/// `expected_views` ranked candidates (all when <= 0), dropping empty
+/// views. `num_failures` (optional) counts failures: blowups, and views
+/// over a paged table whose content check fails.
 std::vector<View> MaterializeCandidates(
     const TableRepository& repo, const std::vector<ViewCandidate>& candidates,
     const JoinGraphSearchOptions& options, int64_t* num_failures);
 
 /// One-candidate-at-a-time materialization with the exact semantics of
-/// MaterializeCandidates (id assignment, empty-view and duplicate dropping,
-/// failure counting) — MaterializeCandidates is implemented as a loop over
+/// MaterializeCandidates (id assignment, empty-view dropping, failure
+/// counting) — MaterializeCandidates is implemented as a loop over
 /// this class, so feeding the same ranked candidates incrementally yields
 /// bit-identical views. The streaming StopAfter path of Ver::Execute uses it
 /// to stop materializing as soon as enough views survive distillation.
@@ -87,13 +88,13 @@ class CandidateMaterializer {
                         const MaterializeOptions& options);
 
   /// Materializes one candidate. Returns true when the view was kept and
-  /// appended to views(); false when it failed (counted in num_failures),
-  /// joined empty, or duplicated an earlier graph+projection.
+  /// appended to views(); false when it failed (counted in num_failures)
+  /// or joined empty. Candidates come deduplicated from SearchJoinGraphs
+  /// (equal signature and projection multiset), so none is checked here.
   bool Materialize(const ViewCandidate& candidate);
 
   const std::vector<View>& views() const { return views_; }
-  /// Moves the kept views out; the instance must not be used afterwards
-  /// (its duplicate check reads the kept views).
+  /// Moves the kept views out; the instance must not be used afterwards.
   std::vector<View> TakeViews() { return std::move(views_); }
   int64_t num_failures() const { return num_failures_; }
 
@@ -107,8 +108,6 @@ class CandidateMaterializer {
   Materializer materializer_;
   MaterializeOptions options_;
   std::vector<View> views_;
-  // Kept views by graph signature and projection; tokens index views_.
-  RowDeduper seen_views_;
   int64_t next_id_ = 0;
   int64_t num_failures_ = 0;
 };

@@ -99,10 +99,10 @@ class DiscoveryEngine {
   /// the map under a buffer-pool budget instead of being copied out;
   /// queries answer bit-identically, cold start touches O(pages read)
   /// instead of O(file), and checksum verification is skipped (the
-  /// paged trust model: framing validated, content bounds-guarded at
-  /// query time). When `repo` was itself paged from the same path, the
-  /// engine shares the repository's runtime (one map, one space, one
-  /// budget). On hosts that cannot page (no mmap, big-endian) the load
+  /// paged trust model: framing validated at load, index content
+  /// bounds-guarded per slice at query time). When `repo` was itself
+  /// paged from the same path, the engine shares the repository's runtime
+  /// (one map, one space, one budget). On a platform without mmap the load
   /// silently falls back to the resident path.
   static Result<std::unique_ptr<DiscoveryEngine>> Load(
       const TableRepository& repo, const std::string& path,
@@ -118,9 +118,11 @@ class DiscoveryEngine {
 
   /// LoadRepository() with an explicit paging choice: column payloads
   /// (codes, null bitmaps, dictionary arenas) stay in the mmapped file
-  /// and page in on demand under the budget. The returned repository
-  /// holds the runtime (repo.pager()); pass the same path to Load() to
-  /// share it. Falls back to the resident path on hosts that cannot page.
+  /// and page in on demand under the budget, unvalidated until
+  /// TableRepository::CheckTable checks each table on first use. The
+  /// returned repository holds the runtime (repo.pager()); pass the same
+  /// path to Load() to share it. Falls back to the resident path on
+  /// hosts that cannot page.
   static Result<TableRepository> LoadRepository(const std::string& path,
                                                 const PagingOptions& paging);
 

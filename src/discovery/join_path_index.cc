@@ -68,34 +68,22 @@ ptrdiff_t JoinPathIndex::FlatEdges::find(uint64_t key) const {
 }
 
 void JoinPathIndex::FlatEdges::SaveTo(SerdeWriter* w) const {
-  w->WriteU64Array(pair_keys.data(), pair_keys.size());
-  w->WriteU32Array(offsets.data(), offsets.size());
-  w->WriteU64Array(left.data(), left.size());
-  w->WriteU64Array(right.data(), right.size());
-  w->WriteDoubleArray(containment.data(), containment.size());
-  w->WriteDoubleArray(key_quality.data(), key_quality.size());
+  pair_keys.SaveTo(w);
+  offsets.SaveTo(w);
+  left.SaveTo(w);
+  right.SaveTo(w);
+  containment.SaveTo(w);
+  key_quality.SaveTo(w);
 }
 
 Status JoinPathIndex::FlatEdges::LoadFrom(SerdeReader* r,
                                           const PagerBinding* binding) {
-  const char* raw = nullptr;
-  uint64_t n = 0;
-  VER_RETURN_IF_ERROR(r->ReadArrayExtent(sizeof(uint64_t), "pair keys", &raw, &n));
-  pair_keys.Adopt(binding, raw, n);
-  VER_RETURN_IF_ERROR(
-      r->ReadArrayExtent(sizeof(uint32_t), "edge offsets", &raw, &n));
-  offsets.Adopt(binding, raw, n);
-  VER_RETURN_IF_ERROR(r->ReadArrayExtent(sizeof(uint64_t), "left refs", &raw, &n));
-  left.Adopt(binding, raw, n);
-  VER_RETURN_IF_ERROR(
-      r->ReadArrayExtent(sizeof(uint64_t), "right refs", &raw, &n));
-  right.Adopt(binding, raw, n);
-  VER_RETURN_IF_ERROR(
-      r->ReadArrayExtent(sizeof(double), "edge containment", &raw, &n));
-  containment.Adopt(binding, raw, n);
-  VER_RETURN_IF_ERROR(
-      r->ReadArrayExtent(sizeof(double), "edge key quality", &raw, &n));
-  key_quality.Adopt(binding, raw, n);
+  VER_RETURN_IF_ERROR(pair_keys.LoadFrom(r, binding, "pair keys"));
+  VER_RETURN_IF_ERROR(offsets.LoadFrom(r, binding, "edge offsets"));
+  VER_RETURN_IF_ERROR(left.LoadFrom(r, binding, "left refs"));
+  VER_RETURN_IF_ERROR(right.LoadFrom(r, binding, "right refs"));
+  VER_RETURN_IF_ERROR(containment.LoadFrom(r, binding, "edge containment"));
+  VER_RETURN_IF_ERROR(key_quality.LoadFrom(r, binding, "edge key quality"));
 
   // O(1) structural consistency — cheap enough to keep even under paging
   // (touches only the first/last offset pages).

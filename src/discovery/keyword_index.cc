@@ -47,7 +47,7 @@ class PostingsBuilder {
 
   // Writes keys in ascending byte order, each with its postings in the
   // order they were posted.
-  void Finish(PagedBytes* blob, PagedView<uint32_t>* key_offsets,
+  void Finish(PagedView<char>* blob, PagedView<uint32_t>* key_offsets,
               PagedView<uint64_t>* columns,
               PagedView<uint32_t>* posting_offsets) const {
     const size_t n = ends_.size();
@@ -161,36 +161,20 @@ ptrdiff_t KeywordIndex::FlatPostings::find(std::string_view needle) const {
 }
 
 void KeywordIndex::FlatPostings::SaveTo(SerdeWriter* w) const {
-  w->WriteString(blob.view());
-  w->WriteU32Array(key_offsets.data(), key_offsets.size());
-  w->WriteU64Array(columns.data(), columns.size());
-  w->WriteU32Array(posting_offsets.data(), posting_offsets.size());
+  blob.SaveTo(w);
+  key_offsets.SaveTo(w);
+  columns.SaveTo(w);
+  posting_offsets.SaveTo(w);
 }
 
 Status KeywordIndex::FlatPostings::LoadFrom(SerdeReader* r,
                                             const PagerBinding* binding) {
-  {
-    const char* raw = nullptr;
-    uint64_t len = 0;
-    VER_RETURN_IF_ERROR(r->ReadStringExtent(&raw, &len));
-    blob.Adopt(binding, raw, len);
-  }
-  auto load_u32 = [&](PagedView<uint32_t>* out, const char* what) -> Status {
-    const char* raw = nullptr;
-    uint64_t n = 0;
-    VER_RETURN_IF_ERROR(r->ReadArrayExtent(sizeof(uint32_t), what, &raw, &n));
-    out->Adopt(binding, raw, n);
-    return Status::OK();
-  };
-  VER_RETURN_IF_ERROR(load_u32(&key_offsets, "keyword key offsets"));
-  {
-    const char* raw = nullptr;
-    uint64_t n = 0;
-    VER_RETURN_IF_ERROR(
-        r->ReadArrayExtent(sizeof(uint64_t), "keyword postings", &raw, &n));
-    columns.Adopt(binding, raw, n);
-  }
-  VER_RETURN_IF_ERROR(load_u32(&posting_offsets, "keyword posting offsets"));
+  VER_RETURN_IF_ERROR(blob.LoadFrom(r, binding, "keyword key blob"));
+  VER_RETURN_IF_ERROR(
+      key_offsets.LoadFrom(r, binding, "keyword key offsets"));
+  VER_RETURN_IF_ERROR(columns.LoadFrom(r, binding, "keyword postings"));
+  VER_RETURN_IF_ERROR(
+      posting_offsets.LoadFrom(r, binding, "keyword posting offsets"));
   if (key_offsets.size() != posting_offsets.size()) {
     return Status::IOError("corrupt keyword index: inconsistent offsets");
   }

@@ -81,10 +81,10 @@ class KeywordIndex {
  private:
   /// Immutable posting store: keys sorted ascending in one blob, postings
   /// concatenated in key order. find() is a binary search over key slices.
-  /// Storage is PagedView/PagedBytes: owned after Build() or a resident
-  /// load, borrowed mmap extents under a paged one.
+  /// Storage is PagedViews: owned after Build() or a resident load,
+  /// borrowed mmap extents under a paged one.
   struct FlatPostings {
-    PagedBytes blob;                       // key bytes, concatenated
+    PagedView<char> blob;                  // key bytes, concatenated
     PagedView<uint32_t> key_offsets;       // num_keys + 1 entries
     PagedView<uint64_t> columns;           // ColumnRef::Encode, concatenated
     PagedView<uint32_t> posting_offsets;   // num_keys + 1 entries

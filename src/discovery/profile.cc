@@ -33,7 +33,7 @@ void ColumnProfile::SaveTo(SerdeWriter* w) const {
   w->WriteString(attribute_name);
   stats.SaveTo(w);
   signature.SaveTo(w);
-  w->WriteU64Vector(distinct_hashes);
+  w->WriteArray(distinct_hashes);
 }
 
 Status ColumnProfile::LoadFrom(SerdeReader* r) {
@@ -42,7 +42,7 @@ Status ColumnProfile::LoadFrom(SerdeReader* r) {
   VER_RETURN_IF_ERROR(r->ReadString(&attribute_name));
   VER_RETURN_IF_ERROR(stats.LoadFrom(r));
   VER_RETURN_IF_ERROR(signature.LoadFrom(r));
-  return r->ReadU64Vector(&distinct_hashes);
+  return r->ReadVector(&distinct_hashes);
 }
 
 std::vector<ColumnProfile> ProfileRepository(const TableRepository& repo,

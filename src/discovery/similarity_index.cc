@@ -31,34 +31,16 @@ ptrdiff_t SimilarityIndex::FlatBuckets::find(uint64_t key) const {
 }
 
 void SimilarityIndex::FlatBuckets::SaveTo(SerdeWriter* w) const {
-  w->WriteU64Array(keys.data(), keys.size());
-  w->WriteU32Array(offsets.data(), offsets.size());
-  w->WriteI32Array(postings.data(), postings.size());
+  keys.SaveTo(w);
+  offsets.SaveTo(w);
+  postings.SaveTo(w);
 }
 
 Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r,
                                               const PagerBinding* binding) {
-  {
-    const char* raw = nullptr;
-    uint64_t n = 0;
-    VER_RETURN_IF_ERROR(
-        r->ReadArrayExtent(sizeof(uint64_t), "bucket keys", &raw, &n));
-    keys.Adopt(binding, raw, n);
-  }
-  {
-    const char* raw = nullptr;
-    uint64_t n = 0;
-    VER_RETURN_IF_ERROR(
-        r->ReadArrayExtent(sizeof(uint32_t), "bucket offsets", &raw, &n));
-    offsets.Adopt(binding, raw, n);
-  }
-  {
-    const char* raw = nullptr;
-    uint64_t n = 0;
-    VER_RETURN_IF_ERROR(
-        r->ReadArrayExtent(sizeof(int), "bucket postings", &raw, &n));
-    postings.Adopt(binding, raw, n);
-  }
+  VER_RETURN_IF_ERROR(keys.LoadFrom(r, binding, "bucket keys"));
+  VER_RETURN_IF_ERROR(offsets.LoadFrom(r, binding, "bucket offsets"));
+  VER_RETURN_IF_ERROR(postings.LoadFrom(r, binding, "bucket postings"));
   // An empty store is one offset, 0: what Assign writes for no keys.
   bool valid = offsets.size() == keys.size() + 1 && offsets.front() == 0 &&
                offsets.back() == postings.size();

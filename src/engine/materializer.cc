@@ -17,10 +17,12 @@ Materializer::Materializer(const TableRepository* repo) : repo_(repo) {
   }
 }
 
-void Materializer::PinTable(int32_t table) {
-  if (pinned_[table]) return;
-  pinned_[table] = true;
-  repo_->table(table).PinInto(&pin_);
+Status Materializer::PinTable(int32_t table) {
+  if (!pinned_[table]) {
+    pinned_[table] = true;
+    repo_->table(table).PinInto(&pin_);
+  }
+  return repo_->CheckTable(table);
 }
 
 int Materializer::BoundIndex(int32_t table) const {
@@ -90,12 +92,15 @@ Result<Table> Materializer::Materialize(
   // until the instance (one query) is destroyed. Concurrent queries' faults
   // then cannot evict this query's working set between its views, and its
   // ~600 views pin each table once, not once per view. Correctness never
-  // depends on the pin (an evicted frame transparently refaults).
+  // depends on the pin (an evicted frame transparently refaults). A paged
+  // load did not validate the tables' cells, so a table whose content
+  // check fails (corrupt codes or offsets) fails the view here, before
+  // any cell is read.
   if (!pinned_.empty()) {
-    for (int32_t t : graph.tables) PinTable(t);
+    for (int32_t t : graph.tables) VER_RETURN_IF_ERROR(PinTable(t));
     for (const JoinEdge& e : graph.edges) {
-      PinTable(e.left.table_id);
-      PinTable(e.right.table_id);
+      VER_RETURN_IF_ERROR(PinTable(e.left.table_id));
+      VER_RETURN_IF_ERROR(PinTable(e.right.table_id));
     }
   }
 

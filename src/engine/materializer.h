@@ -49,7 +49,9 @@ struct MaterializeOptions {
 /// view. The pinned set may overcommit the pool's budget while the
 /// instance lives (the pool counts it in `pinned_overcommit`): a query of
 /// the `portal_paged` benchmark pins 18.2 64-KiB frames on average and 28
-/// at most. Not thread-safe: use one instance per query or thread.
+/// at most. A paged table whose content fails TableRepository::CheckTable
+/// fails every call that touches it with that IOError. Not thread-safe:
+/// use one instance per query or thread.
 class Materializer {
  public:
   explicit Materializer(const TableRepository* repo);
@@ -81,8 +83,9 @@ class Materializer {
   /// The build side of `col`: cached, or built and cached.
   const FlatU64MultiMap& BuildSide(const ColumnRef& col,
                                    int64_t max_cached_rows);
-  /// Pins `table`'s paged extents into pin_ unless already pinned.
-  void PinTable(int32_t table);
+  /// Pins `table`'s paged extents into pin_ unless already pinned, then
+  /// returns the repository's content check of the table.
+  Status PinTable(int32_t table);
 
   const TableRepository* repo_;
   // Paged repositories only: every table pinned so far, released when the

@@ -1,8 +1,11 @@
-// PagedView<T> / PagedBytes: array storage for snapshot-backed and
-// block-backed structures, in one of three states.
+// PagedView<T>: the one array type of snapshot-backed and block-backed
+// structures, and the one codec that moves arrays in and out of snapshots.
+// A view is in one of three states.
 //
-//   owned     a std::vector<T> (or std::string) the view owns and behaves
-//             exactly like — the build path and the resident load path.
+//   owned     a container the view owns and behaves exactly like — a
+//             std::vector<T>, or a std::string for PagedView<char> (byte
+//             blobs: dictionary arenas, interned key blobs) — the build
+//             path and the resident load path.
 //   mapped    a borrowed typed extent of an mmapped snapshot: a pointer
 //             into the map plus the (space, offset) needed to pin its
 //             frames in the BufferPool. paged() is true only here.
@@ -14,6 +17,12 @@
 // query code is mode-blind; only mutation (mut()) insists on the owned
 // state. Copying a view always yields an owned copy; moving one keeps its
 // borrow (the borrowed memory does not move).
+//
+// SaveTo writes a view as one SerdeWriter::WriteArray (64-byte-aligned
+// elements) or, for PagedView<char>, as one unaligned WriteString; LoadFrom
+// reads it back owned (a memcpy) or, with a pager binding, mapped (no
+// copy). The elements are the host's bytes, which is the wire format
+// because hosts are little-endian (util/serde.h).
 //
 // A mapped view is valid only while the SnapshotMap that backs it lives
 // (the engine's PagerRuntime guarantees that). Pinning is an accounting
@@ -34,6 +43,7 @@
 
 #include "pager/buffer_pool.h"
 #include "util/check.h"
+#include "util/serde.h"
 
 namespace ver {
 
@@ -51,8 +61,12 @@ template <typename T>
 class PagedView {
   static_assert(std::is_trivially_copyable_v<T>,
                 "PagedView elements are reinterpreted from mapped bytes");
+  static constexpr bool kBlob = std::is_same_v<T, char>;
 
  public:
+  /// The owned-state container.
+  using Owned = std::conditional_t<kBlob, std::string, std::vector<T>>;
+
   PagedView() = default;
 
   // Copying materializes an owned copy — borrows are tied to one snapshot
@@ -78,7 +92,7 @@ class PagedView {
     }
     return *this;
   }
-  PagedView& operator=(std::vector<T>&& v) {
+  PagedView& operator=(Owned&& v) {
     vec_ = std::move(v);
     DropBinding();
     return *this;
@@ -101,10 +115,15 @@ class PagedView {
     VER_DCHECK(!empty());
     return data()[size() - 1];
   }
+  /// A byte blob's bytes.
+  std::string_view view() const {
+    static_assert(kBlob, "view() is for PagedView<char>");
+    return std::string_view(data(), static_cast<size_t>(size()));
+  }
 
-  /// Mutable access to the owned vector; only valid in the owned state —
-  /// builders never see borrowed storage.
-  std::vector<T>& mut() {
+  /// Mutable access to the owned container; only valid in the owned state
+  /// — builders never see borrowed storage.
+  Owned& mut() {
     VER_DCHECK(extent_ == nullptr) << "mutating a borrowed view";
     return vec_;
   }
@@ -128,22 +147,39 @@ class PagedView {
     offset_ = 0;
   }
 
-  /// Takes `count` elements starting at mapped byte `raw`. Binds a paged
-  /// borrow when `b` carries a pool and `raw` is aligned for T; otherwise
-  /// copies the bytes into an owned resident vector (legacy snapshots,
-  /// non-paged loads, or pathological misalignment).
-  void Adopt(const PagerBinding* b, const char* raw, uint64_t count) {
+  /// Appends the view to `w`: a WriteArray, or a WriteString for a blob.
+  void SaveTo(SerdeWriter* w) const {
+    if constexpr (kBlob) {
+      w->WriteString(view());
+    } else {
+      w->WriteArray(data(), size());
+    }
+  }
+
+  /// Reads what SaveTo wrote; `what` names the array in truncation errors.
+  /// With a binding that carries a pool the view borrows the elements from
+  /// the mapped snapshot (paged); otherwise, or when the elements are not
+  /// aligned for T, it copies them into the owned container.
+  Status LoadFrom(SerdeReader* r, const PagerBinding* b, const char* what) {
+    const char* raw = nullptr;
+    uint64_t count = 0;
+    if constexpr (kBlob) {
+      VER_RETURN_IF_ERROR(r->ReadStringExtent(what, &raw, &count));
+    } else {
+      VER_RETURN_IF_ERROR(r->ReadArrayExtent(sizeof(T), what, &raw, &count));
+    }
     if (b != nullptr && b->pool != nullptr &&
         reinterpret_cast<uintptr_t>(raw) % alignof(T) == 0) {
       Borrow(reinterpret_cast<const T*>(raw), count);
       space_ = b->space;
       mapped_ = true;
       offset_ = static_cast<uint64_t>(raw - b->space_base);
-      return;
+      return Status::OK();
     }
-    vec_.resize(count);
-    if (count > 0) std::memcpy(vec_.data(), raw, count * sizeof(T));
+    vec_.resize(static_cast<size_t>(count));
+    if (count > 0) std::memcpy(&vec_[0], raw, count * sizeof(T));
     DropBinding();
+    return Status::OK();
   }
 
   /// Adds this view's extent to `pin`. No-op for resident views and for
@@ -175,117 +211,8 @@ class PagedView {
     DropBinding();
   }
 
-  std::vector<T> vec_;
+  Owned vec_;
   const T* extent_ = nullptr;  // borrowed elements; null when owned
-  uint64_t count_ = 0;
-  uint32_t space_ = 0;
-  bool mapped_ = false;  // extent_ lies in a snapshot map
-  uint64_t offset_ = 0;
-};
-
-/// PagedView's byte-blob sibling, with the same three states: a
-/// std::string when owned (dictionary arenas, interned key blobs), a
-/// borrowed extent when mapped or borrowed from the owner.
-class PagedBytes {
- public:
-  PagedBytes() = default;
-
-  PagedBytes(const PagedBytes& o) { *this = o; }
-  PagedBytes& operator=(const PagedBytes& o) {
-    if (this != &o) {
-      str_.assign(o.data(), o.size());
-      DropBinding();
-    }
-    return *this;
-  }
-  PagedBytes(PagedBytes&& o) noexcept { *this = std::move(o); }
-  PagedBytes& operator=(PagedBytes&& o) noexcept {
-    if (this != &o) {
-      str_ = std::move(o.str_);
-      extent_ = o.extent_;
-      count_ = o.count_;
-      space_ = o.space_;
-      mapped_ = o.mapped_;
-      offset_ = o.offset_;
-      o.Reset();
-    }
-    return *this;
-  }
-  PagedBytes& operator=(std::string&& s) {
-    str_ = std::move(s);
-    DropBinding();
-    return *this;
-  }
-
-  bool paged() const { return extent_ != nullptr && mapped_; }
-  const char* data() const {
-    return extent_ != nullptr ? extent_ : str_.data();
-  }
-  uint64_t size() const { return extent_ != nullptr ? count_ : str_.size(); }
-  bool empty() const { return size() == 0; }
-  char operator[](uint64_t i) const { return data()[i]; }
-  std::string_view view() const {
-    return std::string_view(data(), static_cast<size_t>(size()));
-  }
-
-  std::string& mut() {
-    VER_DCHECK(extent_ == nullptr) << "mutating borrowed bytes";
-    return str_;
-  }
-
-  uint64_t capacity_bytes() const {
-    return extent_ != nullptr ? 0 : str_.capacity();
-  }
-
-  /// Borrows `count` bytes at `p`; see PagedView::Borrow.
-  void Borrow(const char* p, uint64_t count) {
-    str_.clear();
-    str_.shrink_to_fit();
-    extent_ = p;
-    count_ = count;
-    space_ = 0;
-    mapped_ = false;
-    offset_ = 0;
-  }
-
-  void Adopt(const PagerBinding* b, const char* raw, uint64_t count) {
-    if (b != nullptr && b->pool != nullptr) {
-      Borrow(raw, count);
-      space_ = b->space;
-      mapped_ = true;
-      offset_ = static_cast<uint64_t>(raw - b->space_base);
-      return;
-    }
-    str_.assign(raw, static_cast<size_t>(count));
-    DropBinding();
-  }
-
-  void PinInto(PagePin* pin) const {
-    if (paged()) pin->PinRange(space_, offset_, count_);
-  }
-
-  void MaterializeOwned() {
-    if (extent_ == nullptr) return;
-    str_.assign(extent_, static_cast<size_t>(count_));
-    DropBinding();
-  }
-
- private:
-  void DropBinding() {
-    extent_ = nullptr;
-    count_ = 0;
-    space_ = 0;
-    mapped_ = false;
-    offset_ = 0;
-  }
-  void Reset() {
-    str_.clear();
-    str_.shrink_to_fit();
-    DropBinding();
-  }
-
-  std::string str_;
-  const char* extent_ = nullptr;  // borrowed bytes; null when owned
   uint64_t count_ = 0;
   uint32_t space_ = 0;
   bool mapped_ = false;  // extent_ lies in a snapshot map

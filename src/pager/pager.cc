@@ -2,17 +2,10 @@
 
 #include <utility>
 
-#include "util/serde.h"
-
 namespace ver {
 
 Result<std::shared_ptr<PagerRuntime>> PagerRuntime::Open(
     const std::string& path, const PagingOptions& options) {
-  if (!kSerdeHostLittleEndian) {
-    return Status::NotImplemented(
-        "paged serving needs a little-endian host (snapshot wire layout is "
-        "little-endian); load resident instead");
-  }
   auto mapped = SnapshotMap::Open(path);
   if (!mapped.ok()) return mapped.status();
   std::unique_ptr<SnapshotMap> map = std::move(mapped).value();

@@ -45,10 +45,9 @@ struct PagingOptions {
 class PagerRuntime {
  public:
   /// Maps `path` and registers it with the pool. Fails with NotImplemented
-  /// when the host cannot page at all, which the caller should answer with
-  /// a resident load: a big-endian host or a platform without mmap. Real
-  /// I/O and parse errors (a wrong format version among them) come back as
-  /// their own codes and should propagate.
+  /// only on a platform without mmap, which the caller should answer with
+  /// a resident load. Real I/O and parse errors (a wrong format version
+  /// among them) come back as their own codes and should propagate.
   static Result<std::shared_ptr<PagerRuntime>> Open(
       const std::string& path, const PagingOptions& options);
 

@@ -27,6 +27,34 @@ Result<int32_t> TableRepository::AddTable(Table table) {
   return it->second;
 }
 
+void TableRepository::set_pager(std::shared_ptr<PagerRuntime> pager) {
+  pager_ = std::move(pager);
+  content_valid_.reset();
+  if (pager_ != nullptr) {
+    content_valid_ =
+        std::make_shared<std::vector<std::atomic<bool>>>(tables_.size());
+  }
+}
+
+Status TableRepository::CheckTable(int32_t t) const {
+  // Tables added after the runtime was set were built, not paged in.
+  if (content_valid_ == nullptr ||
+      static_cast<size_t>(t) >= content_valid_->size() ||
+      (*content_valid_)[t].load()) {
+    return Status::OK();
+  }
+  const Table& table = tables_[t];
+  for (int c = 0; c < table.num_columns(); ++c) {
+    Status st = table.column_data(c).ValidateContent();
+    if (!st.ok()) {
+      return Status::IOError("table '" + table.name() + "' column " +
+                             std::to_string(c) + ": " + st.message());
+    }
+  }
+  (*content_valid_)[t].store(true);
+  return Status::OK();
+}
+
 std::vector<Value> TableRepository::column_values(const ColumnRef& ref) const {
   const Table& t = tables_[ref.table_id];
   std::vector<Value> out;

@@ -7,6 +7,7 @@
 #ifndef VER_STORAGE_REPOSITORY_H_
 #define VER_STORAGE_REPOSITORY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -93,11 +94,20 @@ class TableRepository {
   /// The pager runtime whose snapshot map this repository's tables borrow
   /// from, when loaded paged (null for resident repositories). Held by
   /// shared_ptr so the map outlives every borrower: queries and hot-swap
-  /// drains extend its life by sharing the engine's reference.
+  /// drains extend its life by sharing the engine's reference. Setting a
+  /// runtime marks every table's content unchecked (see CheckTable).
   const std::shared_ptr<PagerRuntime>& pager() const { return pager_; }
-  void set_pager(std::shared_ptr<PagerRuntime> pager) {
-    pager_ = std::move(pager);
-  }
+  void set_pager(std::shared_ptr<PagerRuntime> pager);
+
+  /// OK when table `t`'s cells are safe to read. Resident tables were
+  /// validated when they were built or loaded. The tables of a paged
+  /// repository were not (a paged load skips the O(rows) scans), so the
+  /// first call for such a table runs ColumnData::ValidateContent over its
+  /// columns and keeps the verdict in one atomic per table; later calls
+  /// cost one atomic load. A corrupt table returns an IOError naming the
+  /// table and the column on every call. Thread-safe: racing first calls
+  /// both validate the same immutable bytes.
+  Status CheckTable(int32_t t) const;
 
   /// True when any table borrows mapped snapshot storage.
   bool paged() const {
@@ -111,6 +121,10 @@ class TableRepository {
   std::vector<Table> tables_;
   std::unordered_map<std::string, int32_t> name_to_id_;
   std::shared_ptr<PagerRuntime> pager_;
+  // Paged repositories only: one flag per table loaded with the runtime,
+  // set once the table passed CheckTable. Shared by copies, whose tables
+  // hold the same cells.
+  std::shared_ptr<std::vector<std::atomic<bool>>> content_valid_;
 };
 
 }  // namespace ver

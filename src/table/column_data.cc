@@ -24,18 +24,6 @@ inline double BitsToDouble(uint64_t bits) {
   return v;
 }
 
-// One bulk array off the snapshot payload: zero-copy extent read, then
-// either a paged adoption (binding with a pool) or an owned copy.
-template <typename T>
-Status LoadArray(SerdeReader* r, const PagerBinding* binding,
-                 const char* what, PagedView<T>* out) {
-  const char* raw = nullptr;
-  uint64_t n = 0;
-  VER_RETURN_IF_ERROR(r->ReadArrayExtent(sizeof(T), what, &raw, &n));
-  out->Adopt(binding, raw, n);
-  return Status::OK();
-}
-
 // 8-byte words holding `bytes` bytes: every array of a gathered column's
 // block starts on a word boundary.
 inline size_t WordsFor(size_t bytes) { return (bytes + 7) / 8; }
@@ -872,34 +860,30 @@ void ColumnData::SaveTo(SerdeWriter* w) const {
   w->WriteI64(num_ints_);
   w->WriteI64(num_doubles_);
   w->WriteI64(num_strings_);
-  w->WriteU64Array(valid_words_.data(), valid_words_.size());
+  valid_words_.SaveTo(w);
   switch (enc_) {
     case ColumnEncoding::kInt64:
-      w->WriteI64Array(ints_.data(), ints_.size());
+      ints_.SaveTo(w);
       break;
     case ColumnEncoding::kDouble:
-      w->WriteDoubleArray(doubles_.data(), doubles_.size());
+      doubles_.SaveTo(w);
       break;
     case ColumnEncoding::kNumeric:
-      w->WriteU64Array(num_bits_.data(), num_bits_.size());
-      w->WriteU64Array(int_tag_words_.data(), int_tag_words_.size());
+      num_bits_.SaveTo(w);
+      int_tag_words_.SaveTo(w);
       break;
     case ColumnEncoding::kDict:
-      w->WriteU32Array(codes_.data(), codes_.size());
-      w->WriteU8Array(entry_types_.data(), entry_types_.size());
-      w->WriteU64Array(entry_payload_.data(), entry_payload_.size());
-      w->WriteU32Array(entry_lens_.data(), entry_lens_.size());
-      w->WriteU64Array(entry_hashes_.data(), entry_hashes_.size());
-      w->WriteString(arena_.view());
+      codes_.SaveTo(w);
+      entry_types_.SaveTo(w);
+      entry_payload_.SaveTo(w);
+      entry_lens_.SaveTo(w);
+      entry_hashes_.SaveTo(w);
+      arena_.SaveTo(w);
       break;
   }
 }
 
 Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
-  // Resident loads (no binding) run the full O(rows)/O(dict) content
-  // validation below; paged loads keep only the O(1) structural checks —
-  // see the header comment for the trust model.
-  const bool deep_validate = binding == nullptr || binding->pool == nullptr;
   uint8_t enc;
   VER_RETURN_IF_ERROR(r->ReadU8(&enc));
   if (enc > static_cast<uint8_t>(ColumnEncoding::kDict)) {
@@ -932,8 +916,7 @@ Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
       static_cast<uint64_t>(num_rows_)) {
     return Status::IOError("corrupt column: inconsistent cell tallies");
   }
-  VER_RETURN_IF_ERROR(
-      LoadArray(r, binding, "validity bitmap", &valid_words_));
+  VER_RETURN_IF_ERROR(valid_words_.LoadFrom(r, binding, "validity bitmap"));
   size_t want_words = static_cast<size_t>(num_rows_ + 63) / 64;
   if (valid_words_.size() != want_words) {
     return Status::IOError("corrupt column: validity bitmap has " +
@@ -951,82 +934,84 @@ Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
   };
   switch (enc_) {
     case ColumnEncoding::kInt64:
-      VER_RETURN_IF_ERROR(LoadArray(r, binding, "int payload", &ints_));
+      VER_RETURN_IF_ERROR(ints_.LoadFrom(r, binding, "int payload"));
       VER_RETURN_IF_ERROR(check_rows(ints_.size(), "int payload"));
       break;
     case ColumnEncoding::kDouble:
-      VER_RETURN_IF_ERROR(LoadArray(r, binding, "double payload", &doubles_));
+      VER_RETURN_IF_ERROR(doubles_.LoadFrom(r, binding, "double payload"));
       VER_RETURN_IF_ERROR(check_rows(doubles_.size(), "double payload"));
       break;
     case ColumnEncoding::kNumeric:
-      VER_RETURN_IF_ERROR(
-          LoadArray(r, binding, "numeric payload", &num_bits_));
+      VER_RETURN_IF_ERROR(num_bits_.LoadFrom(r, binding, "numeric payload"));
       VER_RETURN_IF_ERROR(check_rows(num_bits_.size(), "numeric payload"));
       VER_RETURN_IF_ERROR(
-          LoadArray(r, binding, "int-tag bitmap", &int_tag_words_));
+          int_tag_words_.LoadFrom(r, binding, "int-tag bitmap"));
       if (int_tag_words_.size() != want_words) {
         return Status::IOError("corrupt column: int-tag bitmap size mismatch");
       }
       break;
     case ColumnEncoding::kDict: {
-      VER_RETURN_IF_ERROR(LoadArray(r, binding, "code array", &codes_));
+      VER_RETURN_IF_ERROR(codes_.LoadFrom(r, binding, "code array"));
       VER_RETURN_IF_ERROR(check_rows(codes_.size(), "code array"));
       VER_RETURN_IF_ERROR(
-          LoadArray(r, binding, "dictionary types", &entry_types_));
+          entry_types_.LoadFrom(r, binding, "dictionary types"));
       VER_RETURN_IF_ERROR(
-          LoadArray(r, binding, "dictionary payloads", &entry_payload_));
+          entry_payload_.LoadFrom(r, binding, "dictionary payloads"));
       VER_RETURN_IF_ERROR(
-          LoadArray(r, binding, "dictionary lengths", &entry_lens_));
+          entry_lens_.LoadFrom(r, binding, "dictionary lengths"));
       VER_RETURN_IF_ERROR(
-          LoadArray(r, binding, "dictionary hashes", &entry_hashes_));
-      {
-        const char* raw = nullptr;
-        uint64_t len = 0;
-        VER_RETURN_IF_ERROR(r->ReadStringExtent(&raw, &len));
-        arena_.Adopt(binding, raw, len);
-      }
+          entry_hashes_.LoadFrom(r, binding, "dictionary hashes"));
+      VER_RETURN_IF_ERROR(arena_.LoadFrom(r, binding, "dictionary arena"));
       size_t n = entry_types_.size();
       if (entry_payload_.size() != n || entry_lens_.size() != n ||
           entry_hashes_.size() != n) {
         return Status::IOError("corrupt column: dictionary arrays disagree");
       }
-      if (deep_validate) {
-        for (size_t i = 0; i < n; ++i) {
-          ValueType t = static_cast<ValueType>(entry_types_[i]);
-          if (t != ValueType::kInt && t != ValueType::kDouble &&
-              t != ValueType::kString) {
-            return Status::IOError("corrupt column: dictionary entry " +
-                                   std::to_string(i) + " has invalid type");
-          }
-          if (t == ValueType::kString &&
-              (entry_lens_[i] > arena_.size() ||
-               entry_payload_[i] > arena_.size() - entry_lens_[i])) {
-            return Status::IOError("corrupt column: dictionary entry " +
-                                   std::to_string(i) + " exceeds arena");
-          }
-        }
-        for (int64_t row = 0; row < num_rows_; ++row) {
-          if (!is_null(row) && codes_[row] >= n) {
-            return Status::IOError("corrupt column: row " +
-                                   std::to_string(row) +
-                                   " code out of dictionary range");
-          }
-        }
-      }
       break;
     }
   }
-  if (deep_validate) {
-    // The bitmap is the source of truth for nulls; the stored tally must
-    // agree with it.
-    int64_t set_bits = 0;
-    for (uint64_t wv : valid_words_) set_bits += __builtin_popcountll(wv);
-    if (set_bits != num_rows_ - num_nulls_) {
-      return Status::IOError("corrupt column: validity bitmap popcount " +
-                             std::to_string(set_bits) + " disagrees with " +
-                             std::to_string(num_rows_ - num_nulls_) +
-                             " non-null cells");
+  // Paged loads defer the content scans to the first ValidateContent call
+  // (TableRepository::CheckTable); see the header comment. An unsealed
+  // column is scanned now, because TableRepository::AddTable seals it by
+  // reading every code and dictionary entry.
+  const bool paged = binding != nullptr && binding->pool != nullptr;
+  if (paged && sealed_) return Status::OK();
+  return ValidateContent();
+}
+
+Status ColumnData::ValidateContent() const {
+  if (enc_ == ColumnEncoding::kDict) {
+    const size_t n = entry_types_.size();
+    for (size_t i = 0; i < n; ++i) {
+      ValueType t = static_cast<ValueType>(entry_types_[i]);
+      if (t != ValueType::kInt && t != ValueType::kDouble &&
+          t != ValueType::kString) {
+        return Status::IOError("corrupt column: dictionary entry " +
+                               std::to_string(i) + " has invalid type");
+      }
+      if (t == ValueType::kString &&
+          (entry_lens_[i] > arena_.size() ||
+           entry_payload_[i] > arena_.size() - entry_lens_[i])) {
+        return Status::IOError("corrupt column: dictionary entry " +
+                               std::to_string(i) + " exceeds arena");
+      }
     }
+    for (int64_t row = 0; row < num_rows_; ++row) {
+      if (!is_null(row) && codes_[row] >= n) {
+        return Status::IOError("corrupt column: row " + std::to_string(row) +
+                               " code out of dictionary range");
+      }
+    }
+  }
+  // The bitmap is the source of truth for nulls; the stored tally must
+  // agree with it.
+  int64_t set_bits = 0;
+  for (uint64_t wv : valid_words_) set_bits += __builtin_popcountll(wv);
+  if (set_bits != num_rows_ - num_nulls_) {
+    return Status::IOError("corrupt column: validity bitmap popcount " +
+                           std::to_string(set_bits) + " disagrees with " +
+                           std::to_string(num_rows_ - num_nulls_) +
+                           " non-null cells");
   }
   return Status::OK();
 }

@@ -291,19 +291,25 @@ class ColumnData {
   size_t ApproxBytes() const;
 
   /// Columnar snapshot serialization: bitmap words, typed payload and
-  /// dictionary (types + payloads + lengths + cached hashes + arena) are
-  /// written as bulk arrays, so on little-endian hosts loading is a
-  /// handful of memcpys — or, with a pager `binding`, zero copies: every
-  /// bulk array is adopted as a borrowed extent of the mmapped snapshot.
+  /// dictionary (types + payloads + lengths + cached hashes + arena), each
+  /// one PagedView SaveTo/LoadFrom, so loading is a handful of memcpys —
+  /// or, with a pager `binding`, zero copies: every array is adopted as a
+  /// borrowed extent of the mmapped snapshot.
   ///
-  /// Trust model: the resident path (null binding) validates every count,
-  /// code and dictionary offset before the column is usable. The paged
-  /// path keeps the O(1) structural checks but skips the O(rows)/O(dict)
-  /// content scans — the snapshot's framing was already validated and
+  /// Trust model: every load keeps the O(1) structural checks (counts,
+  /// tallies, array sizes). A resident load (null binding) also runs
+  /// ValidateContent before the column is usable. A paged load skips it —
   /// scanning would fault in every page of a column the query may never
-  /// touch, defeating lazy cold-start.
+  /// touch, defeating lazy cold start — and TableRepository::CheckTable
+  /// runs it the first time a query reads the table.
   void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const PagerBinding* binding = nullptr);
+
+  /// The O(rows + dictionary) content checks that make every cell read
+  /// safe: dictionary entry types, string entries inside the arena, codes
+  /// of non-null rows inside the dictionary, and the validity bitmap's
+  /// popcount against the null tally. IOError names the first violation.
+  Status ValidateContent() const;
 
   /// True when any storage array borrows a mapped snapshot extent. A
   /// gathered column's arrays borrow its own block instead, so they are
@@ -378,7 +384,7 @@ class ColumnData {
   int64_t num_doubles_ = 0;
   int64_t num_strings_ = 0;
 
-  // Storage arrays are PagedView/PagedBytes: owned vectors during ingest
+  // Storage arrays are PagedViews: owned containers during ingest
   // and resident loads, borrowed mmap extents under a paged load, borrowed
   // extents of block_ after a Gather. Read paths are mode-blind; mutation
   // goes through .mut() behind EnsureOwned().
@@ -400,7 +406,7 @@ class ColumnData {
   PagedView<uint64_t> entry_payload_;
   PagedView<uint32_t> entry_lens_;
   PagedView<uint64_t> entry_hashes_;  // cached Value-compatible hashes
-  PagedBytes arena_;                  // string bytes, back to back
+  PagedView<char> arena_;             // string bytes, back to back
   // Intern map: cell hash -> codes with that hash (collisions resolved by
   // exact payload identity). Dropped by Seal(), rebuilt on demand.
   std::unordered_map<uint64_t, std::vector<uint32_t>> lookup_;

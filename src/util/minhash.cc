@@ -34,12 +34,12 @@ MinHashSignature MinHasher::Compute(
 
 void MinHashSignature::SaveTo(SerdeWriter* w) const {
   w->WriteU64(cardinality);
-  w->WriteU64Vector(slots);
+  w->WriteArray(slots);
 }
 
 Status MinHashSignature::LoadFrom(SerdeReader* r) {
   VER_RETURN_IF_ERROR(r->ReadU64(&cardinality));
-  return r->ReadU64Vector(&slots);
+  return r->ReadVector(&slots);
 }
 
 double EstimateJaccard(const MinHashSignature& a, const MinHashSignature& b) {

@@ -12,9 +12,7 @@
 // table ids) do not cluster along the probe chains. Items sharing a hash
 // sit in separate slots along one chain, so Insert confirms a duplicate
 // against every earlier item with that hash. Insert never allocates:
-// Reset sizes the table for the items about to be offered, and Reserve
-// grows it (keeping every kept item) for callers that learn their count
-// one item at a time.
+// Reset sizes the table for the items about to be offered.
 
 #ifndef VER_UTIL_ROW_DEDUPER_H_
 #define VER_UTIL_ROW_DEDUPER_H_
@@ -37,22 +35,6 @@ class RowDeduper {
     slots_.assign(CapacityFor(max_rows), Slot{});
     mask_ = slots_.size() - 1;
     num_rows_ = 0;
-  }
-
-  /// Keeps every kept item and grows the table, when needed, so that
-  /// `max_rows` Insert calls in total fit. Growth doubles the capacity, so
-  /// reserving one more item before each Insert costs amortized O(1).
-  void Reserve(int64_t max_rows) {
-    if (max_rows <= row_capacity()) return;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(CapacityFor(max_rows), Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.token < 0) continue;
-      size_t i = Mix64(s.hash) & mask_;
-      while (slots_[i].token >= 0) i = (i + 1) & mask_;
-      slots_[i] = s;
-    }
   }
 
   /// Returns true (and records the token) when the item is new; false when

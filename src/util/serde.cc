@@ -37,8 +37,7 @@ uint64_t SectionChecksum(std::string_view payload) {
   const char* p = payload.data();
   size_t n = payload.size();
   uint64_t h = 0x5345435455555243ULL ^ n;
-  // ParseLE keeps the checksum identical across host byte orders (it
-  // compiles to a plain 8-byte load on little-endian targets).
+  // ParseLE compiles to a plain 8-byte load.
   while (n >= 8) {
     h = Mix64(h ^ ParseLE(p, 8));
     p += 8;
@@ -78,73 +77,6 @@ void SerdeWriter::WriteDouble(double v) {
 void SerdeWriter::WriteString(std::string_view s) {
   WriteU64(s.size());
   buf_.append(s.data(), s.size());
-}
-
-// Bulk array fast path: on little-endian hosts the in-memory layout equals
-// the wire layout, so whole arrays memcpy. Big-endian hosts take the
-// element-wise path. Load speed is the whole point of snapshots (cold
-// start), so the hot vectors — sketches, distinct hashes, posting lists —
-// must not move element by element.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-constexpr bool kHostIsLittleEndian = true;
-#else
-constexpr bool kHostIsLittleEndian = false;
-#endif
-
-void SerdeWriter::WriteU64Array(const uint64_t* p, size_t n) {
-  AlignForArray();
-  WriteU64(n);
-  if (kHostIsLittleEndian) {
-    buf_.append(reinterpret_cast<const char*>(p), n * 8);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) WriteU64(p[i]);
-}
-
-void SerdeWriter::WriteU32Array(const uint32_t* p, size_t n) {
-  AlignForArray();
-  WriteU64(n);
-  if (kHostIsLittleEndian) {
-    buf_.append(reinterpret_cast<const char*>(p), n * 4);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) WriteU32(p[i]);
-}
-
-void SerdeWriter::WriteI32Array(const int* p, size_t n) {
-  AlignForArray();
-  WriteU64(n);
-  if (kHostIsLittleEndian && sizeof(int) == 4) {
-    buf_.append(reinterpret_cast<const char*>(p), n * 4);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) WriteI32(p[i]);
-}
-
-void SerdeWriter::WriteI64Array(const int64_t* p, size_t n) {
-  AlignForArray();
-  WriteU64(n);
-  if (kHostIsLittleEndian) {
-    buf_.append(reinterpret_cast<const char*>(p), n * 8);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) WriteI64(p[i]);
-}
-
-void SerdeWriter::WriteDoubleArray(const double* p, size_t n) {
-  AlignForArray();
-  WriteU64(n);
-  if (kHostIsLittleEndian) {
-    buf_.append(reinterpret_cast<const char*>(p), n * 8);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) WriteDouble(p[i]);
-}
-
-void SerdeWriter::WriteU8Array(const uint8_t* p, size_t n) {
-  AlignForArray();
-  WriteU64(n);
-  buf_.append(reinterpret_cast<const char*>(p), n);
 }
 
 Status SerdeReader::Need(size_t n, const char* what) {
@@ -227,105 +159,11 @@ Status SerdeReader::CheckCount(uint64_t count, size_t elem_width,
   return Status::OK();
 }
 
-Status SerdeReader::ReadU64Vector(std::vector<uint64_t>* out) {
-  VER_RETURN_IF_ERROR(SkipArrayPadding());
-  uint64_t count;
-  VER_RETURN_IF_ERROR(ReadU64(&count));
-  VER_RETURN_IF_ERROR(CheckCount(count, 8, "u64 vector"));
-  out->resize(static_cast<size_t>(count));
-  if (kHostIsLittleEndian) {
-    return ReadRaw(out->data(), static_cast<size_t>(count) * 8);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    VER_RETURN_IF_ERROR(ReadU64(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status SerdeReader::ReadU32Vector(std::vector<uint32_t>* out) {
-  VER_RETURN_IF_ERROR(SkipArrayPadding());
-  uint64_t count;
-  VER_RETURN_IF_ERROR(ReadU64(&count));
-  VER_RETURN_IF_ERROR(CheckCount(count, 4, "u32 vector"));
-  out->resize(static_cast<size_t>(count));
-  if (kHostIsLittleEndian) {
-    return ReadRaw(out->data(), static_cast<size_t>(count) * 4);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    VER_RETURN_IF_ERROR(ReadU32(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status SerdeReader::ReadI32Vector(std::vector<int>* out) {
-  VER_RETURN_IF_ERROR(SkipArrayPadding());
-  uint64_t count;
-  VER_RETURN_IF_ERROR(ReadU64(&count));
-  VER_RETURN_IF_ERROR(CheckCount(count, 4, "i32 vector"));
-  out->resize(static_cast<size_t>(count));
-  if (kHostIsLittleEndian && sizeof(int) == 4) {
-    return ReadRaw(out->data(), static_cast<size_t>(count) * 4);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    int32_t v;
-    VER_RETURN_IF_ERROR(ReadI32(&v));
-    (*out)[i] = v;
-  }
-  return Status::OK();
-}
-
-Status SerdeReader::ReadI64Vector(std::vector<int64_t>* out) {
-  VER_RETURN_IF_ERROR(SkipArrayPadding());
-  uint64_t count;
-  VER_RETURN_IF_ERROR(ReadU64(&count));
-  VER_RETURN_IF_ERROR(CheckCount(count, 8, "i64 vector"));
-  out->resize(static_cast<size_t>(count));
-  if (kHostIsLittleEndian) {
-    return ReadRaw(out->data(), static_cast<size_t>(count) * 8);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    VER_RETURN_IF_ERROR(ReadI64(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status SerdeReader::ReadDoubleVector(std::vector<double>* out) {
-  VER_RETURN_IF_ERROR(SkipArrayPadding());
-  uint64_t count;
-  VER_RETURN_IF_ERROR(ReadU64(&count));
-  VER_RETURN_IF_ERROR(CheckCount(count, 8, "double vector"));
-  out->resize(static_cast<size_t>(count));
-  if (kHostIsLittleEndian) {
-    return ReadRaw(out->data(), static_cast<size_t>(count) * 8);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    VER_RETURN_IF_ERROR(ReadDouble(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status SerdeReader::ReadU8Vector(std::vector<uint8_t>* out) {
-  VER_RETURN_IF_ERROR(SkipArrayPadding());
-  uint64_t count;
-  VER_RETURN_IF_ERROR(ReadU64(&count));
-  VER_RETURN_IF_ERROR(CheckCount(count, 1, "u8 vector"));
-  out->resize(static_cast<size_t>(count));
-  return ReadRaw(out->data(), static_cast<size_t>(count));
-}
-
-Status SerdeReader::ReadRaw(void* out, size_t n) {
-  VER_DCHECK(out != nullptr || n == 0) << "null destination for raw read";
-  VER_RETURN_IF_ERROR(Need(n, "raw bytes"));
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
-  return Status::OK();
-}
-
-Status SerdeReader::ReadStringExtent(const char** data_out,
+Status SerdeReader::ReadStringExtent(const char* what, const char** data_out,
                                      uint64_t* len_out) {
   uint64_t len;
   VER_RETURN_IF_ERROR(ReadU64(&len));
-  VER_RETURN_IF_ERROR(Need(static_cast<size_t>(len), "string bytes"));
+  VER_RETURN_IF_ERROR(Need(static_cast<size_t>(len), what));
   *data_out = data_.data() + pos_;
   *len_out = len;
   pos_ += static_cast<size_t>(len);

@@ -1,19 +1,28 @@
 // Checked binary serialization for persistent discovery snapshots.
 //
-// Snapshots are little-endian regardless of host byte order. A snapshot
-// file is a magic number, a format version, and a table of tagged
-// sections, each protected by its own checksum. There is one format
+// A snapshot file is a magic number, a format version, and a table of
+// tagged sections, each protected by its own checksum. There is one format
 // (kSnapshotFormatVersion): files of any other version are rejected, not
 // migrated. Readers are bounds-checked and return Status on truncation or
 // corruption — a damaged snapshot must produce a descriptive error, never
 // a crash or an over-allocation.
+//
+// Snapshots are little-endian, and so must be the host: bulk arrays are
+// the in-memory bytes of their elements, written with one append and
+// loaded with one memcpy or, paged, borrowed straight out of the mapped
+// file. Bulk arrays go through one codec, PagedView<T>::SaveTo/LoadFrom
+// (pager/paged_view.h), over the WriteArray / ReadArrayExtent and
+// WriteString / ReadStringExtent primitives below; ReadVector is the
+// owned-vector form of the same framing.
 
 #ifndef VER_UTIL_SERDE_H_
 #define VER_UTIL_SERDE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -21,13 +30,9 @@
 
 namespace ver {
 
-/// True when the host's in-memory integer layout equals the wire layout,
-/// enabling the bulk memcpy fast paths and zero-copy mapped views.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-inline constexpr bool kSerdeHostLittleEndian = true;
-#else
-inline constexpr bool kSerdeHostLittleEndian = false;
-#endif
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "snapshot arrays are the host's element bytes and the wire "
+              "format is little-endian: Ver needs a little-endian host");
 
 /// Array payloads inside snapshot sections start on this boundary (both
 /// relative to the section payload and absolute in the file, because
@@ -53,48 +58,33 @@ class SerdeWriter {
   /// snapshots for nothing.
   void WriteString(std::string_view s);
 
-  // Bulk typed arrays: u64 element count + packed little-endian elements,
-  // preceded by AlignForArray() padding so the element data lands on
-  // kSnapshotArrayAlignment. The pointer forms are the primary API — PagedView-backed
-  // stores are not std::vectors; the vector forms forward.
-  void WriteU64Array(const uint64_t* p, size_t n);
-  void WriteU32Array(const uint32_t* p, size_t n);
-  void WriteI32Array(const int* p, size_t n);
-  void WriteI64Array(const int64_t* p, size_t n);
-  void WriteDoubleArray(const double* p, size_t n);
-  void WriteU8Array(const uint8_t* p, size_t n);
-  void WriteU64Vector(const std::vector<uint64_t>& v) {
-    WriteU64Array(v.data(), v.size());
+  /// One bulk typed array: AlignForArray() padding, a u64 element count,
+  /// then the elements' bytes, so the element data lands on
+  /// kSnapshotArrayAlignment.
+  template <typename T>
+  void WriteArray(const T* p, size_t n) {
+    static_assert(std::is_arithmetic_v<T>, "bulk arrays hold numbers");
+    AlignForArray();
+    WriteU64(n);
+    buf_.append(reinterpret_cast<const char*>(p), n * sizeof(T));
   }
-  void WriteU32Vector(const std::vector<uint32_t>& v) {
-    WriteU32Array(v.data(), v.size());
+  template <typename T>
+  void WriteArray(const std::vector<T>& v) {
+    WriteArray(v.data(), v.size());
   }
-  void WriteI32Vector(const std::vector<int>& v) {
-    WriteI32Array(v.data(), v.size());
-  }
-  void WriteI64Vector(const std::vector<int64_t>& v) {
-    WriteI64Array(v.data(), v.size());
-  }
-  void WriteDoubleVector(const std::vector<double>& v) {
-    WriteDoubleArray(v.data(), v.size());
-  }
-  void WriteU8Vector(const std::vector<uint8_t>& v) {
-    WriteU8Array(v.data(), v.size());
-  }
-
-  /// Pads with zeros so the *data* of the next bulk array (which starts 8
-  /// bytes later, after the u64 count prefix) lands on
-  /// kSnapshotArrayAlignment. Called automatically by every Write*Array /
-  /// Write*Vector. The pad length is a pure function of the current
-  /// position, so a reader tracking the same position recomputes it without
-  /// any marker byte.
-  void AlignForArray();
 
   size_t pos() const { return buf_.size(); }
   const std::string& buffer() const { return buf_; }
   std::string TakeBuffer() { return std::move(buf_); }
 
  private:
+  /// Pads with zeros so the *data* of the next bulk array (which starts 8
+  /// bytes later, after the u64 count prefix) lands on
+  /// kSnapshotArrayAlignment. The pad length is a pure function of the
+  /// current position, so a reader tracking the same position recomputes
+  /// it without any marker byte.
+  void AlignForArray();
+
   std::string buf_;
 };
 
@@ -119,29 +109,32 @@ class SerdeReader {
   /// underlying buffer instead of copying. Same lifetime contract as
   /// ReadArrayExtent. Never preceded by alignment padding (mirrors
   /// WriteString).
-  Status ReadStringExtent(const char** data_out, uint64_t* len_out);
-  Status ReadU64Vector(std::vector<uint64_t>* out);
-  Status ReadU32Vector(std::vector<uint32_t>* out);
-  Status ReadI32Vector(std::vector<int>* out);
-  Status ReadI64Vector(std::vector<int64_t>* out);
-  Status ReadDoubleVector(std::vector<double>* out);
-  Status ReadU8Vector(std::vector<uint8_t>* out);
-  /// Bulk copy of `n` raw bytes (section payload extraction).
-  Status ReadRaw(void* out, size_t n);
+  Status ReadStringExtent(const char* what, const char** data_out,
+                          uint64_t* len_out);
 
-  /// Zero-copy counterpart of the Read*Vector calls: skips the alignment
-  /// padding, reads the u64 count, bounds-checks `count * elem_width`
-  /// payload bytes, exposes a pointer to them *inside the reader's
-  /// underlying buffer* and skips past. The view lives exactly as long as
-  /// the buffer the reader was constructed over — paged loaders hand
-  /// readers a view of an mmapped section and keep the map alive, resident
-  /// loaders must copy instead.
+  /// Reads one WriteArray: skips the alignment padding, reads the u64
+  /// count, bounds-checks `count * elem_width` payload bytes, exposes a
+  /// pointer to them *inside the reader's underlying buffer* and skips
+  /// past. The view lives exactly as long as the buffer the reader was
+  /// constructed over — paged loaders hand readers a view of an mmapped
+  /// section and keep the map alive, resident loaders must copy instead.
   Status ReadArrayExtent(size_t elem_width, const char* what,
                          const char** data_out, uint64_t* count_out);
 
-  /// Skips the zero padding AlignForArray() emitted, mirroring its position
-  /// arithmetic. Called automatically by every Read*Vector / ReadArrayExtent.
-  Status SkipArrayPadding();
+  /// Reads one WriteArray into an owned vector (one bounds check, one
+  /// memcpy; the count is checked before anything is allocated).
+  template <typename T>
+  Status ReadVector(std::vector<T>* out) {
+    static_assert(std::is_arithmetic_v<T>, "bulk arrays hold numbers");
+    const char* raw = nullptr;
+    uint64_t n = 0;
+    VER_RETURN_IF_ERROR(ReadArrayExtent(sizeof(T), "array", &raw, &n));
+    out->resize(static_cast<size_t>(n));
+    if (n > 0) {
+      std::memcpy(out->data(), raw, static_cast<size_t>(n) * sizeof(T));
+    }
+    return Status::OK();
+  }
 
   size_t pos() const { return pos_; }
 
@@ -164,6 +157,9 @@ class SerdeReader {
 
  private:
   Status Need(size_t n, const char* what);
+  /// Skips the zero padding AlignForArray() emitted, mirroring its position
+  /// arithmetic.
+  Status SkipArrayPadding();
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -4,12 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "page_aligned_bytes.h"
 #include "pager/buffer_pool.h"
 #include "table/column_data.h"
 #include "table/table.h"
@@ -380,31 +379,6 @@ TEST(ColumnDataTest, GatheredColumnOwnsOneBlockAndIsNotPaged) {
 }
 
 #if defined(__unix__) || defined(__APPLE__)
-// Page-aligned heap copy of a serialized table, standing in for an mmapped
-// snapshot: registered with the pool as a non-evictable space.
-class PageAlignedBytes {
- public:
-  explicit PageAlignedBytes(const std::string& bytes)
-      : size_(bytes.size()),
-        capacity_((bytes.size() + kPage - 1) / kPage * kPage) {
-    base_ = static_cast<char*>(std::aligned_alloc(kPage, capacity_));
-    std::memcpy(base_, bytes.data(), bytes.size());
-  }
-  ~PageAlignedBytes() { std::free(base_); }
-  PageAlignedBytes(const PageAlignedBytes&) = delete;
-  PageAlignedBytes& operator=(const PageAlignedBytes&) = delete;
-
-  const char* base() const { return base_; }
-  size_t size() const { return size_; }
-  size_t capacity() const { return capacity_; }
-
- private:
-  static constexpr size_t kPage = 4096;
-  char* base_ = nullptr;
-  size_t size_ = 0;
-  size_t capacity_ = 0;
-};
-
 TEST(ColumnDataTest, GatherFromPagedTableCopiesOutOfTheSnapshot) {
   const Table t = StringIntTable(300);
   SerdeWriter w;
@@ -573,29 +547,6 @@ TEST(RowDeduperTest, ConfirmsEqualHashesCellByCell) {
   // Reset forgets every kept row.
   deduper.Reset(1);
   EXPECT_TRUE(deduper.Insert(42, 2, same_cell));
-}
-
-TEST(RowDeduperTest, ReserveKeepsEveryKeptRow) {
-  // Reserving one more row before each Insert, as a caller that learns its
-  // count one row at a time does: every growth must re-place the kept rows.
-  // Seven hashes for 300 distinct values keep the probe chains long.
-  std::vector<int> values;
-  for (int i = 0; i < 1000; ++i) values.push_back((i * 37) % 300);
-  auto same = [&values](int64_t a, int64_t b) {
-    return values[a] == values[b];
-  };
-  RowDeduper deduper;
-  std::vector<int64_t> kept;
-  for (int64_t t = 0; t < static_cast<int64_t>(values.size()); ++t) {
-    deduper.Reserve(t + 1);
-    if (deduper.Insert(static_cast<uint64_t>(values[t] % 7), t, same)) {
-      kept.push_back(t);
-    }
-  }
-  ASSERT_EQ(kept.size(), 300u);
-  for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i], static_cast<int64_t>(i));
-  }
 }
 
 TEST(ColumnDataTest, ApproxBytesShrinksForRepetitiveStrings) {

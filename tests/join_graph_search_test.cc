@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/join_graph_search.h"
@@ -140,6 +144,29 @@ int ExpectRanked(const std::vector<ViewCandidate>& candidates) {
     if (prev.graph.Signature() != cur.graph.Signature()) ++ties;
   }
   return ties;
+}
+
+TEST_F(JoinGraphSearchTest, SymmetricCombinationsYieldEachCandidateOnce) {
+  // Both attributes draw a.v and b.v, so every column pair comes up in
+  // both orders. A graph signature and a projection multiset identify a
+  // candidate: each must come out once, and materialization keeps all.
+  std::vector<ColumnSelectionResult> per_attr = {
+      Candidates(*repo_, {{0, 1}, {1, 1}}),
+      Candidates(*repo_, {{1, 1}, {0, 1}})};
+  JoinGraphSearchResult result =
+      SearchJoinGraphs(*engine_, per_attr, JoinGraphSearchOptions());
+  ASSERT_FALSE(result.candidates.empty());
+  std::set<std::pair<std::string, std::vector<ColumnRef>>> seen;
+  bool joined = false;
+  for (const ViewCandidate& cand : result.candidates) {
+    std::vector<ColumnRef> projection = cand.projection;
+    std::sort(projection.begin(), projection.end());
+    EXPECT_TRUE(seen.emplace(cand.graph.Signature(), projection).second)
+        << cand.graph.Signature();
+    joined = joined || !cand.graph.edges.empty();
+  }
+  EXPECT_TRUE(joined);  // a.v and b.v join on k in one of the two orders
+  EXPECT_EQ(Materialize(result).size(), result.candidates.size());
 }
 
 TEST_F(JoinGraphSearchTest, CandidatesSortedByScore) {

@@ -23,6 +23,7 @@
 #include "serving/ver_server.h"
 #include "util/serde.h"
 #include "util/string_util.h"
+#include "workload/ground_truth.h"
 #include "workload/noisy_query.h"
 #include "workload/open_data_gen.h"
 
@@ -254,7 +255,6 @@ TEST(PagedServingTest, CorruptKeywordPostingIsDroppedAtQueryTime) {
 #if !defined(__unix__) && !defined(__APPLE__)
   GTEST_SKIP() << "no mmap: paged load falls back resident";
 #endif
-  if (!kSerdeHostLittleEndian) GTEST_SKIP() << "paging needs little-endian";
   const std::string example = f.queries[0].columns[0][0];
   const std::string needle = ToLower(Trim(example));
 
@@ -275,7 +275,7 @@ TEST(PagedServingTest, CorruptKeywordPostingIsDroppedAtQueryTime) {
   const char* postings = nullptr;
   const char* posting_offsets = nullptr;
   uint64_t blob_len = 0, num_keys = 0, num_postings = 0, num_offsets = 0;
-  ASSERT_TRUE(r.ReadStringExtent(&blob, &blob_len).ok());
+  ASSERT_TRUE(r.ReadStringExtent("key blob", &blob, &blob_len).ok());
   ASSERT_TRUE(r.ReadArrayExtent(4, "key offsets", &key_offsets, &num_keys).ok());
   ASSERT_TRUE(r.ReadArrayExtent(8, "postings", &postings, &num_postings).ok());
   ASSERT_TRUE(
@@ -349,7 +349,6 @@ TEST(PagedServingTest, CorruptRowsPerBandIsRejected) {
 #if !defined(__unix__) && !defined(__APPLE__)
   GTEST_SKIP() << "no mmap: paged load falls back resident";
 #endif
-  if (!kSerdeHostLittleEndian) GTEST_SKIP() << "paging needs little-endian";
   Result<std::unique_ptr<SnapshotMap>> map = SnapshotMap::Open(f.snapshot_path);
   ASSERT_TRUE(map.ok()) << map.status().ToString();
   const SnapshotSectionEntry* similarity_section = map.value()->FindSection(5);
@@ -389,6 +388,186 @@ TEST(PagedServingTest, CorruptRowsPerBandIsRejected) {
   }
   ASSERT_TRUE(WriteSnapshotFile(path, sections).ok());
   expect_rejected(DiscoveryEngine::Load(f.dataset.repo, path).status());
+  std::remove(path.c_str());
+}
+
+// File offsets of one dictionary column's bytes in the repo-tables section
+// (section 7): its sealed flag, the code of its first non-null row and the
+// arena offset of its first string entry.
+struct DictColumnBytes {
+  int32_t table = -1;
+  int column = -1;
+  size_t sealed_at = 0;
+  size_t code_at = 0;
+  size_t string_offset_at = 0;
+};
+
+// Walks section 7 of `bytes` along ColumnData::SaveTo's layout and returns
+// the first dictionary column of table `want_table` that has a non-null row
+// and a string entry.
+DictColumnBytes FindDictColumn(const std::string& bytes,
+                               const SnapshotSectionEntry& section,
+                               int32_t want_table) {
+  DictColumnBytes found;
+  SerdeReader r(std::string_view(bytes.data() + section.offset,
+                                 static_cast<size_t>(section.size)),
+                "repo tables section");
+  uint64_t count = 0;  // elements of the last extent read
+  auto extent = [&r, &count](size_t width) {
+    const char* raw = nullptr;
+    EXPECT_TRUE(r.ReadArrayExtent(width, "array", &raw, &count).ok());
+    return raw;
+  };
+  int32_t num_tables = 0;
+  EXPECT_TRUE(r.ReadI32(&num_tables).ok());
+  for (int32_t t = 0; t < num_tables && t <= want_table; ++t) {
+    std::string name;
+    Schema schema;
+    int64_t rows = 0;
+    EXPECT_TRUE(r.ReadString(&name).ok());
+    EXPECT_TRUE(schema.LoadFrom(&r).ok());
+    EXPECT_TRUE(r.ReadI64(&rows).ok());
+    for (int c = 0; c < schema.num_attributes(); ++c) {
+      uint8_t enc = 0;
+      bool sealed = false;
+      int64_t tallies[5] = {};
+      EXPECT_TRUE(r.ReadU8(&enc).ok());
+      const size_t sealed_at = section.offset + r.pos();
+      EXPECT_TRUE(r.ReadBool(&sealed).ok());
+      for (int64_t& v : tallies) EXPECT_TRUE(r.ReadI64(&v).ok());
+      const char* valid = extent(8);
+      if (enc != static_cast<uint8_t>(ColumnEncoding::kDict)) {
+        extent(8);  // int, double or numeric payload
+        if (enc == static_cast<uint8_t>(ColumnEncoding::kNumeric)) extent(8);
+        continue;
+      }
+      const char* codes = extent(4);
+      const char* types = extent(1);
+      const uint64_t entries = count;
+      const char* payloads = extent(8);
+      extent(4);  // lengths
+      extent(8);  // hashes
+      const char* arena = nullptr;
+      uint64_t arena_len = 0;
+      EXPECT_TRUE(r.ReadStringExtent("arena", &arena, &arena_len).ok());
+      if (t != want_table || found.table >= 0) continue;
+      int64_t row = 0;
+      while (row < rows && ((static_cast<unsigned char>(valid[row / 8]) >>
+                             (row % 8)) & 1) == 0) {
+        ++row;
+      }
+      uint64_t entry = 0;
+      while (entry < entries &&
+             types[entry] != static_cast<char>(ValueType::kString)) {
+        ++entry;
+      }
+      if (row == rows || entry == entries) continue;
+      found.table = t;
+      found.column = c;
+      found.sealed_at = sealed_at;
+      found.code_at = static_cast<size_t>(codes - bytes.data()) +
+                      static_cast<size_t>(row) * 4;
+      found.string_offset_at =
+          static_cast<size_t>(payloads - bytes.data()) + entry * 8;
+    }
+  }
+  return found;
+}
+
+// A paged load verifies no checksums and skips the column content scans,
+// so a corrupt dictionary code or string offset of a paged table must fail
+// the first materialization that reads the table, with an error naming the
+// table, while the query around it still answers.
+TEST(PagedServingTest, CorruptPagedColumnFailsItsMaterialization) {
+  PagedFixture& f = Fixture();
+  ASSERT_FALSE(f.queries.empty());
+#if !defined(__unix__) && !defined(__APPLE__)
+  GTEST_SKIP() << "no mmap: paged load falls back resident";
+#endif
+  Result<ColumnRef> target =
+      ResolveColumn(f.dataset.repo, f.dataset.queries[0].gt_tables[0],
+                    f.dataset.queries[0].gt_attributes[0]);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  const std::string table_name =
+      f.dataset.repo.table(target->table_id).name();
+
+  Result<std::unique_ptr<SnapshotMap>> map = SnapshotMap::Open(f.snapshot_path);
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  const SnapshotSectionEntry* tables_section = map.value()->FindSection(7);
+  ASSERT_NE(tables_section, nullptr);
+  const std::string clean(map.value()->data(),
+                          static_cast<size_t>(map.value()->size()));
+  const DictColumnBytes column =
+      FindDictColumn(clean, *tables_section, target->table_id);
+  ASSERT_EQ(column.table, target->table_id)
+      << "no dictionary column with strings in " << table_name;
+
+  struct Patch {
+    const char* name;
+    size_t at;
+    uint64_t value;
+    size_t width;
+  };
+  const Patch patches[] = {
+      {"code", column.code_at, 0xFFFFFFF0u, 4},
+      {"string offset", column.string_offset_at, uint64_t{1} << 40, 8}};
+  const std::string path = TempPath("ver_paged_serving_bad_column.versnap");
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.name);
+    std::string bytes = clean;
+    std::memcpy(&bytes[patch.at], &patch.value, patch.width);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    // Resident loads verify the section checksum and refuse the file.
+    EXPECT_FALSE(DiscoveryEngine::LoadRepository(path).ok());
+
+    Result<TableRepository> repo =
+        DiscoveryEngine::LoadRepository(path, TightPaging());
+    ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+    Result<std::unique_ptr<DiscoveryEngine>> loaded =
+        DiscoveryEngine::Load(repo.value(), path, TightPaging());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+    JoinGraph graph;
+    graph.tables = {column.table};
+    const std::vector<ColumnRef> projection = {
+        ColumnRef{column.table, column.column}};
+    for (int call = 0; call < 2; ++call) {
+      Materializer m(&repo.value());
+      Result<Table> view =
+          m.Materialize(graph, projection, MaterializeOptions(), "corrupt");
+      ASSERT_FALSE(view.ok());
+      EXPECT_TRUE(view.status().IsIOError()) << view.status().ToString();
+      EXPECT_NE(view.status().message().find("'" + table_name + "'"),
+                std::string::npos)
+          << view.status().ToString();
+    }
+
+    Ver served(&repo.value(), VerConfig(), std::move(loaded).value());
+    DiscoveryResponse response =
+        served.Execute(DiscoveryRequest::ForQuery(f.queries[0]));
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_GT(response.result.search.num_materialization_failures, 0);
+  }
+
+  // A column saved unsealed is sealed by TableRepository::AddTable, which
+  // reads every code, so a paged load scans it at once and fails.
+  {
+    std::string bytes = clean;
+    const uint32_t bad_code = 0xFFFFFFF0u;
+    std::memcpy(&bytes[column.code_at], &bad_code, 4);
+    bytes[column.sealed_at] = 0;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Result<TableRepository> repo =
+        DiscoveryEngine::LoadRepository(path, TightPaging());
+    ASSERT_FALSE(repo.ok());
+    EXPECT_TRUE(repo.status().IsIOError()) << repo.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

@@ -269,9 +269,9 @@ TEST(SnapshotTest, OutOfRangePostingsAreRejected) {
   w.WriteI32(4);     // rows_per_band
   w.WriteU64(1);     // one column
   w.WriteBool(true);
-  w.WriteU64Vector({42});        // value postings: one key...
-  w.WriteU32Vector({0, 1});
-  w.WriteI32Vector({7});         // ...whose posting points past profile 0
+  w.WriteArray<uint64_t>({42});  // value postings: one key...
+  w.WriteArray<uint32_t>({0, 1});
+  w.WriteArray<int>({7});        // ...whose posting points past profile 0
   w.WriteU64(0);                 // no bands
   std::vector<ColumnProfile> profiles(1);
   SimilarityIndex index;
@@ -317,8 +317,8 @@ TEST(SnapshotTest, SerdePrimitivesRoundTripAndBoundCheck) {
   w.WriteDouble(-1.5e-300);
   w.WriteString("hello\0world");  // embedded NUL via string_view? no: literal
   w.WriteString(std::string("bin\0ary", 7));
-  w.WriteU64Vector({1, 2, 3});
-  w.WriteI32Vector({-1, 0, 7});
+  w.WriteArray<uint64_t>({1, 2, 3});
+  w.WriteArray<int>({-1, 0, 7});
 
   SerdeReader r(w.buffer(), "test payload");
   uint8_t u8;
@@ -338,8 +338,8 @@ TEST(SnapshotTest, SerdePrimitivesRoundTripAndBoundCheck) {
   ASSERT_TRUE(r.ReadDouble(&d).ok());
   ASSERT_TRUE(r.ReadString(&s1).ok());
   ASSERT_TRUE(r.ReadString(&s2).ok());
-  ASSERT_TRUE(r.ReadU64Vector(&v64).ok());
-  ASSERT_TRUE(r.ReadI32Vector(&v32).ok());
+  ASSERT_TRUE(r.ReadVector(&v64).ok());
+  ASSERT_TRUE(r.ReadVector(&v32).ok());
   EXPECT_EQ(u8, 0xab);
   EXPECT_EQ(u32, 0xdeadbeefu);
   EXPECT_EQ(u64, 0x0123456789abcdefULL);
@@ -364,7 +364,7 @@ TEST(SnapshotTest, SerdePrimitivesRoundTripAndBoundCheck) {
   EXPECT_TRUE(hr.ReadString(&out).IsIOError());
   SerdeReader hr2(hostile.buffer(), "hostile payload");
   std::vector<uint64_t> vout;
-  EXPECT_TRUE(hr2.ReadU64Vector(&vout).IsIOError());
+  EXPECT_TRUE(hr2.ReadVector(&vout).IsIOError());
 
   // A count chosen so count * elem_width wraps size_t must still fail the
   // bounds check (overflow-safe division guard).
@@ -372,7 +372,7 @@ TEST(SnapshotTest, SerdePrimitivesRoundTripAndBoundCheck) {
   wrapping.WriteU64(0x2000000000000001ULL);
   SerdeReader wr(wrapping.buffer(), "wrapping payload");
   std::vector<uint64_t> wv;
-  EXPECT_TRUE(wr.ReadU64Vector(&wv).IsIOError());
+  EXPECT_TRUE(wr.ReadVector(&wv).IsIOError());
 }
 
 TEST(SnapshotTest, ServerStartsFromSnapshotWithoutRebuild) {
