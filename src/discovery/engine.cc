@@ -147,7 +147,6 @@ struct SnapshotSource {
   std::string path;
   std::vector<SnapshotSection> owned;     // resident reads only
   std::shared_ptr<PagerRuntime> runtime;  // paged opens only
-  PagerBinding binding_value;
 
   struct View {
     uint32_t id;
@@ -155,10 +154,9 @@ struct SnapshotSource {
   };
   std::vector<View> views;
 
-  /// Binding for LoadFrom calls; null when resident.
-  const PagerBinding* binding() const {
-    return runtime != nullptr ? &binding_value : nullptr;
-  }
+  /// Whether LoadFrom calls borrow the section bytes (a paged open)
+  /// instead of copying them.
+  bool borrow() const { return runtime != nullptr; }
 
   /// A reader over the one section with `id`; errors on duplicates or
   /// absence.
@@ -203,7 +201,6 @@ Status OpenSnapshotSource(const std::string& path, const PagingOptions& paging,
     }
     if (runtime != nullptr) {
       out->runtime = runtime;
-      out->binding_value = runtime->binding();
       out->views.reserve(runtime->map().sections().size());
       for (const SnapshotSectionEntry& e : runtime->map().sections()) {
         out->views.push_back({e.id, runtime->map().section_payload(e)});
@@ -282,17 +279,28 @@ Result<TableRepository> DiscoveryEngine::LoadRepository(
     return Status::IOError("snapshot " + path +
                            " declares a negative table count");
   }
+  // Paged loads record where each table's record lies in the map, which
+  // is what a query pins.
+  const uint64_t section_offset =
+      src.runtime != nullptr
+          ? src.runtime->map().FindSection(kSectionRepoTables)->offset
+          : 0;
+  std::vector<TableSpan> spans;
   TableRepository repo;
   for (int32_t t = 0; t < num_tables; ++t) {
+    const size_t start = r.pos();
     Table table;
-    VER_RETURN_IF_ERROR(table.LoadFrom(&r, src.binding()));
+    VER_RETURN_IF_ERROR(table.LoadFrom(&r, src.borrow()));
+    if (src.runtime != nullptr) {
+      spans.push_back({section_offset + start, r.pos() - start});
+    }
     VER_ASSIGN_OR_RETURN(int32_t id, repo.AddTable(std::move(table)));
     (void)id;
   }
   VER_RETURN_IF_ERROR(r.ExpectEnd());
   // The repository keeps the runtime alive for as long as any table
   // borrows from the map.
-  repo.set_pager(src.runtime);
+  repo.set_pager(src.runtime, spans);
   return repo;
 }
 
@@ -350,7 +358,7 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::Load(
   {
     VER_ASSIGN_OR_RETURN(SerdeReader r,
                          src.Section(kSectionKeywordIndex, "keyword index"));
-    VER_RETURN_IF_ERROR(engine->keywords_.LoadFrom(&r, repo, src.binding()));
+    VER_RETURN_IF_ERROR(engine->keywords_.LoadFrom(&r, repo, src.borrow()));
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
   {
@@ -358,28 +366,18 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::Load(
         SerdeReader r,
         src.Section(kSectionSimilarityIndex, "similarity index"));
     VER_RETURN_IF_ERROR(engine->similarity_.LoadFrom(
-        &r, &engine->profiles_, engine->options_.similarity, src.binding()));
+        &r, &engine->profiles_, engine->options_.similarity, src.borrow()));
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
   {
     VER_ASSIGN_OR_RETURN(
         SerdeReader r, src.Section(kSectionJoinPathIndex, "join path index"));
     VER_RETURN_IF_ERROR(engine->join_paths_.LoadFrom(
-        &r, repo, engine->options_.join_paths, src.binding()));
+        &r, repo, engine->options_.join_paths, src.borrow()));
     VER_RETURN_IF_ERROR(r.ExpectEnd());
   }
   engine->pager_ = src.runtime;
   return engine;
-}
-
-void DiscoveryEngine::PinInto(PagePin* pin) const {
-  if (pager_ == nullptr && !repo_->paged()) return;
-  for (int32_t t = 0; t < repo_->num_tables(); ++t) {
-    repo_->table(t).PinInto(pin);
-  }
-  keywords_.PinInto(pin);
-  similarity_.PinInto(pin);
-  join_paths_.PinInto(pin);
 }
 
 std::vector<KeywordHit> DiscoveryEngine::SearchKeyword(

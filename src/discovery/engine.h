@@ -168,10 +168,6 @@ class DiscoveryEngine {
   const std::shared_ptr<PagerRuntime>& pager() const { return pager_; }
   bool paged() const { return pager_ != nullptr; }
 
-  /// Pins every paged extent the engine and repository borrow (tables,
-  /// posting stores, join edges) into `pin`; no-op when resident.
-  void PinInto(PagePin* pin) const;
-
  private:
   DiscoveryEngine() = default;
 

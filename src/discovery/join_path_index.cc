@@ -76,14 +76,13 @@ void JoinPathIndex::FlatEdges::SaveTo(SerdeWriter* w) const {
   key_quality.SaveTo(w);
 }
 
-Status JoinPathIndex::FlatEdges::LoadFrom(SerdeReader* r,
-                                          const PagerBinding* binding) {
-  VER_RETURN_IF_ERROR(pair_keys.LoadFrom(r, binding, "pair keys"));
-  VER_RETURN_IF_ERROR(offsets.LoadFrom(r, binding, "edge offsets"));
-  VER_RETURN_IF_ERROR(left.LoadFrom(r, binding, "left refs"));
-  VER_RETURN_IF_ERROR(right.LoadFrom(r, binding, "right refs"));
-  VER_RETURN_IF_ERROR(containment.LoadFrom(r, binding, "edge containment"));
-  VER_RETURN_IF_ERROR(key_quality.LoadFrom(r, binding, "edge key quality"));
+Status JoinPathIndex::FlatEdges::LoadFrom(SerdeReader* r, bool borrow) {
+  VER_RETURN_IF_ERROR(pair_keys.LoadFrom(r, borrow, "pair keys"));
+  VER_RETURN_IF_ERROR(offsets.LoadFrom(r, borrow, "edge offsets"));
+  VER_RETURN_IF_ERROR(left.LoadFrom(r, borrow, "left refs"));
+  VER_RETURN_IF_ERROR(right.LoadFrom(r, borrow, "right refs"));
+  VER_RETURN_IF_ERROR(containment.LoadFrom(r, borrow, "edge containment"));
+  VER_RETURN_IF_ERROR(key_quality.LoadFrom(r, borrow, "edge key quality"));
 
   // O(1) structural consistency — cheap enough to keep even under paging
   // (touches only the first/last offset pages).
@@ -93,7 +92,7 @@ Status JoinPathIndex::FlatEdges::LoadFrom(SerdeReader* r,
       key_quality.size() != left.size()) {
     return Status::IOError("corrupt join path index: array sizes disagree");
   }
-  if (binding != nullptr && binding->pool != nullptr) return Status::OK();
+  if (borrow) return Status::OK();
   // Resident loads vet the whole layout up front; paged loads defer to
   // edge_range() / EdgesBetween()'s per-record guards.
   for (size_t i = 0; i < num_pairs(); ++i) {
@@ -224,12 +223,11 @@ void JoinPathIndex::SaveTo(SerdeWriter* w) const {
 }
 
 Status JoinPathIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
-                               const JoinPathOptions& options,
-                               const PagerBinding* binding) {
+                               const JoinPathOptions& options, bool borrow) {
   int64_t num_pairs;
   VER_RETURN_IF_ERROR(r->ReadI64(&num_pairs));
   FlatEdges flat;
-  VER_RETURN_IF_ERROR(flat.LoadFrom(r, binding));
+  VER_RETURN_IF_ERROR(flat.LoadFrom(r, borrow));
   auto valid_ref = [&repo](const ColumnRef& ref) {
     return ref.table_id >= 0 && ref.table_id < repo.num_tables() &&
            ref.column_index >= 0 &&
@@ -239,7 +237,7 @@ Status JoinPathIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
   // the repository. Resident loads reject out-of-range addresses up front;
   // paged loads skip this O(edges) scan (it would fault in every edge
   // page) and EdgesBetween drops bad records at query time instead.
-  if (binding == nullptr || binding->pool == nullptr) {
+  if (!borrow) {
     for (size_t o = 0; o < static_cast<size_t>(flat.left.size()); ++o) {
       ColumnRef l = DecodeRef(flat.left[o]), rr = DecodeRef(flat.right[o]);
       if (!valid_ref(l) || !valid_ref(rr)) {

@@ -79,17 +79,14 @@ class JoinPathIndex {
   /// Snapshot serialization. SaveTo writes the flat store as it is, so the
   /// bytes are deterministic; the adjacency lists are derived data and are
   /// rebuilt on load. Resident loads validate every edge endpoint against
-  /// `repo`; with a pager `binding` the arrays are adopted as borrowed mmap
-  /// extents, the O(edges) scan is skipped, and EdgesBetween drops any edge
-  /// whose decoded endpoints fall outside the repository instead.
+  /// `repo`; with `borrow` (a paged load) the arrays are adopted as
+  /// borrowed mmap extents, the O(edges) scan is skipped, and EdgesBetween
+  /// drops any edge whose decoded endpoints fall outside the repository
+  /// instead.
   /// `options` comes from the engine's options section (persisted once).
   void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const TableRepository& repo,
-                  const JoinPathOptions& options,
-                  const PagerBinding* binding = nullptr);
-
-  /// Adds the flat edge store's paged extents to `pin` (no-op if resident).
-  void PinInto(PagePin* pin) const { flat_edges_.PinInto(pin); }
+                  const JoinPathOptions& options, bool borrow = false);
 
  private:
   /// Immutable edge store: table-pair keys sorted ascending, per-pair edge
@@ -115,15 +112,7 @@ class JoinPathIndex {
       return {b, e};
     }
     void SaveTo(SerdeWriter* w) const;
-    Status LoadFrom(SerdeReader* r, const PagerBinding* binding);
-    void PinInto(PagePin* pin) const {
-      pair_keys.PinInto(pin);
-      offsets.PinInto(pin);
-      left.PinInto(pin);
-      right.PinInto(pin);
-      containment.PinInto(pin);
-      key_quality.PinInto(pin);
-    }
+    Status LoadFrom(SerdeReader* r, bool borrow);
   };
 
   FlatEdges flat_edges_;

@@ -167,14 +167,13 @@ void KeywordIndex::FlatPostings::SaveTo(SerdeWriter* w) const {
   posting_offsets.SaveTo(w);
 }
 
-Status KeywordIndex::FlatPostings::LoadFrom(SerdeReader* r,
-                                            const PagerBinding* binding) {
-  VER_RETURN_IF_ERROR(blob.LoadFrom(r, binding, "keyword key blob"));
+Status KeywordIndex::FlatPostings::LoadFrom(SerdeReader* r, bool borrow) {
+  VER_RETURN_IF_ERROR(blob.LoadFrom(r, borrow, "keyword key blob"));
   VER_RETURN_IF_ERROR(
-      key_offsets.LoadFrom(r, binding, "keyword key offsets"));
-  VER_RETURN_IF_ERROR(columns.LoadFrom(r, binding, "keyword postings"));
+      key_offsets.LoadFrom(r, borrow, "keyword key offsets"));
+  VER_RETURN_IF_ERROR(columns.LoadFrom(r, borrow, "keyword postings"));
   VER_RETURN_IF_ERROR(
-      posting_offsets.LoadFrom(r, binding, "keyword posting offsets"));
+      posting_offsets.LoadFrom(r, borrow, "keyword posting offsets"));
   if (key_offsets.size() != posting_offsets.size()) {
     return Status::IOError("corrupt keyword index: inconsistent offsets");
   }
@@ -182,7 +181,7 @@ Status KeywordIndex::FlatPostings::LoadFrom(SerdeReader* r,
   // never read out of range even if a corrupt file slipped past the
   // checksum. Paged loads skip the scan (it would fault in both offset
   // arrays eagerly) — key()/posting_range() guard each slice instead.
-  if (binding != nullptr && binding->pool != nullptr) return Status::OK();
+  if (borrow) return Status::OK();
   auto offsets_valid = [](const PagedView<uint32_t>& offsets, size_t end) {
     if (offsets.empty()) return end == 0;
     if (offsets.front() != 0 || offsets.back() != end) return false;
@@ -359,15 +358,15 @@ void KeywordIndex::SaveTo(SerdeWriter* w) const {
 }
 
 Status KeywordIndex::LoadFrom(SerdeReader* r, const TableRepository& repo,
-                              const PagerBinding* binding) {
-  VER_RETURN_IF_ERROR(flat_values_.LoadFrom(r, binding));
-  VER_RETURN_IF_ERROR(flat_attrs_.LoadFrom(r, binding));
+                              bool borrow) {
+  VER_RETURN_IF_ERROR(flat_values_.LoadFrom(r, borrow));
+  VER_RETURN_IF_ERROR(flat_attrs_.LoadFrom(r, borrow));
   CaptureColumnCounts(repo);
   // Every posting must address a real column: hits flow straight into the
   // pipeline, which dereferences them against the repository. Paged loads
   // skip the scan (it would fault in every posting page); Search checks
   // each flat posting it reads instead.
-  if (binding == nullptr || binding->pool == nullptr) {
+  if (!borrow) {
     for (const FlatPostings* flat : {&flat_values_, &flat_attrs_}) {
       for (uint64_t encoded : flat->columns) {
         ColumnRef ref = DecodeColumnRef(encoded);

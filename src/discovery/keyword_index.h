@@ -62,21 +62,15 @@ class KeywordIndex {
   /// posting's ColumnRef are checked against `repo`, so a corrupt file
   /// cannot smuggle in out-of-range column addresses.
   ///
-  /// With a pager `binding` the flat stores are adopted as borrowed mmap
-  /// extents and the O(keys)/O(postings) validation scans are skipped
+  /// With `borrow` (a paged load) the flat stores are adopted as borrowed
+  /// mmap extents and the O(keys)/O(postings) validation scans are skipped
   /// (they would fault in the whole store); the accessors below instead
   /// bounds-guard each slice they take, so a corrupt offset yields an
   /// empty result, never an out-of-range read, and Search drops any flat
   /// posting that addresses no column of `repo`.
   void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const TableRepository& repo,
-                  const PagerBinding* binding = nullptr);
-
-  /// Adds the flat stores' paged extents to `pin` (no-op when resident).
-  void PinInto(PagePin* pin) const {
-    flat_values_.PinInto(pin);
-    flat_attrs_.PinInto(pin);
-  }
+                  bool borrow = false);
 
  private:
   /// Immutable posting store: keys sorted ascending in one blob, postings
@@ -114,13 +108,7 @@ class KeywordIndex {
     void SaveTo(SerdeWriter* w) const;
     /// Restores the store; resident loads validate the offset arrays
     /// (monotonic, in bounds), paged loads defer to the guarded accessors.
-    Status LoadFrom(SerdeReader* r, const PagerBinding* binding);
-    void PinInto(PagePin* pin) const {
-      blob.PinInto(pin);
-      key_offsets.PinInto(pin);
-      columns.PinInto(pin);
-      posting_offsets.PinInto(pin);
-    }
+    Status LoadFrom(SerdeReader* r, bool borrow);
   };
 
   /// One vocabulary word and the index of its key in the flat store.

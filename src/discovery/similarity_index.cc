@@ -36,11 +36,10 @@ void SimilarityIndex::FlatBuckets::SaveTo(SerdeWriter* w) const {
   postings.SaveTo(w);
 }
 
-Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r,
-                                              const PagerBinding* binding) {
-  VER_RETURN_IF_ERROR(keys.LoadFrom(r, binding, "bucket keys"));
-  VER_RETURN_IF_ERROR(offsets.LoadFrom(r, binding, "bucket offsets"));
-  VER_RETURN_IF_ERROR(postings.LoadFrom(r, binding, "bucket postings"));
+Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r, bool borrow) {
+  VER_RETURN_IF_ERROR(keys.LoadFrom(r, borrow, "bucket keys"));
+  VER_RETURN_IF_ERROR(offsets.LoadFrom(r, borrow, "bucket offsets"));
+  VER_RETURN_IF_ERROR(postings.LoadFrom(r, borrow, "bucket postings"));
   // An empty store is one offset, 0: what Assign writes for no keys.
   bool valid = offsets.size() == keys.size() + 1 && offsets.front() == 0 &&
                offsets.back() == postings.size();
@@ -49,7 +48,7 @@ Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r,
   }
   // Monotonicity scan only on resident loads — paged loads defer to the
   // bucket_range() guard so the offset array isn't faulted in eagerly.
-  if (binding != nullptr && binding->pool != nullptr) return Status::OK();
+  if (borrow) return Status::OK();
   for (size_t i = 1; i < offsets.size(); ++i) {
     if (offsets[i] < offsets[i - 1]) {
       return Status::IOError("corrupt similarity index: inconsistent offsets");
@@ -253,7 +252,7 @@ void SimilarityIndex::SaveTo(SerdeWriter* w) const {
 Status SimilarityIndex::LoadFrom(SerdeReader* r,
                                  const std::vector<ColumnProfile>* profiles,
                                  const SimilarityOptions& options,
-                                 const PagerBinding* binding) {
+                                 bool borrow) {
   int rows_per_band;
   VER_RETURN_IF_ERROR(r->ReadI32(&rows_per_band));
   uint64_t num_eligible;
@@ -280,18 +279,18 @@ Status SimilarityIndex::LoadFrom(SerdeReader* r,
     return true;
   };
   FlatBuckets values;
-  VER_RETURN_IF_ERROR(values.LoadFrom(r, binding));
+  VER_RETURN_IF_ERROR(values.LoadFrom(r, borrow));
   uint64_t num_bands;
   VER_RETURN_IF_ERROR(r->ReadU64(&num_bands));
   // An empty serialized FlatBuckets is 24 bytes (three vector lengths);
   // guard the band count before sizing the vector.
   VER_RETURN_IF_ERROR(r->CheckCount(num_bands, 24, "band count"));
   std::vector<FlatBuckets> bands(static_cast<size_t>(num_bands));
-  for (auto& band : bands) VER_RETURN_IF_ERROR(band.LoadFrom(r, binding));
+  for (auto& band : bands) VER_RETURN_IF_ERROR(band.LoadFrom(r, borrow));
   // Paged loads skip the O(postings) scan — it would fault in every
   // posting page, defeating the lazy cold start. Candidates() range-guards
   // each posting it reads instead.
-  const bool deep_validate = binding == nullptr || binding->pool == nullptr;
+  const bool deep_validate = !borrow;
   if (deep_validate) {
     if (!postings_in_range(values)) {
       return Status::IOError(

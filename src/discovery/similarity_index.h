@@ -77,19 +77,12 @@ class SimilarityIndex {
   /// engine's options section, not here); the band geometry stored in the
   /// section must match the one they derive.
   ///
-  /// With a pager `binding` the flat stores are adopted as borrowed mmap
-  /// extents and the O(postings) validation scans are skipped; queries
+  /// With `borrow` (a paged load) the flat stores are adopted as borrowed
+  /// mmap extents and the O(postings) validation scans are skipped; queries
   /// bounds-guard each bucket slice and posting index instead.
   void SaveTo(SerdeWriter* w) const;
   Status LoadFrom(SerdeReader* r, const std::vector<ColumnProfile>* profiles,
-                  const SimilarityOptions& options,
-                  const PagerBinding* binding = nullptr);
-
-  /// Adds the flat stores' paged extents to `pin` (no-op when resident).
-  void PinInto(PagePin* pin) const {
-    flat_value_postings_.PinInto(pin);
-    for (const FlatBuckets& b : flat_band_buckets_) b.PinInto(pin);
-  }
+                  const SimilarityOptions& options, bool borrow = false);
 
  private:
   /// Immutable bucket store: sorted keys with concatenated posting lists,
@@ -117,12 +110,7 @@ class SimilarityIndex {
     void SaveTo(SerdeWriter* w) const;
     /// Restores the store; resident loads validate the offset array
     /// (monotonic, in bounds), paged loads defer to bucket_range().
-    Status LoadFrom(SerdeReader* r, const PagerBinding* binding);
-    void PinInto(PagePin* pin) const {
-      keys.PinInto(pin);
-      offsets.PinInto(pin);
-      postings.PinInto(pin);
-    }
+    Status LoadFrom(SerdeReader* r, bool borrow);
   };
 
   const std::vector<ColumnProfile>* profiles_ = nullptr;

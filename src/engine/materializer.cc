@@ -20,7 +20,7 @@ Materializer::Materializer(const TableRepository* repo) : repo_(repo) {
 Status Materializer::PinTable(int32_t table) {
   if (!pinned_[table]) {
     pinned_[table] = true;
-    repo_->table(table).PinInto(&pin_);
+    repo_->PinTable(table, &pin_);
   }
   return repo_->CheckTable(table);
 }
@@ -87,15 +87,15 @@ Result<Table> Materializer::Materialize(
   }
 
   // Anti-thrash residency accounting for paged repositories: pin each
-  // table's mapped extents the first time this instance touches it — joins
-  // and the projection gather copy bytes out of them — and hold the pins
-  // until the instance (one query) is destroyed. Concurrent queries' faults
-  // then cannot evict this query's working set between its views, and its
-  // ~600 views pin each table once, not once per view. Correctness never
-  // depends on the pin (an evicted frame transparently refaults). A paged
-  // load did not validate the tables' cells, so a table whose content
-  // check fails (corrupt codes or offsets) fails the view here, before
-  // any cell is read.
+  // table's span of the snapshot map the first time this instance touches
+  // it — joins and the projection gather copy bytes out of it — and hold
+  // the pins until the instance (one query) is destroyed. Concurrent
+  // queries' faults then cannot evict this query's working set between its
+  // views, and its ~600 views pin each table once, not once per view.
+  // Correctness never depends on the pin (an evicted frame transparently
+  // refaults). A paged load did not validate the tables' cells, so a table
+  // whose content check fails (corrupt codes or offsets) fails the view
+  // here, before any cell is read.
   if (!pinned_.empty()) {
     for (int32_t t : graph.tables) VER_RETURN_IF_ERROR(PinTable(t));
     for (const JoinEdge& e : graph.edges) {

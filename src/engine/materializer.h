@@ -43,15 +43,16 @@ struct MaterializeOptions {
 /// take its rows past the call's max_intermediate_rows. It also keeps its
 /// join and projection scratch across calls.
 ///
-/// Over a paged repository it pins each table's mapped extents the first
-/// time a call touches the table and holds every pin until the instance is
+/// Over a paged repository it pins each table's span of the snapshot map
+/// (TableRepository::PinTable, one PinRange per table) the first time a
+/// call touches the table and holds every pin until the instance is
 /// destroyed, so a query's ~600 views pin each table once, not once per
 /// view. The pinned set may overcommit the pool's budget while the
 /// instance lives (the pool counts it in `pinned_overcommit`): a query of
-/// the `portal_paged` benchmark pins 18.2 64-KiB frames on average and 28
-/// at most. A paged table whose content fails TableRepository::CheckTable
-/// fails every call that touches it with that IOError. Not thread-safe:
-/// use one instance per query or thread.
+/// the `portal_paged` benchmark pins about 18 64-KiB frames on average. A
+/// paged table whose content fails TableRepository::CheckTable fails every
+/// call that touches it with that IOError. Not thread-safe: use one
+/// instance per query or thread.
 class Materializer {
  public:
   explicit Materializer(const TableRepository* repo);
@@ -83,8 +84,8 @@ class Materializer {
   /// The build side of `col`: cached, or built and cached.
   const FlatU64MultiMap& BuildSide(const ColumnRef& col,
                                    int64_t max_cached_rows);
-  /// Pins `table`'s paged extents into pin_ unless already pinned, then
-  /// returns the repository's content check of the table.
+  /// Pins `table`'s map span into pin_ unless already pinned, then returns
+  /// the repository's content check of the table.
   Status PinTable(int32_t table);
 
   const TableRepository* repo_;

@@ -1,34 +1,32 @@
 // PagedView<T>: the one array type of snapshot-backed and block-backed
 // structures, and the one codec that moves arrays in and out of snapshots.
-// A view is in one of three states.
+// A view is in one of two states.
 //
 //   owned     a container the view owns and behaves exactly like — a
 //             std::vector<T>, or a std::string for PagedView<char> (byte
 //             blobs: dictionary arenas, interned key blobs) — the build
 //             path and the resident load path.
-//   mapped    a borrowed typed extent of an mmapped snapshot: a pointer
-//             into the map plus the (space, offset) needed to pin its
-//             frames in the BufferPool. paged() is true only here.
-//   borrowed  a borrowed extent of memory the view's owner keeps alive
-//             (a gathered column's one storage block). Never pinned, and
-//             paged() is false: paged() means "borrows snapshot memory".
+//   borrowed  an extent of memory someone else keeps alive: a typed extent
+//             of an mmapped snapshot under a paged load, or a gathered
+//             column's one storage block.
 //
-// Readers use the same data()/size()/operator[] surface in every state, so
+// Readers use the same data()/size()/operator[] surface in both states, so
 // query code is mode-blind; only mutation (mut()) insists on the owned
 // state. Copying a view always yields an owned copy; moving one keeps its
 // borrow (the borrowed memory does not move).
 //
 // SaveTo writes a view as one SerdeWriter::WriteArray (64-byte-aligned
 // elements) or, for PagedView<char>, as one unaligned WriteString; LoadFrom
-// reads it back owned (a memcpy) or, with a pager binding, mapped (no
+// reads it back owned (a memcpy) or, when told to borrow, borrowed (no
 // copy). The elements are the host's bytes, which is the wire format
 // because hosts are little-endian (util/serde.h).
 //
-// A mapped view is valid only while the SnapshotMap that backs it lives
-// (the engine's PagerRuntime guarantees that). Pinning is an accounting
-// contract, not a lifetime one — an unpinned read of a mapped view still
-// returns correct bytes (the page refaults from the file); it just escapes
-// the pool's residency budget.
+// A view borrowed from a snapshot is valid only while the SnapshotMap that
+// backs it lives (the engine's PagerRuntime guarantees that). A view knows
+// nothing of the BufferPool: what a query pins is a whole table's span of
+// the map (TableRepository::PinTable), and an unpinned read still returns
+// correct bytes (the page refaults from the file); it just escapes the
+// pool's residency budget.
 
 #ifndef VER_PAGER_PAGED_VIEW_H_
 #define VER_PAGER_PAGED_VIEW_H_
@@ -41,21 +39,10 @@
 #include <utility>
 #include <vector>
 
-#include "pager/buffer_pool.h"
 #include "util/check.h"
 #include "util/serde.h"
 
 namespace ver {
-
-/// How a loader reaches the pool while deserializing: the pool, the space
-/// id of the snapshot being loaded, and the mapping base from which extent
-/// offsets are computed. A null binding (or null pool) means "load
-/// resident".
-struct PagerBinding {
-  BufferPool* pool = nullptr;
-  uint32_t space = 0;
-  const char* space_base = nullptr;
-};
 
 template <typename T>
 class PagedView {
@@ -75,7 +62,7 @@ class PagedView {
   PagedView& operator=(const PagedView& o) {
     if (this != &o) {
       vec_.assign(o.data(), o.data() + o.size());
-      DropBinding();
+      DropBorrow();
     }
     return *this;
   }
@@ -85,21 +72,15 @@ class PagedView {
       vec_ = std::move(o.vec_);
       extent_ = o.extent_;
       count_ = o.count_;
-      space_ = o.space_;
-      mapped_ = o.mapped_;
-      offset_ = o.offset_;
       o.Reset();
     }
     return *this;
   }
   PagedView& operator=(Owned&& v) {
     vec_ = std::move(v);
-    DropBinding();
+    DropBorrow();
     return *this;
   }
-
-  /// True when the view borrows a mapped snapshot extent.
-  bool paged() const { return extent_ != nullptr && mapped_; }
 
   const T* data() const { return extent_ != nullptr ? extent_ : vec_.data(); }
   uint64_t size() const { return extent_ != nullptr ? count_ : vec_.size(); }
@@ -128,9 +109,8 @@ class PagedView {
     return vec_;
   }
 
-  /// Heap bytes owned by this view: 0 when mapped (the bytes belong to the
-  /// snapshot map and are accounted by the BufferPool, not the heap) and
-  /// when borrowed (the owner accounts for its block).
+  /// Heap bytes owned by this view: 0 when borrowed (a snapshot map's
+  /// bytes are accounted by the BufferPool, a block by its owner).
   uint64_t capacity_bytes() const {
     return extent_ != nullptr ? 0 : vec_.capacity() * sizeof(T);
   }
@@ -142,9 +122,6 @@ class PagedView {
     vec_.shrink_to_fit();
     extent_ = p;
     count_ = count;
-    space_ = 0;
-    mapped_ = false;
-    offset_ = 0;
   }
 
   /// Appends the view to `w`: a WriteArray, or a WriteString for a blob.
@@ -157,10 +134,11 @@ class PagedView {
   }
 
   /// Reads what SaveTo wrote; `what` names the array in truncation errors.
-  /// With a binding that carries a pool the view borrows the elements from
-  /// the mapped snapshot (paged); otherwise, or when the elements are not
-  /// aligned for T, it copies them into the owned container.
-  Status LoadFrom(SerdeReader* r, const PagerBinding* b, const char* what) {
+  /// With `borrow` (a paged load, whose reader's bytes are a snapshot map)
+  /// the view borrows the elements from the reader's bytes; otherwise, or
+  /// when the elements are not aligned for T, it copies them into the owned
+  /// container.
+  Status LoadFrom(SerdeReader* r, bool borrow, const char* what) {
     const char* raw = nullptr;
     uint64_t count = 0;
     if constexpr (kBlob) {
@@ -168,55 +146,39 @@ class PagedView {
     } else {
       VER_RETURN_IF_ERROR(r->ReadArrayExtent(sizeof(T), what, &raw, &count));
     }
-    if (b != nullptr && b->pool != nullptr &&
-        reinterpret_cast<uintptr_t>(raw) % alignof(T) == 0) {
+    if (borrow && reinterpret_cast<uintptr_t>(raw) % alignof(T) == 0) {
       Borrow(reinterpret_cast<const T*>(raw), count);
-      space_ = b->space;
-      mapped_ = true;
-      offset_ = static_cast<uint64_t>(raw - b->space_base);
       return Status::OK();
     }
     vec_.resize(static_cast<size_t>(count));
     if (count > 0) std::memcpy(&vec_[0], raw, count * sizeof(T));
-    DropBinding();
+    DropBorrow();
     return Status::OK();
   }
 
-  /// Adds this view's extent to `pin`. No-op for resident views and for
-  /// pool-less pins, so call sites need no mode checks.
-  void PinInto(PagePin* pin) const {
-    if (paged()) pin->PinRange(space_, offset_, count_ * sizeof(T));
-  }
-
-  /// Converts a borrow (mapped or from the owner) into an owned copy
+  /// Converts a borrow (from a snapshot or a block) into an owned copy
   /// (no-op when already owned). The escape hatch for mutating a borrowed
   /// structure: copy first, then mut().
   void MaterializeOwned() {
     if (extent_ == nullptr) return;
     vec_.assign(extent_, extent_ + count_);
-    DropBinding();
+    DropBorrow();
   }
 
  private:
-  void DropBinding() {
+  void DropBorrow() {
     extent_ = nullptr;
     count_ = 0;
-    space_ = 0;
-    mapped_ = false;
-    offset_ = 0;
   }
   void Reset() {
     vec_.clear();
     vec_.shrink_to_fit();
-    DropBinding();
+    DropBorrow();
   }
 
   Owned vec_;
   const T* extent_ = nullptr;  // borrowed elements; null when owned
   uint64_t count_ = 0;
-  uint32_t space_ = 0;
-  bool mapped_ = false;  // extent_ lies in a snapshot map
-  uint64_t offset_ = 0;
 };
 
 }  // namespace ver

@@ -1,6 +1,6 @@
 // PagerRuntime: the per-snapshot bundle that makes paged serving work —
-// one SnapshotMap (the mmapped file), one BufferPool space registered over
-// it, and the PagerBinding loaders use to adopt mapped extents.
+// one SnapshotMap (the mmapped file) and one BufferPool space registered
+// over it.
 //
 // Lifetime is the whole story here. A paged engine borrows every large
 // array straight out of the map, so the runtime must outlive every query
@@ -21,7 +21,6 @@
 #include <string>
 
 #include "pager/buffer_pool.h"
-#include "pager/paged_view.h"
 #include "pager/snapshot_map.h"
 #include "util/result.h"
 
@@ -59,15 +58,6 @@ class PagerRuntime {
   const std::shared_ptr<BufferPool>& pool() const { return pool_; }
   uint32_t space() const { return space_; }
   const std::string& path() const { return map_->path(); }
-
-  /// The binding loaders thread through LoadFrom calls.
-  PagerBinding binding() const {
-    PagerBinding b;
-    b.pool = pool_.get();
-    b.space = space_;
-    b.space_base = map_->data();
-    return b;
-  }
 
   BufferPoolStats pool_stats() const { return pool_->stats(); }
 

@@ -69,14 +69,4 @@ const SnapshotSectionEntry* SnapshotMap::FindSection(uint32_t id) const {
   return nullptr;
 }
 
-Status SnapshotMap::VerifyChecksums() const {
-  for (const SnapshotSectionEntry& e : sections_) {
-    if (SnapshotSectionChecksum(section_payload(e)) != e.checksum) {
-      return Status::IOError("snapshot " + path_ + " is corrupt: section " +
-                             std::to_string(e.id) + " checksum mismatch");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace ver

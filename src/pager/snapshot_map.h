@@ -4,11 +4,10 @@
 // Opening a map reads only the snapshot header (magic, version, section
 // table) — payload bytes stay untouched on disk until something faults
 // them in, which is what makes a paged cold start O(touched pages) instead
-// of O(snapshot bytes). Section checksums are deliberately NOT verified on
-// open (that would read the whole file); the paged trust model is
-// "framing-validated, content-trusted", with VerifyChecksums() available
-// for tests and offline fsck-style checks. The resident loader
-// (ReadSnapshotFile) remains the fully-validating path.
+// of O(snapshot bytes). Section checksums are deliberately NOT verified
+// (that would read the whole file); the paged trust model is
+// "framing-validated, content bounds-guarded at query time". The resident
+// loader (ReadSnapshotFile) is the checksum-verifying path.
 
 #ifndef VER_PAGER_SNAPSHOT_MAP_H_
 #define VER_PAGER_SNAPSHOT_MAP_H_
@@ -49,10 +48,6 @@ class SnapshotMap {
   std::string_view section_payload(const SnapshotSectionEntry& e) const {
     return std::string_view(data_ + e.offset, static_cast<size_t>(e.size));
   }
-
-  /// Full checksum pass over every section — O(file bytes), touches every
-  /// page. Test/fsck use only; never on the serving path.
-  Status VerifyChecksums() const;
 
  private:
   SnapshotMap() = default;

@@ -27,22 +27,29 @@ Result<int32_t> TableRepository::AddTable(Table table) {
   return it->second;
 }
 
-void TableRepository::set_pager(std::shared_ptr<PagerRuntime> pager) {
+void TableRepository::set_pager(std::shared_ptr<PagerRuntime> pager,
+                                const std::vector<TableSpan>& spans) {
   pager_ = std::move(pager);
-  content_valid_.reset();
+  paged_tables_.reset();
   if (pager_ != nullptr) {
-    content_valid_ =
-        std::make_shared<std::vector<std::atomic<bool>>>(tables_.size());
+    paged_tables_ = std::make_shared<std::vector<PagedTable>>(spans.size());
+    for (size_t t = 0; t < spans.size(); ++t) {
+      (*paged_tables_)[t].span = spans[t];
+    }
+  }
+}
+
+void TableRepository::PinTable(int32_t t, PagePin* pin) const {
+  const PagedTable* paged = paged_table(t);
+  if (paged != nullptr) {
+    pin->PinRange(pager_->space(), paged->span.offset, paged->span.bytes);
   }
 }
 
 Status TableRepository::CheckTable(int32_t t) const {
   // Tables added after the runtime was set were built, not paged in.
-  if (content_valid_ == nullptr ||
-      static_cast<size_t>(t) >= content_valid_->size() ||
-      (*content_valid_)[t].load()) {
-    return Status::OK();
-  }
+  const PagedTable* paged = paged_table(t);
+  if (paged == nullptr || paged->checked.load()) return Status::OK();
   const Table& table = tables_[t];
   for (int c = 0; c < table.num_columns(); ++c) {
     Status st = table.column_data(c).ValidateContent();
@@ -51,7 +58,7 @@ Status TableRepository::CheckTable(int32_t t) const {
                              std::to_string(c) + ": " + st.message());
     }
   }
-  (*content_valid_)[t].store(true);
+  paged->checked.store(true);
   return Status::OK();
 }
 

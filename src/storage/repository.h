@@ -47,6 +47,14 @@ struct ColumnRefHash {
   }
 };
 
+/// Where one paged table's snapshot record (name, schema, row count and
+/// every column array) lies in the snapshot map: a byte offset from the
+/// map's start and a length.
+struct TableSpan {
+  uint64_t offset = 0;
+  uint64_t bytes = 0;
+};
+
 /// Owning catalog of tables in a pathless collection.
 class TableRepository {
  public:
@@ -94,10 +102,19 @@ class TableRepository {
   /// The pager runtime whose snapshot map this repository's tables borrow
   /// from, when loaded paged (null for resident repositories). Held by
   /// shared_ptr so the map outlives every borrower: queries and hot-swap
-  /// drains extend its life by sharing the engine's reference. Setting a
-  /// runtime marks every table's content unchecked (see CheckTable).
+  /// drains extend its life by sharing the engine's reference.
   const std::shared_ptr<PagerRuntime>& pager() const { return pager_; }
-  void set_pager(std::shared_ptr<PagerRuntime> pager);
+  /// Sets the runtime and the map span of each table loaded from it, in
+  /// table-id order (DiscoveryEngine::LoadRepository records them), and
+  /// marks every such table's content unchecked (see CheckTable).
+  void set_pager(std::shared_ptr<PagerRuntime> pager,
+                 const std::vector<TableSpan>& spans);
+
+  /// Pins table `t`'s span of the snapshot map into `pin` with one
+  /// PinRange, so a table costs the pool one pin per frame it spans. A
+  /// no-op for a resident repository and for tables added after the
+  /// runtime was set.
+  void PinTable(int32_t t, PagePin* pin) const;
 
   /// OK when table `t`'s cells are safe to read. Resident tables were
   /// validated when they were built or loaded. The tables of a paged
@@ -109,22 +126,28 @@ class TableRepository {
   /// both validate the same immutable bytes.
   Status CheckTable(int32_t t) const;
 
-  /// True when any table borrows mapped snapshot storage.
-  bool paged() const {
-    for (const Table& t : tables_) {
-      if (t.paged()) return true;
-    }
-    return false;
+ private:
+  // One per table loaded with the runtime: its map span and whether it
+  // passed CheckTable.
+  struct PagedTable {
+    TableSpan span;
+    mutable std::atomic<bool> checked{false};
+  };
+
+  /// The table's entry, or null when `t` was not loaded paged.
+  const PagedTable* paged_table(int32_t t) const {
+    return paged_tables_ != nullptr &&
+                   static_cast<size_t>(t) < paged_tables_->size()
+               ? &(*paged_tables_)[t]
+               : nullptr;
   }
 
- private:
   std::vector<Table> tables_;
   std::unordered_map<std::string, int32_t> name_to_id_;
   std::shared_ptr<PagerRuntime> pager_;
-  // Paged repositories only: one flag per table loaded with the runtime,
-  // set once the table passed CheckTable. Shared by copies, whose tables
-  // hold the same cells.
-  std::shared_ptr<std::vector<std::atomic<bool>>> content_valid_;
+  // Paged repositories only. Shared by copies, whose tables hold the same
+  // cells.
+  std::shared_ptr<std::vector<PagedTable>> paged_tables_;
 };
 
 }  // namespace ver

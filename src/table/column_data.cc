@@ -160,7 +160,6 @@ int CellView::Compare(const CellView& other) const {
 // -------------------------------- ColumnData -------------------------------
 
 void ColumnData::EnsureOwned() {
-  if (block_.empty() && !paged()) return;
   valid_words_.MaterializeOwned();
   ints_.MaterializeOwned();
   doubles_.MaterializeOwned();
@@ -838,20 +837,6 @@ size_t ColumnData::ApproxBytes() const {
   return bytes;
 }
 
-void ColumnData::PinInto(PagePin* pin) const {
-  valid_words_.PinInto(pin);
-  ints_.PinInto(pin);
-  doubles_.PinInto(pin);
-  num_bits_.PinInto(pin);
-  int_tag_words_.PinInto(pin);
-  codes_.PinInto(pin);
-  entry_types_.PinInto(pin);
-  entry_payload_.PinInto(pin);
-  entry_lens_.PinInto(pin);
-  entry_hashes_.PinInto(pin);
-  arena_.PinInto(pin);
-}
-
 void ColumnData::SaveTo(SerdeWriter* w) const {
   w->WriteU8(static_cast<uint8_t>(enc_));
   w->WriteBool(sealed_);
@@ -883,7 +868,7 @@ void ColumnData::SaveTo(SerdeWriter* w) const {
   }
 }
 
-Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
+Status ColumnData::LoadFrom(SerdeReader* r, bool borrow) {
   uint8_t enc;
   VER_RETURN_IF_ERROR(r->ReadU8(&enc));
   if (enc > static_cast<uint8_t>(ColumnEncoding::kDict)) {
@@ -916,7 +901,7 @@ Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
       static_cast<uint64_t>(num_rows_)) {
     return Status::IOError("corrupt column: inconsistent cell tallies");
   }
-  VER_RETURN_IF_ERROR(valid_words_.LoadFrom(r, binding, "validity bitmap"));
+  VER_RETURN_IF_ERROR(valid_words_.LoadFrom(r, borrow, "validity bitmap"));
   size_t want_words = static_cast<size_t>(num_rows_ + 63) / 64;
   if (valid_words_.size() != want_words) {
     return Status::IOError("corrupt column: validity bitmap has " +
@@ -934,34 +919,34 @@ Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
   };
   switch (enc_) {
     case ColumnEncoding::kInt64:
-      VER_RETURN_IF_ERROR(ints_.LoadFrom(r, binding, "int payload"));
+      VER_RETURN_IF_ERROR(ints_.LoadFrom(r, borrow, "int payload"));
       VER_RETURN_IF_ERROR(check_rows(ints_.size(), "int payload"));
       break;
     case ColumnEncoding::kDouble:
-      VER_RETURN_IF_ERROR(doubles_.LoadFrom(r, binding, "double payload"));
+      VER_RETURN_IF_ERROR(doubles_.LoadFrom(r, borrow, "double payload"));
       VER_RETURN_IF_ERROR(check_rows(doubles_.size(), "double payload"));
       break;
     case ColumnEncoding::kNumeric:
-      VER_RETURN_IF_ERROR(num_bits_.LoadFrom(r, binding, "numeric payload"));
+      VER_RETURN_IF_ERROR(num_bits_.LoadFrom(r, borrow, "numeric payload"));
       VER_RETURN_IF_ERROR(check_rows(num_bits_.size(), "numeric payload"));
       VER_RETURN_IF_ERROR(
-          int_tag_words_.LoadFrom(r, binding, "int-tag bitmap"));
+          int_tag_words_.LoadFrom(r, borrow, "int-tag bitmap"));
       if (int_tag_words_.size() != want_words) {
         return Status::IOError("corrupt column: int-tag bitmap size mismatch");
       }
       break;
     case ColumnEncoding::kDict: {
-      VER_RETURN_IF_ERROR(codes_.LoadFrom(r, binding, "code array"));
+      VER_RETURN_IF_ERROR(codes_.LoadFrom(r, borrow, "code array"));
       VER_RETURN_IF_ERROR(check_rows(codes_.size(), "code array"));
       VER_RETURN_IF_ERROR(
-          entry_types_.LoadFrom(r, binding, "dictionary types"));
+          entry_types_.LoadFrom(r, borrow, "dictionary types"));
       VER_RETURN_IF_ERROR(
-          entry_payload_.LoadFrom(r, binding, "dictionary payloads"));
+          entry_payload_.LoadFrom(r, borrow, "dictionary payloads"));
       VER_RETURN_IF_ERROR(
-          entry_lens_.LoadFrom(r, binding, "dictionary lengths"));
+          entry_lens_.LoadFrom(r, borrow, "dictionary lengths"));
       VER_RETURN_IF_ERROR(
-          entry_hashes_.LoadFrom(r, binding, "dictionary hashes"));
-      VER_RETURN_IF_ERROR(arena_.LoadFrom(r, binding, "dictionary arena"));
+          entry_hashes_.LoadFrom(r, borrow, "dictionary hashes"));
+      VER_RETURN_IF_ERROR(arena_.LoadFrom(r, borrow, "dictionary arena"));
       size_t n = entry_types_.size();
       if (entry_payload_.size() != n || entry_lens_.size() != n ||
           entry_hashes_.size() != n) {
@@ -974,8 +959,7 @@ Status ColumnData::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
   // (TableRepository::CheckTable); see the header comment. An unsealed
   // column is scanned now, because TableRepository::AddTable seals it by
   // reading every code and dictionary entry.
-  const bool paged = binding != nullptr && binding->pool != nullptr;
-  if (paged && sealed_) return Status::OK();
+  if (borrow && sealed_) return Status::OK();
   return ValidateContent();
 }
 

@@ -293,37 +293,23 @@ class ColumnData {
   /// Columnar snapshot serialization: bitmap words, typed payload and
   /// dictionary (types + payloads + lengths + cached hashes + arena), each
   /// one PagedView SaveTo/LoadFrom, so loading is a handful of memcpys —
-  /// or, with a pager `binding`, zero copies: every array is adopted as a
-  /// borrowed extent of the mmapped snapshot.
+  /// or, with `borrow` (a paged load), zero copies: every array is adopted
+  /// as a borrowed extent of the mmapped snapshot.
   ///
   /// Trust model: every load keeps the O(1) structural checks (counts,
-  /// tallies, array sizes). A resident load (null binding) also runs
+  /// tallies, array sizes). A resident load (no borrow) also runs
   /// ValidateContent before the column is usable. A paged load skips it —
   /// scanning would fault in every page of a column the query may never
   /// touch, defeating lazy cold start — and TableRepository::CheckTable
   /// runs it the first time a query reads the table.
   void SaveTo(SerdeWriter* w) const;
-  Status LoadFrom(SerdeReader* r, const PagerBinding* binding = nullptr);
+  Status LoadFrom(SerdeReader* r, bool borrow = false);
 
   /// The O(rows + dictionary) content checks that make every cell read
   /// safe: dictionary entry types, string entries inside the arena, codes
   /// of non-null rows inside the dictionary, and the validity bitmap's
   /// popcount against the null tally. IOError names the first violation.
   Status ValidateContent() const;
-
-  /// True when any storage array borrows a mapped snapshot extent. A
-  /// gathered column's arrays borrow its own block instead, so they are
-  /// not paged.
-  bool paged() const {
-    return valid_words_.paged() || ints_.paged() || doubles_.paged() ||
-           num_bits_.paged() || int_tag_words_.paged() || codes_.paged() ||
-           entry_types_.paged() || entry_payload_.paged() ||
-           entry_lens_.paged() || entry_hashes_.paged() || arena_.paged();
-  }
-
-  /// Adds every paged storage extent of this column to `pin` (no-op for
-  /// resident columns) so a query's working set is charged to the pool.
-  void PinInto(PagePin* pin) const;
 
  private:
   /// Fills buf[0..len) with CellHash(base + i), dispatching on the encoding

@@ -63,13 +63,6 @@ Status Table::AppendCells(const std::vector<CellView>& row) {
   return Status::OK();
 }
 
-std::vector<Value> Table::Row(int64_t row) const {
-  std::vector<Value> out;
-  out.reserve(num_columns());
-  for (int c = 0; c < num_columns(); ++c) out.push_back(columns_[c].value(row));
-  return out;
-}
-
 uint64_t Table::RowHash(int64_t row) const {
   uint64_t h = 0x726f7768617368ULL;  // arbitrary row-hash seed
   for (int c = 0; c < num_columns(); ++c) {
@@ -171,7 +164,7 @@ void Table::SaveTo(SerdeWriter* w) const {
   for (const ColumnData& c : columns_) c.SaveTo(w);
 }
 
-Status Table::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
+Status Table::LoadFrom(SerdeReader* r, bool borrow) {
   VER_RETURN_IF_ERROR(r->ReadString(&name_));
   VER_RETURN_IF_ERROR(schema_.LoadFrom(r));
   VER_RETURN_IF_ERROR(r->ReadI64(&num_rows_));
@@ -182,7 +175,7 @@ Status Table::LoadFrom(SerdeReader* r, const PagerBinding* binding) {
   columns_.assign(static_cast<size_t>(schema_.num_attributes()),
                   ColumnData());
   for (ColumnData& c : columns_) {
-    VER_RETURN_IF_ERROR(c.LoadFrom(r, binding));
+    VER_RETURN_IF_ERROR(c.LoadFrom(r, borrow));
     if (c.size() != num_rows_) {
       return Status::IOError(
           "corrupt table '" + name_ + "': column holds " +

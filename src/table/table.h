@@ -71,9 +71,6 @@ class Table {
   /// Typed column storage (profiling / indexing fast paths).
   const ColumnData& column_data(int col) const { return columns_[col]; }
 
-  /// Materialized copy of row `row`.
-  std::vector<Value> Row(int64_t row) const;
-
   /// Stable hash of one row (order-sensitive in schema column order).
   uint64_t RowHash(int64_t row) const;
 
@@ -104,24 +101,11 @@ class Table {
   size_t ApproxBytes() const;
 
   /// Columnar snapshot serialization: name, schema, then each column's
-  /// memcpy-loadable sections (see ColumnData::SaveTo). A non-null pager
-  /// `binding` makes every column adopt its bulk arrays as borrowed
-  /// extents of the mmapped snapshot instead of copying them.
+  /// memcpy-loadable sections (see ColumnData::SaveTo). `borrow` (a paged
+  /// load) makes every column adopt its bulk arrays as borrowed extents of
+  /// the mmapped snapshot instead of copying them.
   void SaveTo(SerdeWriter* w) const;
-  Status LoadFrom(SerdeReader* r, const PagerBinding* binding = nullptr);
-
-  /// True when any column borrows mapped snapshot storage.
-  bool paged() const {
-    for (const ColumnData& c : columns_) {
-      if (c.paged()) return true;
-    }
-    return false;
-  }
-
-  /// Adds every column's paged extents to `pin` (no-op when resident).
-  void PinInto(PagePin* pin) const {
-    for (const ColumnData& c : columns_) c.PinInto(pin);
-  }
+  Status LoadFrom(SerdeReader* r, bool borrow = false);
 
   /// First `max_rows` rows rendered as text, for debugging and examples.
   std::string ToString(int64_t max_rows = 10) const;

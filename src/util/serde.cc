@@ -56,10 +56,6 @@ size_t ArrayPadAt(size_t pos) {
 
 }  // namespace
 
-uint64_t SnapshotSectionChecksum(std::string_view payload) {
-  return SectionChecksum(payload);
-}
-
 void SerdeWriter::WriteU32(uint32_t v) { AppendLE(&buf_, v, 4); }
 void SerdeWriter::WriteU64(uint64_t v) { AppendLE(&buf_, v, 8); }
 

@@ -210,10 +210,6 @@ Status WriteSnapshotFile(const std::string& path,
 Status ReadSnapshotFile(const std::string& path,
                         std::vector<SnapshotSection>* sections);
 
-/// Checksum used for snapshot section payloads (word-at-a-time mixing).
-/// Exposed so tests and the pager's optional verification can recompute it.
-uint64_t SnapshotSectionChecksum(std::string_view payload);
-
 }  // namespace ver
 
 #endif  // VER_UTIL_SERDE_H_

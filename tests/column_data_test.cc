@@ -4,12 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "page_aligned_bytes.h"
-#include "pager/buffer_pool.h"
 #include "table/column_data.h"
 #include "table/table.h"
 #include "util/row_deduper.h"
@@ -347,8 +347,20 @@ TEST(ColumnDataTest, GatheredColumnOwnsOneBlockAndIsNotPaged) {
   const int64_t n = static_cast<int64_t>(rows.size());
   for (int c = 0; c < 2; ++c) {
     SCOPED_TRACE(c);
-    ColumnData gathered = ColumnData::Gather(t.column_data(c), rows.data(), n);
-    EXPECT_FALSE(gathered.paged());
+    ColumnData gathered;
+    {
+      // The gathered column borrows none of the source, which dies first.
+      const Table source = t;
+      const ColumnData& from = source.column_data(c);
+      gathered = ColumnData::Gather(from, rows.data(), n);
+      EXPECT_NE(gathered.validity_words(), from.validity_words());
+      for (int64_t i = 0; i < n; ++i) {
+        if (from.cell(rows[i]).type() != ValueType::kString) continue;
+        EXPECT_NE(gathered.cell(i).AsStringView().data(),
+                  from.cell(rows[i]).AsStringView().data())
+            << i;
+      }
+    }
     // Every array borrows the block, so ApproxBytes must count the block
     // to cover at least the validity word and one payload slot per row.
     EXPECT_GE(gathered.ApproxBytes(),
@@ -367,7 +379,6 @@ TEST(ColumnDataTest, GatheredColumnOwnsOneBlockAndIsNotPaged) {
     moved = ColumnData();
     EXPECT_EQ(Serialized(copy), bytes);
     EXPECT_EQ(Serialized(assigned), bytes);
-    EXPECT_FALSE(copy.paged());
     for (int64_t i = 0; i < n; ++i) {
       EXPECT_EQ(copy.cell(i).Compare(t.cell(rows[i], c)), 0) << i;
       EXPECT_EQ(copy.CellHash(i), t.cell_hash(rows[i], c)) << i;
@@ -383,38 +394,38 @@ TEST(ColumnDataTest, GatherFromPagedTableCopiesOutOfTheSnapshot) {
   const Table t = StringIntTable(300);
   SerdeWriter w;
   t.SaveTo(&w);
-  BufferPoolOptions options;
-  options.frame_bytes = 4096;
-  BufferPool pool(options);
   Table gathered;
   {
     PageAlignedBytes snapshot(w.buffer());
-    const uint32_t space = pool.RegisterSpace(
-        snapshot.base(), snapshot.capacity(), /*evictable=*/false);
-    PagerBinding binding{&pool, space, snapshot.base()};
+    auto in_snapshot = [&snapshot](const void* p) {
+      const auto at = reinterpret_cast<uintptr_t>(p);
+      const auto base = reinterpret_cast<uintptr_t>(snapshot.base());
+      return at >= base && at < base + snapshot.size();
+    };
+    // Whether any validity bitmap or string cell of `table` lies in the
+    // snapshot's bytes.
+    auto reads_snapshot = [&in_snapshot](const Table& table) {
+      for (int c = 0; c < table.num_columns(); ++c) {
+        const ColumnData& col = table.column_data(c);
+        if (in_snapshot(col.validity_words())) return true;
+        for (int64_t row = 0; row < col.size(); ++row) {
+          const CellView cell = col.cell(row);
+          if (cell.type() == ValueType::kString &&
+              in_snapshot(cell.AsStringView().data())) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
     Table paged;
     SerdeReader r(std::string_view(snapshot.base(), snapshot.size()), "test");
-    ASSERT_TRUE(paged.LoadFrom(&r, &binding).ok());
-    ASSERT_TRUE(paged.paged());
-    auto pool_touches = [&pool] {
-      BufferPoolStats s = pool.stats();
-      return s.hits + s.misses;
-    };
-    {
-      const int64_t before = pool_touches();
-      PagePin pin(&pool);
-      paged.PinInto(&pin);
-      EXPECT_GT(pool_touches(), before);  // the control: a paged pin counts
-    }
+    ASSERT_TRUE(paged.LoadFrom(&r, /*borrow=*/true).ok());
+    // The control: the paged table reads the snapshot's bytes.
+    ASSERT_TRUE(in_snapshot(paged.cell(0, 0).AsStringView().data()));
+    ASSERT_TRUE(reads_snapshot(paged));
     gathered = paged.Project({1, 0}, /*distinct=*/true, "gathered");
-    EXPECT_FALSE(gathered.paged());
-    const int64_t before = pool_touches();
-    {
-      PagePin pin(&pool);
-      gathered.PinInto(&pin);
-    }
-    EXPECT_EQ(pool_touches(), before);
-    pool.RetireSpace(space);
+    EXPECT_FALSE(reads_snapshot(gathered));
   }
   // The snapshot bytes are freed: the gathered table reads its own block.
   ASSERT_EQ(gathered.num_rows(), 300);

@@ -1,6 +1,6 @@
 // Page-aligned heap copy of serialized bytes, standing in for an mmapped
-// snapshot in tests: register base()/capacity() with a BufferPool as a
-// non-evictable space and load from it through a PagerBinding.
+// snapshot in tests: load from it with borrow on, and register
+// base()/capacity() with a BufferPool as a non-evictable space to pin it.
 
 #ifndef VER_TESTS_PAGE_ALIGNED_BYTES_H_
 #define VER_TESTS_PAGE_ALIGNED_BYTES_H_

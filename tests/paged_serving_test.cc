@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -92,6 +94,38 @@ PagedFixture& Fixture() {
   return *fixture;
 }
 
+// The first and last byte of each array of `t` that ColumnData's read
+// surface exposes: every column's validity bitmap and, in dictionary
+// columns, every non-empty string entry's arena bytes.
+std::vector<const char*> ArrayBytes(const Table& t) {
+  std::vector<const char*> out;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    const ColumnData& col = t.column_data(c);
+    const size_t words = static_cast<size_t>(col.size() + 63) / 64;
+    if (words > 0) {
+      const char* bits = reinterpret_cast<const char*>(col.validity_words());
+      out.push_back(bits);
+      out.push_back(bits + words * sizeof(uint64_t) - 1);
+    }
+    if (!col.is_dict()) continue;
+    for (size_t code = 0; code < col.dict_size(); ++code) {
+      const CellView entry = col.dict_entry(static_cast<uint32_t>(code));
+      if (entry.type() != ValueType::kString) continue;
+      const std::string_view s = entry.AsStringView();
+      if (s.empty()) continue;
+      out.push_back(s.data());
+      out.push_back(s.data() + s.size() - 1);
+    }
+  }
+  return out;
+}
+
+bool InMap(const SnapshotMap& map, const char* p) {
+  const auto at = reinterpret_cast<uintptr_t>(p);
+  const auto base = reinterpret_cast<uintptr_t>(map.data());
+  return at >= base && at < base + map.size();
+}
+
 TEST(PagedServingTest, BudgetIsGenuinelySmallerThanSnapshot) {
   PagedFixture& f = Fixture();
   ASSERT_FALSE(f.queries.empty());
@@ -109,7 +143,13 @@ TEST(PagedServingTest, PagedRepositoryAndEngineShareOneRuntime) {
   GTEST_SKIP() << "no mmap: paged load falls back resident";
 #endif
   ASSERT_NE(repo.value().pager(), nullptr);
-  EXPECT_TRUE(repo.value().paged());
+  // The tables borrow the map: their arrays are the map's bytes.
+  ASSERT_FALSE(ArrayBytes(repo.value().table(0)).empty());
+  for (int32_t t = 0; t < repo.value().num_tables(); ++t) {
+    for (const char* p : ArrayBytes(repo.value().table(t))) {
+      ASSERT_TRUE(InMap(repo.value().pager()->map(), p)) << "table " << t;
+    }
+  }
   EXPECT_EQ(repo.value().pager()->path(), f.snapshot_path);
 
   Result<std::unique_ptr<DiscoveryEngine>> engine =
@@ -157,11 +197,11 @@ TEST(PagedServingTest, TightBudgetAnswersBitIdenticallyAndHoldsBudget) {
     EXPECT_LE(s.resident_bytes, static_cast<int64_t>(kBudgetBytes));
     EXPECT_LE(s.resident_bytes, s.peak_resident_bytes);
 
-    // Pin the engine's entire paged working set at once — far over the
-    // budget, so the pool must overcommit while the pin lives...
+    // Pin the whole snapshot map at once — far over the budget, so the
+    // pool must overcommit while the pin lives...
     {
       PagePin everything(pager->pool().get());
-      served.engine().PinInto(&everything);
+      everything.PinRange(pager->space(), 0, pager->map().size());
       BufferPoolStats pinned = pager->pool_stats();
       EXPECT_GT(pinned.resident_bytes, static_cast<int64_t>(kBudgetBytes));
       EXPECT_GT(pinned.pinned_overcommit, 0);
@@ -242,6 +282,54 @@ TEST(PagedServingTest, MaterializerPinsEachTableOncePerInstance) {
   VerServer server(served, ServingOptions());
   EXPECT_EQ(server.stats().pool_pinned_overcommit,
             drained.pinned_overcommit);
+}
+
+// A table is one span of the snapshot map, so pinning it through the
+// repository pins each of its frames once. Under a zero budget every frame
+// is evicted the moment its pin releases, so each table's pin is all
+// misses: a second pin of a frame within the table would count a hit. And
+// the span covers every array the table borrows: while the table's pin is
+// held, a one-byte pin of any of its arrays' bytes finds the frame
+// resident, where a span that missed the array would count a miss.
+TEST(PagedServingTest, PinningATablePinsEveryFrameOfItsArraysOnce) {
+  PagedFixture& f = Fixture();
+#if !defined(__unix__) && !defined(__APPLE__)
+  GTEST_SKIP() << "no mmap: paged load falls back resident";
+#endif
+  PagingOptions paging = TightPaging();
+  paging.frame_bytes = 4096;
+  paging.memory_budget_bytes = 0;
+  Result<TableRepository> repo =
+      DiscoveryEngine::LoadRepository(f.snapshot_path, paging);
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  std::shared_ptr<PagerRuntime> pager = repo.value().pager();
+  ASSERT_NE(pager, nullptr);
+  ASSERT_GT(repo.value().num_tables(), 0);
+  BufferPool* pool = pager->pool().get();
+  const SnapshotMap& map = pager->map();
+  for (int32_t t = 0; t < repo.value().num_tables(); ++t) {
+    const std::vector<const char*> bytes = ArrayBytes(repo.value().table(t));
+    ASSERT_FALSE(bytes.empty()) << "table " << t;
+    const BufferPoolStats before = pager->pool_stats();
+    PagePin pin(pool);
+    repo.value().PinTable(t, &pin);
+    const BufferPoolStats pinned = pager->pool_stats();
+    EXPECT_GT(pinned.misses, before.misses) << "table " << t;
+    EXPECT_EQ(pinned.hits, before.hits) << "table " << t;
+    for (const char* p : bytes) {
+      ASSERT_TRUE(InMap(map, p)) << "table " << t;
+      const uint64_t offset = static_cast<uint64_t>(p - map.data());
+      const BufferPoolStats probe_before = pager->pool_stats();
+      pool->Pin(pager->space(), offset, 1);
+      const BufferPoolStats probed = pager->pool_stats();
+      pool->Unpin(pager->space(), offset, 1);
+      ASSERT_EQ(probed.hits, probe_before.hits + 1)
+          << "table " << t << ", map byte " << offset;
+      ASSERT_EQ(probed.misses, probe_before.misses)
+          << "table " << t << ", map byte " << offset;
+    }
+  }
+  EXPECT_EQ(pager->pool_stats().resident_bytes, 0);
 }
 
 // A paged load verifies no checksums and skips the keyword posting scan,

@@ -187,11 +187,11 @@ struct CodecArrays {
   }
 
   // Loads every array in wire order; the first failure's status.
-  Status Load(SerdeReader* r, const PagerBinding* binding) {
+  Status Load(SerdeReader* r, bool borrow) {
     uint8_t lead = 0;
     Status st = r->ReadU8(&lead);
     ForEach([&](auto& view, const char* what) {
-      if (st.ok()) st = view.LoadFrom(r, binding, what);
+      if (st.ok()) st = view.LoadFrom(r, borrow, what);
     });
     return st;
   }
@@ -202,6 +202,15 @@ bool SameBytes(const PagedView<T>& got, const PagedView<T>& want) {
   return got.size() == want.size() &&
          (want.empty() ||
           std::memcmp(got.data(), want.data(), want.size() * sizeof(T)) == 0);
+}
+
+// True when `view` reads `bytes` in place (borrowed) rather than a copy of
+// them (owned).
+template <typename T>
+bool ReadsInPlace(const PagedView<T>& view, std::string_view bytes) {
+  const auto at = reinterpret_cast<uintptr_t>(view.data());
+  const auto base = reinterpret_cast<uintptr_t>(bytes.data());
+  return at >= base && at <= base + bytes.size();
 }
 
 void ExpectSameArrays(const CodecArrays& got, const CodecArrays& want) {
@@ -220,11 +229,11 @@ TEST(ArrayCodecTest, OwnedLoadRoundTripsEveryElementType) {
   const std::string bytes = want.Save();
   SerdeReader r(bytes, "owned payload");
   CodecArrays got;
-  ASSERT_TRUE(got.Load(&r, nullptr).ok());
+  ASSERT_TRUE(got.Load(&r, /*borrow=*/false).ok());
   EXPECT_TRUE(r.ExpectEnd().ok());
   ExpectSameArrays(got, want);
-  got.ForEach([](const auto& view, const char* what) {
-    EXPECT_FALSE(view.paged()) << what;
+  got.ForEach([&bytes](const auto& view, const char* what) {
+    EXPECT_FALSE(ReadsInPlace(view, bytes)) << what;
   });
 }
 
@@ -237,29 +246,33 @@ TEST(ArrayCodecTest, BorrowedLoadRoundTripsAndAlignsArrays) {
   BufferPool pool(options);
   const uint32_t space = pool.RegisterSpace(mapped.base(), mapped.capacity(),
                                             /*evictable=*/false);
-  PagerBinding binding{&pool, space, mapped.base()};
-  SerdeReader r(std::string_view(mapped.base(), mapped.size()),
-                "mapped payload");
+  const std::string_view bytes(mapped.base(), mapped.size());
+  SerdeReader r(bytes, "mapped payload");
   CodecArrays got;
-  ASSERT_TRUE(got.Load(&r, &binding).ok());
+  ASSERT_TRUE(got.Load(&r, /*borrow=*/true).ok());
   EXPECT_TRUE(r.ExpectEnd().ok());
   ExpectSameArrays(got, want);
   got.ForEach([&](const auto& view, const char* what) {
-    // Every array borrows the mapped bytes: no copy.
-    EXPECT_TRUE(view.paged()) << what;
+    // Every array borrows the mapped bytes: no copy, and every element
+    // lies inside the span the reader consumed.
+    EXPECT_TRUE(ReadsInPlace(view, bytes)) << what;
     const size_t offset = static_cast<size_t>(
         reinterpret_cast<const char*>(view.data()) - mapped.base());
-    EXPECT_LE(offset + view.size() * sizeof(view[0]), mapped.size()) << what;
+    EXPECT_LE(offset + view.size() * sizeof(view[0]), r.pos()) << what;
     if constexpr (!std::is_same_v<std::decay_t<decltype(view[0])>, char>) {
       EXPECT_EQ(offset % kSnapshotArrayAlignment, 0u) << what;
     }
   });
   {
-    // The borrowed arrays pin their frames.
+    // So one pin of that span covers every borrowed array and faults each
+    // of its frames once.
     PagePin pin(&pool);
-    got.ForEach([&pin](const auto& view, const char*) { view.PinInto(&pin); });
+    pin.PinRange(space, 0, r.pos());
     const BufferPoolStats stats = pool.stats();
-    EXPECT_GT(stats.hits + stats.misses, 0);
+    EXPECT_EQ(stats.hits, 0);
+    EXPECT_EQ(stats.misses,
+              static_cast<int64_t>((r.pos() + options.frame_bytes - 1) /
+                                   options.frame_bytes));
   }
   got = CodecArrays();  // drop the borrows before the bytes go
   pool.RetireSpace(space);
@@ -293,7 +306,7 @@ TEST(ArrayCodecTest, EveryTruncationFailsWithIOError) {
     const std::string prefix = bytes.substr(0, cut);
     SerdeReader r(prefix, "truncated payload");
     CodecArrays got;
-    Status st = got.Load(&r, nullptr);
+    Status st = got.Load(&r, /*borrow=*/false);
     EXPECT_TRUE(st.IsIOError()) << "prefix of " << cut << " bytes: "
                                 << st.ToString();
   }
