@@ -49,8 +49,9 @@
 //
 // --parallelism=N sets the worker count for offline index construction
 // (DiscoveryOptions::parallelism): 1 = serial, 0 = all hardware threads
-// (the default). Run without arguments it demos itself on a generated
-// open-data corpus, exercising the full build-index -> query round trip.
+// (the default), at most 256; any other value exits with code 2. Run
+// without arguments it demos itself on a generated open-data corpus,
+// exercising the full build-index -> query round trip.
 
 #include <cctype>
 #include <cerrno>
@@ -627,6 +628,9 @@ int SelfDemo(int parallelism) {
 
 }  // namespace
 
+// Ceiling of --parallelism: index-build threads the CLI will start.
+constexpr int kMaxParallelism = 256;
+
 int main(int argc, char** argv) {
   int parallelism = 0;  // default: offline indexing on every core
   std::string index_path;
@@ -658,9 +662,13 @@ int main(int argc, char** argv) {
       } else if (arg == "--parallelism" && i + 1 < argc) {
         value = argv[++i];
       }
-      if (!ParseInt(value, &parallelism)) {
-        std::fprintf(stderr, "error: --parallelism needs an integer "
-                             "(got '%s')\n", value.c_str());
+      // Refused here, not clamped: a negative count would be written into
+      // the snapshot's options, and a huge one would start that many
+      // threads.
+      if (!ParseInt(value, &parallelism) || parallelism < 0 ||
+          parallelism > kMaxParallelism) {
+        std::fprintf(stderr, "error: --parallelism must be 0-%d (got '%s')\n",
+                     kMaxParallelism, value.c_str());
         return 2;
       }
     } else if (arg.rfind("--index-path=", 0) == 0) {
@@ -693,7 +701,9 @@ int main(int argc, char** argv) {
     if (cmd == "build-index") {
       if (args.size() != 2 || index_path.empty()) {
         std::fprintf(stderr, "usage: ver_cli build-index [--parallelism=N] "
-                             "--index-path=PATH <csv-dir>\n");
+                             "--index-path=PATH <csv-dir>\n"
+                             "(N = index-build threads, 0 = all cores, "
+                             "at most %d)\n", kMaxParallelism);
         return 2;
       }
       if (request_flags.any()) {
@@ -766,7 +776,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("usage: ver_cli build-index|query|serve|demo-data ... "
-              "(see source header)\nno arguments given — running the "
-              "self-demo (build-index + query round trip).\n\n");
+              "[--parallelism=N, 0-%d] (see source header)\nno arguments "
+              "given — running the self-demo (build-index + query round "
+              "trip).\n\n", kMaxParallelism);
   return SelfDemo(parallelism);
 }

@@ -119,8 +119,7 @@ bool JoinPathIndex::ScoreEdge(const ColumnProfile& a, const ColumnProfile& b,
   bool b_str = b.stats.dominant_type == ValueType::kString;
   if (a_str != b_str) return false;
 
-  double c_ab = ProfileContainment(a, b);
-  double c_ba = ProfileContainment(b, a);
+  auto [c_ab, c_ba] = ProfileContainments(a, b);
   double containment = std::max(c_ab, c_ba);
   if (containment < options_.containment_threshold) return false;
 

@@ -14,11 +14,12 @@ void ProfileTableInto(const TableRepository& repo, int32_t t,
     ColumnProfile p;
     p.ref = ColumnRef{t, c};
     p.attribute_name = table.schema().attribute(c).name;
-    p.stats = ComputeColumnStats(table, c);
+    // One distinct pass: sorted and unique, it gives the distinct count,
+    // the sketch input and the exact set.
     std::vector<uint64_t> hashes = DistinctValueHashes(table, c);
+    p.stats = ComputeColumnStats(table, c, static_cast<int64_t>(hashes.size()));
     p.signature = hasher.Compute(hashes);
     if (static_cast<int64_t>(hashes.size()) <= options.exact_set_max) {
-      std::sort(hashes.begin(), hashes.end());
       p.distinct_hashes = std::move(hashes);
     }
     out->push_back(std::move(p));
@@ -90,15 +91,22 @@ uint64_t SortedIntersectionSize(const std::vector<uint64_t>& a,
 
 }  // namespace
 
-double ProfileContainment(const ColumnProfile& a, const ColumnProfile& b) {
+std::pair<double, double> ProfileContainments(const ColumnProfile& a,
+                                              const ColumnProfile& b) {
   if (a.has_exact_set() && b.has_exact_set()) {
-    if (a.distinct_hashes.empty()) return 0.0;
-    uint64_t inter =
+    uint64_t shared =
         SortedIntersectionSize(a.distinct_hashes, b.distinct_hashes);
-    return static_cast<double>(inter) /
-           static_cast<double>(a.distinct_hashes.size());
+    const double inter = static_cast<double>(shared);
+    const double na = static_cast<double>(a.distinct_hashes.size());
+    const double nb = static_cast<double>(b.distinct_hashes.size());
+    return {inter / na, inter / nb};
   }
-  return EstimateContainment(a.signature, b.signature);
+  return {EstimateContainment(a.signature, b.signature),
+          EstimateContainment(b.signature, a.signature)};
+}
+
+double ProfileContainment(const ColumnProfile& a, const ColumnProfile& b) {
+  return ProfileContainments(a, b).first;
 }
 
 double ProfileJaccard(const ColumnProfile& a, const ColumnProfile& b) {

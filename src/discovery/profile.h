@@ -4,6 +4,7 @@
 #define VER_DISCOVERY_PROFILE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/repository.h"
@@ -57,6 +58,11 @@ std::vector<ColumnProfile> ProfileRepository(const TableRepository& repo,
 /// Containment JC(a ⊆ b): exact when both profiles kept their value sets,
 /// otherwise the Lazo sketch estimate.
 double ProfileContainment(const ColumnProfile& a, const ColumnProfile& b);
+
+/// {JC(a ⊆ b), JC(b ⊆ a)}: the two ProfileContainment values, bit for bit,
+/// with exact sets intersected once.
+std::pair<double, double> ProfileContainments(const ColumnProfile& a,
+                                              const ColumnProfile& b);
 
 /// Jaccard similarity J(a, b), exact when possible.
 double ProfileJaccard(const ColumnProfile& a, const ColumnProfile& b);

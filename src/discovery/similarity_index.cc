@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 
 #include "util/bitset.h"
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/radix_sort.h"
 
 namespace ver {
 
@@ -60,7 +60,10 @@ Status SimilarityIndex::FlatBuckets::LoadFrom(SerdeReader* r, bool borrow) {
 void SimilarityIndex::FlatBuckets::Assign(
     std::vector<std::pair<uint64_t, int>>* entries_in, size_t cap) {
   std::vector<std::pair<uint64_t, int>>& entries = *entries_in;
-  std::sort(entries.begin(), entries.end());
+  // Entries arrive in ascending profile id per key, so a stable sort by key
+  // gives (key, id) order.
+  auto key_of = [](const std::pair<uint64_t, int>& e) { return e.first; };
+  StableRadixSort(&entries, key_of);
   std::vector<uint64_t>& out_keys = keys.mut();
   std::vector<uint32_t>& out_offsets = offsets.mut();
   std::vector<int>& out_postings = postings.mut();
@@ -69,8 +72,11 @@ void SimilarityIndex::FlatBuckets::Assign(
   out_postings.clear();
   for (size_t i = 0; i < entries.size();) {
     const uint64_t key = entries[i].first;
-    size_t end = i;
-    while (end < entries.size() && entries[end].first == key) ++end;
+    size_t end = i + 1;
+    while (end < entries.size() && entries[end].first == key) {
+      VER_DCHECK(entries[end - 1].second < entries[end].second);
+      ++end;
+    }
     const size_t take = std::min(end - i, cap);
     for (size_t k = i; k < i + take; ++k) {
       out_postings.push_back(entries[k].second);
@@ -216,25 +222,60 @@ std::vector<Neighbor> SimilarityIndex::JaccardNeighbors(
 }
 
 std::vector<std::pair<int, int>> SimilarityIndex::AllCandidatePairs() const {
-  std::unordered_set<uint64_t> seen;
-  std::vector<std::pair<int, int>> pairs;
-  auto add_store = [&](const FlatBuckets& flat) {
-    for (size_t k = 0; k < flat.num_keys(); ++k) {
-      auto [pb, pe] = flat.bucket_range(k);
-      for (uint32_t i = pb; i < pe; ++i) {
-        for (uint32_t j = i + 1; j < pe; ++j) {
-          int a = flat.postings[i], b = flat.postings[j];
-          if (a > b) std::swap(a, b);
-          uint64_t key = (static_cast<uint64_t>(a) << 32) |
-                         static_cast<uint64_t>(static_cast<uint32_t>(b));
-          if (seen.insert(key).second) pairs.emplace_back(a, b);
+  // Transpose the stored buckets of both tiers once: for each profile, the
+  // member slices of the buckets holding it (CSR: profile p's slices are
+  // slices[start[p], start[p + 1])). A one-member bucket pairs nothing.
+  const size_t n = eligible_.size();
+  struct Slice {
+    const int* begin;
+    const int* end;
+  };
+  auto for_each_membership = [&](const auto& fn) {
+    auto walk = [&](const FlatBuckets& flat) {
+      for (size_t k = 0; k < flat.num_keys(); ++k) {
+        auto [pb, pe] = flat.bucket_range(k);
+        if (pe - pb < 2) continue;
+        const int* postings = flat.postings.data();
+        const Slice bucket{postings + pb, postings + pe};
+        for (const int* p = bucket.begin; p != bucket.end; ++p) {
+          // Range guard for callers that run this on a loaded snapshot:
+          // paged loads skip the load-time posting scan.
+          if (*p >= 0 && static_cast<size_t>(*p) < n) {
+            fn(static_cast<size_t>(*p), bucket);
+          }
         }
       }
-    }
+    };
+    walk(flat_value_postings_);
+    for (const FlatBuckets& band : flat_band_buckets_) walk(band);
   };
-  add_store(flat_value_postings_);
-  for (const FlatBuckets& band : flat_band_buckets_) add_store(band);
-  std::sort(pairs.begin(), pairs.end());
+  std::vector<size_t> start(n + 1, 0);
+  for_each_membership([&](size_t p, const Slice&) { ++start[p + 1]; });
+  for (size_t p = 0; p < n; ++p) start[p + 1] += start[p];
+  std::vector<Slice> slices(start[n]);
+  std::vector<size_t> cursor(start.begin(), start.end() - 1);
+  for_each_membership(
+      [&](size_t p, const Slice& bucket) { slices[cursor[p]++] = bucket; });
+
+  // Each profile a stamps its partners b > a once, then sorts that short
+  // list, so pairs come out ascending and each once.
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<int> stamp(n, -1);
+  std::vector<int> partners;
+  for (size_t a = 0; a < n; ++a) {
+    const int ia = static_cast<int>(a);
+    partners.clear();
+    for (size_t s = start[a]; s < start[a + 1]; ++s) {
+      for (const int* q = slices[s].begin; q != slices[s].end; ++q) {
+        const int b = *q;
+        if (b <= ia || static_cast<size_t>(b) >= n || stamp[b] == ia) continue;
+        stamp[b] = ia;
+        partners.push_back(b);
+      }
+    }
+    std::sort(partners.begin(), partners.end());
+    for (int b : partners) pairs.emplace_back(ia, b);
+  }
   return pairs;
 }
 

@@ -66,7 +66,8 @@ class SimilarityIndex {
   /// Candidate profile indices for a query column (union of both tiers).
   std::vector<int> Candidates(int profile_index) const;
 
-  /// All unordered candidate pairs (i < j), for offline edge construction.
+  /// All unordered candidate pairs (i < j) that share a stored bucket of
+  /// either tier, ascending and each once, for offline edge construction.
   std::vector<std::pair<int, int>> AllCandidatePairs() const;
 
   /// Snapshot serialization: SaveTo writes the flat stores as they are
@@ -96,9 +97,10 @@ class SimilarityIndex {
     size_t num_keys() const { return static_cast<size_t>(keys.size()); }
     /// Index of `key`, or -1.
     ptrdiff_t find(uint64_t key) const;
-    /// Sorts the (key, profile index) `entries` and groups them by key,
-    /// keeping each key's `cap` smallest indices; a key whose indices the
-    /// cap drops entirely keeps an empty bucket. The result is owned.
+    /// Sorts the (key, profile index) `entries`, which list each key's
+    /// indices ascending, by key and groups them, keeping each key's `cap`
+    /// smallest indices; a key whose indices the cap drops entirely keeps
+    /// an empty bucket. The result is owned.
     void Assign(std::vector<std::pair<uint64_t, int>>* entries, size_t cap);
     /// Bounds-guarded posting slice [begin, end) for key index `i`; empty
     /// on a corrupt offset pair (paged loads skip offset validation).

@@ -5,13 +5,20 @@
 namespace ver {
 
 ColumnStats ComputeColumnStats(const Table& table, int col) {
+  // Distinct non-null hashes: dictionary columns answer from cached entry
+  // hashes; typed numeric columns scan without materializing Values.
+  const ColumnData& data = table.column_data(col);
+  const int64_t num_distinct = data.DistinctCount(/*count_null=*/false);
+  return ComputeColumnStats(table, col, num_distinct);
+}
+
+ColumnStats ComputeColumnStats(const Table& table, int col,
+                               int64_t num_distinct) {
   const ColumnData& data = table.column_data(col);
   ColumnStats stats;
   stats.num_rows = table.num_rows();
   stats.num_nulls = data.null_count();
-  // Distinct non-null hashes: dictionary columns answer from cached entry
-  // hashes; typed numeric columns scan without materializing Values.
-  stats.num_distinct = data.DistinctCount(/*count_null=*/false);
+  stats.num_distinct = num_distinct;
   int64_t ints = data.int_count();
   int64_t doubles = data.double_count();
   int64_t strings = data.string_count();

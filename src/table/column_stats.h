@@ -37,7 +37,13 @@ struct ColumnStats {
 /// Computes stats for one column.
 ColumnStats ComputeColumnStats(const Table& table, int col);
 
-/// Hashes of the distinct non-null values of a column (sketch input).
+/// The same stats, with the column's distinct non-null count supplied by a
+/// caller that already holds its distinct hashes.
+ColumnStats ComputeColumnStats(const Table& table, int col,
+                               int64_t num_distinct);
+
+/// Hashes of the distinct non-null values of a column, sorted ascending
+/// (sketch input and exact set).
 std::vector<uint64_t> DistinctValueHashes(const Table& table, int col);
 
 /// Indices of columns whose uniqueness >= `min_uniqueness` — the paper's

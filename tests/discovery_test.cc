@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "discovery/engine.h"
+#include "discovery/keyword_index.h"
 
 namespace ver {
 namespace {
@@ -181,6 +182,52 @@ TEST_F(DiscoveryTest, UnknownColumnHasNoNeighbors) {
 
 TEST_F(DiscoveryTest, JoinableColumnPairsCounted) {
   EXPECT_GT(engine_->num_joinable_column_pairs(), 0);
+}
+
+// Keys are ordered by an 8-byte prefix first and by full text only within
+// a run of equal prefixes; exact lookup binary-searches that order, so
+// every text must be findable, whatever prefix it shares.
+TEST(KeywordIndexTest, ExactSearchFindsEdgeTexts) {
+  std::vector<std::string> texts;
+  // Shared 8-byte prefixes, some texts prefixes of one another.
+  texts.insert(texts.end(), {"abcdefgh", "abcdefgh1", "abcdefgh2"});
+  texts.insert(texts.end(), {"abcdefghij", "abcdefghijklmnop"});
+  texts.insert(texts.end(), {"abcdefghijklmnopq", "a", "ab", "abc"});
+  // A trailing NUL pads like the prefix's zero fill.
+  texts.push_back(std::string("ab\0", 3));
+  texts.push_back(std::string("abcdefgh\0", 9));
+  // The empty text.
+  texts.push_back("");
+  // Bytes >= 0x80 (UTF-8 and raw), which order after every ASCII byte.
+  texts.insert(texts.end(), {"\xc3\xa9t\xc3\xa9", "\xc3\xa9", "\xff"});
+  texts.push_back(std::string(8, '\xff'));
+  texts.push_back(std::string(8, '\xff') + "\x80");
+  texts.insert(texts.end(), {"\x80" "abc", "zz", "z\x80"});
+  // One column per text, so each text's only posting is its column.
+  Schema schema;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    std::string name = "c" + std::to_string(i);
+    schema.AddAttribute(Attribute{name, ValueType::kString});
+  }
+  Table table("texts", schema);
+  std::vector<Value> row;
+  for (const std::string& text : texts) row.push_back(Value::String(text));
+  ASSERT_TRUE(table.AppendRow(std::move(row)).ok());
+  TableRepository repo;
+  ASSERT_TRUE(repo.AddTable(std::move(table)).ok());
+
+  KeywordIndex index;
+  index.Build(repo);
+  EXPECT_EQ(index.vocabulary_size(), static_cast<int64_t>(texts.size()));
+  for (size_t i = 0; i < texts.size(); ++i) {
+    auto hits = index.Search(texts[i], KeywordTarget::kValues);
+    ASSERT_EQ(hits.size(), 1u) << "text #" << i;
+    ColumnRef want{0, static_cast<int32_t>(i)};
+    EXPECT_EQ(hits[0].column, want) << "text #" << i;
+    EXPECT_TRUE(hits[0].exact);
+  }
+  EXPECT_TRUE(index.Search("abcdefgh3", KeywordTarget::kValues).empty());
+  EXPECT_TRUE(index.Search("\xc3", KeywordTarget::kValues).empty());
 }
 
 // ------------------------- option sensitivity ---------------------------

@@ -1,11 +1,14 @@
-// Unit tests for src/util: status, result, strings, levenshtein, rng, stats.
+// Unit tests for src/util: status, result, strings, levenshtein, rng, stats,
+// radix sort.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "util/hash.h"
 #include "util/levenshtein.h"
+#include "util/radix_sort.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -266,6 +269,62 @@ TEST(StatsTest, FiveNumberSummary) {
   EXPECT_DOUBLE_EQ(s.p25, 26);
   EXPECT_DOUBLE_EQ(s.p75, 76);
   EXPECT_NE(s.ToString().find("med=51"), std::string::npos);
+}
+
+// ------------------------------ radix sort ------------------------------
+
+// (key, input position) items: the position tells a stable order apart.
+using Keyed = std::pair<uint64_t, int>;
+
+std::vector<Keyed> WithPositions(const std::vector<uint64_t>& keys) {
+  std::vector<Keyed> items;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    items.emplace_back(keys[i], static_cast<int>(i));
+  }
+  return items;
+}
+
+void ExpectSortsLikeStableSort(const std::vector<uint64_t>& keys) {
+  std::vector<Keyed> radix = WithPositions(keys);
+  std::vector<Keyed> reference = radix;
+  StableRadixSort(&radix, [](const Keyed& k) { return k.first; });
+  auto by_key = [](Keyed x, Keyed y) { return x.first < y.first; };
+  std::stable_sort(reference.begin(), reference.end(), by_key);
+  EXPECT_EQ(radix, reference);
+}
+
+TEST(RadixSortTest, EmptyOneAndAllEqualInputs) {
+  ExpectSortsLikeStableSort({});
+  ExpectSortsLikeStableSort({42});
+  ExpectSortsLikeStableSort(std::vector<uint64_t>(300, 7));
+  ExpectSortsLikeStableSort(std::vector<uint64_t>(300, UINT64_MAX));
+}
+
+TEST(RadixSortTest, KeysDifferingInOneByte) {
+  Rng rng(5);
+  std::vector<uint64_t> top, bottom, middle;
+  for (int i = 0; i < 500; ++i) {
+    uint64_t digit = static_cast<uint64_t>(rng.UniformInt(0, 255));
+    top.push_back((digit << 56) | 0x00123456789abcdeULL);
+    bottom.push_back(0xfedcba9876543200ULL | digit);
+    middle.push_back(0x1100000000000022ULL | (digit << 24));
+  }
+  ExpectSortsLikeStableSort(top);
+  ExpectSortsLikeStableSort(bottom);
+  ExpectSortsLikeStableSort(middle);
+}
+
+TEST(RadixSortTest, RandomKeysWithDuplicates) {
+  Rng rng(9);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint64_t> keys;
+    const int n = static_cast<int>(rng.UniformInt(2, 2000));
+    for (int i = 0; i < n; ++i) {
+      // Few distinct keys spread over all eight bytes.
+      keys.push_back(Mix64(static_cast<uint64_t>(rng.UniformInt(0, 40))));
+    }
+    ExpectSortsLikeStableSort(keys);
+  }
 }
 
 }  // namespace
