@@ -30,7 +30,8 @@ void AblationTheta(GeneratedDataset* dataset) {
       Result<ExampleQuery> query =
           MakeNoisyQuery(dataset->repo, gt, NoiseLevel::kMedium, 3, 0xab1a);
       if (!query.ok()) continue;
-      QueryResult result = system.RunQuery(query.value());
+      QueryResult result =
+          system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
       int c = 0;
       for (const auto& attr : result.selection) {
         c += static_cast<int>(attr.candidates.size());
@@ -66,7 +67,8 @@ void AblationKeyThreshold(GeneratedDataset* dataset) {
       Result<ExampleQuery> query =
           MakeNoisyQuery(dataset->repo, gt, NoiseLevel::kZero, 3, 0xab1b);
       if (!query.ok()) continue;
-      QueryResult result = system.RunQuery(query.value());
+      QueryResult result =
+          system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
       complementary += result.distillation.num_complementary_pairs;
       contradictory += result.distillation.num_contradictory_pairs;
       contradictions +=
@@ -117,7 +119,8 @@ void AblationDistillationOff(GeneratedDataset* dataset) {
       Result<ExampleQuery> query =
           MakeNoisyQuery(dataset->repo, gt, NoiseLevel::kZero, 3, 0xab1d);
       if (!query.ok()) continue;
-      QueryResult result = system.RunQuery(query.value());
+      QueryResult result =
+          system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
       sizes.push_back(
           static_cast<double>(result.distillation.surviving.size()));
     }

@@ -238,7 +238,8 @@ void Run() {
     VerConfig config;
     Ver served(&repo.value(), config, std::move(loaded).value());
     WallTimer qtimer;
-    QueryResult qr = served.RunQuery(first_query);
+    QueryResult qr =
+        served.Execute(DiscoveryRequest::ForQuery(first_query)).result;
     double qs = qtimer.ElapsedSeconds();
     if (rep == 0 || qs < m.first_query_resident_s) {
       m.first_query_resident_s = qs;
@@ -273,7 +274,8 @@ void Run() {
     VerConfig config;
     Ver served(&repo.value(), config, std::move(loaded).value());
     WallTimer qtimer;
-    QueryResult qr = served.RunQuery(first_query);
+    QueryResult qr =
+        served.Execute(DiscoveryRequest::ForQuery(first_query)).result;
     double qs = qtimer.ElapsedSeconds();
     if (rep == 0 || qs < m.first_query_paged_s) m.first_query_paged_s = qs;
     (void)qr;

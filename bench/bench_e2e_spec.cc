@@ -61,7 +61,10 @@ void Run() {
           break;
       }
       QueryResult result =
-          system.RunWithCandidates(candidates, query.value());
+          system
+              .Execute(DiscoveryRequest::ForCandidates(std::move(candidates),
+                                                       query.value()))
+              .result;
       stats[spec].runtimes.push_back(timer.ElapsedSeconds());
       stats[spec].views.push_back(static_cast<double>(result.views.size()));
       stats[spec].distilled.push_back(

@@ -28,7 +28,8 @@ void RunQuery(const std::string& label, Ver* system,
   for (NoiseLevel level : AllNoiseLevels()) {
     Result<ExampleQuery> query = MakeNoisyQuery(repo, gt, level, 3, 0xf16);
     if (!query.ok()) continue;
-    QueryResult result = system->RunQuery(query.value());
+    QueryResult result =
+        system->Execute(DiscoveryRequest::ForQuery(query.value())).result;
     std::vector<int64_t> best =
         ContradictionPruningCurve(result.distillation, true, 10);
     std::vector<int64_t> worst =

@@ -2,9 +2,9 @@
 // sample portion 1.0.
 // Fig. 4(b): total runtime of Ver per component over the query sample:
 // CS (column selection), JGS (join graph search), M (materializer),
-// VD-IO (reading views from disk), 4C.
-
-#include <filesystem>
+// VD-IO (reading the views back from CSV files, TimeGetViews in
+// bench_common.h), 4C. Writing those files is not a paper component and
+// has its own row, so M times the materializer alone.
 
 #include "bench_common.h"
 #include "util/stats.h"
@@ -17,23 +17,24 @@ void Run() {
   PrintHeader("Fig. 4: runtime breakdowns (4C steps; Ver components)",
               "Fig. 4(a) and 4(b)");
   const int num_queries = 20 * BenchScale();
-  namespace fs = std::filesystem;
-  fs::path spill_dir = fs::temp_directory_path() / "ver_fig4_spill";
-  fs::remove_all(spill_dir);
+  const std::filesystem::path views_dir =
+      std::filesystem::temp_directory_path() / "ver_fig4_views";
 
   GeneratedDataset dataset =
       GenerateOpenDataLike(BenchOpenDataSpec(1.0, num_queries));
-  VerConfig config = ConfigWithStrategy(SelectionStrategy::kColumnSelection);
-  config.spill_dir = spill_dir.string();
-  Ver system(&dataset.repo, config);
+  Ver system(&dataset.repo,
+             ConfigWithStrategy(SelectionStrategy::kColumnSelection));
 
   std::vector<double> sp, hash_c1, c2, c3c4;
-  std::vector<double> cs, jgs, m, vd_io, four_c;
+  std::vector<double> cs, jgs, m, csv_write, vd_io, four_c;
   for (size_t q = 0; q < dataset.queries.size(); ++q) {
     Result<ExampleQuery> query = MakeNoisyQuery(
         dataset.repo, dataset.queries[q], NoiseLevel::kZero, 3, 4242 + q);
     if (!query.ok()) continue;
-    QueryResult result = system.RunQuery(query.value());
+    DiscoveryResponse response =
+        system.Execute(DiscoveryRequest::ForQuery(query.value()));
+    const QueryResult& result = response.result;
+    const ViewIoTiming io = TimeGetViews(result.views, views_dir);
     sp.push_back(result.distillation.timing.schema_partition_s);
     hash_c1.push_back(result.distillation.timing.hash_and_c1_s);
     c2.push_back(result.distillation.timing.c2_s);
@@ -41,10 +42,10 @@ void Run() {
     cs.push_back(result.timing.column_selection_s);
     jgs.push_back(result.timing.join_graph_search_s);
     m.push_back(result.timing.materialize_s);
-    vd_io.push_back(result.timing.vd_io_s);
+    csv_write.push_back(io.write_s);
+    vd_io.push_back(io.read_s);
     four_c.push_back(result.timing.four_c_s);
   }
-  fs::remove_all(spill_dir);
 
   std::printf("\nFig. 4(a): 4C step runtimes over %zu queries\n", sp.size());
   TextTable a({"Step", "median", "5-number summary (s)"});
@@ -66,6 +67,8 @@ void Run() {
             Summarize(jgs).ToString(4)});
   b.AddRow({"M   (MATERIALIZER)", FormatSeconds(Median(m)),
             Summarize(m).ToString(4)});
+  b.AddRow({"CSV write (emulation set-up)", FormatSeconds(Median(csv_write)),
+            Summarize(csv_write).ToString(4)});
   b.AddRow({"VD-IO (Get Views Time)", FormatSeconds(Median(vd_io)),
             Summarize(vd_io).ToString(4)});
   b.AddRow({"4C  (4C Runtime)", FormatSeconds(Median(four_c)),
@@ -76,7 +79,8 @@ void Run() {
       "Paper shape: (a) hashing dominates the 4C runtime; schema\n"
       "partitioning and containment checks are cheap. (b) MATERIALIZER\n"
       "and view IO dominate the end-to-end runtime while CS and JGS are\n"
-      "sub-second.\n");
+      "sub-second. The CSV write row is the emulation's set-up, not a\n"
+      "paper component.\n");
 }
 
 }  // namespace

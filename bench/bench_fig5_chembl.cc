@@ -33,7 +33,9 @@ void Run() {
           MakeNoisyQuery(dataset.repo, gt, level, 3, 0x515);
       if (!query.ok()) continue;
       for (size_t s = 0; s < strategies.size(); ++s) {
-        QueryResult result = systems[s]->RunQuery(query.value());
+        QueryResult result =
+            systems[s]->Execute(DiscoveryRequest::ForQuery(query.value()))
+                .result;
         Result<bool> hit =
             ContainsGroundTruth(dataset.repo, gt, result.views);
         bool found = hit.ok() && hit.value();

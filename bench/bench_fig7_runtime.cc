@@ -26,7 +26,9 @@ void RunDataset(const std::string& label, GeneratedDataset* dataset,
       std::vector<std::string> row = {label + " " + gt.name,
                                       NoiseLevelToString(level)};
       for (size_t s = 0; s < strategies.size(); ++s) {
-        QueryResult result = systems[s]->RunQuery(query.value());
+        QueryResult result =
+            systems[s]->Execute(DiscoveryRequest::ForQuery(query.value()))
+                .result;
         double cs_jgs_m = result.timing.column_selection_s +
                           result.timing.join_graph_search_s +
                           result.timing.materialize_s;

@@ -35,7 +35,8 @@ void PartA(GeneratedDataset* dataset) {
     if (!query.ok()) continue;
     std::vector<std::string> row = {gt.name};
     for (size_t i = 0; i < thresholds.size(); ++i) {
-      QueryResult result = systems[i]->RunQuery(query.value());
+      QueryResult result =
+          systems[i]->Execute(DiscoveryRequest::ForQuery(query.value())).result;
       row.push_back(std::to_string(result.search.num_join_graphs));
     }
     table.AddRow(std::move(row));
@@ -64,7 +65,8 @@ void PartBC(GeneratedDataset* dataset) {
     Result<ExampleQuery> query =
         MakeNoisyQuery(dataset->repo, gt, NoiseLevel::kMedium, rows, 0x88b);
     if (!query.ok()) continue;
-    QueryResult result = system.RunQuery(query.value());
+    QueryResult result =
+        system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
     int total_before = 0, clusters = 0, clusters_selected = 0, cols = 0;
     for (const ColumnSelectionResult& attr : result.selection) {
       total_before += attr.total_columns_before_clustering;
@@ -103,12 +105,14 @@ void PartD(GeneratedDataset* dataset) {
   Result<ExampleQuery> three =
       MakeNoisyQuery(dataset->repo, wide, NoiseLevel::kZero, 3, 0x88d);
   if (two.ok()) {
-    QueryResult r = system.RunQuery(two.value());
+    QueryResult r =
+        system.Execute(DiscoveryRequest::ForQuery(two.value())).result;
     table.AddRow({"2", std::to_string(r.search.num_join_graphs),
                   std::to_string(r.views.size())});
   }
   if (three.ok()) {
-    QueryResult r = system.RunQuery(three.value());
+    QueryResult r =
+        system.Execute(DiscoveryRequest::ForQuery(three.value())).result;
     table.AddRow({"3", std::to_string(r.search.num_join_graphs),
                   std::to_string(r.views.size())});
   }

@@ -37,8 +37,10 @@ void Run() {
     Result<ExampleQuery> query =
         MakeNoisyQuery(dataset.repo, gt, NoiseLevel::kZero, 3, 99 + q);
     if (!query.ok()) continue;
-    QueryResult ver_result = ver_system.RunQuery(query.value());
-    QueryResult ft_result = ft_system.RunQuery(query.value());
+    QueryResult ver_result =
+        ver_system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
+    QueryResult ft_result =
+        ft_system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
     std::string examples;
     for (size_t i = 0; i < query->columns[0].size(); ++i) {
       if (i) examples += ", ";

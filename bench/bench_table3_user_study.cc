@@ -60,7 +60,8 @@ void Run() {
       if (!query.ok()) continue;
 
       // --- Ver: bandit presentation session -----------------------------
-      QueryResult result = system.RunQuery(query.value());
+      QueryResult result =
+          system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
       Result<std::vector<int>> acceptable =
           GroundTruthMatches(dataset.repo, gt, result.views);
       if (!acceptable.ok()) continue;
@@ -76,7 +77,8 @@ void Run() {
       }
 
       // --- FastTopK: manual exploration of the overlap ranking -----------
-      QueryResult ft_result = ft_system.RunQuery(query.value());
+      QueryResult ft_result =
+          ft_system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
       Result<std::vector<int>> ft_acceptable =
           GroundTruthMatches(dataset.repo, gt, ft_result.views);
       bool ft_found = false;

@@ -17,7 +17,8 @@ void RunDataset(const std::string& label, GeneratedDataset* dataset,
       Result<ExampleQuery> query = MakeNoisyQuery(
           dataset->repo, gt, AllNoiseLevels()[n], 3, 777 + n * 31);
       if (!query.ok()) continue;
-      QueryResult result = system.RunQuery(query.value());
+      QueryResult result =
+          system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
       if (result.views.size() < 5) continue;  // paper: drop tiny view sets
       ComplementaryReduction c3 =
           ComputeComplementaryReduction(result.views, result.distillation);

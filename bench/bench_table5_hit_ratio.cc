@@ -53,7 +53,9 @@ void Run() {
                              1000 + rep * 37 + n);
           if (!query.ok()) continue;
           for (size_t s = 0; s < strategies.size(); ++s) {
-            QueryResult result = systems[s]->RunQuery(query.value());
+            QueryResult result =
+                systems[s]->Execute(DiscoveryRequest::ForQuery(query.value()))
+                    .result;
             Result<bool> hit =
                 ContainsGroundTruth(dataset.repo, gt, result.views);
             tally[n][s].total += 1;

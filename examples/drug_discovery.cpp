@@ -8,6 +8,8 @@
 
 #include <cstdio>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "workload/chembl_gen.h"
 #include "workload/noisy_query.h"
@@ -43,7 +45,9 @@ int main() {
     std::printf("\n");
   }
 
-  QueryResult result = system.RunQuery(query.value());
+  QueryResult result =
+
+      system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
 
   std::printf("\nFunnel:\n");
   std::printf("  candidate columns : ");

@@ -1,12 +1,15 @@
 // Open-data-portal scenario: the collection lives as CSV files on disk
-// (like a crawl of data portals), gets loaded as a pathless repository, and
-// views are discovered with disk spill enabled — the configuration whose
-// IO costs the paper's scalability experiments measure.
+// (like a crawl of data portals), gets loaded as a pathless repository,
+// views are discovered in memory, and the surviving views are written back
+// to disk as CSV files.
 
 #include <cstdio>
 #include <filesystem>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
+#include "table/csv.h"
 #include "workload/noisy_query.h"
 #include "workload/open_data_gen.h"
 
@@ -16,7 +19,7 @@ int main() {
   namespace fs = std::filesystem;
   fs::path root = fs::temp_directory_path() / "ver_open_data_example";
   fs::path data_dir = root / "portal";
-  fs::path spill_dir = root / "views";
+  fs::path views_dir = root / "views";
   fs::remove_all(root);
 
   // 1. Write a synthetic portal crawl to disk as plain CSV files...
@@ -43,11 +46,8 @@ int main() {
   std::printf("Loaded %d tables (%lld rows total)\n", repo.num_tables(),
               static_cast<long long>(repo.TotalRows()));
 
-  // 3. Discover views with spill-to-disk enabled: materialized candidate
-  // views are written as CSV and read back before distillation.
-  VerConfig config;
-  config.spill_dir = spill_dir.string();
-  Ver system(&repo, config);
+  // 3. Discover views.
+  Ver system(&repo, VerConfig());
 
   // Reuse a generated ground-truth query; resolve it against the reloaded
   // repository (table names are stable).
@@ -58,25 +58,33 @@ int main() {
     std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
     return 1;
   }
-  QueryResult result = system.RunQuery(query.value());
+  QueryResult result =
+      system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
 
   std::printf("\n%zu candidate views (%zu after distillation)\n",
               result.views.size(), result.distillation.surviving.size());
-  std::printf(
-      "Timings: CS=%.1fms JGS=%.1fms M=%.1fms VD-IO=%.1fms 4C=%.1fms\n",
-      result.timing.column_selection_s * 1000,
-      result.timing.join_graph_search_s * 1000,
-      result.timing.materialize_s * 1000, result.timing.vd_io_s * 1000,
-      result.timing.four_c_s * 1000);
+  std::printf("Timings: CS=%.1fms JGS=%.1fms M=%.1fms 4C=%.1fms\n",
+              result.timing.column_selection_s * 1000,
+              result.timing.join_graph_search_s * 1000,
+              result.timing.materialize_s * 1000,
+              result.timing.four_c_s * 1000);
 
+  // 4. Write the surviving views next to the portal, one CSV file each.
+  fs::create_directories(views_dir);
   int shown = 0;
   for (int idx : result.distillation.surviving) {
     const View& v = result.views[idx];
-    std::printf("\nview_%lld (%lld rows) spilled at %s\n",
-                static_cast<long long>(v.id),
-                static_cast<long long>(v.table.num_rows()),
-                v.spill_path.c_str());
-    if (++shown >= 3) break;
+    std::string path = (views_dir / (v.table.name() + ".csv")).string();
+    Status written = WriteCsvFile(v.table, path);
+    if (!written.ok()) {
+      std::fprintf(stderr, "write: %s\n", written.ToString().c_str());
+      return 1;
+    }
+    if (shown++ < 3) {
+      std::printf("\nview_%lld (%lld rows) written to %s\n",
+                  static_cast<long long>(v.id),
+                  static_cast<long long>(v.table.num_rows()), path.c_str());
+    }
   }
 
   fs::remove_all(root);

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "table/csv.h"
 
@@ -71,7 +73,7 @@ int main() {
       {"Boston", "Chicago"},           // examples for the first attribute
       {"Michelle Wu", "Steve Adler"},  // noisy examples for the second
   });
-  QueryResult result = system.RunQuery(query);
+  QueryResult result = system.Execute(DiscoveryRequest::ForQuery(query)).result;
 
   std::printf("\nCandidate PJ-views (%zu):\n", result.views.size());
   for (const View& v : result.views) {

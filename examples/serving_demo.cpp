@@ -70,7 +70,8 @@ int main() {
     clients.emplace_back([&server, &queries, t] {
       for (int round = 0; round < 2; ++round) {
         for (size_t i = 0; i < queries.size(); ++i) {
-          ServedResult served = server.Serve(queries[(i + t) % queries.size()]);
+          ServedResult served = server.Serve(
+              DiscoveryRequest::ForQuery(queries[(i + t) % queries.size()]));
           if (served.status.ok()) {
             std::printf(
                 "client %d: %zu views, %zu after 4C%s (wait %.1fms, run "
@@ -115,7 +116,8 @@ int main() {
   }
 
   // A 1-nanosecond deadline always expires while queued: a clean failure.
-  ServedResult late = server.Submit(queries[0], /*deadline_s=*/1e-9)->Wait();
+  ServedResult late =
+      server.Serve(DiscoveryRequest::ForQuery(queries[0]).WithDeadline(1e-9));
   std::printf("1ns deadline: %s\n", late.status.ToString().c_str());
 
   ServerStats stats = server.stats();

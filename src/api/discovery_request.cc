@@ -240,6 +240,21 @@ std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
   return now + std::chrono::duration_cast<Clock::duration>(wanted);
 }
 
+Status CheckDeadlineAndCancel(std::chrono::steady_clock::time_point deadline,
+                              const std::atomic<bool>* cancel,
+                              const char* next_stage) {
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    return Status::Cancelled(std::string("query cancelled before ") +
+                             next_stage);
+  }
+  if (deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() >= deadline) {
+    return Status::DeadlineExceeded(std::string("deadline passed before ") +
+                                    next_stage);
+  }
+  return Status::OK();
+}
+
 Status DiscoveryRequest::Validate() const {
   if (!std::isfinite(deadline_s)) {
     return Status::InvalidArgument("deadline_s must be finite (got " +

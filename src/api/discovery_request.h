@@ -8,8 +8,7 @@
 // a sparse overlay of the online-pipeline options (theta, rho, top-k,
 // distillation on/off, ...) that is validated and merged over the base
 // VerConfig, plus a deadline and an optional StopAfter(k) early-termination
-// signal. Ver::Execute is the single driver consuming requests; the legacy
-// RunQuery/RunWithCandidates overloads are thin wrappers over it.
+// signal. Ver::Execute is the single driver consuming requests.
 
 #ifndef VER_API_DISCOVERY_REQUEST_H_
 #define VER_API_DISCOVERY_REQUEST_H_
@@ -41,6 +40,16 @@ std::string CanonicalQueryKey(const ExampleQuery& query);
 /// so a huge relative deadline saturates instead of overflowing the clock's
 /// integer ticks.
 std::chrono::steady_clock::time_point DeadlineAfter(double seconds);
+
+/// The cooperative stop check of the online pipeline: Cancelled when
+/// `cancel` is non-null and set, else DeadlineExceeded once `deadline`
+/// (time_point::max() = none) has passed, else OK. `next_stage` names the
+/// step that was not started. Ver::Execute calls it before every stage (and
+/// before every candidate of a StopAfter run), VerServer when it dequeues a
+/// request; a stage that has started always runs to its end.
+Status CheckDeadlineAndCancel(std::chrono::steady_clock::time_point deadline,
+                              const std::atomic<bool>* cancel,
+                              const char* next_stage);
 
 /// Sparse per-request overlay of the online-pipeline knobs. An unset field
 /// keeps the server's VerConfig value; a set field replaces it for this
@@ -116,11 +125,11 @@ struct DiscoveryRequest {
   /// Relative deadline in seconds from Execute/Submit entry. 0 (the
   /// default) = unset: no deadline under Execute, the server's
   /// default_deadline_s under VerServer::Submit. Negative = explicitly
-  /// none: overrides the server default (the legacy Submit(query,
-  /// deadline_s <= 0) contract). NaN and infinities are invalid.
+  /// none: overrides the server default (`WithDeadline(-1)`). NaN and
+  /// infinities are invalid.
   double deadline_s = 0;
   /// Absolute deadline; max() = none. When both deadlines are set the
-  /// earlier one wins. Used by wrappers carrying a QueryControl.
+  /// earlier one wins.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Cooperative cancellation flag, owned by the caller; checked between

@@ -21,8 +21,7 @@ struct DiscoveryResponse {
   /// The pipeline artifacts: selection, search funnel stats
   /// (`result.search`), materialized views, distillation, per-stage
   /// timings (`result.timing`), and the automatic overlap ranking
-  /// (`result.automatic_ranking`) — identical in shape to what the legacy
-  /// RunQuery overloads return, because they are wrappers over Execute.
+  /// (`result.automatic_ranking`).
   QueryResult result;
 
   /// True when StopAfter(k) fired: the pipeline stopped with ranked

@@ -1,9 +1,8 @@
-// Ver::Execute — the one real online-pipeline driver (Algorithm 1).
+// Ver::Execute — the one online-pipeline driver (Algorithm 1).
 //
-// Every public entry point (the legacy RunQuery / RunWithCandidates
-// overloads, VerServer workers) funnels into this function. It validates
+// Callers and VerServer workers alike enter the pipeline here. It validates
 // the request, merges its overrides over the base VerConfig, then runs
-// COLUMN-SELECTION -> JOIN-GRAPH-SEARCH -> MATERIALIZER -> VD-IO ->
+// COLUMN-SELECTION -> JOIN-GRAPH-SEARCH -> MATERIALIZER ->
 // VIEW-DISTILLATION -> ranking with deadline/cancellation checks at stage
 // boundaries, streaming typed events to the observer.
 //
@@ -11,7 +10,7 @@
 // view sequences are bit-identical prefixes of each other):
 //
 //  * batch (stop_after <= 0): materialize all top-k ranked candidates, then
-//    distill once — exactly the legacy pipeline.
+//    distill once.
 //  * streaming (stop_after > 0): materialize ranked candidates one at a
 //    time, re-evaluating distillation after each kept view and delivering
 //    every newly-surviving view to the observer immediately; stop as soon
@@ -20,32 +19,15 @@
 //    stage-boundary granularity of the batch mode.
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 #include <vector>
 
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
 #include "api/query_observer.h"
-#include "table/csv.h"
 #include "util/timer.h"
 
 namespace ver {
-
-namespace {
-
-// Reads one spilled view back from disk (the VD-IO / "Get Views Time" cost).
-void ReloadSpilledView(View* view) {
-  if (view == nullptr || view->spill_path.empty()) return;
-  Result<Table> reloaded = ReadCsvFile(view->spill_path);
-  if (reloaded.ok()) {
-    std::string name = view->table.name();
-    view->table = std::move(reloaded).value();
-    view->table.set_name(std::move(name));
-  }
-}
-
-}  // namespace
 
 const char* PipelineStageToString(PipelineStage stage) {
   switch (stage) {
@@ -67,17 +49,6 @@ const char* PipelineStageToString(PipelineStage stage) {
 
 DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
                                QueryObserver* observer) const {
-  return ExecuteInternal(request, observer, nullptr);
-}
-
-DiscoveryResponse Ver::Execute(DiscoveryRequest&& request,
-                               QueryObserver* observer) const {
-  return ExecuteInternal(request, observer, &request.candidates);
-}
-
-DiscoveryResponse Ver::ExecuteInternal(
-    const DiscoveryRequest& request, QueryObserver* observer,
-    std::vector<ColumnSelectionResult>* stolen_candidates) const {
   WallTimer total_timer;
   DiscoveryResponse response;
   QueryResult& result = response.result;
@@ -109,19 +80,17 @@ DiscoveryResponse Ver::ExecuteInternal(
 
   VerConfig merged = request.overrides.MergedOver(config_);
 
-  QueryControl control;
-  control.deadline = request.deadline;
-  control.cancel = request.cancel;
-  control.deadline =
-      std::min(control.deadline, DeadlineAfter(request.deadline_s));
+  const auto deadline =
+      std::min(request.deadline, DeadlineAfter(request.deadline_s));
+  auto check = [&](const char* next_stage) {
+    return CheckDeadlineAndCancel(deadline, request.cancel, next_stage);
+  };
 
   // ---------------------------------------------------------- COLUMN-SELECTION
   if (request.from_candidates) {
-    result.selection = stolen_candidates != nullptr
-                           ? std::move(*stolen_candidates)
-                           : request.candidates;
+    result.selection = request.candidates;
   } else {
-    Status st = control.Check("COLUMN-SELECTION");
+    Status st = check("COLUMN-SELECTION");
     if (!st.ok()) return fail(std::move(st));
     run_stage(PipelineStage::kColumnSelection,
               &result.timing.column_selection_s, [&] {
@@ -131,16 +100,9 @@ DiscoveryResponse Ver::ExecuteInternal(
   }
 
   // ---------------------------------------------------------- JOIN-GRAPH-SEARCH
-  JoinGraphSearchOptions search_options = merged.search;
-  const bool spilling = !merged.spill_dir.empty();
-  if (spilling) {
-    // Each query spills into its own subdirectory, so concurrent queries
-    // never read or overwrite each other's spill files.
-    search_options.materialize.spill_dir = NextSpillDir();
-  }
-
+  const JoinGraphSearchOptions& search_options = merged.search;
   {
-    Status st = control.Check("JOIN-GRAPH-SEARCH");
+    Status st = check("JOIN-GRAPH-SEARCH");
     if (!st.ok()) return fail(std::move(st));
   }
   run_stage(PipelineStage::kJoinGraphSearch,
@@ -177,20 +139,11 @@ DiscoveryResponse Ver::ExecuteInternal(
     result.distillation.count_after_contained =
         static_cast<int64_t>(num_views);
   };
-  auto cleanup_spill = [&]() {
-    if (!spilling || !merged.cleanup_spilled_views) return;
-    // Serving mode: drop this query's spill subdirectory now that the views
-    // are back in memory, so disk use stays bounded under sustained traffic
-    // (untimed — cleanup is not a paper cost).
-    std::error_code ec;
-    std::filesystem::remove_all(search_options.materialize.spill_dir, ec);
-    for (View& v : result.views) v.spill_path.clear();
-  };
 
   if (request.stop_after <= 0) {
-    // ----- Batch mode: the legacy pipeline, one stage after the other.
+    // ----- Batch mode: one stage after the other.
     {
-      Status st = control.Check("MATERIALIZER");
+      Status st = check("MATERIALIZER");
       if (!st.ok()) return fail(std::move(st));
     }
     run_stage(PipelineStage::kMaterialization, &result.timing.materialize_s,
@@ -200,19 +153,8 @@ DiscoveryResponse Ver::ExecuteInternal(
                     &result.search.num_materialization_failures);
               });
 
-    if (spilling) {
-      // Read the spilled views back from disk — distillation's input IO
-      // cost ("Get Views Time" in Fig. 3 / VD-IO in Fig. 4b).
-      Status st = control.Check("VD-IO");
-      if (!st.ok()) return fail(std::move(st));
-      run_stage(PipelineStage::kVdIo, &result.timing.vd_io_s, [&] {
-        for (View& v : result.views) ReloadSpilledView(&v);
-      });
-      cleanup_spill();
-    }
-
     {
-      Status st = control.Check("VIEW-DISTILLATION");
+      Status st = check("VIEW-DISTILLATION");
       if (!st.ok()) return fail(std::move(st));
     }
     if (merged.run_distillation) {
@@ -229,7 +171,7 @@ DiscoveryResponse Ver::ExecuteInternal(
     // CandidateMaterializer is the same machinery batch mode uses, so the
     // views produced here are a prefix of the batch run's view sequence.
     // Stage events: one kMaterialization bracket spans the interleaved
-    // loop; VD-IO and distillation costs still land in their timing fields.
+    // loop; distillation costs still land in their timing field.
     int64_t limit =
         search_options.expected_views <= 0
             ? static_cast<int64_t>(result.search.candidates.size())
@@ -249,7 +191,7 @@ DiscoveryResponse Ver::ExecuteInternal(
     };
     CandidateMaterializer incremental(repo_, search_options.materialize);
     for (int64_t i = 0; i < limit; ++i) {
-      Status st = control.Check("MATERIALIZER");
+      Status st = check("MATERIALIZER");
       if (!st.ok()) {
         close_stage();
         return fail(std::move(st));
@@ -260,12 +202,6 @@ DiscoveryResponse Ver::ExecuteInternal(
         kept = incremental.Materialize(result.search.candidates[i]);
       }
       if (!kept) continue;
-      if (spilling) {
-        // VD-IO per view: distillation below must read the reloaded data,
-        // exactly as the batch mode's bulk reload stage guarantees.
-        ScopedTimer timer(&result.timing.vd_io_s);
-        ReloadSpilledView(incremental.mutable_last_view());
-      }
       std::vector<int> surviving_now;
       if (merged.run_distillation) {
         ScopedTimer timer(&result.timing.four_c_s);
@@ -287,7 +223,6 @@ DiscoveryResponse Ver::ExecuteInternal(
     // so the distillation field is already consistent here either way.
     result.search.num_materialization_failures += incremental.num_failures();
     result.views = incremental.TakeViews();
-    cleanup_spill();
     close_stage();
   }
 
@@ -295,7 +230,7 @@ DiscoveryResponse Ver::ExecuteInternal(
   // Automatic mode (Algorithm 1 line 13): overlap-based ranking of the
   // surviving views.
   {
-    Status st = control.Check("ranking");
+    Status st = check("ranking");
     if (!st.ok()) return fail(std::move(st));
   }
   // Ranking is not a Fig. 4b component, so its cost is reported through the

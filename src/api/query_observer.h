@@ -28,13 +28,15 @@
 namespace ver {
 
 /// The stages of Algorithm 1, in execution order. kColumnSelection is
-/// skipped for requests built from precomputed candidates; kVdIo only runs
-/// when the configuration spills views; kDistillation only when distillation
-/// is enabled for the request.
+/// skipped for requests built from precomputed candidates; kDistillation
+/// only runs when distillation is enabled for the request.
 enum class PipelineStage {
   kColumnSelection,
   kJoinGraphSearch,
   kMaterialization,
+  /// Never emitted: views stay in memory, and the Fig. 3 / Fig. 4b benches
+  /// time reading them back from CSV themselves. The enumerator remains
+  /// only because perfbench/src/harness.cc names it.
   kVdIo,
   kDistillation,
   kRanking,

@@ -98,12 +98,6 @@ class CandidateMaterializer {
   std::vector<View> TakeViews() { return std::move(views_); }
   int64_t num_failures() const { return num_failures_; }
 
-  /// The most recently kept view (for in-place spill reload between
-  /// materialization and distillation). Null when no view was kept yet.
-  View* mutable_last_view() {
-    return views_.empty() ? nullptr : &views_.back();
-  }
-
  private:
   Materializer materializer_;
   MaterializeOptions options_;

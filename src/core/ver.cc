@@ -1,98 +1,21 @@
-// Ver facade: construction, spill-directory management, and the legacy
-// RunQuery / RunWithCandidates wrappers. The actual pipeline driver is
-// Ver::Execute in src/api/execute.cc — every overload below is a thin shim
-// that builds a DiscoveryRequest and unwraps the DiscoveryResponse, so all
-// five entry points share one implementation.
+// Ver facade: construction and presentation sessions. The pipeline driver
+// is Ver::Execute in src/api/execute.cc.
 
 #include "core/ver.h"
 
-#include <filesystem>
-
-#include "api/discovery_request.h"
-#include "api/discovery_response.h"
-
 namespace ver {
 
-namespace {
-
-// Process-wide Ver instance counter feeding the spill-directory tag.
-std::atomic<uint64_t> g_ver_instances{0};
-
-}  // namespace
-
-Status QueryControl::Check(const char* next_stage) const {
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled(std::string("query cancelled before ") +
-                             next_stage);
-  }
-  if (deadline != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= deadline) {
-    return Status::DeadlineExceeded(std::string("deadline passed before ") +
-                                    next_stage);
-  }
-  return Status::OK();
-}
-
 Ver::Ver(const TableRepository* repo, VerConfig config)
-    : repo_(repo),
-      config_(std::move(config)),
-      spill_instance_(g_ver_instances.fetch_add(1, std::memory_order_relaxed)) {
+    : repo_(repo), config_(std::move(config)) {
   engine_ = DiscoveryEngine::Build(*repo_, config_.discovery);
 }
 
 Ver::Ver(const TableRepository* repo, VerConfig config,
          std::unique_ptr<DiscoveryEngine> engine)
-    : repo_(repo),
-      config_(std::move(config)),
-      engine_(std::move(engine)),
-      spill_instance_(g_ver_instances.fetch_add(1, std::memory_order_relaxed)) {
+    : repo_(repo), config_(std::move(config)), engine_(std::move(engine)) {
   // The engine dictates the discovery knobs: a snapshot built with one
   // sketch seed must not be queried as if built with another.
   config_.discovery = engine_->options();
-}
-
-std::string Ver::NextSpillDir() const {
-  uint64_t seq = spill_seq_.fetch_add(1, std::memory_order_relaxed);
-  return (std::filesystem::path(config_.spill_dir) /
-          ("v" + std::to_string(spill_instance_) + "_q" +
-           std::to_string(seq)))
-      .string();
-}
-
-QueryResult Ver::RunQuery(const ExampleQuery& query) const {
-  return std::move(Execute(DiscoveryRequest::ForQuery(query)).result);
-}
-
-Result<QueryResult> Ver::RunQuery(const ExampleQuery& query,
-                                  const QueryControl& control) const {
-  DiscoveryRequest request = DiscoveryRequest::ForQuery(query);
-  request.deadline = control.deadline;
-  request.cancel = control.cancel;
-  DiscoveryResponse response = Execute(request);
-  if (!response.status.ok()) return response.status;
-  return std::move(response.result);
-}
-
-QueryResult Ver::RunWithCandidates(
-    const std::vector<ColumnSelectionResult>& per_attribute,
-    const ExampleQuery& query_for_ranking) const {
-  // Rvalue Execute: the request's candidate copy moves into the result, so
-  // the wrapper costs one candidate copy total, same as before the API.
-  return std::move(
-      Execute(DiscoveryRequest::ForCandidates(per_attribute, query_for_ranking))
-          .result);
-}
-
-Result<QueryResult> Ver::RunWithCandidates(
-    const std::vector<ColumnSelectionResult>& per_attribute,
-    const ExampleQuery& query_for_ranking, const QueryControl& control) const {
-  DiscoveryRequest request =
-      DiscoveryRequest::ForCandidates(per_attribute, query_for_ranking);
-  request.deadline = control.deadline;
-  request.cancel = control.cancel;
-  DiscoveryResponse response = Execute(std::move(request));
-  if (!response.status.ok()) return response.status;
-  return std::move(response.result);
 }
 
 std::unique_ptr<PresentationSession> Ver::StartSession(

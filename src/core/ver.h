@@ -9,10 +9,7 @@
 #ifndef VER_CORE_VER_H_
 #define VER_CORE_VER_H_
 
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "baselines/fast_topk.h"
@@ -23,7 +20,6 @@
 #include "core/query.h"
 #include "core/view_specification.h"
 #include "discovery/engine.h"
-#include "util/result.h"
 
 namespace ver {
 
@@ -43,48 +39,21 @@ struct VerConfig {
   /// Run VIEW-DISTILLATION after materialization (Algorithm 1 line 9).
   /// Default true; false reproduces the "no-4C" ablations (Table IV).
   bool run_distillation = true;
-  /// When non-empty, views spill to disk after materialization and are read
-  /// back before distillation, reproducing the paper's VD-IO cost ("Get
-  /// Views Time", Fig. 3 / Fig. 4b). Default empty = keep views in memory.
-  /// Each query spills into its own unique subdirectory of `spill_dir`, so
-  /// concurrent queries (serving mode) never race on spill files.
-  std::string spill_dir;
-  /// Remove each query's spill subdirectory once its views have been read
-  /// back (after the VD-IO stage). Default false keeps the files on disk
-  /// for inspection (`View::spill_path` stays valid); a long-lived server
-  /// must set it true or disk use grows by one directory per query —
-  /// VerServer's index-building constructor does so automatically.
-  bool cleanup_spilled_views = false;
 };
 
-/// Cooperative per-query control for the online pipeline: an optional
-/// wall-clock deadline and an optional cancellation flag. `Ver` checks the
-/// control between pipeline stages (never mid-stage), so a query stops at
-/// the next stage boundary after the deadline passes or `cancel` becomes
-/// true. Default-constructed control never fires.
-struct QueryControl {
-  /// Absolute deadline; `steady_clock::time_point::max()` means none.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-  /// When non-null and set to true, the query stops at the next stage
-  /// boundary with a Cancelled status. The flag is owned by the caller.
-  const std::atomic<bool>* cancel = nullptr;
-
-  /// OK, or DeadlineExceeded / Cancelled naming the stage not started.
-  Status Check(const char* next_stage) const;
-};
-
-/// Per-stage wall-clock seconds (Fig. 4b components).
+/// Per-stage wall-clock seconds (Fig. 4b components). Views stay in
+/// memory, so the paper's "Get Views Time" is not a pipeline stage: the
+/// Fig. 3 / Fig. 4b benches time reading the returned views back from CSV
+/// themselves (bench/bench_common.h).
 struct PipelineTiming {
   double column_selection_s = 0;   // CS
   double join_graph_search_s = 0;  // JGS (enumeration + ranking)
   double materialize_s = 0;        // M
-  double vd_io_s = 0;              // Get Views Time
   double four_c_s = 0;             // 4C runtime
 
   double total_s() const {
     return column_selection_s + join_graph_search_s + materialize_s +
-           vd_io_s + four_c_s;
+           four_c_s;
   }
 };
 
@@ -108,20 +77,16 @@ class QueryObserver;
 
 /// End-to-end system bound to one repository.
 ///
-/// `Execute(DiscoveryRequest, QueryObserver*)` is the one real pipeline
-/// driver (src/api/execute.cc): per-request knob overrides, deadlines,
-/// streaming view delivery and StopAfter early termination all live there.
-/// The RunQuery / RunWithCandidates overloads below are thin
-/// source-compatibility wrappers over Execute and produce bit-identical
-/// results (tests/api_test.cc guards the identity).
+/// `Execute(DiscoveryRequest, QueryObserver*)` is the one way into the
+/// online pipeline (src/api/execute.cc): per-request knob overrides,
+/// deadlines, cancellation, streaming view delivery and StopAfter early
+/// termination all live there.
 ///
-/// Thread-safety: after construction the object is immutable (the only
-/// mutable member is the atomic spill-directory counter), and every const
-/// method is safe to call from many threads concurrently — the online
-/// pipeline keeps all its state on the stack, the discovery engine's read
-/// path mutates nothing (see the contract in discovery/engine.h), and
-/// spilling queries each write into a unique per-query subdirectory of
-/// `VerConfig::spill_dir`. Concurrent RunQuery calls return results
+/// Thread-safety: after construction the object is immutable (it has no
+/// mutable member), and every const method is safe to call from many
+/// threads concurrently — the online pipeline keeps all its state on the
+/// stack and the discovery engine's read path mutates nothing (see the
+/// contract in discovery/engine.h). Concurrent Execute calls return results
 /// identical to serial execution; tests/serving_test.cc guards that
 /// contract.
 class Ver {
@@ -147,38 +112,6 @@ class Ver {
   DiscoveryResponse Execute(const DiscoveryRequest& request,
                             QueryObserver* observer = nullptr) const;
 
-  /// Rvalue overload: identical behavior, but moves the request's
-  /// candidate columns into the response instead of copying them (the
-  /// legacy RunWithCandidates wrappers use it to stay copy-for-copy with
-  /// the pre-API implementation).
-  DiscoveryResponse Execute(DiscoveryRequest&& request,
-                            QueryObserver* observer = nullptr) const;
-
-  /// Runs the full automatic pipeline on a QBE query. Wrapper over Execute;
-  /// an invalid query yields an empty result (use Execute or the controlled
-  /// overload to see the InvalidArgument).
-  QueryResult RunQuery(const ExampleQuery& query) const;
-
-  /// RunQuery with deadline/cancellation checks between pipeline stages.
-  /// Fails with InvalidArgument, DeadlineExceeded or Cancelled; never
-  /// returns a partial result. Wrapper over Execute.
-  Result<QueryResult> RunQuery(const ExampleQuery& query,
-                               const QueryControl& control) const;
-
-  /// Runs the pipeline starting from pre-computed candidate columns (used
-  /// by the keyword / attribute specification variants). Wrapper over
-  /// Execute.
-  QueryResult RunWithCandidates(
-      const std::vector<ColumnSelectionResult>& per_attribute,
-      const ExampleQuery& query_for_ranking) const;
-
-  /// RunWithCandidates with deadline/cancellation checks between stages.
-  /// Wrapper over Execute.
-  Result<QueryResult> RunWithCandidates(
-      const std::vector<ColumnSelectionResult>& per_attribute,
-      const ExampleQuery& query_for_ranking,
-      const QueryControl& control) const;
-
   /// Starts an interactive VIEW-PRESENTATION session over a query result.
   /// The result must outlive the session.
   std::unique_ptr<PresentationSession> StartSession(
@@ -188,24 +121,9 @@ class Ver {
   const VerConfig& config() const { return config_; }
 
  private:
-  /// The one pipeline driver behind both Execute overloads.
-  /// `stolen_candidates` (nullable) lets the rvalue overload donate the
-  /// request's candidate vector instead of copying it.
-  DiscoveryResponse ExecuteInternal(
-      const DiscoveryRequest& request, QueryObserver* observer,
-      std::vector<ColumnSelectionResult>* stolen_candidates) const;
-
-  /// Unique spill subdirectory for the next query ("<spill_dir>/v<i>_q<n>",
-  /// unique per Ver instance and per query within this process).
-  std::string NextSpillDir() const;
-
   const TableRepository* repo_;
   VerConfig config_;
   std::unique_ptr<DiscoveryEngine> engine_;
-  /// Process-unique tag of this instance, so two systems sharing one
-  /// spill_dir cannot collide on subdirectory names.
-  uint64_t spill_instance_ = 0;
-  mutable std::atomic<uint64_t> spill_seq_{0};
 };
 
 }  // namespace ver

@@ -1,11 +1,9 @@
 #include "engine/materializer.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <numeric>
 #include <utility>
 
-#include "table/csv.h"
 #include "util/check.h"
 
 namespace ver {
@@ -281,14 +279,6 @@ Result<View> Materializer::MaterializeView(
   view.graph = graph;
   view.projection = projection;
   view.score = graph.score;
-  if (!options.spill_dir.empty()) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(options.spill_dir, ec);
-    view.spill_path =
-        (fs::path(options.spill_dir) / (name + ".csv")).string();
-    VER_RETURN_IF_ERROR(WriteCsvFile(view.table, view.spill_path));
-  }
   return view;
 }
 

@@ -5,9 +5,7 @@
 // vector per bound table, a hash join extends it by gathering every bound
 // column through the probe's parent list, and projection gathers the
 // source columns' cells (dictionary codes, not re-interned strings) with
-// set semantics. Views can optionally be spilled to CSV so that downstream
-// stages measure the "read views from disk" cost the paper reports
-// (Fig. 3/4).
+// set semantics. Views stay in memory.
 
 #ifndef VER_ENGINE_MATERIALIZER_H_
 #define VER_ENGINE_MATERIALIZER_H_
@@ -31,8 +29,6 @@ struct MaterializeOptions {
   /// a runaway join over a wrong path is a noisy-join-path artifact, not a
   /// useful view. Also bounds the rows held by the build-side cache.
   int64_t max_intermediate_rows = 2'000'000;
-  /// When non-empty, materialized views are also written as CSV here.
-  std::string spill_dir;
 };
 
 /// Executor bound to one repository, whose tables must not change while it

@@ -4,7 +4,6 @@
 #define VER_ENGINE_VIEW_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "discovery/join_graph.h"
@@ -22,8 +21,6 @@ struct View {
   std::vector<ColumnRef> projection;
   /// Ranking score inherited from the join graph (discovery-engine score).
   double score = 0.0;
-  /// When spilled, path of the CSV holding the data.
-  std::string spill_path;
 
   int64_t num_rows() const { return table.num_rows(); }
 

@@ -48,14 +48,8 @@ class TicketObserver : public QueryObserver {
 
 VerServer::VerServer(const TableRepository* repo, VerConfig config,
                      ServingOptions options)
-    : VerServer(
-          [&] {
-            // A server runs indefinitely; per-query spill directories must
-            // not accumulate.
-            config.cleanup_spilled_views = true;
-            return std::make_shared<const Ver>(repo, std::move(config));
-          }(),
-          options) {}
+    : VerServer(std::make_shared<const Ver>(repo, std::move(config)),
+                std::move(options)) {}
 
 VerServer::VerServer(std::shared_ptr<const Ver> ver, ServingOptions options)
     : options_(std::move(options)),
@@ -225,10 +219,8 @@ void VerServer::ServeOne() {
   // Requests can expire or be cancelled while queued; fail them without
   // touching the cache counters.
   {
-    QueryControl control;
-    control.deadline = request.deadline;
-    control.cancel = request.cancel;
-    Status status = control.Check("serving");
+    Status status =
+        CheckDeadlineAndCancel(request.deadline, request.cancel, "serving");
     if (!status.ok()) {
       observer.OnFinished(status);
       ServedResult out;

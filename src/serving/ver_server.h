@@ -179,8 +179,6 @@ class VerServer {
   /// Builds the discovery index (offline, possibly parallel per
   /// `config.discovery.parallelism`) and starts the serving workers.
   /// `repo` must outlive the server and must not be mutated while serving.
-  /// Spilling (`config.spill_dir`) is safe under concurrency: every query
-  /// spills into its own subdirectory (see core/ver.h).
   VerServer(const TableRepository* repo, VerConfig config,
             ServingOptions options);
 
@@ -210,23 +208,8 @@ class VerServer {
   std::shared_ptr<QueryTicket> Submit(DiscoveryRequest request,
                                       QueryObserver* observer = nullptr);
 
-  /// Legacy shims: a bare QBE query under the default (or given) deadline.
-  std::shared_ptr<QueryTicket> Submit(ExampleQuery query) {
-    return Submit(DiscoveryRequest::ForQuery(std::move(query)));
-  }
-  std::shared_ptr<QueryTicket> Submit(ExampleQuery query, double deadline_s) {
-    // Legacy contract: an explicit deadline_s <= 0 means *no* deadline,
-    // overriding the server default — map it to the request's "explicitly
-    // none" encoding (negative).
-    return Submit(DiscoveryRequest::ForQuery(std::move(query))
-                      .WithDeadline(deadline_s > 0 ? deadline_s : -1));
-  }
-
   /// Submit + Wait, for callers without their own concurrency.
   ServedResult Serve(DiscoveryRequest request);
-  ServedResult Serve(ExampleQuery query) {
-    return Serve(DiscoveryRequest::ForQuery(std::move(query)));
-  }
 
   /// Stops accepting new queries, serves everything already queued, joins
   /// the workers. Idempotent; also run by the destructor.

@@ -1,8 +1,10 @@
 // CSV reader/writer with quoting and type inference.
 //
-// The materializer can spill candidate views to disk as CSV and the
-// distillation stage reads them back (the paper's "Get Views Time"), so the
-// reader/writer pair must round-trip values exactly.
+// Repositories load from CSV directories, and the Fig. 3 / Fig. 4b benches
+// write the returned views as CSV and time reading them back (the paper's
+// "Get Views Time"). Ints and strings round-trip; a double is written as
+// Value::ToText renders it (at most 9 fractional digits), so it can read
+// back as a different value or type.
 
 #ifndef VER_TABLE_CSV_H_
 #define VER_TABLE_CSV_H_

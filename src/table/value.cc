@@ -47,7 +47,9 @@ std::string Value::ToText() const {
     case ValueType::kInt:
       return std::to_string(int_);
     case ValueType::kDouble: {
-      // Shortest representation that still round-trips through Parse.
+      // "%.9f" with trailing zeros dropped. Lossy: Parse does not always
+      // give the double back (1e-10 reads as int 0, 1e20 as a 21-digit
+      // string, 0.1234567891 as 0.123456789).
       std::string s = FormatDouble(double_, 9);
       return s;
     }

@@ -1,7 +1,6 @@
-// Request/response API guards: the four legacy overloads must be
-// bit-identical to their Execute-based implementations, per-request
-// overrides must merge exactly like a reconfigured system, request
-// canonicalization must never alias two requests differing in any knob,
+// Request/response API guards: per-request overrides must merge exactly
+// like a reconfigured system, request canonicalization must never alias
+// two requests differing in any knob,
 // StopAfter early termination must return a prefix of the full ranked view
 // sequence, validation must reject malformed requests before any stage
 // runs, and streamed events must arrive in pipeline order — including
@@ -86,38 +85,6 @@ struct RecordingObserver : public QueryObserver {
   }
 };
 
-TEST(ApiTest, WrapperOverloadsAreBitIdenticalToExecute) {
-  TableRepository repo = MakeRepo();
-  Ver system(&repo, VerConfig());
-  ExampleQuery query = CityMayorQuery();
-
-  DiscoveryResponse direct = system.Execute(DiscoveryRequest::ForQuery(query));
-  ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
-  std::string expected = Fingerprint(direct.result);
-  ASSERT_FALSE(direct.result.views.empty());
-
-  // Overload 1: plain RunQuery.
-  EXPECT_EQ(Fingerprint(system.RunQuery(query)), expected);
-
-  // Overload 2: controlled RunQuery with a never-firing control.
-  Result<QueryResult> controlled = system.RunQuery(query, QueryControl());
-  ASSERT_TRUE(controlled.ok());
-  EXPECT_EQ(Fingerprint(*controlled), expected);
-
-  // Overloads 3 + 4: RunWithCandidates from an attribute specification.
-  std::vector<ColumnSelectionResult> spec =
-      SpecifyByAttributes(system.engine(), {"city", "mayor"});
-  DiscoveryResponse cand_direct =
-      system.Execute(DiscoveryRequest::ForCandidates(spec, query));
-  ASSERT_TRUE(cand_direct.status.ok());
-  std::string cand_expected = Fingerprint(cand_direct.result);
-  EXPECT_EQ(Fingerprint(system.RunWithCandidates(spec, query)), cand_expected);
-  Result<QueryResult> cand_controlled =
-      system.RunWithCandidates(spec, query, QueryControl());
-  ASSERT_TRUE(cand_controlled.ok());
-  EXPECT_EQ(Fingerprint(*cand_controlled), cand_expected);
-}
-
 TEST(ApiTest, RankingEqualsRankingCopiesOfTheSurvivors) {
   TableRepository repo = MakeRepo();
   Ver system(&repo, VerConfig());
@@ -168,13 +135,14 @@ TEST(ApiTest, OverridesMergeExactlyLikeAReconfiguredSystem) {
 
   // A system constructed with the merged config must answer identically —
   // overrides are a per-request view of exactly those knobs.
+  const DiscoveryRequest plain = DiscoveryRequest::ForQuery(query);
   Ver merged_system(&repo, overrides.MergedOver(base));
   EXPECT_EQ(Fingerprint(via_overrides.result),
-            Fingerprint(merged_system.RunQuery(query)));
+            Fingerprint(merged_system.Execute(plain).result));
 
   // The base system is unaffected by override traffic.
-  EXPECT_EQ(Fingerprint(base_system.RunQuery(query)),
-            Fingerprint(Ver(&repo, base).RunQuery(query)));
+  EXPECT_EQ(Fingerprint(base_system.Execute(plain).result),
+            Fingerprint(Ver(&repo, base).Execute(plain).result));
 }
 
 TEST(ApiTest, ValidationRejectionMatrix) {
@@ -187,6 +155,7 @@ TEST(ApiTest, ValidationRejectionMatrix) {
         << what << ": " << response.status.ToString();
     EXPECT_TRUE(response.result.views.empty()) << what;
     EXPECT_TRUE(response.result.selection.empty()) << what;
+    EXPECT_TRUE(response.result.automatic_ranking.empty()) << what;
   };
 
   // Malformed queries.
@@ -231,16 +200,14 @@ TEST(ApiTest, ValidationRejectionMatrix) {
     EXPECT_NE(message.find("deadline_s"), std::string::npos) << what;
   }
 
-  // The controlled wrapper surfaces the same status.
-  Result<QueryResult> controlled =
-      system.RunQuery(ExampleQuery(), QueryControl());
-  ASSERT_FALSE(controlled.ok());
-  EXPECT_TRUE(controlled.status().IsInvalidArgument());
-
-  // The plain wrapper (which cannot report a status) yields an empty result.
-  QueryResult plain = system.RunQuery(ExampleQuery());
-  EXPECT_TRUE(plain.views.empty());
-  EXPECT_TRUE(plain.automatic_ranking.empty());
+  // Validation comes before the deadline and cancellation checks: an
+  // invalid request that is also past its deadline and cancelled reports
+  // InvalidArgument.
+  const std::atomic<bool> cancelled{true};
+  DiscoveryRequest expired = DiscoveryRequest::ForQuery(ExampleQuery());
+  expired.deadline = std::chrono::steady_clock::now();
+  expired.cancel = &cancelled;
+  expect_invalid(expired, "empty query, expired and cancelled");
 
   // A well-formed request still flows.
   DiscoveryResponse ok = system.Execute(
@@ -475,7 +442,8 @@ TEST(ApiTest, ServerStreamsEventsAndPollsUnderConcurrency) {
   TableRepository repo = MakeRepo();
   Ver serial(&repo, VerConfig());
   ExampleQuery query = CityMayorQuery();
-  std::string expected = Fingerprint(serial.RunQuery(query));
+  std::string expected =
+      Fingerprint(serial.Execute(DiscoveryRequest::ForQuery(query)).result);
 
   ServingOptions serving;
   serving.num_workers = 4;
@@ -521,26 +489,32 @@ TEST(ApiTest, ServerStreamsEventsAndPollsUnderConcurrency) {
 }
 
 TEST(ApiTest, ExplicitNonPositiveDeadlineOverridesServerDefault) {
-  // Legacy contract: Submit(query, deadline_s <= 0) means *no* deadline,
-  // even when the server configures a default that would expire instantly.
+  // A negative deadline_s (WithDeadline(-1)) means *no* deadline, even when
+  // the server configures a default that would expire instantly.
   TableRepository repo = MakeRepo();
   ServingOptions serving;
   serving.num_workers = 1;
   serving.default_deadline_s = 1e-9;  // default alone would always expire
   VerServer server(&repo, VerConfig(), serving);
-  ExampleQuery query = CityMayorQuery();
+  const DiscoveryRequest request = DiscoveryRequest::ForQuery(CityMayorQuery());
 
   // Sanity: the default really does expire queued queries.
-  ServedResult defaulted = server.Submit(query)->Wait();
+  ServedResult defaulted = server.Serve(request);
   EXPECT_TRUE(defaulted.status.IsDeadlineExceeded())
       << defaulted.status.ToString();
 
-  // Explicit "none" suppresses the default — both through the legacy shim
-  // and through a request carrying a negative deadline_s.
-  ServedResult none_shim = server.Submit(query, /*deadline_s=*/0)->Wait();
-  EXPECT_TRUE(none_shim.status.ok()) << none_shim.status.ToString();
-  ServedResult none_request =
-      server.Serve(DiscoveryRequest::ForQuery(query).WithDeadline(-1));
+  // An absolute deadline does not suppress the default: the earlier of the
+  // two still wins.
+  DiscoveryRequest absolute = request;
+  absolute.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  ServedResult absolute_only = server.Serve(absolute);
+  EXPECT_TRUE(absolute_only.status.IsDeadlineExceeded())
+      << absolute_only.status.ToString();
+
+  // Explicit "none" suppresses the default.
+  DiscoveryRequest none = request;
+  none.WithDeadline(-1);
+  ServedResult none_request = server.Serve(none);
   EXPECT_TRUE(none_request.status.ok()) << none_request.status.ToString();
 }
 
@@ -587,27 +561,6 @@ TEST(ApiTest, StreamingCancellationBalancesStageEvents) {
   EXPECT_TRUE(response.status.IsCancelled()) << response.status.ToString();
   EXPECT_EQ(observer.started, observer.finished);
   EXPECT_EQ(observer.finished_events, 1);
-}
-
-TEST(ApiTest, SubmitShimsMatchRequestPath) {
-  TableRepository repo = MakeRepo();
-  ServingOptions serving;
-  serving.num_workers = 1;
-  serving.cache_capacity = 0;  // force every serve through the pipeline
-  VerServer server(&repo, VerConfig(), serving);
-  ExampleQuery query = CityMayorQuery();
-
-  ServedResult via_request = server.Serve(DiscoveryRequest::ForQuery(query));
-  ASSERT_TRUE(via_request.status.ok());
-  std::string expected = Fingerprint(*via_request.result);
-
-  ServedResult via_query_shim = server.Submit(query)->Wait();
-  ASSERT_TRUE(via_query_shim.status.ok());
-  EXPECT_EQ(Fingerprint(*via_query_shim.result), expected);
-
-  ServedResult via_deadline_shim = server.Submit(query, /*deadline_s=*/30)->Wait();
-  ASSERT_TRUE(via_deadline_shim.status.ok());
-  EXPECT_EQ(Fingerprint(*via_deadline_shim.result), expected);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "workload/chembl_gen.h"
 #include "workload/noisy_query.h"
@@ -60,7 +62,8 @@ TEST_F(ChemblEndToEndTest, ZeroNoiseQueriesHitGroundTruth) {
     Result<ExampleQuery> query = MakeNoisyQuery(
         dataset_->repo, gt, NoiseLevel::kZero, 3, /*seed=*/7);
     ASSERT_TRUE(query.ok()) << gt.name;
-    QueryResult result = ver_->RunQuery(query.value());
+    QueryResult result =
+        ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
     EXPECT_GT(result.views.size(), 0u) << gt.name;
     Result<bool> hit =
         ContainsGroundTruth(dataset_->repo, gt, result.views);
@@ -76,7 +79,8 @@ TEST_F(ChemblEndToEndTest, MediumNoiseColumnSelectionStillHits) {
     Result<ExampleQuery> query = MakeNoisyQuery(
         dataset_->repo, gt, NoiseLevel::kMedium, 3, /*seed=*/17);
     ASSERT_TRUE(query.ok());
-    QueryResult result = ver_->RunQuery(query.value());
+    QueryResult result =
+        ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
     Result<bool> hit =
         ContainsGroundTruth(dataset_->repo, gt, result.views);
     ASSERT_TRUE(hit.ok());
@@ -90,7 +94,8 @@ TEST_F(ChemblEndToEndTest, DistillationReducesOrKeepsViewCount) {
   Result<ExampleQuery> query = MakeNoisyQuery(
       dataset_->repo, dataset_->queries[0], NoiseLevel::kZero, 3, 3);
   ASSERT_TRUE(query.ok());
-  QueryResult result = ver_->RunQuery(query.value());
+  QueryResult result =
+      ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
   EXPECT_LE(result.distillation.surviving.size(), result.views.size());
   EXPECT_LE(result.distillation.count_after_contained,
             result.distillation.count_after_compatible);
@@ -104,7 +109,8 @@ TEST_F(ChemblEndToEndTest, Q1ProducesCompatibleViewsViaAlternateKeys) {
   Result<ExampleQuery> query = MakeNoisyQuery(
       dataset_->repo, dataset_->queries[0], NoiseLevel::kZero, 3, 11);
   ASSERT_TRUE(query.ok());
-  QueryResult result = ver_->RunQuery(query.value());
+  QueryResult result =
+      ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
   EXPECT_GT(result.distillation.num_compatible_pairs, 0)
       << "expected compatible views from alternate 1:1 join keys";
 }
@@ -113,7 +119,8 @@ TEST_F(ChemblEndToEndTest, Q2ProducesContradictionsFromWrongJoinPaths) {
   Result<ExampleQuery> query = MakeNoisyQuery(
       dataset_->repo, dataset_->queries[1], NoiseLevel::kZero, 3, 13);
   ASSERT_TRUE(query.ok());
-  QueryResult result = ver_->RunQuery(query.value());
+  QueryResult result =
+      ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
   EXPECT_GT(result.distillation.contradictions.size(), 0u)
       << "expected contradictions from the disagreeing organism mapping";
 }
@@ -122,7 +129,8 @@ TEST_F(ChemblEndToEndTest, Q3ProducesContainedViews) {
   Result<ExampleQuery> query = MakeNoisyQuery(
       dataset_->repo, dataset_->queries[2], NoiseLevel::kZero, 3, 19);
   ASSERT_TRUE(query.ok());
-  QueryResult result = ver_->RunQuery(query.value());
+  QueryResult result =
+      ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
   EXPECT_GT(result.distillation.num_contained_pairs +
                 result.distillation.num_compatible_pairs,
             0)
@@ -133,7 +141,8 @@ TEST_F(ChemblEndToEndTest, PipelineTimingIsPopulated) {
   Result<ExampleQuery> query = MakeNoisyQuery(
       dataset_->repo, dataset_->queries[0], NoiseLevel::kZero, 3, 23);
   ASSERT_TRUE(query.ok());
-  QueryResult result = ver_->RunQuery(query.value());
+  QueryResult result =
+      ver_->Execute(DiscoveryRequest::ForQuery(query.value())).result;
   EXPECT_GT(result.timing.total_s(), 0.0);
   EXPECT_GE(result.timing.column_selection_s, 0.0);
   EXPECT_GE(result.timing.materialize_s, 0.0);
@@ -146,7 +155,8 @@ TEST(WdcEndToEndTest, AllTopicsHitAtZeroNoise) {
     Result<ExampleQuery> query =
         MakeNoisyQuery(dataset.repo, gt, NoiseLevel::kZero, 3, 31);
     ASSERT_TRUE(query.ok()) << gt.name;
-    QueryResult result = system.RunQuery(query.value());
+    QueryResult result =
+        system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
     EXPECT_GT(result.views.size(), 0u) << gt.name;
     Result<bool> hit = ContainsGroundTruth(dataset.repo, gt, result.views);
     ASSERT_TRUE(hit.ok()) << gt.name;
@@ -162,7 +172,8 @@ TEST(WdcEndToEndTest, TopicVersionsProduceAllFourCategories) {
     Result<ExampleQuery> query =
         MakeNoisyQuery(dataset.repo, gt, NoiseLevel::kZero, 3, 37);
     ASSERT_TRUE(query.ok());
-    QueryResult result = system.RunQuery(query.value());
+    QueryResult result =
+        system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
     compatible += result.distillation.num_compatible_pairs;
     contained += result.distillation.num_contained_pairs;
     complementary += result.distillation.num_complementary_pairs;
@@ -181,7 +192,8 @@ TEST(WdcEndToEndTest, SimulatedUserFindsViewWithPresentation) {
   Result<ExampleQuery> query =
       MakeNoisyQuery(dataset.repo, gt, NoiseLevel::kZero, 3, 41);
   ASSERT_TRUE(query.ok());
-  QueryResult result = system.RunQuery(query.value());
+  QueryResult result =
+      system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
   Result<std::vector<int>> acceptable =
       GroundTruthMatches(dataset.repo, gt, result.views);
   ASSERT_TRUE(acceptable.ok());
@@ -234,7 +246,8 @@ TEST(OpenDataEndToEndTest, QueriesHitGroundTruth) {
     Result<ExampleQuery> query =
         MakeNoisyQuery(dataset.repo, gt, NoiseLevel::kZero, 3, 43);
     ASSERT_TRUE(query.ok());
-    QueryResult result = system.RunQuery(query.value());
+    QueryResult result =
+        system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
     Result<bool> hit = ContainsGroundTruth(dataset.repo, gt, result.views);
     ASSERT_TRUE(hit.ok());
     if (hit.value()) ++hits;

@@ -1,14 +1,13 @@
 // Materializer tests: hash-join chains validated against a brute-force
-// nested-loop reference, plus projection, distinct, spill and guard rails.
+// nested-loop reference, plus projection, distinct, view ids and guard
+// rails.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <set>
 
 #include "core/join_graph_search.h"
 #include "engine/materializer.h"
-#include "table/csv.h"
 #include "util/rng.h"
 #include "util/check.h"
 
@@ -217,29 +216,20 @@ TEST(MaterializerTest, EmptyProjectionFails) {
   EXPECT_FALSE(m.Materialize(graph, {}, MaterializeOptions(), "v").ok());
 }
 
-TEST(MaterializerTest, SpillWritesCsv) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "ver_spill_test";
-  fs::remove_all(dir);
-
+TEST(MaterializerTest, MaterializeViewCarriesItsId) {
   TableRepository repo;
   Table t("t", MakeSchema({"a"}));
   VER_CHECK_OK(t.AppendRow({Value::String("x")}));
   ASSERT_TRUE(repo.AddTable(std::move(t)).ok());
   JoinGraph graph;
   graph.tables = {0};
-  MaterializeOptions options;
-  options.spill_dir = dir.string();
   Materializer m(&repo);
-  Result<View> view =
-      m.MaterializeView(graph, {ColumnRef{0, 0}}, options, /*view_id=*/7);
+  Result<View> view = m.MaterializeView(graph, {ColumnRef{0, 0}},
+                                        MaterializeOptions(), /*view_id=*/7);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->id, 7);
-  ASSERT_FALSE(view->spill_path.empty());
-  Result<Table> reloaded = ReadCsvFile(view->spill_path);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded->num_rows(), 1);
-  fs::remove_all(dir);
+  EXPECT_EQ(view->table.name(), "view_7");
+  EXPECT_EQ(view->num_rows(), 1);
 }
 
 // ------------ Property test: random joins match nested loops ------------

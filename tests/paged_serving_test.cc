@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "discovery/engine.h"
 #include "engine/materializer.h"
@@ -84,7 +86,8 @@ struct PagedFixture {
     VerConfig config;
     Ver resident(&dataset.repo, config);
     for (const ExampleQuery& q : queries) {
-      expected.push_back(Fingerprint(resident.RunQuery(q)));
+      expected.push_back(
+          Fingerprint(resident.Execute(DiscoveryRequest::ForQuery(q)).result));
     }
   }
 };
@@ -184,7 +187,8 @@ TEST(PagedServingTest, TightBudgetAnswersBitIdenticallyAndHoldsBudget) {
   VerConfig config;
   Ver served(&repo.value(), config, std::move(loaded).value());
   for (size_t i = 0; i < f.queries.size(); ++i) {
-    EXPECT_EQ(Fingerprint(served.RunQuery(f.queries[i])), f.expected[i])
+    const DiscoveryRequest request = DiscoveryRequest::ForQuery(f.queries[i]);
+    EXPECT_EQ(Fingerprint(served.Execute(request).result), f.expected[i])
         << "query " << i << " diverged under paging";
   }
 
@@ -239,7 +243,8 @@ TEST(PagedServingTest, MaterializerPinsEachTableOncePerInstance) {
                                             std::move(loaded).value());
 
   // A joined candidate of a real query, so the call pins several tables.
-  QueryResult result = served->RunQuery(f.queries[0]);
+  QueryResult result =
+      served->Execute(DiscoveryRequest::ForQuery(f.queries[0])).result;
   const View* joined = nullptr;
   for (const View& v : result.views) {
     if (!v.graph.edges.empty()) {
@@ -417,7 +422,10 @@ TEST(PagedServingTest, CorruptKeywordPostingIsDroppedAtQueryTime) {
   VerConfig config;
   Ver served(&repo.value(), config, std::move(loaded).value());
   QueryResult result =
-      served.RunQuery(ExampleQuery::FromColumns({{example}}));
+      served
+          .Execute(DiscoveryRequest::ForQuery(
+              ExampleQuery::FromColumns({{example}})))
+          .result;
   for (const ColumnSelectionResult& sel : result.selection) {
     for (const ScoredColumn& c : sel.candidates) {
       EXPECT_LT(c.ref.table_id, repo.value().num_tables());
@@ -735,7 +743,7 @@ TEST(PagedServingTest, HotSwapUnderPagedTrafficSharesOneBudget) {
     workers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         for (const ExampleQuery& q : f.queries) {
-          ServedResult r = server.Serve(q);
+          ServedResult r = server.Serve(DiscoveryRequest::ForQuery(q));
           got[t].push_back(r.status.ok() && r.result != nullptr
                                ? Fingerprint(*r.result)
                                : "error:" + r.status.ToString());
@@ -744,7 +752,7 @@ TEST(PagedServingTest, HotSwapUnderPagedTrafficSharesOneBudget) {
     });
   }
   // Let some traffic land on A, then swap to B under load.
-  server.Serve(f.queries[0]);
+  server.Serve(DiscoveryRequest::ForQuery(f.queries[0]));
   ASSERT_TRUE(server.SwapSnapshot(ver_b));
   for (std::thread& th : workers) th.join();
 

@@ -18,7 +18,7 @@
 #include <mutex>
 #include <string>
 
-#include "core/query.h"
+#include "api/discovery_request.h"
 #include "storage/repository.h"
 #include "table/csv.h"
 
@@ -85,16 +85,17 @@ inline TableRepository MakeServingTestRepo() {
   return repo;
 }
 
-/// The canonical test query against MakeServingTestRepo.
-inline ExampleQuery ServingTestQuery() {
-  return ExampleQuery::FromColumns({{"Boston", "Chicago"}, {"Wu", "Walsh"}});
+/// The canonical test request against MakeServingTestRepo.
+inline DiscoveryRequest ServingTestRequest() {
+  return DiscoveryRequest::ForQuery(
+      ExampleQuery::FromColumns({{"Boston", "Chicago"}, {"Wu", "Walsh"}}));
 }
 
-/// A query with a different canonical key (never cache-hits with
-/// ServingTestQuery).
-inline ExampleQuery ServingTestAltQuery() {
-  return ExampleQuery::FromColumns(
-      {{"Austin", "Denver"}, {"Watson", "Johnston"}});
+/// A request with a different canonical key (never cache-hits with
+/// ServingTestRequest).
+inline DiscoveryRequest ServingTestAltRequest() {
+  return DiscoveryRequest::ForQuery(ExampleQuery::FromColumns(
+      {{"Austin", "Denver"}, {"Watson", "Johnston"}}));
 }
 
 }  // namespace ver

@@ -1,5 +1,5 @@
 // Serving-layer guards: concurrent queries through VerServer must be
-// bit-identical to serial Ver::RunQuery execution, cache hits must return
+// bit-identical to serial Ver::Execute execution, cache hits must return
 // the identical result, and deadline / cancellation / backpressure paths
 // must fail cleanly with the right status. The 8-thread test doubles as the
 // ThreadSanitizer workload for the shared-engine read path.
@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,7 +26,7 @@ namespace {
 
 struct ServingFixture {
   GeneratedDataset dataset;
-  std::vector<ExampleQuery> queries;
+  std::vector<DiscoveryRequest> requests;
 
   ServingFixture() {
     OpenDataSpec spec;
@@ -39,7 +38,7 @@ struct ServingFixture {
     for (size_t i = 0; i < dataset.queries.size(); ++i) {
       Result<ExampleQuery> q = MakeNoisyQuery(
           dataset.repo, dataset.queries[i], levels[i % 3], 3, 7 + i);
-      if (q.ok()) queries.push_back(std::move(q).value());
+      if (q.ok()) requests.push_back(DiscoveryRequest::ForQuery(q.value()));
     }
   }
 };
@@ -51,14 +50,14 @@ ServingFixture& Fixture() {
 
 TEST(ServingTest, ConcurrentMixedQueriesMatchSerialExecution) {
   ServingFixture& f = Fixture();
-  ASSERT_GE(f.queries.size(), 2u);
+  ASSERT_GE(f.requests.size(), 2u);
 
   // Serial ground truth from a plain Ver.
   VerConfig config;
   Ver serial(&f.dataset.repo, config);
   std::vector<std::string> expected;
-  for (const ExampleQuery& q : f.queries) {
-    expected.push_back(Fingerprint(serial.RunQuery(q)));
+  for (const DiscoveryRequest& r : f.requests) {
+    expected.push_back(Fingerprint(serial.Execute(r).result));
   }
 
   ServingOptions serving;
@@ -76,9 +75,9 @@ TEST(ServingTest, ConcurrentMixedQueriesMatchSerialExecution) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        for (size_t i = 0; i < f.queries.size(); ++i) {
-          size_t q = (i + t) % f.queries.size();
-          ServedResult served = server.Serve(f.queries[q]);
+        for (size_t i = 0; i < f.requests.size(); ++i) {
+          size_t q = (i + t) % f.requests.size();
+          ServedResult served = server.Serve(f.requests[q]);
           if (!served.status.ok() || served.result == nullptr ||
               Fingerprint(*served.result) != expected[q]) {
             mismatches.fetch_add(1);
@@ -92,13 +91,13 @@ TEST(ServingTest, ConcurrentMixedQueriesMatchSerialExecution) {
 
   ServerStats stats = server.stats();
   int64_t total = static_cast<int64_t>(kThreads) * kRounds *
-                  static_cast<int64_t>(f.queries.size());
+                  static_cast<int64_t>(f.requests.size());
   EXPECT_EQ(stats.submitted, total);
   EXPECT_EQ(stats.served_ok, total);
   EXPECT_EQ(stats.rejected, 0);
   // Every distinct query computes at least once; with 16 slots for <= 4
   // distinct queries nothing evicts, so all remaining serves can hit.
-  EXPECT_GE(stats.cache_misses, static_cast<int64_t>(f.queries.size()));
+  EXPECT_GE(stats.cache_misses, static_cast<int64_t>(f.requests.size()));
   EXPECT_GT(stats.cache_hits, 0);
   EXPECT_EQ(stats.cache_evictions, 0);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, total);
@@ -112,11 +111,11 @@ TEST(ServingTest, CacheHitReturnsIdenticalResultAndCountsHit) {
   serving.cache_capacity = 8;
   VerServer server(&f.dataset.repo, config, serving);
 
-  ServedResult first = server.Serve(f.queries[0]);
+  ServedResult first = server.Serve(f.requests[0]);
   ASSERT_TRUE(first.status.ok());
   EXPECT_FALSE(first.cache_hit);
 
-  ServedResult second = server.Serve(f.queries[0]);
+  ServedResult second = server.Serve(f.requests[0]);
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cache_hit);
   // The cache returns the very same immutable object.
@@ -124,8 +123,8 @@ TEST(ServingTest, CacheHitReturnsIdenticalResultAndCountsHit) {
 
   // A query with re-ordered examples canonicalizes to the same key and
   // must hit with the identical result.
-  ExampleQuery reordered = f.queries[0];
-  for (auto& column : reordered.columns) {
+  DiscoveryRequest reordered = f.requests[0];
+  for (auto& column : reordered.query.columns) {
     std::reverse(column.begin(), column.end());
   }
   ServedResult third = server.Serve(reordered);
@@ -146,7 +145,9 @@ TEST(ServingTest, DeadlineExceededFailsCleanly) {
   VerServer server(&f.dataset.repo, config, serving);
 
   // A deadline of 1ns is over before any worker can pick the query up.
-  ServedResult served = server.Submit(f.queries[0], 1e-9)->Wait();
+  DiscoveryRequest expiring = f.requests[0];
+  expiring.deadline_s = 1e-9;
+  ServedResult served = server.Serve(expiring);
   EXPECT_TRUE(served.status.IsDeadlineExceeded()) << served.status.ToString();
   EXPECT_EQ(served.result, nullptr);
   EXPECT_FALSE(served.cache_hit);
@@ -158,34 +159,66 @@ TEST(ServingTest, DeadlineExceededFailsCleanly) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0);
 
   // The server still serves fresh queries afterwards.
-  ServedResult ok = server.Serve(f.queries[0]);
+  ServedResult ok = server.Serve(f.requests[0]);
   EXPECT_TRUE(ok.status.ok());
 }
 
-TEST(ServingTest, QueryControlStopsBetweenStages) {
+TEST(ServingTest, RequestDeadlineAndCancelStopBetweenStages) {
   ServingFixture& f = Fixture();
   VerConfig config;
   Ver system(&f.dataset.repo, config);
+  auto names = [](const Status& status, const char* stage) {
+    return status.ToString().find(stage) != std::string::npos;
+  };
 
-  // Pre-cancelled query: fails before COLUMN-SELECTION.
+  // Pre-cancelled request: fails before COLUMN-SELECTION.
   std::atomic<bool> cancel{true};
-  QueryControl control;
-  control.cancel = &cancel;
-  Result<QueryResult> cancelled = system.RunQuery(f.queries[0], control);
-  ASSERT_FALSE(cancelled.ok());
-  EXPECT_TRUE(cancelled.status().IsCancelled());
+  DiscoveryRequest cancelled = f.requests[0];
+  cancelled.cancel = &cancel;
+  DiscoveryResponse stopped = system.Execute(cancelled);
+  EXPECT_TRUE(stopped.status.IsCancelled()) << stopped.status.ToString();
+  EXPECT_TRUE(names(stopped.status, "COLUMN-SELECTION"));
+  EXPECT_TRUE(stopped.result.views.empty());
 
-  // Expired deadline: fails before COLUMN-SELECTION.
-  QueryControl expired;
+  // Expired absolute deadline: fails before COLUMN-SELECTION.
+  DiscoveryRequest expired = f.requests[0];
   expired.deadline = std::chrono::steady_clock::now();
-  Result<QueryResult> late = system.RunQuery(f.queries[0], expired);
-  ASSERT_FALSE(late.ok());
-  EXPECT_TRUE(late.status().IsDeadlineExceeded());
+  DiscoveryResponse late = system.Execute(expired);
+  EXPECT_TRUE(late.status.IsDeadlineExceeded()) << late.status.ToString();
+  EXPECT_TRUE(names(late.status, "COLUMN-SELECTION"));
 
-  // Default control never fires and matches the uncontrolled overload.
-  Result<QueryResult> plain = system.RunQuery(f.queries[0], QueryControl());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(Fingerprint(*plain), Fingerprint(system.RunQuery(f.queries[0])));
+  // A flag raised while JOIN-GRAPH-SEARCH runs stops the batch pipeline at
+  // the next boundary: the stage finishes, MATERIALIZER never starts.
+  struct CancelAfterSearch : public QueryObserver {
+    std::atomic<bool>* flag = nullptr;
+    bool materialized = false;
+    void OnStageStarted(PipelineStage stage) override {
+      if (stage == PipelineStage::kMaterialization) materialized = true;
+    }
+    void OnStageFinished(PipelineStage stage, double) override {
+      if (stage == PipelineStage::kJoinGraphSearch) flag->store(true);
+    }
+  };
+  std::atomic<bool> raised{false};
+  CancelAfterSearch observer;
+  observer.flag = &raised;
+  DiscoveryRequest mid_run = f.requests[0];
+  mid_run.cancel = &raised;
+  DiscoveryResponse aborted = system.Execute(mid_run, &observer);
+  EXPECT_TRUE(aborted.status.IsCancelled()) << aborted.status.ToString();
+  EXPECT_TRUE(names(aborted.status, "MATERIALIZER"));
+  EXPECT_FALSE(observer.materialized);
+
+  // A clear flag and a future deadline never fire and change no answer.
+  std::atomic<bool> clear{false};
+  DiscoveryRequest controlled = f.requests[0];
+  controlled.cancel = &clear;
+  controlled.deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  DiscoveryResponse plain = system.Execute(controlled);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  EXPECT_EQ(Fingerprint(plain.result),
+            Fingerprint(system.Execute(f.requests[0]).result));
 }
 
 TEST(ServingTest, ServerCancellationIsCooperative) {
@@ -198,8 +231,8 @@ TEST(ServingTest, ServerCancellationIsCooperative) {
   // Keep the single worker busy, then cancel a queued ticket. The cancel
   // races with the worker, so the outcome is OK or Cancelled — never a
   // crash, a hang, or a partial result.
-  auto busy = server.Submit(f.queries[0]);
-  auto target = server.Submit(f.queries[1 % f.queries.size()]);
+  auto busy = server.Submit(f.requests[0]);
+  auto target = server.Submit(f.requests[1 % f.requests.size()]);
   target->Cancel();
   const ServedResult& served = target->Wait();
   if (served.status.ok()) {
@@ -218,11 +251,11 @@ TEST(ServingTest, SubmitAfterShutdownIsRejected) {
   serving.num_workers = 2;
   VerServer server(&f.dataset.repo, config, serving);
 
-  ServedResult before = server.Serve(f.queries[0]);
+  ServedResult before = server.Serve(f.requests[0]);
   EXPECT_TRUE(before.status.ok());
 
   server.Shutdown();
-  ServedResult after = server.Submit(f.queries[0])->Wait();
+  ServedResult after = server.Submit(f.requests[0])->Wait();
   EXPECT_TRUE(after.status.IsUnavailable()) << after.status.ToString();
   EXPECT_EQ(server.stats().rejected, 1);
 
@@ -253,68 +286,6 @@ TEST(ServingTest, CanonicalKeyIsOrderInvariantWithinAttribute) {
   EXPECT_NE(CanonicalQueryKey(tricky1), CanonicalQueryKey(tricky2));
 }
 
-TEST(ServingTest, ConcurrentSpillingQueriesDoNotRace) {
-  // VD-IO spilling is allowed in serving mode: every query spills into a
-  // unique subdirectory, so concurrent spilled queries must be
-  // bit-identical to serial spilled execution. Cache off to force every
-  // serve through the full pipeline (and through disk).
-  ServingFixture& f = Fixture();
-  namespace fs = std::filesystem;
-  fs::path spill = fs::temp_directory_path() / "ver_serving_spill_test";
-  fs::remove_all(spill);
-
-  VerConfig config;
-  config.spill_dir = spill.string();
-  Ver serial(&f.dataset.repo, config);
-  std::vector<std::string> expected;
-  for (const ExampleQuery& q : f.queries) {
-    expected.push_back(Fingerprint(serial.RunQuery(q)));
-  }
-  // The spill path actually ran: per-query subdirectories exist on disk
-  // (the serial Ver keeps them — cleanup_spilled_views defaults to false).
-  ASSERT_TRUE(fs::exists(spill));
-  size_t dirs_before_serving = 0;
-  for (const auto& entry : fs::directory_iterator(spill)) {
-    (void)entry;
-    ++dirs_before_serving;
-  }
-  EXPECT_GT(dirs_before_serving, 0u);
-
-  ServingOptions serving;
-  serving.num_workers = 4;
-  serving.cache_capacity = 0;
-  VerServer server(&f.dataset.repo, config, serving);
-
-  constexpr int kThreads = 8;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t] {
-      for (size_t i = 0; i < f.queries.size(); ++i) {
-        size_t q = (i + t) % f.queries.size();
-        ServedResult served = server.Serve(f.queries[q]);
-        if (!served.status.ok() || served.result == nullptr ||
-            Fingerprint(*served.result) != expected[q]) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  // The server cleans up each query's spill subdirectory after VD-IO, so
-  // only the serial Ver's directories remain — a long-lived server's disk
-  // use stays bounded.
-  size_t dirs_after_serving = 0;
-  for (const auto& entry : fs::directory_iterator(spill)) {
-    (void)entry;
-    ++dirs_after_serving;
-  }
-  EXPECT_EQ(dirs_after_serving, dirs_before_serving);
-  fs::remove_all(spill);
-}
-
 TEST(ServingTest, HotSwapServesNewSnapshotToNewSubmissions) {
   ServingFixture& f = Fixture();
   VerConfig config_a;
@@ -322,8 +293,8 @@ TEST(ServingTest, HotSwapServesNewSnapshotToNewSubmissions) {
   config_b.run_distillation = false;  // distinguishable results
   auto ver_a = std::make_shared<const Ver>(&f.dataset.repo, config_a);
   auto ver_b = std::make_shared<const Ver>(&f.dataset.repo, config_b);
-  std::string fp_a = Fingerprint(ver_a->RunQuery(f.queries[0]));
-  std::string fp_b = Fingerprint(ver_b->RunQuery(f.queries[0]));
+  std::string fp_a = Fingerprint(ver_a->Execute(f.requests[0]).result);
+  std::string fp_b = Fingerprint(ver_b->Execute(f.requests[0]).result);
   ASSERT_NE(fp_a, fp_b);
 
   ServingOptions serving;
@@ -331,7 +302,7 @@ TEST(ServingTest, HotSwapServesNewSnapshotToNewSubmissions) {
   serving.cache_capacity = 8;
   VerServer server(ver_a, serving);
 
-  ServedResult first = server.Serve(f.queries[0]);
+  ServedResult first = server.Serve(f.requests[0]);
   ASSERT_TRUE(first.status.ok());
   EXPECT_EQ(Fingerprint(*first.result), fp_a);
 
@@ -343,14 +314,14 @@ TEST(ServingTest, HotSwapServesNewSnapshotToNewSubmissions) {
 
   // The same query is now answered by the new snapshot; the cached result
   // from the old epoch must not resurface.
-  ServedResult second = server.Serve(f.queries[0]);
+  ServedResult second = server.Serve(f.requests[0]);
   ASSERT_TRUE(second.status.ok());
   EXPECT_FALSE(second.cache_hit);
   EXPECT_EQ(Fingerprint(*second.result), fp_b);
 
   // The pinned old snapshot stays fully queryable — the lifetime guarantee
   // in-flight queries rely on while a swap lands mid-run.
-  EXPECT_EQ(Fingerprint(pinned->RunQuery(f.queries[0])), fp_a);
+  EXPECT_EQ(Fingerprint(pinned->Execute(f.requests[0]).result), fp_a);
   EXPECT_EQ(server.stats().snapshot_swaps, 1);
 }
 
@@ -361,8 +332,8 @@ TEST(ServingTest, QueriesSubmittedBeforeSwapCompleteCleanly) {
   config_b.run_distillation = false;
   auto ver_a = std::make_shared<const Ver>(&f.dataset.repo, config_a);
   auto ver_b = std::make_shared<const Ver>(&f.dataset.repo, config_b);
-  std::string fp_a = Fingerprint(ver_a->RunQuery(f.queries[0]));
-  std::string fp_b = Fingerprint(ver_b->RunQuery(f.queries[0]));
+  std::string fp_a = Fingerprint(ver_a->Execute(f.requests[0]).result);
+  std::string fp_b = Fingerprint(ver_b->Execute(f.requests[0]).result);
 
   ServingOptions serving;
   serving.num_workers = 1;  // serializes the backlog across the swap
@@ -373,9 +344,9 @@ TEST(ServingTest, QueriesSubmittedBeforeSwapCompleteCleanly) {
   // whichever snapshot it was dequeued with — old before the swap landed,
   // new after — never on a torn or destroyed one.
   std::vector<std::shared_ptr<QueryTicket>> tickets;
-  for (int i = 0; i < 4; ++i) tickets.push_back(server.Submit(f.queries[0]));
+  for (int i = 0; i < 4; ++i) tickets.push_back(server.Submit(f.requests[0]));
   ASSERT_TRUE(server.SwapSnapshot(ver_b));
-  for (int i = 0; i < 4; ++i) tickets.push_back(server.Submit(f.queries[0]));
+  for (int i = 0; i < 4; ++i) tickets.push_back(server.Submit(f.requests[0]));
 
   bool saw_new = false;
   for (auto& t : tickets) {
@@ -404,8 +375,8 @@ TEST(ServingTest, HotSwapUnderConcurrentTrafficIsSafeAndConsistent) {
   config_b.run_distillation = false;
   auto ver_a = std::make_shared<const Ver>(&f.dataset.repo, config_a);
   auto ver_b = std::make_shared<const Ver>(&f.dataset.repo, config_b);
-  std::string fp_a = Fingerprint(ver_a->RunQuery(f.queries[0]));
-  std::string fp_b = Fingerprint(ver_b->RunQuery(f.queries[0]));
+  std::string fp_a = Fingerprint(ver_a->Execute(f.requests[0]).result);
+  std::string fp_b = Fingerprint(ver_b->Execute(f.requests[0]).result);
 
   ServingOptions serving;
   serving.num_workers = 2;
@@ -417,7 +388,7 @@ TEST(ServingTest, HotSwapUnderConcurrentTrafficIsSafeAndConsistent) {
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&] {
       for (int i = 0; i < 6; ++i) {
-        ServedResult served = server.Serve(f.queries[0]);
+        ServedResult served = server.Serve(f.requests[0]);
         if (!served.status.ok() || served.result == nullptr) {
           bad.fetch_add(1);
           continue;
@@ -436,7 +407,7 @@ TEST(ServingTest, HotSwapUnderConcurrentTrafficIsSafeAndConsistent) {
   // With traffic drained, one more swap then a fresh submission: the new
   // snapshot answers.
   ASSERT_TRUE(server.SwapSnapshot(ver_b));
-  ServedResult final_result = server.Serve(f.queries[0]);
+  ServedResult final_result = server.Serve(f.requests[0]);
   ASSERT_TRUE(final_result.status.ok());
   EXPECT_EQ(Fingerprint(*final_result.result), fp_b);
 }
@@ -466,17 +437,17 @@ TEST(ServingTest, QueueFullRejectsImmediatelyAndNeverLosesTickets) {
   serving.hooks.after_dequeue = [&] { gate.Arrive(); };
   VerServer server(&repo, VerConfig(), serving);
 
-  auto held = server.Submit(ServingTestQuery());
+  auto held = server.Submit(ServingTestRequest());
   gate.AwaitArrivals(1);  // the worker holds request 1; queue is empty
-  auto queued_a = server.Submit(ServingTestQuery());
-  auto queued_b = server.Submit(ServingTestAltQuery());
+  auto queued_a = server.Submit(ServingTestRequest());
+  auto queued_b = server.Submit(ServingTestAltRequest());
 
   ServerStats before = server.stats();
   EXPECT_EQ(before.current_queue_depth, 2);
 
   FinishObserver observer;
   auto rejected = server.Submit(
-      DiscoveryRequest::ForQuery(ServingTestQuery()), &observer);
+      ServingTestRequest(), &observer);
   // The rejection resolved on the submitting thread: the ticket is already
   // complete (Poll before Wait proves no blocking was possible) and the
   // observer got its terminal event.
@@ -520,7 +491,7 @@ TEST(ServingTest, FifoQueueIgnoresDeadlines) {
   // Tag each request through a knob the hook can read back. The deadlines
   // are hours out, so nothing can expire while queued.
   auto tagged = [](int tag, double deadline_s) {
-    DiscoveryRequest request = DiscoveryRequest::ForQuery(ServingTestQuery());
+    DiscoveryRequest request = ServingTestRequest();
     request.overrides.expected_views = tag;
     if (deadline_s > 0) request.WithDeadline(deadline_s);
     return request;
@@ -557,7 +528,7 @@ TEST(ServingTest, IdenticalConcurrentRequestsEachExecute) {
 
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 4; ++i) {
-    tickets.push_back(server.Submit(ServingTestQuery()));
+    tickets.push_back(server.Submit(ServingTestRequest()));
   }
   // All four workers reach execution simultaneously.
   gate.AwaitArrivals(4);
@@ -582,11 +553,11 @@ TEST(ServingTest, ShutdownWhileSheddingDrainsCleanly) {
   serving.hooks.after_dequeue = [&] { gate.Arrive(); };
   VerServer server(&repo, VerConfig(), serving);
 
-  auto held = server.Submit(ServingTestQuery());
+  auto held = server.Submit(ServingTestRequest());
   gate.AwaitArrivals(1);
-  auto queued_a = server.Submit(ServingTestQuery());
-  auto queued_b = server.Submit(ServingTestAltQuery());
-  auto shed = server.Submit(ServingTestQuery());  // queue full
+  auto queued_a = server.Submit(ServingTestRequest());
+  auto queued_b = server.Submit(ServingTestAltRequest());
+  auto shed = server.Submit(ServingTestRequest());  // queue full
   EXPECT_TRUE(shed->Wait().status.IsUnavailable());
 
   // Shutdown from another thread blocks on the held worker; opening the
@@ -600,7 +571,8 @@ TEST(ServingTest, ShutdownWhileSheddingDrainsCleanly) {
   EXPECT_TRUE(queued_b->Wait().status.ok());
 
   // Post-shutdown submissions reject cleanly.
-  EXPECT_TRUE(server.Submit(ServingTestQuery())->Wait().status.IsUnavailable());
+  EXPECT_TRUE(
+      server.Submit(ServingTestRequest())->Wait().status.IsUnavailable());
 
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.served_ok, 3);
@@ -620,7 +592,7 @@ TEST(ServingTest, StatsReportPerStageLatencyQuantiles) {
 
   constexpr int kServes = 6;
   for (int i = 0; i < kServes; ++i) {
-    ASSERT_TRUE(server.Serve(ServingTestQuery()).status.ok());
+    ASSERT_TRUE(server.Serve(ServingTestRequest()).status.ok());
   }
 
   ServerStats stats = server.stats();

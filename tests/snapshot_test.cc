@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "discovery/engine.h"
 #include "query_fingerprint.h"
@@ -106,8 +108,9 @@ TEST(SnapshotTest, RoundTripIsBitIdenticalForSerialAndParallelBuilds) {
     Ver fresh(&f.dataset.repo, config);
     Ver restored(&f.dataset.repo, config, std::move(loaded).value());
     for (const ExampleQuery& q : f.queries) {
-      EXPECT_EQ(Fingerprint(fresh.RunQuery(q)),
-                Fingerprint(restored.RunQuery(q)));
+      const DiscoveryRequest request = DiscoveryRequest::ForQuery(q);
+      EXPECT_EQ(Fingerprint(fresh.Execute(request).result),
+                Fingerprint(restored.Execute(request).result));
     }
   }
   std::remove(serial_path.c_str());
@@ -392,9 +395,11 @@ TEST(SnapshotTest, ServerStartsFromSnapshotWithoutRebuild) {
                                               std::move(loaded).value());
   VerServer server(restored, ServingOptions());
   for (const ExampleQuery& q : f.queries) {
-    ServedResult served = server.Serve(q);
+    const DiscoveryRequest request = DiscoveryRequest::ForQuery(q);
+    ServedResult served = server.Serve(request);
     ASSERT_TRUE(served.status.ok());
-    EXPECT_EQ(Fingerprint(*served.result), Fingerprint(fresh.RunQuery(q)));
+    EXPECT_EQ(Fingerprint(*served.result),
+              Fingerprint(fresh.Execute(request).result));
   }
   std::remove(path.c_str());
 }
@@ -511,8 +516,9 @@ TEST(SnapshotTest, RepositoryRoundTripsThroughColumnarSections) {
   Ver fresh(&f.dataset.repo, config);
   Ver restored(&repo2, config, std::move(engine).value());
   for (const ExampleQuery& q : f.queries) {
-    EXPECT_EQ(Fingerprint(fresh.RunQuery(q)),
-              Fingerprint(restored.RunQuery(q)));
+    const DiscoveryRequest request = DiscoveryRequest::ForQuery(q);
+    EXPECT_EQ(Fingerprint(fresh.Execute(request).result),
+              Fingerprint(restored.Execute(request).result));
   }
 
   // Corrupting a byte inside the repo-tables section payload must surface

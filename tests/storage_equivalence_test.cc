@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <unordered_set>
 
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "discovery/engine.h"
 #include "query_fingerprint.h"
@@ -195,7 +197,9 @@ TEST(StorageEquivalenceTest, RankedViewsBitIdenticalAcrossColumnarReload) {
   Ver fresh(&ds.repo, config);
   Ver restored(&repo2, config, std::move(loaded_engine).value());
   for (const ExampleQuery& q : queries) {
-    EXPECT_EQ(Fingerprint(fresh.RunQuery(q)), Fingerprint(restored.RunQuery(q)));
+    const DiscoveryRequest request = DiscoveryRequest::ForQuery(q);
+    EXPECT_EQ(Fingerprint(fresh.Execute(request).result),
+              Fingerprint(restored.Execute(request).result));
   }
   std::remove(path.c_str());
 }

@@ -1,10 +1,10 @@
-// Ver facade (Algorithm 1) tests: config knobs, spill path, sessions,
-// automatic ranking, alternative specifications.
+// Ver facade (Algorithm 1) tests: config knobs, sessions, automatic
+// ranking, alternative specifications.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
+#include "api/discovery_request.h"
+#include "api/discovery_response.h"
 #include "core/ver.h"
 #include "table/csv.h"
 
@@ -32,10 +32,11 @@ ExampleQuery CityMayorQuery() {
   return ExampleQuery::FromColumns({{"Boston", "Chicago"}, {"Wu", "Walsh"}});
 }
 
-TEST(VerFacadeTest, RunQueryProducesViewsAndRanking) {
+TEST(VerFacadeTest, ExecuteProducesViewsAndRanking) {
   TableRepository repo = MakeRepo();
   Ver system(&repo, VerConfig());
-  QueryResult result = system.RunQuery(CityMayorQuery());
+  QueryResult result =
+      system.Execute(DiscoveryRequest::ForQuery(CityMayorQuery())).result;
   EXPECT_GT(result.views.size(), 0u);
   EXPECT_EQ(result.automatic_ranking.size(),
             result.distillation.surviving.size());
@@ -57,28 +58,10 @@ TEST(VerFacadeTest, DistillationCanBeDisabled) {
   VerConfig config;
   config.run_distillation = false;
   Ver system(&repo, config);
-  QueryResult result = system.RunQuery(CityMayorQuery());
+  QueryResult result =
+      system.Execute(DiscoveryRequest::ForQuery(CityMayorQuery())).result;
   EXPECT_EQ(result.distillation.surviving.size(), result.views.size());
   EXPECT_EQ(result.distillation.edges.size(), 0u);
-}
-
-TEST(VerFacadeTest, SpillDirectoryRoundTripsViews) {
-  namespace fs = std::filesystem;
-  fs::path spill = fs::temp_directory_path() / "ver_facade_spill";
-  fs::remove_all(spill);
-  TableRepository repo = MakeRepo();
-  VerConfig config;
-  config.spill_dir = spill.string();
-  Ver system(&repo, config);
-  QueryResult result = system.RunQuery(CityMayorQuery());
-  ASSERT_GT(result.views.size(), 0u);
-  for (const View& v : result.views) {
-    EXPECT_FALSE(v.spill_path.empty());
-    EXPECT_TRUE(fs::exists(v.spill_path));
-    EXPECT_GT(v.table.num_rows(), 0);  // reloaded from disk, not emptied
-  }
-  EXPECT_GE(result.timing.vd_io_s, 0.0);
-  fs::remove_all(spill);
 }
 
 TEST(VerFacadeTest, ExpectedViewsLimitsMaterialization) {
@@ -86,7 +69,8 @@ TEST(VerFacadeTest, ExpectedViewsLimitsMaterialization) {
   VerConfig config;
   config.search.expected_views = 1;
   Ver system(&repo, config);
-  QueryResult result = system.RunQuery(CityMayorQuery());
+  QueryResult result =
+      system.Execute(DiscoveryRequest::ForQuery(CityMayorQuery())).result;
   EXPECT_LE(result.views.size(), 1u);
   // Candidates are still fully enumerated.
   EXPECT_GE(result.search.candidates.size(), result.views.size());
@@ -96,7 +80,7 @@ TEST(VerFacadeTest, SessionLifecycle) {
   TableRepository repo = MakeRepo();
   Ver system(&repo, VerConfig());
   ExampleQuery query = CityMayorQuery();
-  QueryResult result = system.RunQuery(query);
+  QueryResult result = system.Execute(DiscoveryRequest::ForQuery(query)).result;
   auto session = system.StartSession(result, query);
   ASSERT_NE(session, nullptr);
   EXPECT_EQ(session->remaining().size(),
@@ -108,12 +92,16 @@ TEST(VerFacadeTest, SessionLifecycle) {
   }
 }
 
-TEST(VerFacadeTest, RunWithCandidatesMatchesSpecification) {
+TEST(VerFacadeTest, CandidateRequestMatchesSpecification) {
   TableRepository repo = MakeRepo();
   Ver system(&repo, VerConfig());
   std::vector<ColumnSelectionResult> spec =
       SpecifyByAttributes(system.engine(), {"city", "mayor"});
-  QueryResult result = system.RunWithCandidates(spec, CityMayorQuery());
+  QueryResult result =
+      system
+          .Execute(DiscoveryRequest::ForCandidates(std::move(spec),
+                                                   CityMayorQuery()))
+          .result;
   EXPECT_GT(result.views.size(), 0u);
   EXPECT_EQ(result.selection.size(), 2u);
 }
@@ -122,7 +110,7 @@ TEST(VerFacadeTest, EmptyQueryYieldsNoViews) {
   TableRepository repo = MakeRepo();
   Ver system(&repo, VerConfig());
   ExampleQuery query = ExampleQuery::FromColumns({{"zzz-not-present"}});
-  QueryResult result = system.RunQuery(query);
+  QueryResult result = system.Execute(DiscoveryRequest::ForQuery(query)).result;
   EXPECT_EQ(result.views.size(), 0u);
   EXPECT_TRUE(result.automatic_ranking.empty());
 }
@@ -135,19 +123,22 @@ TEST(VerFacadeTest, RhoOneRestrictsJoinGraphs) {
   narrow.search.max_hops = 1;
   Ver wide_system(&repo, wide);
   Ver narrow_system(&repo, narrow);
-  QueryResult w = wide_system.RunQuery(CityMayorQuery());
-  QueryResult n = narrow_system.RunQuery(CityMayorQuery());
+  QueryResult w =
+      wide_system.Execute(DiscoveryRequest::ForQuery(CityMayorQuery())).result;
+  QueryResult n =
+      narrow_system.Execute(DiscoveryRequest::ForQuery(CityMayorQuery()))
+          .result;
   EXPECT_LE(n.search.num_join_graphs, w.search.num_join_graphs);
 }
 
 TEST(VerFacadeTest, TimingComponentsSumToTotal) {
   TableRepository repo = MakeRepo();
   Ver system(&repo, VerConfig());
-  QueryResult result = system.RunQuery(CityMayorQuery());
+  QueryResult result =
+      system.Execute(DiscoveryRequest::ForQuery(CityMayorQuery())).result;
   double sum = result.timing.column_selection_s +
                result.timing.join_graph_search_s +
-               result.timing.materialize_s + result.timing.vd_io_s +
-               result.timing.four_c_s;
+               result.timing.materialize_s + result.timing.four_c_s;
   EXPECT_DOUBLE_EQ(result.timing.total_s(), sum);
 }
 
