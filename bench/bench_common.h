@@ -162,10 +162,17 @@ struct ViewIoTiming {
 /// The paper's prototype reads the materialized views back from disk before
 /// 4C; the Fig. 3 "Get Views Time" and the Fig. 4b VD-IO bar are that read.
 /// The pipeline keeps views in memory, so the benches emulate the cost
-/// after Execute returns: every view is written to `dir` as CSV, then
-/// every file is read back, and `dir` is removed. Exits on any IO error.
-inline ViewIoTiming TimeGetViews(const std::vector<View>& views,
+/// after Execute returns: every candidate view of `result` is written to
+/// `dir` as CSV, then every file is read back, and `dir` is removed. Views
+/// 4C pruned carry no cells, so the views are first rebuilt from the ranked
+/// candidates (MaterializeCandidates with the query's `options`, untimed).
+/// Exits on any IO error.
+inline ViewIoTiming TimeGetViews(const TableRepository& repo,
+                                 const QueryResult& result,
+                                 const JoinGraphSearchOptions& options,
                                  const std::filesystem::path& dir) {
+  const std::vector<View> views = MaterializeCandidates(
+      repo, result.search.candidates, options, nullptr);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);

@@ -73,13 +73,18 @@ void Run() {
       if (spec == 2) {
         // Simulated presentation over the attribute-spec result (the
         // broadest, most ambiguous candidate set): perfect user.
+        // The user judges every candidate view by content; views 4C
+        // pruned carry no cells, so rebuild them (outside the timed run).
+        const std::vector<View> views = MaterializeCandidates(
+            dataset.repo, result.search.candidates, system.config().search,
+            nullptr);
         Result<std::vector<int>> acceptable =
-            GroundTruthMatches(dataset.repo, gt, result.views);
+            GroundTruthMatches(dataset.repo, gt, views);
         if (acceptable.ok() && !acceptable->empty()) {
           auto session = system.StartSession(result, query.value());
           SimulatedUserProfile profile;
           profile.seed = 0xe2e0 + qi;
-          SimulatedUser user(profile, acceptable.value(), &result.views,
+          SimulatedUser user(profile, acceptable.value(), &views,
                              &result.distillation);
           WallTimer qtimer;
           SessionOutcome outcome = DriveSession(session.get(), &user, 100);

@@ -118,7 +118,8 @@ void Run() {
       DiscoveryResponse response =
           system.Execute(DiscoveryRequest::ForQuery(query.value()));
       const QueryResult& result = response.result;
-      const ViewIoTiming io = TimeGetViews(result.views, views_dir);
+      const ViewIoTiming io = TimeGetViews(dataset.repo, result,
+                                           system.config().search, views_dir);
       totals.push_back(result.timing.total_s() + io.read_s);
       io_times.push_back(io.read_s);
       four_c_times.push_back(result.timing.four_c_s);

@@ -34,7 +34,8 @@ void Run() {
     DiscoveryResponse response =
         system.Execute(DiscoveryRequest::ForQuery(query.value()));
     const QueryResult& result = response.result;
-    const ViewIoTiming io = TimeGetViews(result.views, views_dir);
+    const ViewIoTiming io =
+        TimeGetViews(dataset.repo, result, system.config().search, views_dir);
     sp.push_back(result.distillation.timing.schema_partition_s);
     hash_c1.push_back(result.distillation.timing.hash_and_c1_s);
     c2.push_back(result.distillation.timing.c2_s);

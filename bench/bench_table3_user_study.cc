@@ -62,11 +62,16 @@ void Run() {
       // --- Ver: bandit presentation session -----------------------------
       QueryResult result =
           system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
+      // The user judges every candidate view by content; views 4C pruned
+      // carry no cells, so rebuild them.
+      const std::vector<View> views = MaterializeCandidates(
+          dataset.repo, result.search.candidates, system.config().search,
+          nullptr);
       Result<std::vector<int>> acceptable =
-          GroundTruthMatches(dataset.repo, gt, result.views);
+          GroundTruthMatches(dataset.repo, gt, views);
       if (!acceptable.ok()) continue;
       auto session = system.StartSession(result, query.value());
-      SimulatedUser user(profile, acceptable.value(), &result.views,
+      SimulatedUser user(profile, acceptable.value(), &views,
                          &result.distillation);
       SessionOutcome outcome =
           DriveSession(session.get(), &user, kMaxInteractions);

@@ -78,8 +78,13 @@ int main() {
               result.views.size(), result.distillation.surviving.size(),
               result.distillation.contradictions.size());
 
+  // The simulated user knows the view it wants by content, so it judges
+  // every candidate view, rebuilt (views 4C pruned carry no cells).
+  const std::vector<View> views = MaterializeCandidates(
+      dataset.repo, result.search.candidates, system.config().search,
+      nullptr);
   Result<std::vector<int>> acceptable =
-      GroundTruthMatches(dataset.repo, gt, result.views);
+      GroundTruthMatches(dataset.repo, gt, views);
   if (!acceptable.ok() || acceptable->empty()) {
     std::fprintf(stderr, "no acceptable views — nothing to demo\n");
     return 1;
@@ -92,7 +97,7 @@ int main() {
   profile.competence[static_cast<int>(QuestionInterface::kAttribute)] = 0.8;
   profile.competence[static_cast<int>(QuestionInterface::kDatasetPair)] = 0.9;
   profile.competence[static_cast<int>(QuestionInterface::kSummary)] = 0.4;
-  SimulatedUser user(profile, acceptable.value(), &result.views,
+  SimulatedUser user(profile, acceptable.value(), &views,
                      &result.distillation);
 
   for (int round = 1; round <= 12 && !session->Done(); ++round) {
@@ -120,9 +125,14 @@ int main() {
     const View& v = result.views[ranking[i].view_index];
     std::printf("%zu. view_%lld utility=%.3f (%s)%s\n", i + 1,
                 static_cast<long long>(v.id), ranking[i].utility,
-                v.table.name().c_str(),
+                v.name().c_str(),
                 user.Accepts(ranking[i].view_index) ? "  <- the user's view"
                                                     : "");
+  }
+  // The session ranks surviving views, which carry their cells.
+  if (!ranking.empty()) {
+    const View& top = result.views[ranking.front().view_index];
+    std::printf("\nTop view:\n%s", top.table.ToString(3).c_str());
   }
   return 0;
 }

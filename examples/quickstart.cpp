@@ -75,8 +75,12 @@ int main() {
   });
   QueryResult result = system.Execute(DiscoveryRequest::ForQuery(query)).result;
 
-  std::printf("\nCandidate PJ-views (%zu):\n", result.views.size());
-  for (const View& v : result.views) {
+  // Only the views 4C keeps carry their cells (late materialization); to
+  // show every candidate, rebuild the views from the ranked candidates.
+  std::vector<View> candidates = MaterializeCandidates(
+      repo, result.search.candidates, system.config().search, nullptr);
+  std::printf("\nCandidate PJ-views (%zu):\n", candidates.size());
+  for (const View& v : candidates) {
     std::printf("- %s via %s\n%s\n", v.table.name().c_str(),
                 v.graph.ToString(repo).c_str(),
                 v.table.ToString(4).c_str());

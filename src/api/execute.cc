@@ -17,6 +17,15 @@
 //    as stop_after views survive. Deadline/cancellation are additionally
 //    checked between candidates, so long tails react faster than the
 //    stage-boundary granularity of the batch mode.
+//
+// Late materialization: the CandidateMaterializer joins and dedups each
+// candidate and keeps its row ids and row-hash run, and 4C's C1/C2 run on
+// the runs. Only a view that is delivered is gathered into a Table: the
+// survivors in batch mode, each view when it is first delivered in
+// streaming mode, every view when distillation is off. The gather runs
+// inside 4C (DistillRowSets asks for the survivors' tables before C3/C4)
+// while the CandidateMaterializer still holds its table pins; its time
+// counts toward materialize_s, not four_c_s.
 
 #include <algorithm>
 #include <utility>
@@ -25,6 +34,7 @@
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
 #include "api/query_observer.h"
+#include "util/check.h"
 #include "util/timer.h"
 
 namespace ver {
@@ -112,14 +122,36 @@ DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
             });
 
   // ---------------------------------------------- MATERIALIZER .. DISTILLATION
+  CandidateMaterializer materialized(repo_, search_options.materialize);
+  // Gathers view i's cells; the time lands in materialize_s.
+  auto gather = [&](int i) -> const Table& {
+    ScopedTimer timer(&result.timing.materialize_s);
+    return materialized.Gather(i);
+  };
+  // 4C over the materializer's runs, gathering the survivors. Returns the
+  // stage's own seconds: its wall clock minus the gather.
+  std::vector<RowSetRun> runs;
+  auto distill = [&] {
+    const double materialize_before = result.timing.materialize_s;
+    WallTimer timer;
+    runs.resize(materialized.views().size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      runs[i] = materialized.run(static_cast<int>(i));
+    }
+    result.distillation = DistillRowSets(materialized.views(), runs, gather,
+                                         merged.distillation);
+    return timer.ElapsedSeconds() -
+           (result.timing.materialize_s - materialize_before);
+  };
   // Tracks which view indices already produced an OnViewDelivered event.
   std::vector<char> delivered;
-  auto deliver_surviving = [&](const std::vector<View>& views,
-                               const std::vector<int>& surviving) {
+  auto deliver_surviving = [&](const std::vector<int>& surviving) {
+    const std::vector<View>& views = materialized.views();
     delivered.resize(views.size(), 0);
     for (int idx : surviving) {
       if (delivered[static_cast<size_t>(idx)]) continue;
       delivered[static_cast<size_t>(idx)] = 1;
+      VER_DCHECK(views[static_cast<size_t>(idx)].has_columns());
       if (observer != nullptr) {
         observer->OnViewDelivered(views[static_cast<size_t>(idx)],
                                   response.views_delivered,
@@ -139,6 +171,11 @@ DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
     result.distillation.count_after_contained =
         static_cast<int64_t>(num_views);
   };
+  int64_t limit =
+      search_options.expected_views <= 0
+          ? static_cast<int64_t>(result.search.candidates.size())
+          : std::min<int64_t>(search_options.expected_views,
+                              result.search.candidates.size());
 
   if (request.stop_after <= 0) {
     // ----- Batch mode: one stage after the other.
@@ -148,35 +185,45 @@ DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
     }
     run_stage(PipelineStage::kMaterialization, &result.timing.materialize_s,
               [&] {
-                result.views = MaterializeCandidates(
-                    *repo_, result.search.candidates, search_options,
-                    &result.search.num_materialization_failures);
+                for (int64_t i = 0; i < limit; ++i) {
+                  materialized.Materialize(result.search.candidates[i]);
+                }
+                if (merged.run_distillation) return;
+                // Every view is delivered.
+                for (size_t i = 0; i < materialized.views().size(); ++i) {
+                  materialized.Gather(static_cast<int>(i));
+                }
               });
+    result.search.num_materialization_failures += materialized.num_failures();
 
     {
       Status st = check("VIEW-DISTILLATION");
       if (!st.ok()) return fail(std::move(st));
     }
     if (merged.run_distillation) {
-      run_stage(PipelineStage::kDistillation, &result.timing.four_c_s, [&] {
-        result.distillation = DistillViews(result.views, merged.distillation);
-      });
+      // The stage bracket by hand: its elapsed time leaves out the gather.
+      if (observer != nullptr) {
+        observer->OnStageStarted(PipelineStage::kDistillation);
+      }
+      const double elapsed = distill();
+      result.timing.four_c_s += elapsed;
+      if (observer != nullptr) {
+        observer->OnStageFinished(PipelineStage::kDistillation, elapsed);
+      }
     } else {
-      synthesize_no_distillation(result.views.size());
+      synthesize_no_distillation(materialized.views().size());
     }
-    deliver_surviving(result.views, result.distillation.surviving);
+    deliver_surviving(result.distillation.surviving);
   } else {
     // ----- Streaming mode: one candidate at a time, stop at stop_after
     // surviving views. Candidates are processed strictly in rank order and
     // CandidateMaterializer is the same machinery batch mode uses, so the
     // views produced here are a prefix of the batch run's view sequence.
     // Stage events: one kMaterialization bracket spans the interleaved
-    // loop; distillation costs still land in their timing field.
-    int64_t limit =
-        search_options.expected_views <= 0
-            ? static_cast<int64_t>(result.search.candidates.size())
-            : std::min<int64_t>(search_options.expected_views,
-                                result.search.candidates.size());
+    // loop; distillation costs still land in their timing field. A view
+    // pruned on arrival is never delivered later: C1 keeps the lowest
+    // index of equal views and C2 keeps maximal sets, and subset is
+    // transitive.
     if (observer != nullptr) {
       observer->OnStageStarted(PipelineStage::kMaterialization);
     }
@@ -189,7 +236,6 @@ DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
                                   loop_timer.ElapsedSeconds());
       }
     };
-    CandidateMaterializer incremental(repo_, search_options.materialize);
     for (int64_t i = 0; i < limit; ++i) {
       Status st = check("MATERIALIZER");
       if (!st.ok()) {
@@ -199,21 +245,19 @@ DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
       bool kept;
       {
         ScopedTimer timer(&result.timing.materialize_s);
-        kept = incremental.Materialize(result.search.candidates[i]);
+        kept = materialized.Materialize(result.search.candidates[i]);
       }
       if (!kept) continue;
-      std::vector<int> surviving_now;
+      const size_t num_views = materialized.views().size();
       if (merged.run_distillation) {
-        ScopedTimer timer(&result.timing.four_c_s);
-        result.distillation =
-            DistillViews(incremental.views(), merged.distillation);
-        surviving_now = result.distillation.surviving;
+        result.timing.four_c_s += distill();
       } else {
-        synthesize_no_distillation(incremental.views().size());
-        surviving_now = result.distillation.surviving;
+        gather(static_cast<int>(num_views - 1));
+        synthesize_no_distillation(num_views);
       }
-      deliver_surviving(incremental.views(), surviving_now);
-      if (static_cast<int>(surviving_now.size()) >= request.stop_after) {
+      deliver_surviving(result.distillation.surviving);
+      if (static_cast<int>(result.distillation.surviving.size()) >=
+          request.stop_after) {
         response.early_terminated = i + 1 < limit;
         break;
       }
@@ -221,10 +265,10 @@ DiscoveryResponse Ver::Execute(const DiscoveryRequest& request,
     // With distillation off the loop synthesized the result after every
     // kept view (and the zero-view case equals a default DistillationResult),
     // so the distillation field is already consistent here either way.
-    result.search.num_materialization_failures += incremental.num_failures();
-    result.views = incremental.TakeViews();
+    result.search.num_materialization_failures += materialized.num_failures();
     close_stage();
   }
+  result.views = materialized.TakeViews();
 
   // ------------------------------------------------------------------ ranking
   // Automatic mode (Algorithm 1 line 13): overlap-based ranking of the

@@ -56,7 +56,9 @@ class QueryObserver {
   virtual void OnStageStarted(PipelineStage /*stage*/) {}
 
   /// The stage finished; `elapsed_s` is its wall-clock cost in seconds
-  /// (what PipelineTiming records for the same stage).
+  /// (what PipelineTiming records for the same stage). The gather of the
+  /// views 4C keeps runs inside the VIEW-DISTILLATION bracket but counts
+  /// toward materialize_s, so that bracket's `elapsed_s` leaves it out.
   virtual void OnStageFinished(PipelineStage /*stage*/, double /*elapsed_s*/) {}
 
   /// `view` survived distillation (or materialization, when distillation is

@@ -98,8 +98,8 @@ std::vector<OverlapRankedView> RankViewsByOverlap(
   std::sort(ranked.begin(), ranked.end(),
             [&views](const OverlapRankedView& a, const OverlapRankedView& b) {
               if (a.overlap != b.overlap) return a.overlap > b.overlap;
-              int64_t ra = views[a.view_index].table.num_rows();
-              int64_t rb = views[b.view_index].table.num_rows();
+              int64_t ra = views[a.view_index].num_rows();
+              int64_t rb = views[b.view_index].num_rows();
               if (ra != rb) return ra < rb;
               return a.view_index < b.view_index;
             });

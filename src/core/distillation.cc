@@ -40,17 +40,14 @@ int Contradiction::num_views() const {
 
 namespace {
 
-// Seed of every row-hash chain (Table::RowHash uses the same one).
-constexpr uint64_t kRowHashSeed = 0x726f7768617368ULL;
-
 // Per-view derived data used across the phases.
 struct ViewData {
-  // H(V), the row-content hash set: the sorted, deduplicated run
-  // [begin, end) of one flat array holding every view's row hashes.
+  // H(V), the row-content hash set: the view's sorted, deduplicated run.
   const uint64_t* begin = nullptr;
   const uint64_t* end = nullptr;
-  uint64_t set_signature = 0;  // order-insensitive set hash
+  uint64_t set_signature = 0;  // RowSetSignature of the run
   int schema = -1;  // distinct ordered schema, indexes the canonical orders
+  const Table* table = nullptr;  // survivors of C1/C2 only
   std::vector<std::vector<std::string>> keys;  // candidate keys (attr names)
 
   size_t size() const { return static_cast<size_t>(end - begin); }
@@ -63,19 +60,6 @@ uint64_t CanonicalRowHash(const Table& t, int64_t row,
   uint64_t h = kRowHashSeed;
   for (int c : canonical_cols) h = HashCombine(h, t.cell_hash(row, c));
   return h;
-}
-
-std::vector<int> CanonicalColumnOrder(const Table& t) {
-  std::vector<int> cols(t.num_columns());
-  for (int i = 0; i < t.num_columns(); ++i) cols[i] = i;
-  std::sort(cols.begin(), cols.end(), [&t](int a, int b) {
-    const std::string& na = t.schema().attribute(a).name;
-    const std::string& nb = t.schema().attribute(b).name;
-    std::string la = ToLower(na), lb = ToLower(nb);
-    if (la != lb) return la < lb;
-    return a < b;
-  });
-  return cols;
 }
 
 // Hash and equality of ordered attribute-name lists: the identity of a
@@ -94,17 +78,6 @@ bool SameAttributeNames(const Schema& a, const Schema& b) {
     if (a.attribute(i).name != b.attribute(i).name) return false;
   }
   return true;
-}
-
-// Order-insensitive signature of a hash set (sum+xor of mixed elements).
-uint64_t SetSignature(const uint64_t* begin, const uint64_t* end) {
-  uint64_t add = 0, mix = 0;
-  for (const uint64_t* p = begin; p != end; ++p) {
-    add += Mix64(*p);
-    mix ^= Mix64(*p ^ 0x5555555555555555ULL);
-  }
-  return HashCombine(HashCombine(add, mix),
-                     static_cast<uint64_t>(end - begin));
 }
 
 // True when two views' row-hash sets share an element (merge walk).
@@ -190,11 +163,18 @@ std::string KeyLabel(const std::vector<std::string>& key) {
 
 }  // namespace
 
-DistillationResult DistillViews(const std::vector<View>& views,
-                                const DistillationOptions& options) {
+DistillationResult DistillRowSets(const std::vector<View>& views,
+                                  const std::vector<RowSetRun>& runs,
+                                  const SurvivorTable& survivor_table,
+                                  const DistillationOptions& options) {
   DistillationResult result;
   const int n = static_cast<int>(views.size());
   std::vector<ViewData> data(n);
+  for (int i = 0; i < n; ++i) {
+    data[i].begin = runs[i].begin;
+    data[i].end = runs[i].end;
+    data[i].set_signature = runs[i].signature;
+  }
 
   // --- Schema partition (Alg. 3 line 2) -------------------------------
   // The views of one projection share their ordered schema, so its
@@ -209,9 +189,9 @@ DistillationResult DistillViews(const std::vector<View>& views,
     RowDeduper schemas;
     schemas.Reset(n);
     for (int i = 0; i < n; ++i) {
-      const Schema& schema = views[i].table.schema();
+      const Schema& schema = views[i].schema();
       auto same_schema = [&](int64_t kept, int64_t) {
-        if (!SameAttributeNames(views[kept].table.schema(), schema)) {
+        if (!SameAttributeNames(views[kept].schema(), schema)) {
           return false;
         }
         data[i].schema = data[kept].schema;
@@ -219,42 +199,19 @@ DistillationResult DistillViews(const std::vector<View>& views,
       };
       if (schemas.Insert(AttributeNamesHash(schema), i, same_schema)) {
         data[i].schema = static_cast<int>(canonical_orders.size());
-        canonical_orders.push_back(CanonicalColumnOrder(views[i].table));
+        canonical_orders.emplace_back();
+        schema.CanonicalColumnOrder(&canonical_orders.back());
         schema_blocks.push_back(&blocks[schema.CanonicalSignature()]);
       }
       schema_blocks[data[i].schema]->push_back(i);
     }
   }
 
-  // --- Row hashing + compatible detection (lines 5-8) -----------------
-  // Every view's row hashes go column-major into one flat array (the same
-  // seed and per-row HashCombine chain as CanonicalRowHash), and each run
-  // is then sorted and deduplicated in place: run equality is set
-  // equality.
-  std::vector<uint64_t> hashes;
+  // --- Compatible detection (lines 5-8) -------------------------------
+  // Run equality is set equality.
   std::vector<bool> pruned(n, false);
   {
     ScopedTimer timer(&result.timing.hash_and_c1_s);
-    size_t total_rows = 0;
-    for (const View& v : views) {
-      total_rows += static_cast<size_t>(v.table.num_rows());
-    }
-    hashes.resize(total_rows);  // never reallocates: runs point into it
-    uint64_t* run = hashes.data();
-    for (int i = 0; i < n; ++i) {
-      const Table& t = views[i].table;
-      uint64_t* run_end = run + t.num_rows();
-      std::fill(run, run_end, kRowHashSeed);
-      for (int c : canonical_orders[data[i].schema]) {
-        t.column_data(c).CombineCellHashesInto(run, t.num_rows());
-      }
-      std::sort(run, run_end);
-      run_end = std::unique(run, run_end);
-      data[i].begin = run;
-      data[i].end = run_end;
-      data[i].set_signature = SetSignature(run, run_end);
-      run = run_end;
-    }
     // Group by set signature inside each block; equal sets are compatible.
     for (auto& [sig, members] : blocks) {
       (void)sig;
@@ -333,12 +290,16 @@ DistillationResult DistillViews(const std::vector<View>& views,
       std::count(pruned.begin(), pruned.end(), false);
 
   // --- Keys, complementary and contradictory (lines 12-18) -------------
+  // Only now does 4C read cells, and only the survivors'.
+  for (int i = 0; i < n; ++i) {
+    if (!pruned[i]) data[i].table = &survivor_table(i);
+  }
   {
     ScopedTimer timer(&result.timing.c3_c4_s);
     result.view_keys.resize(n);
     for (int i = 0; i < n; ++i) {
       if (pruned[i]) continue;
-      data[i].keys = FindCandidateKeys(views[i].table, options);
+      data[i].keys = FindCandidateKeys(*data[i].table, options);
       result.view_keys[i] = data[i].keys;
     }
 
@@ -376,7 +337,7 @@ DistillationResult DistillViews(const std::vector<View>& views,
         std::unordered_map<uint64_t, std::vector<Entry>> index;
         std::unordered_map<uint64_t, std::string> key_text;
         for (int v : kviews) {
-          const Table& t = views[v].table;
+          const Table& t = *data[v].table;
           std::vector<int> key_cols = KeyColumnIndices(t, key);
           if (key_cols.empty()) continue;
           for (int64_t r = 0; r < t.num_rows(); ++r) {
@@ -455,6 +416,35 @@ DistillationResult DistillViews(const std::vector<View>& views,
   return result;
 }
 
+DistillationResult DistillViews(const std::vector<View>& views,
+                                const DistillationOptions& options) {
+  // Every view's run goes into one flat array, which never reallocates
+  // once sized: the runs point into it.
+  double hash_s = 0;
+  std::vector<uint64_t> hashes;
+  std::vector<RowSetRun> runs(views.size());
+  {
+    ScopedTimer timer(&hash_s);
+    size_t total_rows = 0;
+    for (const View& v : views) {
+      total_rows += static_cast<size_t>(v.table.num_rows());
+    }
+    hashes.resize(total_rows);
+    std::vector<int> order;
+    uint64_t* out = hashes.data();
+    for (size_t i = 0; i < views.size(); ++i) {
+      uint64_t* end = RowHashRun(views[i].table, out, &order);
+      runs[i] = RowSetRun{out, end, RowSetSignature(out, end)};
+      out = end;
+    }
+  }
+  DistillationResult result = DistillRowSets(
+      views, runs, [&views](int i) -> const Table& { return views[i].table; },
+      options);
+  result.timing.hash_and_c1_s += hash_s;
+  return result;
+}
+
 namespace {
 
 class UnionFind {
@@ -484,7 +474,7 @@ ComplementaryReduction ComputeComplementaryReduction(
   // Rebuild the block structure over surviving views.
   std::map<std::string, std::vector<int>> blocks;
   for (int v : result.surviving) {
-    blocks[views[v].table.schema().CanonicalSignature()].push_back(v);
+    blocks[views[v].schema().CanonicalSignature()].push_back(v);
   }
 
   // Complementary edges indexed by key label.

@@ -5,9 +5,10 @@
 // Pipeline per Algorithm 3:
 //   1. add views as graph nodes; identify approximate candidate keys
 //   2. partition views into schema-based blocks
-//   3. per block: row-wise hashing; compatible (equal hash sets) and
-//      contained (subset) detection with transitivity shortcuts; overlapping
-//      non-contained pairs start as complementary
+//   3. per block: row-wise hashing (the materializer hashes each view's
+//      rows while it dedups them, see RowSetRun); compatible (equal hash
+//      sets) and contained (subset) detection with transitivity shortcuts;
+//      overlapping non-contained pairs start as complementary
 //   4. second phase: inverted index over key-column values; rows grouped by
 //      content; views in different groups for the same key value are
 //      contradictory
@@ -21,6 +22,7 @@
 #define VER_CORE_DISTILLATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -114,7 +116,23 @@ struct DistillationResult {
   int64_t count_after_contained = 0;
 };
 
-/// Runs Algorithm 3 on a set of candidate views.
+/// Returns the table of view `i`, gathering its cells if it holds none.
+using SurvivorTable = std::function<const Table&(int i)>;
+
+/// Runs Algorithm 3 on a set of candidate views given by their schemas
+/// (View::schema()) and their row sets, `runs[i]` being view i's. The
+/// partition, C1 and C2 read only schemas and runs. Then
+/// `survivor_table(i)` is called once for each view that survived C1/C2,
+/// in ascending order, and C3/C4 read only those tables. This is the one
+/// 4C body: Ver::Execute passes the materializer's runs and gathers each
+/// survivor when asked.
+DistillationResult DistillRowSets(const std::vector<View>& views,
+                                  const std::vector<RowSetRun>& runs,
+                                  const SurvivorTable& survivor_table,
+                                  const DistillationOptions& options);
+
+/// Runs Algorithm 3 on views that hold their cells: hashes each table into
+/// its run (RowHashRun, timed in hash_and_c1_s), then runs DistillRowSets.
 DistillationResult DistillViews(const std::vector<View>& views,
                                 const DistillationOptions& options);
 

@@ -183,16 +183,62 @@ CandidateMaterializer::CandidateMaterializer(const TableRepository* repo,
     : materializer_(repo), options_(options) {}
 
 bool CandidateMaterializer::Materialize(const ViewCandidate& candidate) {
-  Result<View> view = materializer_.MaterializeView(
-      candidate.graph, candidate.projection, options_, next_id_);
-  if (!view.ok()) {
+  Result<Schema> schema = materializer_.JoinAndDedup(
+      candidate.graph, candidate.projection, options_);
+  if (!schema.ok()) {
     ++num_failures_;
     return false;
   }
-  if (view->table.num_rows() == 0) return false;  // empty joins are noise
-  ++next_id_;
-  views_.push_back(std::move(view).value());
+  const int64_t n = materializer_.num_rows();
+  if (n == 0) return false;  // empty joins are noise
+  Extent extent;
+  extent.rows = row_ids_.size();
+  for (size_t p = 0; p < candidate.projection.size(); ++p) {
+    row_ids_.insert(row_ids_.end(), materializer_.kept_rows(p),
+                    materializer_.kept_rows(p) + n);
+  }
+  extent.run_begin = runs_.size();
+  runs_.insert(runs_.end(), materializer_.row_hashes(),
+               materializer_.row_hashes() + n);
+  const auto run = runs_.begin() + static_cast<std::ptrdiff_t>(
+                                       extent.run_begin);
+  std::sort(run, runs_.end());
+  runs_.erase(std::unique(run, runs_.end()), runs_.end());
+  extent.run_end = runs_.size();
+  extents_.push_back(extent);
+
+  View view;
+  view.id = static_cast<int64_t>(views_.size());
+  view.graph = candidate.graph;
+  view.projection = candidate.projection;
+  view.score = candidate.graph.score;
+  view.row_set_signature = RowSetSignature(runs_.data() + extent.run_begin,
+                                           runs_.data() + extent.run_end);
+  view.pruned_name = "view_" + std::to_string(view.id);
+  view.pruned_schema = std::move(schema).value();
+  view.pruned_num_rows = n;
+  views_.push_back(std::move(view));
   return true;
+}
+
+RowSetRun CandidateMaterializer::run(int i) const {
+  const Extent& e = extents_[static_cast<size_t>(i)];
+  return RowSetRun{runs_.data() + e.run_begin, runs_.data() + e.run_end,
+                   views_[static_cast<size_t>(i)].row_set_signature};
+}
+
+const Table& CandidateMaterializer::Gather(int i) {
+  View& view = views_[static_cast<size_t>(i)];
+  if (!view.has_columns()) {
+    view.table = materializer_.Gather(
+        view.projection, row_ids_.data() + extents_[static_cast<size_t>(i)].rows,
+        view.pruned_num_rows, std::move(view.pruned_schema),
+        std::move(view.pruned_name));
+    view.pruned_schema = Schema();
+    view.pruned_name.clear();
+    view.pruned_num_rows = 0;
+  }
+  return view.table;
 }
 
 std::vector<View> MaterializeCandidates(
@@ -205,6 +251,9 @@ std::vector<View> MaterializeCandidates(
   CandidateMaterializer incremental(&repo, options.materialize);
   for (int64_t i = 0; i < limit; ++i) {
     incremental.Materialize(candidates[i]);
+  }
+  for (size_t i = 0; i < incremental.views().size(); ++i) {
+    incremental.Gather(static_cast<int>(i));
   }
   if (num_failures != nullptr) *num_failures += incremental.num_failures();
   return incremental.TakeViews();

@@ -70,8 +70,9 @@ JoinGraphSearchResult SearchJoinGraphs(
 
 /// Step 2's materialization, callable separately: materializes the top
 /// `expected_views` ranked candidates (all when <= 0), dropping empty
-/// views. `num_failures` (optional) counts failures: blowups, and views
-/// over a paged table whose content check fails.
+/// views, and gathers every view's cells. `num_failures` (optional) counts
+/// failures: blowups, and views over a paged table whose content check
+/// fails. Rebuilds the views Ver::Execute returns without columns.
 std::vector<View> MaterializeCandidates(
     const TableRepository& repo, const std::vector<ViewCandidate>& candidates,
     const JoinGraphSearchOptions& options, int64_t* num_failures);
@@ -80,8 +81,14 @@ std::vector<View> MaterializeCandidates(
 /// MaterializeCandidates (id assignment, empty-view dropping, failure
 /// counting) — MaterializeCandidates is implemented as a loop over
 /// this class, so feeding the same ranked candidates incrementally yields
-/// bit-identical views. The streaming StopAfter path of Ver::Execute uses it
-/// to stop materializing as soon as enough views survive distillation.
+/// bit-identical views. Ver::Execute uses it in both modes.
+///
+/// Materialize joins and dedups a candidate but gathers no cell: a kept
+/// view enters views() without columns, and its kept row ids and row-hash
+/// run (RowSetRun) stay in this instance's per-query arenas, so 4C's C1/C2
+/// run on the runs and Gather copies out only the views a response
+/// delivers. The arenas and the materializer's table pins live as long as
+/// the instance, so a view can only be gathered before the instance goes.
 class CandidateMaterializer {
  public:
   CandidateMaterializer(const TableRepository* repo,
@@ -94,15 +101,30 @@ class CandidateMaterializer {
   bool Materialize(const ViewCandidate& candidate);
 
   const std::vector<View>& views() const { return views_; }
+  /// View i's row-hash run; valid until the next Materialize call.
+  RowSetRun run(int i) const;
+  /// Gathers view i's cells into views()[i].table unless it holds them
+  /// already, and returns that table.
+  const Table& Gather(int i);
   /// Moves the kept views out; the instance must not be used afterwards.
   std::vector<View> TakeViews() { return std::move(views_); }
   int64_t num_failures() const { return num_failures_; }
 
  private:
+  // Where view i's data sits in the arenas: its kept row ids (one block of
+  // num_rows per projected column) and its run.
+  struct Extent {
+    size_t rows = 0;
+    size_t run_begin = 0;
+    size_t run_end = 0;
+  };
+
   Materializer materializer_;
   MaterializeOptions options_;
   std::vector<View> views_;
-  int64_t next_id_ = 0;
+  std::vector<Extent> extents_;
+  std::vector<int64_t> row_ids_;
+  std::vector<uint64_t> runs_;
   int64_t num_failures_ = 0;
 };
 

@@ -85,7 +85,7 @@ double PresentationSession::QuestionDistance(const Question& q) const {
   if (options_.prioritization == PrioritizationStrategy::kSchemaDistance &&
       q.view_index >= 0) {
     for (const Attribute& a :
-         (*views_)[q.view_index].table.schema().attributes()) {
+         (*views_)[q.view_index].schema().attributes()) {
       for (std::string& t : Tokenize(a.name)) {
         question_tokens.insert(std::move(t));
       }
@@ -99,7 +99,7 @@ double PresentationSession::QuestionDistance(const Question& q) const {
     }
     if (question_tokens.empty() && q.view_index >= 0) {
       for (const Attribute& a :
-           (*views_)[q.view_index].table.schema().attributes()) {
+           (*views_)[q.view_index].schema().attributes()) {
         for (std::string& t : Tokenize(a.name)) {
           question_tokens.insert(std::move(t));
         }
@@ -132,8 +132,8 @@ bool PresentationSession::BestQuestion(QuestionInterface interface_kind,
       out->view_index = best;
       out->info_gain = static_cast<int>(remaining_count - 1);
       out->prompt = "Does this view satisfy your requirements? [" +
-                    (*views_)[best].table.name() + ": " +
-                    (*views_)[best].table.schema().ToString() + "]";
+                    (*views_)[best].name() + ": " +
+                    (*views_)[best].schema().ToString() + "]";
       return true;
     }
 
@@ -142,7 +142,7 @@ bool PresentationSession::BestQuestion(QuestionInterface interface_kind,
       std::map<std::string, int> attr_count;
       for (int v : remaining_) {
         std::unordered_set<std::string> seen;
-        for (const Attribute& a : (*views_)[v].table.schema().attributes()) {
+        for (const Attribute& a : (*views_)[v].schema().attributes()) {
           if (!a.has_name()) continue;
           std::string name = ToLower(a.name);
           if (seen.insert(name).second) attr_count[name] += 1;
@@ -230,7 +230,7 @@ bool PresentationSession::BestQuestion(QuestionInterface interface_kind,
       // Clusters = schema blocks over the remaining views.
       std::map<std::string, std::vector<int>> clusters;
       for (int v : remaining_) {
-        clusters[(*views_)[v].table.schema().CanonicalSignature()].push_back(
+        clusters[(*views_)[v].schema().CanonicalSignature()].push_back(
             v);
       }
       std::string best_sig;
@@ -377,7 +377,7 @@ void PresentationSession::ApplyAnswer(const LoggedAnswer& entry) {
     case QuestionInterface::kAttribute: {
       std::vector<int> to_erase;
       for (int v : remaining_) {
-        bool has = (*views_)[v].table.schema().IndexOf(q.attribute) >= 0;
+        bool has = (*views_)[v].schema().IndexOf(q.attribute) >= 0;
         bool want = a.type == AnswerType::kYes;
         if (has != want) to_erase.push_back(v);
       }
@@ -457,7 +457,7 @@ void PresentationSession::SubmitAnswer(const Question& question,
     case QuestionInterface::kSummary: {
       if (!question.summary_views.empty()) {
         asked_summaries_.insert((*views_)[question.summary_views.front()]
-                                    .table.schema()
+                                    .schema()
                                     .CanonicalSignature());
       }
       break;
@@ -504,12 +504,12 @@ std::vector<RankedView> PresentationSession::RankedViews() const {
           break;
         }
         case QuestionInterface::kAttribute: {
-          bool has = (*views_)[v].table.schema().IndexOf(q.attribute) >= 0;
+          bool has = (*views_)[v].schema().IndexOf(q.attribute) >= 0;
           bool want = a.type == AnswerType::kYes;
           s = (has == want) ? 1 : -1;
           int count = 0;
           for (int u : remaining_) {
-            if (((*views_)[u].table.schema().IndexOf(q.attribute) >= 0) ==
+            if (((*views_)[u].schema().IndexOf(q.attribute) >= 0) ==
                 want) {
               ++count;
             }

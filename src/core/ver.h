@@ -48,8 +48,10 @@ struct VerConfig {
 struct PipelineTiming {
   double column_selection_s = 0;   // CS
   double join_graph_search_s = 0;  // JGS (enumeration + ranking)
-  double materialize_s = 0;        // M
-  double four_c_s = 0;             // 4C runtime
+  /// M: join, dedup and row hashing of every candidate, plus the gather
+  /// of every delivered view (which 4C asks for in batch mode).
+  double materialize_s = 0;
+  double four_c_s = 0;             // 4C runtime, less that gather
 
   double total_s() const {
     return column_selection_s + join_graph_search_s + materialize_s +
@@ -61,7 +63,9 @@ struct PipelineTiming {
 struct QueryResult {
   std::vector<ColumnSelectionResult> selection;
   JoinGraphSearchResult search;  // funnel stats + ranked candidates
-  std::vector<View> views;       // materialized candidate PJ-views
+  /// Materialized candidate PJ-views; only the delivered ones carry their
+  /// cells (see View).
+  std::vector<View> views;
   DistillationResult distillation;
   PipelineTiming timing;
   /// Automatic-mode ranking (Algorithm 1 line 13): overlap-scored order of

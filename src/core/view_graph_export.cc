@@ -50,9 +50,9 @@ std::string ViewGraphToDot(const std::vector<View>& views,
   dot += "  node [shape=box, fontsize=10];\n";
   for (size_t i = 0; i < views.size(); ++i) {
     dot += "  v" + std::to_string(i) + " [label=\"" +
-           EscapeDot(views[i].table.name()) + "\\n" +
-           EscapeDot(views[i].table.schema().ToString()) + "\\n" +
-           std::to_string(views[i].table.num_rows()) + " rows\"";
+           EscapeDot(views[i].name()) + "\\n" +
+           EscapeDot(views[i].schema().ToString()) + "\\n" +
+           std::to_string(views[i].num_rows()) + " rows\"";
     if (!surviving.count(static_cast<int>(i))) {
       dot += ", style=dashed, color=gray";
     }
@@ -115,7 +115,7 @@ std::string DistillationReport(const std::vector<View>& views,
 
   out += "  surviving views    :";
   for (int v : distillation.surviving) {
-    out += " " + views[v].table.name();
+    out += " " + views[v].name();
   }
   out += "\n";
   return out;

@@ -82,7 +82,7 @@ std::vector<UnionedView> UnionComplementaryViews(
   // Block structure over surviving views.
   std::map<std::string, std::vector<int>> blocks;
   for (int v : distillation.surviving) {
-    blocks[views[v].table.schema().CanonicalSignature()].push_back(v);
+    blocks[views[v].schema().CanonicalSignature()].push_back(v);
   }
 
   // Complementary pairs per key label.

@@ -73,9 +73,10 @@ const FlatU64MultiMap& Materializer::BuildSide(const ColumnRef& col,
   return builds_.emplace(col.Encode(), std::move(build)).first->second;
 }
 
-Result<Table> Materializer::Materialize(
+Result<Schema> Materializer::JoinAndDedup(
     const JoinGraph& graph, const std::vector<ColumnRef>& projection,
-    const MaterializeOptions& options, std::string view_name) {
+    const MaterializeOptions& options) {
+  num_kept_ = 0;
   if (projection.empty()) {
     return Status::InvalidArgument("projection must not be empty");
   }
@@ -230,14 +231,17 @@ Result<Table> Materializer::Materialize(
     slots_.push_back(idx);
     cols_.push_back(&repo_->column_data(p));
   }
+  Schema schema(std::move(attributes));
   // Tuple hashes stream column-major straight off the row-id columns
-  // through the gathered combine kernel (same seed and per-tuple
-  // HashCombine chain as Table::RowHash); the shared RowDeduper then
+  // through the gathered combine kernel, visiting the columns in canonical
+  // order, so each kept row's hash is the row hash 4C builds its row sets
+  // from (RowHashRun over the gathered table). The shared RowDeduper then
   // confirms collisions cell by cell, keeping first occurrences.
   const int64_t n = static_cast<int64_t>(bound_rows_[0].size());
-  hashes_.assign(static_cast<size_t>(n), 0x726f7768617368ULL);
-  for (size_t p = 0; p < projection.size(); ++p) {
-    cols_[p]->CombineCellHashesInto(hashes_.data(),
+  row_hashes_.assign(static_cast<size_t>(n), kRowHashSeed);
+  schema.CanonicalColumnOrder(&order_);
+  for (int p : order_) {
+    cols_[p]->CombineCellHashesInto(row_hashes_.data(),
                                     bound_rows_[slots_[p]].data(), n);
   }
   auto same_tuple = [&](int64_t a, int64_t b) {
@@ -252,19 +256,46 @@ Result<Table> Materializer::Materialize(
   deduper_.Reset(n);
   keep_.clear();
   for (int64_t t = 0; t < n; ++t) {
-    if (deduper_.Insert(hashes_[t], t, same_tuple)) keep_.push_back(t);
+    if (deduper_.Insert(row_hashes_[t], t, same_tuple)) keep_.push_back(t);
   }
-  if (static_cast<int64_t>(keep_.size()) < n) CompactToKeep();
-  const int64_t num_rows = static_cast<int64_t>(bound_rows_[0].size());
+  if (static_cast<int64_t>(keep_.size()) < n) {
+    CompactToKeep();
+    for (size_t j = 0; j < keep_.size(); ++j) {
+      row_hashes_[j] = row_hashes_[keep_[j]];
+    }
+    row_hashes_.resize(keep_.size());
+  }
+  num_kept_ = static_cast<int64_t>(keep_.size());
+  return schema;
+}
+
+Table Materializer::Gather(const std::vector<ColumnRef>& projection,
+                           const int64_t* rows, int64_t num_rows,
+                           Schema schema, std::string name) {
   std::vector<ColumnData> columns;
   columns.reserve(projection.size());
   for (size_t p = 0; p < projection.size(); ++p) {
-    columns.push_back(ColumnData::Gather(*cols_[p],
-                                         bound_rows_[slots_[p]].data(),
-                                         num_rows, &gather_scratch_));
+    columns.push_back(ColumnData::Gather(repo_->column_data(projection[p]),
+                                         rows + p * num_rows, num_rows,
+                                         &gather_scratch_));
   }
-  return Table(std::move(view_name), Schema(std::move(attributes)),
-               std::move(columns), num_rows);
+  return Table(std::move(name), std::move(schema), std::move(columns),
+               num_rows);
+}
+
+Result<Table> Materializer::Materialize(
+    const JoinGraph& graph, const std::vector<ColumnRef>& projection,
+    const MaterializeOptions& options, std::string view_name) {
+  VER_ASSIGN_OR_RETURN(Schema schema,
+                       JoinAndDedup(graph, projection, options));
+  // Lay the kept rows out as Gather reads them: one block per column.
+  const size_t n = static_cast<size_t>(num_kept_);
+  gathered_.resize(projection.size() * n);
+  for (size_t p = 0; p < projection.size(); ++p) {
+    std::copy(kept_rows(p), kept_rows(p) + n, gathered_.begin() + p * n);
+  }
+  return Gather(projection, gathered_.data(), num_kept_, std::move(schema),
+                std::move(view_name));
 }
 
 Result<View> Materializer::MaterializeView(
@@ -273,12 +304,18 @@ Result<View> Materializer::MaterializeView(
   std::string name = "view_" + std::to_string(view_id);
   VER_ASSIGN_OR_RETURN(Table table,
                        Materialize(graph, projection, options, name));
+  // The row-hash run of the kept rows: sort and dedup their hashes.
+  std::sort(row_hashes_.begin(), row_hashes_.end());
+  row_hashes_.erase(std::unique(row_hashes_.begin(), row_hashes_.end()),
+                    row_hashes_.end());
   View view;
   view.id = view_id;
   view.table = std::move(table);
   view.graph = graph;
   view.projection = projection;
   view.score = graph.score;
+  view.row_set_signature = RowSetSignature(
+      row_hashes_.data(), row_hashes_.data() + row_hashes_.size());
   return view;
 }
 

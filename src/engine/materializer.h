@@ -3,9 +3,13 @@
 // The paper implements this component on pandas; here it is a small columnar
 // executor in the selection-vector layout: the join state is one row-id
 // vector per bound table, a hash join extends it by gathering every bound
-// column through the probe's parent list, and projection gathers the
-// source columns' cells (dictionary codes, not re-interned strings) with
-// set semantics. Views stay in memory.
+// column through the probe's parent list, and projection dedups the joined
+// tuples with set semantics. The two halves are separate calls:
+// JoinAndDedup leaves each kept row's source row ids and its row hash in
+// canonical column order (4C's row hash H), and Gather copies cells
+// (dictionary codes, not re-interned strings) into a Table. The query
+// pipeline gathers only the views it delivers; Materialize does both for
+// one view.
 
 #ifndef VER_ENGINE_MATERIALIZER_H_
 #define VER_ENGINE_MATERIALIZER_H_
@@ -53,14 +57,37 @@ class Materializer {
  public:
   explicit Materializer(const TableRepository* repo);
 
-  /// Materializes `graph` and projects `projection` (one output attribute
-  /// per entry). Output attribute names come from the source columns.
+  /// Joins `graph` and projects `projection` (one output attribute per
+  /// entry) with set semantics, gathering no cell. Returns the output
+  /// schema, whose attribute names come from the source columns. Until the
+  /// next call, num_rows() is the kept row count, kept_rows(p) holds the
+  /// source row of projection[p] for each kept row, and row_hashes() each
+  /// kept row's hash in canonical column order, in kept-row order (first
+  /// occurrences, in join order).
+  Result<Schema> JoinAndDedup(const JoinGraph& graph,
+                              const std::vector<ColumnRef>& projection,
+                              const MaterializeOptions& options);
+  int64_t num_rows() const { return num_kept_; }
+  const int64_t* kept_rows(size_t p) const {
+    return bound_rows_[slots_[p]].data();
+  }
+  const uint64_t* row_hashes() const { return row_hashes_.data(); }
+
+  /// Gathers the cells of `projection` at `rows` into a table: column p of
+  /// output row j is source row rows[p * num_rows + j] of projection[p].
+  /// Every table the projection reads must have gone through JoinAndDedup
+  /// on this instance, which holds their pins.
+  Table Gather(const std::vector<ColumnRef>& projection, const int64_t* rows,
+               int64_t num_rows, Schema schema, std::string name);
+
+  /// JoinAndDedup, then Gather of the kept rows.
   Result<Table> Materialize(const JoinGraph& graph,
                             const std::vector<ColumnRef>& projection,
                             const MaterializeOptions& options,
                             std::string view_name);
 
-  /// Materializes and wraps into a View (id assigned by the caller).
+  /// Materializes and wraps into a View (id assigned by the caller), with
+  /// its row-set signature. Leaves row_hashes() sorted and deduplicated.
   Result<View> MaterializeView(const JoinGraph& graph,
                                const std::vector<ColumnRef>& projection,
                                const MaterializeOptions& options,
@@ -98,9 +125,9 @@ class Materializer {
   std::vector<int32_t> bound_tables_;
   std::vector<std::vector<int64_t>> bound_rows_;
   // Scratch reused across calls: joined-edge flags, probe output (parent
-  // tuple, build row), the kept-tuple list, a gather buffer, build keys /
-  // tuple hashes, each projected column's join-state slot and storage, and
-  // the projection gather's remap table.
+  // tuple, build row), the kept-tuple list, a gather buffer, build keys,
+  // each projected column's join-state slot and storage, the canonical
+  // column order, and the projection gather's remap table.
   std::vector<bool> edge_done_;
   std::vector<int64_t> parents_;
   std::vector<int64_t> matches_;
@@ -110,7 +137,11 @@ class Materializer {
   RowDeduper deduper_;
   std::vector<int> slots_;
   std::vector<const ColumnData*> cols_;
+  std::vector<int> order_;
   ColumnData::GatherScratch gather_scratch_;
+  // JoinAndDedup's output: the kept row count and kept rows' hashes.
+  int64_t num_kept_ = 0;
+  std::vector<uint64_t> row_hashes_;
 };
 
 }  // namespace ver

@@ -23,6 +23,17 @@ std::string Schema::CanonicalSignature() const {
   return Join(names, "\x1f");
 }
 
+void Schema::CanonicalColumnOrder(std::vector<int>* order) const {
+  order->resize(attributes_.size());
+  for (size_t i = 0; i < attributes_.size(); ++i) {
+    (*order)[i] = static_cast<int>(i);
+  }
+  std::sort(order->begin(), order->end(), [this](int a, int b) {
+    const int c = CompareIgnoreCase(attributes_[a].name, attributes_[b].name);
+    return c != 0 ? c < 0 : a < b;
+  });
+}
+
 void Schema::SaveTo(SerdeWriter* w) const {
   w->WriteU64(attributes_.size());
   for (const Attribute& a : attributes_) {

@@ -41,6 +41,11 @@ class Schema {
   /// fall in the same schema-based block (Alg. 3 line 2) iff signatures match.
   std::string CanonicalSignature() const;
 
+  /// Column indices ordered by lowercased name, then by index: the order
+  /// in which a view's cells enter its row hash, so views whose schemas
+  /// are permutations of each other hash equal rows alike (Alg. 3 line 5).
+  void CanonicalColumnOrder(std::vector<int>* order) const;
+
   /// Attribute names joined by ", " for display.
   std::string ToString() const;
 

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -88,6 +89,18 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     if (LowerChar(a[i]) != LowerChar(b[i])) return false;
   }
   return true;
+}
+
+int CompareIgnoreCase(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    // std::string compares chars as unsigned, so these do too.
+    const auto ca = static_cast<unsigned char>(LowerChar(a[i]));
+    const auto cb = static_cast<unsigned char>(LowerChar(b[i]));
+    if (ca != cb) return ca < cb ? -1 : 1;
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
 }
 
 bool LooksLikeInt(std::string_view s) {

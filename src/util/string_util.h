@@ -32,6 +32,9 @@ std::vector<std::string> Tokenize(std::string_view s);
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// Sign (-1, 0 or 1) of ToLower(a).compare(ToLower(b)), without allocating.
+int CompareIgnoreCase(std::string_view a, std::string_view b);
+
 /// True when `s` parses fully as a (possibly signed) integer.
 bool LooksLikeInt(std::string_view s);
 

@@ -1,7 +1,6 @@
 #include "workload/ground_truth.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "engine/materializer.h"
 #include "util/hash.h"
@@ -56,24 +55,13 @@ Result<Table> MaterializeGroundTruth(const TableRepository& repo,
 
 namespace {
 
-// Row-hash set of a table in canonical (attribute-name sorted) column order.
-std::unordered_set<uint64_t> CanonicalRowSet(const Table& t) {
-  std::vector<int> cols(t.num_columns());
-  for (int i = 0; i < t.num_columns(); ++i) cols[i] = i;
-  std::sort(cols.begin(), cols.end(), [&t](int a, int b) {
-    std::string la = ToLower(t.schema().attribute(a).name);
-    std::string lb = ToLower(t.schema().attribute(b).name);
-    if (la != lb) return la < lb;
-    return a < b;
-  });
-  std::unordered_set<uint64_t> set;
-  set.reserve(static_cast<size_t>(t.num_rows()));
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    uint64_t h = 0x726f7768617368ULL;
-    for (int c : cols) h = HashCombine(h, t.cell_hash(r, c));
-    set.insert(h);
-  }
-  return set;
+// Row set of a table: its sorted, deduplicated row-hash run (RowHashRun).
+std::vector<uint64_t> RowSet(const Table& t) {
+  std::vector<uint64_t> run(static_cast<size_t>(t.num_rows()));
+  std::vector<int> order;
+  run.resize(static_cast<size_t>(RowHashRun(t, run.data(), &order) -
+                                 run.data()));
+  return run;
 }
 
 }  // namespace
@@ -85,7 +73,7 @@ Result<std::vector<int>> GroundTruthMatches(const TableRepository& repo,
                        ResolveProjection(repo, gt));
   VER_ASSIGN_OR_RETURN(Table gt_table, MaterializeGroundTruth(repo, gt));
   std::string gt_signature = gt_table.schema().CanonicalSignature();
-  std::unordered_set<uint64_t> gt_rows = CanonicalRowSet(gt_table);
+  const std::vector<uint64_t> gt_rows = RowSet(gt_table);
 
   std::vector<int> matches;
   for (size_t i = 0; i < views.size(); ++i) {
@@ -95,16 +83,13 @@ Result<std::vector<int>> GroundTruthMatches(const TableRepository& repo,
       continue;
     }
     // Content equivalence: same schema block and covers every GT row.
-    if (v.table.schema().CanonicalSignature() != gt_signature) continue;
-    std::unordered_set<uint64_t> rows = CanonicalRowSet(v.table);
-    bool covers = true;
-    for (uint64_t h : gt_rows) {
-      if (!rows.count(h)) {
-        covers = false;
-        break;
-      }
+    if (!v.has_columns()) continue;
+    if (v.schema().CanonicalSignature() != gt_signature) continue;
+    const std::vector<uint64_t> rows = RowSet(v.table);
+    if (std::includes(rows.begin(), rows.end(), gt_rows.begin(),
+                      gt_rows.end())) {
+      matches.push_back(static_cast<int>(i));
     }
-    if (covers) matches.push_back(static_cast<int>(i));
   }
   return matches;
 }

@@ -57,7 +57,10 @@ Result<Table> MaterializeGroundTruth(const TableRepository& repo,
 
 /// Indices of candidate views that *are* the ground truth: either projected
 /// from exactly the ground-truth columns, or content-equivalent (same schema
-/// block, row set containing every ground-truth row).
+/// block, row set containing every ground-truth row). A view without
+/// columns (pruned by 4C before delivery) matches only by projection; its
+/// representative among the survivors holds every row it holds, so
+/// ContainsGroundTruth over a whole QueryResult::views is unaffected.
 Result<std::vector<int>> GroundTruthMatches(const TableRepository& repo,
                                             const GroundTruthQuery& gt,
                                             const std::vector<View>& views);

@@ -17,7 +17,7 @@ SimulatedUser::SimulatedUser(SimulatedUserProfile profile,
 bool SimulatedUser::GroundTruthHasAttribute(
     const std::string& attribute) const {
   for (int v : acceptable_) {
-    if ((*views_)[v].table.schema().IndexOf(attribute) >= 0) return true;
+    if ((*views_)[v].schema().IndexOf(attribute) >= 0) return true;
   }
   return false;
 }

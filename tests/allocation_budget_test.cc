@@ -5,6 +5,11 @@
 // binary replaces the global operator new/delete with counting wrappers
 // and, over zero-noise queries on a generated open-data portal, counts per
 // kept view:
+//   - operator new calls made by M + 4C as Ver::Execute runs them
+//     (CandidateMaterializer, then DistillRowSets over its row-hash runs,
+//     gathering only the survivors),
+//   - heap chunks held by each view 4C pruned, which keeps no columns,
+// and, on the full-gather path tests and benches rebuild views with,
 //   - operator new calls made by MaterializeCandidates,
 //   - heap chunks still live in the views it returns,
 //   - operator new calls made by DistillViews,
@@ -144,6 +149,9 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
   Ver system(&dataset.repo, config);
 
   int64_t views = 0;
+  int64_t pipeline_calls = 0;
+  int64_t pruned_views = 0;
+  int64_t pruned_chunks = 0;
   int64_t materialize_calls = 0;
   int64_t materialize_live = 0;
   int64_t distill_calls = 0;
@@ -156,14 +164,47 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
         system.Execute(DiscoveryRequest::ForQuery(query.value()));
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
 
-    // The materializer and 4C stage of the batch pipeline, run again on the
-    // request's ranked candidates with the same options.
-    int64_t failures = 0;
+    // M + 4C as the batch pipeline runs them, on the request's ranked
+    // candidates with the same options.
     HeapCounts before;
+    std::vector<View> pipeline_views;
+    {
+      CandidateMaterializer materialized(&dataset.repo,
+                                         config.search.materialize);
+      for (const ViewCandidate& cand : response.result.search.candidates) {
+        materialized.Materialize(cand);
+      }
+      std::vector<RowSetRun> runs;
+      runs.reserve(materialized.views().size());
+      for (size_t i = 0; i < materialized.views().size(); ++i) {
+        runs.push_back(materialized.run(static_cast<int>(i)));
+      }
+      DistillationResult distilled = DistillRowSets(
+          materialized.views(), runs,
+          [&](int i) -> const Table& { return materialized.Gather(i); },
+          config.distillation);
+      EXPECT_EQ(distilled.surviving, response.result.distillation.surviving);
+      pipeline_views = materialized.TakeViews();
+    }
+    HeapCounts after;
+    pipeline_calls += after.allocs - before.allocs;
+    // A pruned view's chunks are what freeing it releases.
+    for (View& v : pipeline_views) {
+      if (v.has_columns()) continue;
+      before = HeapCounts();
+      { View dropped = std::move(v); }
+      after = HeapCounts();
+      pruned_chunks += after.frees - before.frees;
+      ++pruned_views;
+    }
+
+    // The full-gather path: every view gathered, then distilled.
+    int64_t failures = 0;
+    before = HeapCounts();
     std::vector<View> materialized = MaterializeCandidates(
         dataset.repo, response.result.search.candidates, config.search,
         &failures);
-    HeapCounts after;
+    after = HeapCounts();
     ASSERT_EQ(materialized.size(), response.result.views.size());
     materialize_calls += after.allocs - before.allocs;
     materialize_live +=
@@ -185,12 +226,21 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
     EXPECT_EQ(ranked.size(), materialized.size());
   }
   ASSERT_GT(views, 1000);  // a few hundred views per query
+  ASSERT_GT(pruned_views, views / 2);
 
   const double per_view = 1.0 / static_cast<double>(views);
+  const double pipeline_calls_per_view = pipeline_calls * per_view;
+  const double chunks_per_pruned_view =
+      static_cast<double>(pruned_chunks) / static_cast<double>(pruned_views);
   const double materialize_calls_per_view = materialize_calls * per_view;
   const double live_chunks_per_view = materialize_live * per_view;
   const double distill_calls_per_view = distill_calls * per_view;
   const double rank_calls_per_view = rank_calls * per_view;
+  std::printf(
+      "%lld views: M + 4C %.2f operator new calls per view; %.2f live "
+      "chunks per pruned view (%lld pruned)\n",
+      static_cast<long long>(views), pipeline_calls_per_view,
+      chunks_per_pruned_view, static_cast<long long>(pruned_views));
   std::printf(
       "%lld views: MaterializeCandidates %.2f operator new calls and %.2f "
       "live chunks per view; DistillViews %.2f calls per view; "
@@ -199,12 +249,19 @@ TEST(AllocationBudgetTest, PerViewHeapCallsOnAPortal) {
       live_chunks_per_view, distill_calls_per_view, rank_calls_per_view);
   RecordProperty("views", static_cast<int>(views));
 
-  // Budgets over the counts measured on this fixture (8,604 views). Block-
-  // backed columns and flat row-hash runs: 7.21 calls, 7.00 live chunks
-  // (columns vector, one block per column, schema, the view's copies of
-  // its graph's two vectors and its projection) and 2.40 distillation
-  // calls. The per-array columns and per-row hash-set nodes they replaced:
-  // 67.70, 19.00 and 23.06.
+  // Budgets over the counts measured on this fixture (8,604 views, 8,593
+  // of them pruned). The pipeline gathers only the survivors: 6.63 calls
+  // per view for M + 4C and 4.00 chunks per pruned view (schema, the
+  // view's copies of its graph's two vectors and its projection), against
+  // 9.61 calls (7.21 + 2.40) and 7.00 chunks per view when every view was
+  // gathered.
+  EXPECT_LE(pipeline_calls_per_view, 7.0);
+  EXPECT_LE(chunks_per_pruned_view, 4.5);
+  // The full-gather path: block-backed columns and flat row-hash runs:
+  // 7.23 calls, 7.00 live chunks (columns vector, one block per column,
+  // schema, the view's copies of its graph's two vectors and its
+  // projection) and 2.40 distillation calls. The per-array columns and
+  // per-row hash-set nodes they replaced: 67.70, 19.00 and 23.06.
   EXPECT_LE(materialize_calls_per_view, 10.0);
   EXPECT_LE(live_chunks_per_view, 7.5);
   EXPECT_LE(distill_calls_per_view, 3.5);

@@ -4,8 +4,9 @@
 // Each (lake, mode) pair runs a fixed pool of noisy QBE queries (3 examples
 // per column; zero, medium and high noise; fixed seeds) through
 // Ver::Execute, batch and StopAfter(1). A query's hash folds its
-// Fingerprint (tests/query_fingerprint.h) with early_terminated and
-// views_delivered; the pool's digest folds the query hashes in pool order.
+// cell-exact Fingerprint(result, repo) (tests/query_fingerprint.h) with
+// early_terminated and views_delivered; the pool's digest folds the query
+// hashes in pool order.
 // Refactors of the pipeline must leave every digest unchanged, at every
 // SIMD tier. On a mismatch the test names the first query that differs and
 // prints the new hashes, so an intended answer change can be re-recorded.
@@ -56,8 +57,11 @@ std::vector<ExampleQuery> BuildPool(const GeneratedDataset& dataset,
   return pool;
 }
 
-uint64_t QueryHash(const DiscoveryResponse& response) {
-  uint64_t h = HashString(Fingerprint(response.result));
+// The cell-exact fingerprint: views 4C pruned before delivery are rebuilt
+// over `repo` and checked against their stored row sets.
+uint64_t QueryHash(const DiscoveryResponse& response,
+                   const TableRepository& repo) {
+  uint64_t h = HashString(Fingerprint(response.result, repo));
   h = HashCombine(h, response.early_terminated ? 1 : 0);
   return HashCombine(h, static_cast<uint64_t>(response.views_delivered));
 }
@@ -106,7 +110,7 @@ void ExpectPinned(const GeneratedDataset& dataset, size_t pool_size,
       DiscoveryResponse response =
           ver.Execute(DiscoveryRequest::ForQuery(query).StopAfter(stop_after));
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      hashes.push_back(QueryHash(response));
+      hashes.push_back(QueryHash(response, dataset.repo));
     }
     const uint64_t digest = Digest(hashes);
     if (digest == pin.digest && hashes == pin.query_hashes) continue;

@@ -21,9 +21,12 @@
 #include "api/query_observer.h"
 #include "baselines/fast_topk.h"
 #include "core/ver.h"
+#include "delivery_contract.h"
 #include "query_fingerprint.h"
 #include "serving/ver_server.h"
 #include "table/csv.h"
+#include "workload/noisy_query.h"
+#include "workload/open_data_gen.h"
 
 namespace ver {
 namespace {
@@ -561,6 +564,49 @@ TEST(ApiTest, StreamingCancellationBalancesStageEvents) {
   EXPECT_TRUE(response.status.IsCancelled()) << response.status.ToString();
   EXPECT_EQ(observer.started, observer.finished);
   EXPECT_EQ(observer.finished_events, 1);
+}
+
+// Late materialization's contract: a view carries cells exactly when it
+// was delivered, a delivered view's cells equal its rebuild, and a pruned
+// view keeps its rebuild's row count, schema and row-set signature — in
+// batch mode, under StopAfter 1, 2 and 3, and with distillation off.
+TEST(ApiTest, ViewsCarryCellsExactlyWhenDelivered) {
+  OpenDataSpec spec;
+  spec.num_tables = 60;
+  spec.num_queries = 3;
+  GeneratedDataset dataset = GenerateOpenDataLike(spec);
+  Ver system(&dataset.repo, VerConfig());
+  int64_t pruned = 0, delivered = 0;
+  for (size_t q = 0; q < dataset.queries.size(); ++q) {
+    Result<ExampleQuery> query = MakeNoisyQuery(
+        dataset.repo, dataset.queries[q], NoiseLevel::kMedium, 3, 71 + q);
+    ASSERT_TRUE(query.ok());
+    for (int stop_after : {0, 1, 2, 3}) {
+      for (bool distill : {true, false}) {
+        SCOPED_TRACE("query " + std::to_string(q) + ", stop_after " +
+                     std::to_string(stop_after) +
+                     (distill ? ", distillation on" : ", distillation off"));
+        RequestOverrides overrides;
+        overrides.run_distillation = distill;
+        DiscoveryRequest request =
+            DiscoveryRequest::ForQuery(query.value()).WithOverrides(overrides);
+        if (stop_after > 0) request.StopAfter(stop_after);
+        DeliveryRecorder recorder;
+        DiscoveryResponse response = system.Execute(request, &recorder);
+        ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+        const QueryResult& r = response.result;
+        EXPECT_EQ(static_cast<int>(recorder.views.size()),
+                  response.views_delivered);
+        ExpectDeliveredViewsMatchRebuilds(dataset.repo, recorder.views);
+        ExpectColumnsOnlyWhereDelivered(dataset.repo, r, recorder.views);
+        for (const View& v : r.views) {
+          EXPECT_TRUE(distill || v.has_columns());
+          (v.has_columns() ? delivered : pruned) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, delivered);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
+#include "core/distillation.h"
 #include "core/ver.h"
+#include "core/view_graph_export.h"
+#include "distillation_expect.h"
 #include "workload/chembl_gen.h"
 #include "workload/noisy_query.h"
 #include "workload/open_data_gen.h"
@@ -32,6 +37,49 @@ WdcSpec SmallWdc() {
   return spec;
 }
 
+// Gathering only delivered views changes nothing a result reports: for
+// the first `num_queries` ground-truth queries at each noise level, the
+// pipeline's
+// distillation equals DistillViews over the fully rebuilt views field by
+// field, and ViewGraphToDot and ContainsGroundTruth over the result equal
+// their values over the rebuilt views.
+void ExpectResultMatchesRebuiltViews(
+    const GeneratedDataset& dataset, const Ver& system, size_t num_queries,
+    const std::vector<NoiseLevel>& levels = {NoiseLevel::kZero,
+                                             NoiseLevel::kMedium}) {
+  int64_t pruned = 0;
+  for (size_t q = 0; q < std::min(num_queries, dataset.queries.size()); ++q) {
+    const GroundTruthQuery& gt = dataset.queries[q];
+    for (NoiseLevel level : levels) {
+      SCOPED_TRACE(gt.name + (level == NoiseLevel::kZero ? " zero noise"
+                                                          : " medium noise"));
+      Result<ExampleQuery> query =
+          MakeNoisyQuery(dataset.repo, gt, level, 3, 29 + q);
+      if (!query.ok()) continue;
+      DiscoveryResponse response =
+          system.Execute(DiscoveryRequest::ForQuery(query.value()));
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      const QueryResult& result = response.result;
+      std::vector<View> rebuilt = MaterializeCandidates(
+          dataset.repo, result.search.candidates, system.config().search,
+          nullptr);
+      ASSERT_EQ(rebuilt.size(), result.views.size());
+      ExpectSameDistillation(
+          result.distillation,
+          DistillViews(rebuilt, system.config().distillation));
+      EXPECT_EQ(ViewGraphToDot(result.views, result.distillation),
+                ViewGraphToDot(rebuilt, result.distillation));
+      Result<bool> hit = ContainsGroundTruth(dataset.repo, gt, result.views);
+      Result<bool> rebuilt_hit = ContainsGroundTruth(dataset.repo, gt, rebuilt);
+      ASSERT_TRUE(hit.ok());
+      ASSERT_TRUE(rebuilt_hit.ok());
+      EXPECT_EQ(hit.value(), rebuilt_hit.value());
+      for (const View& v : result.views) pruned += v.has_columns() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(pruned, 0);
+}
+
 class ChemblEndToEndTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -50,6 +98,10 @@ class ChemblEndToEndTest : public ::testing::Test {
 
 GeneratedDataset* ChemblEndToEndTest::dataset_ = nullptr;
 Ver* ChemblEndToEndTest::ver_ = nullptr;
+
+TEST_F(ChemblEndToEndTest, ResultMatchesRebuiltViews) {
+  ExpectResultMatchesRebuiltViews(*dataset_, *ver_, 5);
+}
 
 TEST_F(ChemblEndToEndTest, RepositoryShape) {
   EXPECT_GE(dataset_->repo.num_tables(), 10);
@@ -185,6 +237,14 @@ TEST(WdcEndToEndTest, TopicVersionsProduceAllFourCategories) {
   EXPECT_GT(contradictory, 0);
 }
 
+TEST(WdcEndToEndTest, ResultMatchesRebuiltViews) {
+  // One query: a WDC result holds thousands of views, and its view graph
+  // half a million edges, so each ViewGraphToDot takes about half a second.
+  GeneratedDataset dataset = GenerateWdcLike(SmallWdc());
+  ExpectResultMatchesRebuiltViews(dataset, Ver(&dataset.repo, VerConfig()),
+                                  1, {NoiseLevel::kZero});
+}
+
 TEST(WdcEndToEndTest, SimulatedUserFindsViewWithPresentation) {
   GeneratedDataset dataset = GenerateWdcLike(SmallWdc());
   Ver system(&dataset.repo, VerConfig());
@@ -232,6 +292,15 @@ TEST(OpenDataEndToEndTest, PortionNestingHolds) {
       EXPECT_TRUE(part.repo.FindTable(table).ok()) << table;
     }
   }
+}
+
+TEST(OpenDataEndToEndTest, ResultMatchesRebuiltViews) {
+  OpenDataSpec spec;
+  spec.num_tables = 60;
+  spec.num_queries = 6;
+  GeneratedDataset dataset = GenerateOpenDataLike(spec);
+  ExpectResultMatchesRebuiltViews(dataset, Ver(&dataset.repo, VerConfig()),
+                                  6);
 }
 
 TEST(OpenDataEndToEndTest, QueriesHitGroundTruth) {

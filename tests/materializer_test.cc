@@ -1,12 +1,18 @@
 // Materializer tests: hash-join chains validated against a brute-force
 // nested-loop reference, plus projection, distinct, view ids and guard
-// rails.
+// rails, and the hand-off to 4C: the materializer's row-hash runs equal
+// the runs of the gathered tables, and 4C over those runs answers as it
+// does over fully gathered views.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
+#include "core/distillation.h"
 #include "core/join_graph_search.h"
+#include "distillation_expect.h"
 #include "engine/materializer.h"
 #include "util/rng.h"
 #include "util/check.h"
@@ -397,7 +403,7 @@ TEST(MaterializerCacheTest, CandidateWalkEqualsFreshMaterializerPerCandidate) {
     ASSERT_EQ(walk.views().size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
       SCOPED_TRACE(i);
-      ExpectSameTable(walk.views()[i].table, want[i]);
+      ExpectSameTable(walk.Gather(static_cast<int>(i)), want[i]);
     }
   }
 }
@@ -448,6 +454,207 @@ TEST(MaterializerCacheTest, RowLimitFiresAtTheSameCountWithAWarmCache) {
         use->Materialize(blowup.graph, blowup.projection, options, "v");
     EXPECT_TRUE(past_limit.status().IsOutOfRange());
   }
+}
+
+// ---------------- Row-hash runs: the hand-off from M to 4C ---------------
+
+// A random lake whose views exercise the canonical row hash: four tables
+// over one key domain, attribute names that differ only in case across
+// tables ("Key", "key", "KEY"), null cells, and dictionary, int64 and
+// double columns. Tables 1 and 2 take random subsets of table 0's rows, so
+// their projections repeat or nest table 0's.
+TableRepository RandomRunLake(Rng* rng) {
+  // Column kinds: 0 dictionary, 1 int64, 2 double; a tenth of cells null.
+  auto cell = [rng](int kind) {
+    if (rng->UniformInt(0, 9) == 0) return Value::Null();
+    if (kind == 1) return Value::Int(rng->UniformInt(0, 4));
+    if (kind == 2) return Value::Double(0.5 * rng->UniformInt(0, 4));
+    return Value::String("k" + std::to_string(rng->UniformInt(0, 7)));
+  };
+  const std::vector<int> kinds = {0, 0, 1, 2};
+  std::vector<std::vector<Value>> base;
+  const int64_t base_rows = rng->UniformInt(8, 30);
+  for (int64_t r = 0; r < base_rows; ++r) {
+    std::vector<Value> row;
+    for (int kind : kinds) row.push_back(cell(kind));
+    base.push_back(std::move(row));
+  }
+  Table t0("t0", MakeSchema({"Key", "Name", "val", "w"}));
+  Table t1("t1", MakeSchema({"key", "NAME", "Val", "w"}));
+  Table t2("t2", MakeSchema({"KEY", "name", "VAL", "x"}));
+  Table t3("t3", MakeSchema({"key", "score"}));
+  for (const std::vector<Value>& row : base) {
+    VER_CHECK_OK(t0.AppendRow(row));
+    if (rng->Bernoulli(0.7)) VER_CHECK_OK(t1.AppendRow(row));
+    if (rng->Bernoulli(0.5)) VER_CHECK_OK(t2.AppendRow(row));
+  }
+  for (int64_t r = rng->UniformInt(0, 6); r > 0; --r) {
+    std::vector<Value> row;
+    for (int kind : kinds) row.push_back(cell(kind));
+    VER_CHECK_OK(t2.AppendRow(std::move(row)));
+  }
+  for (int64_t r = rng->UniformInt(4, 20); r > 0; --r) {
+    VER_CHECK_OK(t3.AppendRow({cell(0), cell(2)}));
+  }
+  TableRepository repo;
+  for (Table* t : {&t0, &t1, &t2, &t3}) {
+    VER_CHECK_OK(repo.AddTable(std::move(*t)).status());
+  }
+  return repo;
+}
+
+// Single-table projections of two and three columns in every order (the
+// permuted schemas of one block), and key joins projecting both sides.
+std::vector<ViewCandidate> RunCandidates(const TableRepository& repo) {
+  std::vector<ViewCandidate> out;
+  for (int32_t t = 0; t < repo.num_tables(); ++t) {
+    const int cols = repo.table(t).num_columns();
+    for (int a = 0; a < cols; ++a) {
+      for (int b = 0; b < cols; ++b) {
+        if (a == b) continue;
+        out.push_back(MakeCandidate({}, {t}, {{t, a}, {t, b}}));
+        if (cols > 2) {
+          const int c = 3 - (a + b) % 3;  // a third column
+          if (c != a && c != b) {
+            out.push_back(MakeCandidate({}, {t}, {{t, a}, {t, c}, {t, b}}));
+          }
+        }
+      }
+    }
+  }
+  auto edge = [](ColumnRef l, ColumnRef r) {
+    return JoinEdge{l, r, 1.0, 1.0};
+  };
+  const std::vector<std::pair<int32_t, int32_t>> joins = {
+      {0, 3}, {1, 3}, {0, 1}, {1, 2}};
+  for (auto [l, r] : joins) {
+    out.push_back(
+        MakeCandidate({edge({l, 0}, {r, 0})}, {}, {{l, 1}, {r, 1}}));
+    out.push_back(
+        MakeCandidate({edge({l, 0}, {r, 0})}, {}, {{r, 1}, {l, 1}}));
+    out.push_back(
+        MakeCandidate({edge({l, 0}, {r, 0})}, {}, {{l, 0}, {r, 1}}));
+  }
+  return out;
+}
+
+TEST(MaterializerRunTest, RunsEqualTheRunsOfTheGatheredTables) {
+  // Tallies over the sweep, so a lake change cannot quietly stop
+  // exercising a case.
+  int64_t views = 0, deduped = 0, null_cells = 0, mixed_case_blocks = 0;
+  std::set<ColumnEncoding> encodings;
+  for (int seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<uint64_t>(seed));
+    TableRepository repo = RandomRunLake(&rng);
+    CandidateMaterializer walk(&repo, MaterializeOptions());
+    std::map<std::string, std::set<std::string>> schemas_by_block;
+    for (const ViewCandidate& cand : RunCandidates(repo)) {
+      if (!walk.Materialize(cand)) continue;
+      const int i = static_cast<int>(walk.views().size()) - 1;
+      const RowSetRun run = walk.run(i);
+      const std::vector<uint64_t> got(run.begin, run.end);
+      EXPECT_FALSE(walk.views()[i].has_columns());
+      const Table& table = walk.Gather(i);
+      // What the DistillViews adapter computes from the gathered table.
+      std::vector<uint64_t> want(static_cast<size_t>(table.num_rows()));
+      std::vector<int> order;
+      want.resize(static_cast<size_t>(
+          RowHashRun(table, want.data(), &order) - want.data()));
+      ASSERT_EQ(got, want) << i;
+      EXPECT_EQ(run.signature, RowSetSignature(want.data(),
+                                               want.data() + want.size()));
+      EXPECT_EQ(walk.views()[i].row_set_signature, run.signature);
+      // MaterializeView computes the same signature on its own.
+      Materializer fresh(&repo);
+      Result<View> rebuilt = fresh.MaterializeView(
+          cand.graph, cand.projection, MaterializeOptions(), i);
+      ASSERT_TRUE(rebuilt.ok());
+      EXPECT_EQ(rebuilt->row_set_signature, run.signature);
+      ExpectSameTable(table, rebuilt->table);
+
+      // Kept rows are distinct, so the run holds one hash per row.
+      EXPECT_EQ(got.size(), static_cast<size_t>(table.num_rows()));
+      ++views;
+      if (cand.graph.edges.empty() &&
+          table.num_rows() < repo.table(cand.graph.tables[0]).num_rows()) {
+        ++deduped;
+      }
+      for (int c = 0; c < table.num_columns(); ++c) {
+        encodings.insert(table.column_data(c).encoding());
+        for (int64_t r = 0; r < table.num_rows(); ++r) {
+          null_cells += table.cell(r, c).is_null() ? 1 : 0;
+        }
+      }
+      std::string ordered;
+      for (const Attribute& a : table.schema().attributes()) {
+        ordered += a.name + ",";
+      }
+      schemas_by_block[table.schema().CanonicalSignature()].insert(ordered);
+    }
+    for (const auto& [block, ordered] : schemas_by_block) {
+      (void)block;
+      if (ordered.size() > 1) ++mixed_case_blocks;
+    }
+  }
+  EXPECT_GT(views, 1000);
+  EXPECT_GT(null_cells, 0);
+  EXPECT_GT(mixed_case_blocks, 0);
+  EXPECT_EQ(encodings.count(ColumnEncoding::kDict), 1u);
+  EXPECT_EQ(encodings.count(ColumnEncoding::kInt64), 1u);
+  EXPECT_EQ(encodings.count(ColumnEncoding::kDouble), 1u);
+  EXPECT_GT(deduped, 0);
+}
+
+TEST(MaterializerRunTest, FourCOverRunsEqualsFourCOverGatheredViews) {
+  int64_t compatible = 0, contained = 0, gathered = 0, pruned = 0;
+  for (int seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<uint64_t>(seed));
+    TableRepository repo = RandomRunLake(&rng);
+    const std::vector<ViewCandidate> candidates = RunCandidates(repo);
+    for (bool composite : {false, true}) {
+      SCOPED_TRACE(composite ? "composite keys" : "single keys");
+      DistillationOptions options;
+      options.composite_keys = composite;
+      // The pipeline's hand-off: runs from the materializer, survivors
+      // gathered when 4C asks for their tables.
+      CandidateMaterializer walk(&repo, MaterializeOptions());
+      for (const ViewCandidate& cand : candidates) walk.Materialize(cand);
+      std::vector<RowSetRun> runs;
+      for (size_t i = 0; i < walk.views().size(); ++i) {
+        runs.push_back(walk.run(static_cast<int>(i)));
+      }
+      std::vector<int> asked;
+      DistillationResult got = DistillRowSets(
+          walk.views(), runs,
+          [&](int i) -> const Table& {
+            asked.push_back(i);
+            return walk.Gather(i);
+          },
+          options);
+      EXPECT_EQ(asked, got.surviving);
+      for (size_t i = 0; i < walk.views().size(); ++i) {
+        const bool survives = std::count(got.surviving.begin(),
+                                         got.surviving.end(),
+                                         static_cast<int>(i)) > 0;
+        EXPECT_EQ(walk.views()[i].has_columns(), survives) << i;
+        (survives ? gathered : pruned) += 1;
+      }
+
+      JoinGraphSearchOptions search;
+      std::vector<View> full =
+          MaterializeCandidates(repo, candidates, search, nullptr);
+      ASSERT_EQ(full.size(), walk.views().size());
+      ExpectSameDistillation(got, DistillViews(full, options));
+      compatible += got.num_compatible_pairs;
+      contained += got.num_contained_pairs;
+    }
+  }
+  EXPECT_GT(compatible, 0);
+  EXPECT_GT(contained, 0);
+  EXPECT_GT(gathered, 0);
+  EXPECT_GT(pruned, gathered);
 }
 
 }  // namespace

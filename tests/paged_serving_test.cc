@@ -21,6 +21,7 @@
 #include "api/discovery_request.h"
 #include "api/discovery_response.h"
 #include "core/ver.h"
+#include "delivery_contract.h"
 #include "discovery/engine.h"
 #include "engine/materializer.h"
 #include "query_fingerprint.h"
@@ -214,6 +215,36 @@ TEST(PagedServingTest, TightBudgetAnswersBitIdenticallyAndHoldsBudget) {
     s = pager->pool_stats();
     EXPECT_GT(s.evictions, 0);
     EXPECT_LE(s.resident_bytes, static_cast<int64_t>(kBudgetBytes));
+  }
+}
+
+// A paged server gathers a delivered view's cells from the snapshot map
+// while the query still pins its tables: every delivered view equals its
+// rebuild, and only delivered views carry cells.
+TEST(PagedServingTest, PagedServerDeliversViewsWithTheirCells) {
+  PagedFixture& f = Fixture();
+  Result<TableRepository> repo =
+      DiscoveryEngine::LoadRepository(f.snapshot_path, TightPaging());
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  Result<std::unique_ptr<DiscoveryEngine>> loaded =
+      DiscoveryEngine::Load(repo.value(), f.snapshot_path, TightPaging());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  VerServer server(std::make_shared<Ver>(&repo.value(), VerConfig(),
+                                         std::move(loaded).value()),
+                   ServingOptions());
+  for (size_t i = 0; i < f.queries.size(); ++i) {
+    for (int stop_after : {0, 1}) {
+      SCOPED_TRACE("query " + std::to_string(i) + ", stop_after " +
+                   std::to_string(stop_after));
+      DiscoveryRequest request = DiscoveryRequest::ForQuery(f.queries[i]);
+      if (stop_after > 0) request.StopAfter(stop_after);
+      DeliveryRecorder recorder;
+      const ServedResult served = server.Submit(request, &recorder)->Wait();
+      ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+      ExpectDeliveredViewsMatchRebuilds(repo.value(), recorder.views);
+      ExpectColumnsOnlyWhereDelivered(repo.value(), *served.result,
+                                      recorder.views);
+    }
   }
 }
 

@@ -2,19 +2,45 @@
 //
 // Renders every deterministic part of a result as one string; excludes only
 // wall-clock timings. Two results with equal fingerprints went through the
-// same selection, search funnel, views (cell-exact), distillation and
-// ranking — the bit-identity bar used by the serving and snapshot tests.
+// same selection, search funnel, views, distillation and ranking — the
+// bit-identity bar used by the serving and snapshot tests.
+//
+// A view that carries its cells (it was delivered) is rendered cell-exact.
+// A view 4C pruned before delivery holds no cells; Fingerprint(result)
+// renders its graph signature, row count and row-set signature, which
+// still pin its content. Fingerprint(result, repo) rebuilds each such view
+// from its graph and projection, checks the rebuild against the stored row
+// count and signature, and renders every view cell-exact.
 
 #ifndef VER_TESTS_QUERY_FINGERPRINT_H_
 #define VER_TESTS_QUERY_FINGERPRINT_H_
 
+#include <cstdio>
 #include <string>
 
 #include "core/ver.h"
+#include "util/check.h"
 
 namespace ver {
 
-inline std::string Fingerprint(const QueryResult& r) {
+namespace fingerprint_internal {
+
+inline std::string CellExact(const View& v) {
+  return v.graph.Signature() + "#" + v.table.ToString(v.table.num_rows()) +
+         ";";
+}
+
+inline std::string RowSetOnly(const View& v) {
+  char signature[24];
+  std::snprintf(signature, sizeof(signature), "%016llx",
+                static_cast<unsigned long long>(v.row_set_signature));
+  return v.graph.Signature() + "#" + std::to_string(v.num_rows()) + "@" +
+         signature + ";";
+}
+
+// Renders every view with `render_pruned` for the views without cells.
+template <typename RenderPruned>
+std::string Render(const QueryResult& r, const RenderPruned& render_pruned) {
   std::string out;
   for (const ColumnSelectionResult& sel : r.selection) {
     out += "sel:";
@@ -34,8 +60,7 @@ inline std::string Fingerprint(const QueryResult& r) {
   }
   out += "|views:";
   for (const View& v : r.views) {
-    out += v.graph.Signature() + "#" +
-           v.table.ToString(v.table.num_rows()) + ";";
+    out += v.has_columns() ? CellExact(v) : render_pruned(v);
   }
   out += "|distill:" + std::to_string(r.distillation.num_compatible_pairs) +
          "," + std::to_string(r.distillation.num_contained_pairs) + "," +
@@ -48,6 +73,29 @@ inline std::string Fingerprint(const QueryResult& r) {
            ";";
   }
   return out;
+}
+
+}  // namespace fingerprint_internal
+
+inline std::string Fingerprint(const QueryResult& r) {
+  return fingerprint_internal::Render(r, fingerprint_internal::RowSetOnly);
+}
+
+/// Fingerprint with every pruned view rebuilt over `repo` (the repository
+/// the result was computed on), so the string is the cell-exact one of a
+/// result whose views all carry cells. Aborts when a rebuild fails or its
+/// row count or row-set signature differs from the stored one.
+inline std::string Fingerprint(const QueryResult& r,
+                               const TableRepository& repo) {
+  Materializer materializer(&repo);
+  return fingerprint_internal::Render(r, [&](const View& v) {
+    Result<View> rebuilt = materializer.MaterializeView(
+        v.graph, v.projection, MaterializeOptions(), v.id);
+    VER_CHECK_OK(rebuilt.status());
+    VER_CHECK(rebuilt->num_rows() == v.num_rows());
+    VER_CHECK(rebuilt->row_set_signature == v.row_set_signature);
+    return fingerprint_internal::CellExact(rebuilt.value());
+  });
 }
 
 }  // namespace ver

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/ver.h"
+#include "delivery_contract.h"
 #include "query_fingerprint.h"
 #include "server_test_fixture.h"
 #include "serving/query_cache.h"
@@ -135,6 +136,35 @@ TEST(ServingTest, CacheHitReturnsIdenticalResultAndCountsHit) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.cache_hits, 2);
   EXPECT_EQ(stats.cache_misses, 1);
+}
+
+// A served view carries cells exactly when it was delivered, on the miss
+// and on the cache hit that re-delivers the survivors.
+TEST(ServingTest, CacheHitRedeliversViewsWithTheirCells) {
+  ServingFixture& f = Fixture();
+  ServingOptions serving;
+  serving.num_workers = 2;
+  serving.cache_capacity = 8;
+  VerServer server(&f.dataset.repo, VerConfig(), serving);
+  for (int stop_after : {0, 1, 2}) {
+    SCOPED_TRACE("stop_after " + std::to_string(stop_after));
+    DiscoveryRequest request = f.requests[1];
+    if (stop_after > 0) request.StopAfter(stop_after);
+    DeliveryRecorder miss, hit;
+    const ServedResult first = server.Submit(request, &miss)->Wait();
+    const ServedResult second = server.Submit(request, &hit)->Wait();
+    ASSERT_TRUE(first.status.ok());
+    ASSERT_TRUE(second.status.ok());
+    EXPECT_FALSE(first.cache_hit);
+    EXPECT_TRUE(second.cache_hit);
+    ExpectDeliveredViewsMatchRebuilds(f.dataset.repo, miss.views);
+    ExpectColumnsOnlyWhereDelivered(f.dataset.repo, *first.result, miss.views);
+    ExpectDeliveredViewsMatchRebuilds(f.dataset.repo, hit.views);
+    ASSERT_EQ(hit.views.size(), first.result->distillation.surviving.size());
+    for (size_t i = 0; i < hit.views.size(); ++i) {
+      EXPECT_EQ(hit.views[i].id, first.result->distillation.surviving[i]);
+    }
+  }
 }
 
 TEST(ServingTest, DeadlineExceededFailsCleanly) {
