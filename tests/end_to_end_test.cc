@@ -254,14 +254,19 @@ TEST(WdcEndToEndTest, SimulatedUserFindsViewWithPresentation) {
   ASSERT_TRUE(query.ok());
   QueryResult result =
       system.Execute(DiscoveryRequest::ForQuery(query.value())).result;
+  // The user judges every candidate view by content; views 4C pruned
+  // carry no cells, so rebuild them.
+  const std::vector<View> views = MaterializeCandidates(
+      dataset.repo, result.search.candidates, system.config().search,
+      nullptr);
   Result<std::vector<int>> acceptable =
-      GroundTruthMatches(dataset.repo, gt, result.views);
+      GroundTruthMatches(dataset.repo, gt, views);
   ASSERT_TRUE(acceptable.ok());
   ASSERT_FALSE(acceptable->empty());
 
   auto session = system.StartSession(result, query.value());
-  SimulatedUser user(SimulatedUserProfile{}, acceptable.value(),
-                     &result.views, &result.distillation);
+  SimulatedUser user(SimulatedUserProfile{}, acceptable.value(), &views,
+                     &result.distillation);
   SessionOutcome outcome = DriveSession(session.get(), &user, 60);
   EXPECT_TRUE(outcome.found) << "simulated user did not find the view after "
                              << outcome.interactions << " interactions";
