@@ -230,10 +230,12 @@ RowSetRun CandidateMaterializer::run(int i) const {
 const Table& CandidateMaterializer::Gather(int i) {
   View& view = views_[static_cast<size_t>(i)];
   if (!view.has_columns()) {
-    view.table = materializer_.Gather(
-        view.projection, row_ids_.data() + extents_[static_cast<size_t>(i)].rows,
-        view.pruned_num_rows, std::move(view.pruned_schema),
-        std::move(view.pruned_name));
+    const int64_t* rows =
+        row_ids_.data() + extents_[static_cast<size_t>(i)].rows;
+    view.table = materializer_.Gather(view.projection, rows,
+                                      view.pruned_num_rows,
+                                      std::move(view.pruned_schema),
+                                      std::move(view.pruned_name));
     view.pruned_schema = Schema();
     view.pruned_name.clear();
     view.pruned_num_rows = 0;
